@@ -1,348 +1,65 @@
-"""Hot numerical kernels: tridiagonal QL eigensolver and fixed-step RK4.
+"""Numerical kernels: the tridiagonal eigensolver and fixed-step RK4.
 
-Each kernel exists twice: a scalar-loop implementation compiled with numba
-``@njit`` and a vectorized pure-numpy fallback with identical arithmetic
-ordering.  The active path is chosen at import time; set
-``TOPOCHAIN_NO_NUMBA=1`` to force the numpy fallback.
-``benchmarks/bench_kernels.py`` times one against the other.
+``tridiag_eigh`` calls LAPACK's MRRR solver (``?stemr``, Dhillon & Parlett
+2004) through ``scipy.linalg.eigh_tridiagonal``.  ``rk4_integrate`` is the
+classical fourth-order Runge-Kutta scheme for i dpsi/dt = H(t) psi, where
+H(t) comes from a vectorized evaluator ``times -> (diag[k, n], off[k, n-1])``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import NumericError
-
-_EPS = float(np.finfo(np.float64).eps)
-_MAX_QL_SWEEPS = 50
-
-# Function-term ids used in schedule tables (see models.FunctionSpec).
-FORM_CONST = 0
-FORM_SIN = 1
-FORM_COS = 2
-FORM_LINEAR = 3
-
-NUMBA_DISABLED = os.environ.get("TOPOCHAIN_NO_NUMBA", "").lower() in ("1", "true", "yes", "on")
-
-
-# ---------------------------------------------------------------------------
-# QL with implicit shifts for a real symmetric tridiagonal matrix.
-# d: diagonal (overwritten with eigenvalues), e: subdiagonal in e[0..n-2]
-# with e[n-1] used as scratch, z: identity on entry, eigenvector columns on
-# exit.  Returns 0 on success, 1-based index of the stuck eigenvalue on
-# failure.  Adapted from the EISPACK tql2 routine.
-# ---------------------------------------------------------------------------
-
-
-def _ql_loops(d, e, z):
-    n = d.shape[0]
-    if n == 1:
-        return 0
-    e[n - 1] = 0.0
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweeps == _MAX_QL_SWEEPS:
-                return l + 1
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            sg = r if g >= 0.0 else -r
-            g = d[m] - d[l] + e[l] / (g + sg)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation underflow: drop the shift and restart the sweep
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                for k in range(n):
-                    f = z[k, i + 1]
-                    z[k, i + 1] = s * z[k, i] + c * f
-                    z[k, i] = c * z[k, i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return 0
-
-
-def _ql_numpy(d, e, z):
-    n = d.shape[0]
-    if n == 1:
-        return 0
-    e[n - 1] = 0.0
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweeps == _MAX_QL_SWEEPS:
-                return l + 1
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            sg = r if g >= 0.0 else -r
-            g = d[m] - d[l] + e[l] / (g + sg)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Schedule-table evaluation and fixed-step RK4 for i dpsi/dt = H(t) psi.
-# A parameter table row is (form, offset, amplitude, omega, phase) with
-# omega in rad per time unit; H(t) = sum_p value_p(t) * pattern_p.
-# ---------------------------------------------------------------------------
-
-
-def _param_value(form, offset, amp, omega, phase, t, inv_period):
-    if form == FORM_CONST:
-        return offset
-    if form == FORM_SIN:
-        return offset + amp * np.sin(omega * t + phase)
-    if form == FORM_COS:
-        return offset + amp * np.cos(omega * t + phase)
-    return offset + amp * (t * inv_period)
-
-
-def _fill_tridiag_loops(table, inv_period, pat_diag, pat_off, t, diag, off):
-    n = diag.shape[0]
-    for q in range(n):
-        diag[q] = 0.0
-    for q in range(n - 1):
-        off[q] = 0.0
-    for p in range(table.shape[0]):
-        v = _param_value(int(table[p, 0]), table[p, 1], table[p, 2], table[p, 3], table[p, 4], t, inv_period)
-        for q in range(n):
-            diag[q] += v * pat_diag[p, q]
-        for q in range(n - 1):
-            off[q] += v * pat_off[p, q]
-
-
-def _fill_tridiag_numpy(table, inv_period, pat_diag, pat_off, t, diag, off):
-    diag[:] = 0.0
-    off[:] = 0.0
-    for p in range(table.shape[0]):
-        v = _param_value(int(table[p, 0]), table[p, 1], table[p, 2], table[p, 3], table[p, 4], t, inv_period)
-        diag += v * pat_diag[p]
-        off += v * pat_off[p]
-
-
-def _apply_minus_ih_loops(diag, off, x, y):
-    n = x.shape[0]
-    for q in range(n):
-        acc = diag[q] * x[q]
-        if q > 0:
-            acc = acc + off[q - 1] * x[q - 1]
-        if q < n - 1:
-            acc = acc + off[q] * x[q + 1]
-        y[q] = acc * (-1j)
-
-
-def _apply_minus_ih_numpy(diag, off, x, y):
-    y[:] = diag * x
-    y[1:] += off * x[:-1]
-    y[:-1] += off * x[1:]
-    y *= -1j
-
-
-def _rk4_loops(table, inv_period, pat_diag, pat_off, psi0, rec_times, max_step):
-    n = psi0.shape[0]
-    n_rec = rec_times.shape[0]
-    out = np.empty((n_rec, n), dtype=np.complex128)
-    psi = psi0.copy()
-    diag = np.zeros(n, dtype=np.float64)
-    off = np.zeros(n - 1, dtype=np.float64)
-    k1 = np.empty(n, dtype=np.complex128)
-    k2 = np.empty(n, dtype=np.complex128)
-    k3 = np.empty(n, dtype=np.complex128)
-    k4 = np.empty(n, dtype=np.complex128)
-    y = np.empty(n, dtype=np.complex128)
-    for q in range(n):
-        out[0, q] = psi[q]
-    for r in range(1, n_rec):
-        ta = rec_times[r - 1]
-        span = rec_times[r] - ta
-        nsub = int(np.ceil(span / max_step))
-        if nsub < 1:
-            nsub = 1
-        dt = span / nsub
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for step in range(nsub):
-            t0 = ta + step * dt
-            _fill_tridiag_loops(table, inv_period, pat_diag, pat_off, t0, diag, off)
-            _apply_minus_ih_loops(diag, off, psi, k1)
-            for q in range(n):
-                y[q] = psi[q] + half * k1[q]
-            _fill_tridiag_loops(table, inv_period, pat_diag, pat_off, t0 + half, diag, off)
-            _apply_minus_ih_loops(diag, off, y, k2)
-            for q in range(n):
-                y[q] = psi[q] + half * k2[q]
-            _apply_minus_ih_loops(diag, off, y, k3)
-            for q in range(n):
-                y[q] = psi[q] + dt * k3[q]
-            _fill_tridiag_loops(table, inv_period, pat_diag, pat_off, t0 + dt, diag, off)
-            _apply_minus_ih_loops(diag, off, y, k4)
-            for q in range(n):
-                psi[q] = psi[q] + sixth * (k1[q] + 2.0 * (k2[q] + k3[q]) + k4[q])
-        for q in range(n):
-            out[r, q] = psi[q]
-    return out
-
-
-def _rk4_numpy(table, inv_period, pat_diag, pat_off, psi0, rec_times, max_step):
-    n = psi0.shape[0]
-    n_rec = rec_times.shape[0]
-    out = np.empty((n_rec, n), dtype=np.complex128)
-    psi = psi0.copy()
-    diag = np.zeros(n, dtype=np.float64)
-    off = np.zeros(n - 1, dtype=np.float64)
-    k1 = np.empty(n, dtype=np.complex128)
-    k2 = np.empty(n, dtype=np.complex128)
-    k3 = np.empty(n, dtype=np.complex128)
-    k4 = np.empty(n, dtype=np.complex128)
-    y = np.empty(n, dtype=np.complex128)
-    out[0] = psi
-    for r in range(1, n_rec):
-        ta = rec_times[r - 1]
-        span = rec_times[r] - ta
-        nsub = max(int(np.ceil(span / max_step)), 1)
-        dt = span / nsub
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for step in range(nsub):
-            t0 = ta + step * dt
-            _fill_tridiag_numpy(table, inv_period, pat_diag, pat_off, t0, diag, off)
-            _apply_minus_ih_numpy(diag, off, psi, k1)
-            y[:] = psi + half * k1
-            _fill_tridiag_numpy(table, inv_period, pat_diag, pat_off, t0 + half, diag, off)
-            _apply_minus_ih_numpy(diag, off, y, k2)
-            y[:] = psi + half * k2
-            _apply_minus_ih_numpy(diag, off, y, k3)
-            y[:] = psi + dt * k3
-            _fill_tridiag_numpy(table, inv_period, pat_diag, pat_off, t0 + dt, diag, off)
-            _apply_minus_ih_numpy(diag, off, y, k4)
-            psi += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        out[r] = psi
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba compilation and dispatch
-# ---------------------------------------------------------------------------
-
-_ql_numba = None
-_rk4_numba = None
-HAVE_NUMBA = False
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised via TOPOCHAIN_NO_NUMBA instead
-        HAVE_NUMBA = False
-    else:
-        _jit = njit(cache=True, nogil=True)
-        # Rebind the loop implementations so the jitted call graph resolves
-        # to jitted callees; the rebound names stay callable from python.
-        _param_value = _jit(_param_value)
-        _fill_tridiag_loops = _jit(_fill_tridiag_loops)
-        _apply_minus_ih_loops = _jit(_apply_minus_ih_loops)
-        _ql_numba = _jit(_ql_loops)
-        _rk4_numba = _jit(_rk4_loops)
-        HAVE_NUMBA = True
-
-ql_kernel = _ql_numba if HAVE_NUMBA else _ql_numpy
-rk4_kernel = _rk4_numba if HAVE_NUMBA else _rk4_numpy
-ACTIVE_PATH = "numba" if HAVE_NUMBA else "numpy"
 
 
 def tridiag_eigh(diagonal: np.ndarray, offdiagonal: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     real symmetric tridiagonal matrix."""
-    d = np.asarray(diagonal, dtype=np.float64).copy()
-    n = d.shape[0]
-    e = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        e[: n - 1] = offdiagonal
-    z = np.eye(n, dtype=np.float64)
-    status = ql_kernel(d, e, z)
-    if status != 0:
-        raise NumericError(f"QL iteration failed to converge at eigenvalue {status}")
-    order = np.argsort(d, kind="stable")
-    return d[order], np.ascontiguousarray(z[:, order])
+    d = np.asarray(diagonal, dtype=np.float64)
+    e = np.asarray(offdiagonal, dtype=np.float64)
+    try:
+        vals, vecs = eigh_tridiagonal(d, e)
+    except LinAlgError as exc:
+        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    order = np.argsort(vals, kind="stable")
+    return vals[order], np.ascontiguousarray(vecs[:, order])
 
 
-def rk4_integrate(table, period, pat_diag, pat_off, psi0, rec_times, max_step):
-    """Propagate ``psi0`` through the tabulated H(t), returning one state row
-    per entry of ``rec_times`` (the first entry must be the start time)."""
-    inv_period = 1.0 / period
-    return rk4_kernel(
-        np.ascontiguousarray(table, dtype=np.float64),
-        inv_period,
-        np.ascontiguousarray(pat_diag, dtype=np.float64),
-        np.ascontiguousarray(pat_off, dtype=np.float64),
-        np.ascontiguousarray(psi0, dtype=np.complex128),
-        np.ascontiguousarray(rec_times, dtype=np.float64),
-        float(max_step),
-    )
+def apply_minus_ih(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-i H x for the tridiagonal H with the given diagonal and bonds."""
+    out = diag * x
+    if off.size:
+        out[:-1] += off * x[1:]
+        out[1:] += off * x[:-1]
+    return -1j * out
+
+
+def rk4_integrate(h_of_times, psi0, rec_times, max_step):
+    """Propagate ``psi0`` through H(t), returning one state row per entry of
+    ``rec_times`` (the first entry must be the start time).
+
+    Each record segment is split into equal substeps no longer than
+    ``max_step``; H(t) is evaluated once per segment on its step and
+    half-step grid, so memory stays bounded by one segment.
+    """
+    rec_times = np.asarray(rec_times, dtype=np.float64)
+    psi = np.array(psi0, dtype=np.complex128)
+    out = np.empty((rec_times.size, psi.size), dtype=np.complex128)
+    out[0] = psi
+    for r in range(1, rec_times.size):
+        ta, tb = rec_times[r - 1], rec_times[r]
+        nsub = max(int(np.ceil((tb - ta) / max_step)), 1)
+        dt = (tb - ta) / nsub
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        diag, off = h_of_times(np.linspace(ta, tb, 2 * nsub + 1))
+        for s in range(0, 2 * nsub, 2):
+            k1 = apply_minus_ih(diag[s], off[s], psi)
+            k2 = apply_minus_ih(diag[s + 1], off[s + 1], psi + half * k1)
+            k3 = apply_minus_ih(diag[s + 1], off[s + 1], psi + half * k2)
+            k4 = apply_minus_ih(diag[s + 2], off[s + 2], psi + dt * k3)
+            psi = psi + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out[r] = psi
+    return out

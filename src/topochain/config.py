@@ -13,7 +13,7 @@ from typing import Optional
 
 from .dynamics import IntegratorConfig
 from .errors import SchemaError
-from .models import MODEL_KINDS, SCHEDULE_PARAMS, FunctionSpec, Schedule
+from .models import FUNCTION_FORMS, MODEL_KINDS, SCHEDULE_PARAMS, FunctionSpec, Schedule
 
 SCHEMA_VERSION = 1
 COMMANDS = ("spectrum", "pump", "quench", "lz", "trimer", "couplings", "fluxqubit")
@@ -93,7 +93,7 @@ def _parse_function_spec(chk: _Checker, obj, ctx: str) -> Optional[FunctionSpec]
         chk.fail(f"{ctx} must be an object with a 'form' field")
         return None
     chk.reject_unknown(obj, ("form", "offset", "amplitude", "frequency_multiple", "phase"), ctx)
-    form = chk.take(obj, "form", ctx, required=True, kind="str", choices=("const", "sin", "cos", "linear"))
+    form = chk.take(obj, "form", ctx, required=True, kind="str", choices=FUNCTION_FORMS)
     offset = chk.take(obj, "offset", ctx, kind="number", default=0.0)
     amplitude = chk.take(obj, "amplitude", ctx, kind="number", default=0.0)
     freq = chk.take(obj, "frequency_multiple", ctx, kind="number", default=1.0)

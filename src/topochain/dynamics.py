@@ -1,22 +1,24 @@
 """Time evolution in the single-excitation sector.
 
 The production integrator is scipy's adaptive BDF (the stiff multistep
-family); a hand-rolled fixed-step RK4 with substep control serves as the
-independent cross-check.  Both resample H(t) analytically at whatever times
-they need; nothing is interpolated from a grid.
+family); fixed-step RK4 with substep control serves as the independent
+cross-check.  Both read H(t) from one vectorized evaluator,
+``times -> (diag[k, n], off[k, n-1])``, wrapped in a HamiltonianProvider:
+BDF asks it for one time per call, RK4 for one record segment of times.
+Schedules are evaluated analytically at whatever times are asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._kernels import rk4_integrate
+from ._kernels import apply_minus_ih, rk4_integrate
 from .errors import IntegrationError, InvalidParameterError
-from .models import ChainHamiltonian, Schedule, sample_schedule, schedule_tables
+from .models import ChainHamiltonian, Schedule, schedule_arrays
 
 NORM_DRIFT_LIMIT = 1e-6
 DEFAULT_RK4_STEP = 0.01
@@ -63,27 +65,28 @@ class Trajectory:
 
 
 class HamiltonianProvider:
-    """Callable t -> ChainHamiltonian, optionally with a kernel table
-    encoding so the RK4 path can run fully compiled."""
+    """H(t) of a chain: ``provider(times)`` returns the diagonals (k, n) and
+    bonds (k, n-1) at each of a 1-D array of k times, and (n,), (n-1,) for a
+    single time (the BDF right-hand side asks for one time per call)."""
 
-    def __init__(self, fn: Callable[[float], ChainHamiltonian], tables=None):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self.tables = tables  # (table, period, pat_diag, pat_off) or None
 
-    def __call__(self, t: float) -> ChainHamiltonian:
-        return self._fn(t)
+    def __call__(self, times) -> Tuple[np.ndarray, np.ndarray]:
+        return self._fn(times)
 
     @classmethod
     def from_static(cls, h: ChainHamiltonian) -> "HamiltonianProvider":
-        table = np.array([[0, 1.0, 0.0, 0.0, 0.0]])  # constant weight 1
-        pat_diag = h.diagonal[np.newaxis, :]
-        pat_off = h.offdiagonal[np.newaxis, :]
-        return cls(lambda t: h, (table, 1.0, pat_diag, pat_off))
+        def fn(times):
+            shape = np.shape(times)
+            return (np.broadcast_to(h.diagonal, shape + h.diagonal.shape),
+                    np.broadcast_to(h.offdiagonal, shape + h.offdiagonal.shape))
+
+        return cls(fn)
 
     @classmethod
     def from_schedule(cls, schedule: Schedule, L: int) -> "HamiltonianProvider":
-        table, pat_diag, pat_off = schedule_tables(schedule, L)
-        return cls(lambda t: sample_schedule(schedule, L, t), (table, schedule.period, pat_diag, pat_off))
+        return cls(lambda times: schedule_arrays(schedule, L, times))
 
 
 def basis_state(n_sites: int, site: int) -> np.ndarray:
@@ -129,15 +132,10 @@ def _renormalize(states: np.ndarray) -> np.ndarray:
 
 def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
     def rhs(t, y):
-        h = provider(t)
-        out = h.diagonal * y
-        if h.offdiagonal.size:
-            out[:-1] += h.offdiagonal * y[1:]
-            out[1:] += h.offdiagonal * y[:-1]
-        return -1j * out
+        return apply_minus_ih(*provider(t), y)
 
     def jac(t, y):
-        return -1j * provider(t).to_dense()
+        return -1j * ChainHamiltonian(*provider(t)).to_dense()
 
     kwargs = {}
     if cfg.max_step is not None:
@@ -158,35 +156,6 @@ def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
     return np.ascontiguousarray(sol.y.T)
 
 
-def _evolve_rk4_generic(provider, psi0, times, step) -> np.ndarray:
-    # Fallback RK4 for providers without a kernel table encoding.
-    out = np.empty((times.size, psi0.size), dtype=np.complex128)
-    psi = psi0.copy()
-    out[0] = psi
-
-    def deriv(t, y):
-        h = provider(t)
-        d = h.diagonal * y
-        if h.offdiagonal.size:
-            d[:-1] += h.offdiagonal * y[1:]
-            d[1:] += h.offdiagonal * y[:-1]
-        return -1j * d
-
-    for r in range(1, times.size):
-        ta, tb = times[r - 1], times[r]
-        nsub = max(int(np.ceil((tb - ta) / step)), 1)
-        dt = (tb - ta) / nsub
-        for s in range(nsub):
-            t = ta + s * dt
-            k1 = deriv(t, psi)
-            k2 = deriv(t + dt / 2, psi + dt / 2 * k1)
-            k3 = deriv(t + dt / 2, psi + dt / 2 * k2)
-            k4 = deriv(t + dt, psi + dt * k3)
-            psi = psi + dt / 6 * (k1 + 2.0 * (k2 + k3) + k4)
-        out[r] = psi
-    return out
-
-
 def evolve(
     provider,
     psi0: np.ndarray,
@@ -197,10 +166,9 @@ def evolve(
 ) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi and record uniform samples.
 
-    ``provider`` is any callable t -> ChainHamiltonian; pass a
-    HamiltonianProvider built from a schedule or static chain to enable the
-    compiled RK4 path.  Norm drift beyond 1e-6 raises IntegrationError;
-    smaller drift is renormalized away at the record times.
+    ``provider`` is a HamiltonianProvider (or any callable with its
+    contract).  Norm drift beyond 1e-6 raises IntegrationError; smaller
+    drift is renormalized away at the record times.
     """
     if not t1 > t0:
         raise InvalidParameterError(f"need t1 > t0, got [{t0}, {t1}]")
@@ -211,12 +179,7 @@ def evolve(
     if cfg.method == "bdf":
         states = _evolve_bdf(provider, psi0, times, cfg)
     else:
-        tables = getattr(provider, "tables", None)
-        if tables is not None:
-            table, period, pat_diag, pat_off = tables
-            states = rk4_integrate(table, period, pat_diag, pat_off, psi0, times, cfg.rk4_step)
-        else:
-            states = _evolve_rk4_generic(provider, psi0, times, cfg.rk4_step)
+        states = rk4_integrate(provider, psi0, times, cfg.rk4_step)
     states = _renormalize(states)
     return Trajectory(times, states, sigma_z(states))
 

@@ -156,9 +156,7 @@ class LZPath:
     @classmethod
     def from_functions(cls, u_fn: FunctionSpec, g_fn: FunctionSpec, period: float, n_samples: int = 201) -> "LZPath":
         times = np.linspace(0.0, period, int(n_samples))
-        u = np.array([u_fn.value(t, period) for t in times])
-        g = np.array([g_fn.value(t, period) for t in times])
-        return cls(times, u, g, period, u_fn, g_fn)
+        return cls(times, u_fn.value(times, period), g_fn.value(times, period), period, u_fn, g_fn)
 
     @classmethod
     def arc(cls, alpha: float, period: float, n_samples: int = 201) -> "LZPath":
@@ -188,13 +186,22 @@ class LZPath:
         if schedule.kind != "rm":
             raise InvalidParameterError("path extraction needs a Rice-Mele schedule")
         times = np.linspace(0.0, schedule.period, int(n_samples))
-        u = np.empty(times.size)
-        g = np.empty(times.size)
-        for i, t in enumerate(times):
-            vals = schedule.values(t)
-            u[i] = vals["u"]
-            g[i] = edge_coupling(vals["a"], vals["b"], L)
-        return cls(times, u, g, schedule.period)
+        vals = schedule.values(times)
+        g = np.array([edge_coupling(a, b, L) for a, b in zip(vals["a"], vals["b"])])
+        return cls(times, vals["u"], g, schedule.period)
+
+    def hamiltonian_arrays(self, times):
+        """H(t) = [[u, g], [g, -u]] in the HamiltonianProvider layout
+        (diag[k, 2], off[k, 1]): analytic paths are resampled exactly,
+        sample-only paths are interpolated linearly between their points."""
+        if self.u_fn is not None and self.g_fn is not None:
+            return _two_level_arrays(self.u_fn.value(times, self.period), self.g_fn.value(times, self.period))
+        return _two_level_arrays(np.interp(times, self.times, self.u), np.interp(times, self.times, self.g))
+
+
+def _two_level_arrays(u, g):
+    u, g = np.asarray(u), np.asarray(g)
+    return np.stack([u, -u], axis=-1), g[..., np.newaxis]
 
 
 def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
@@ -244,30 +251,9 @@ def lz_evolve(
     cfg: IntegratorConfig = IntegratorConfig(),
     n_records: int = 201,
 ) -> Trajectory:
-    """Integrate the two-level Schroedinger equation along the path.
-
-    Analytic paths are resampled exactly; sample-only paths fall back to
-    linear interpolation between their stored points.
-    """
-    if path.u_fn is not None and path.g_fn is not None:
-        table = np.array([path.u_fn.table_row(path.period), path.g_fn.table_row(path.period)])
-        pat_diag = np.array([[1.0, -1.0], [0.0, 0.0]])
-        pat_off = np.array([[0.0], [1.0]])
-
-        def fn(t, _p=path):
-            return ChainHamiltonian(
-                [_p.u_fn.value(t, _p.period), -_p.u_fn.value(t, _p.period)],
-                [_p.g_fn.value(t, _p.period)],
-            )
-
-        provider = HamiltonianProvider(fn, (table, path.period, pat_diag, pat_off))
-    else:
-        def fn(t, _p=path):
-            u = float(np.interp(t, _p.times, _p.u))
-            g = float(np.interp(t, _p.times, _p.g))
-            return ChainHamiltonian([u, -u], [g])
-
-        provider = HamiltonianProvider(fn)
+    """Integrate the two-level Schroedinger equation along the path
+    (see ``LZPath.hamiltonian_arrays``)."""
+    provider = HamiltonianProvider(path.hamiltonian_arrays)
     return evolve(provider, psi0, path.times[0], path.times[-1], cfg, n_records)
 
 
@@ -309,12 +295,14 @@ def compare_reduction(
 
     full = evolve(HamiltonianProvider.from_schedule(schedule, L), psi0, t0, t1, cfg, n_records)
 
-    def reduced_fn(t):
-        vals = schedule.values(t)
-        sys = reduce_rm(vals["a"], vals["b"], vals["u"], L)
-        return sys.to_chain()
+    # reduce_rm raises PhaseDomainError once the window leaves the topological phase
+    reduced_g = np.vectorize(lambda a, b: reduce_rm(a, b, 0.0, L).g)
 
-    reduced = evolve(HamiltonianProvider(reduced_fn), np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
+    def reduced_arrays(times):
+        vals = schedule.values(times)
+        return _two_level_arrays(vals["u"], reduced_g(vals["a"], vals["b"]))
+
+    reduced = evolve(HamiltonianProvider(reduced_arrays), np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
 
     pop_full = np.empty((full.times.size, 2))
     for i, t in enumerate(full.times):

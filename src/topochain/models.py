@@ -14,14 +14,13 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from ._kernels import FORM_CONST, FORM_COS, FORM_LINEAR, FORM_SIN
 from .errors import InvalidDimensionError, InvalidParameterError, NumericError
 
 MODEL_KINDS = ("ssh", "rm", "trimer")
 SCHEDULE_PARAMS = {"ssh": ("a", "b"), "rm": ("a", "b", "u"), "trimer": ("a", "b", "c", "u", "v", "w")}
 SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3}
 
-_FORM_IDS = {"const": FORM_CONST, "sin": FORM_SIN, "cos": FORM_COS, "linear": FORM_LINEAR}
+FUNCTION_FORMS = ("const", "sin", "cos", "linear")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,43 +73,46 @@ def _check_cells(L: int) -> int:
     return L
 
 
+def _chain_arrays(kind: str, L: int, p: Mapping, shape: tuple = ()):
+    """Diagonal and bonds of an L-cell chain from its per-cell parameters.
+
+    This is the one layout of every chain kind: the builders pass scalars,
+    the schedule evaluator passes scalars or arrays of shape ``shape + (1,)``
+    so that each leading index is one time.
+    """
+    n = SITES_PER_CELL[kind] * L
+    diag = np.empty(shape + (n,))
+    off = np.empty(shape + (n - 1,))
+    if kind == "trimer":
+        for i, (site, bond) in enumerate((("u", "a"), ("v", "b"), ("w", "c"))):
+            diag[..., i::3] = p[site]
+            off[..., i::3] = p[bond]
+        return diag, off
+    if kind == "ssh":
+        diag[...] = p.get("omega", 0.0)
+    else:
+        diag[..., 0::2] = p["u"]
+        diag[..., 1::2] = -p["u"]
+    off[..., 0::2] = p["a"]
+    off[..., 1::2] = p["b"]
+    return diag, off
+
+
 def build_ssh(L: int, a: float, b: float, omega: float = 0.0) -> ChainHamiltonian:
     """SSH chain of 2L sites: uniform on-site omega, bonds a,b,a,...,a."""
-    L = _check_cells(L)
-    n = 2 * L
-    off = np.empty(n - 1)
-    off[0::2] = a
-    off[1::2] = b
-    return ChainHamiltonian(np.full(n, float(omega)), off)
+    return ChainHamiltonian(*_chain_arrays("ssh", _check_cells(L), {"a": a, "b": b, "omega": omega}))
 
 
 def build_rice_mele(L: int, a: float, b: float, u: float) -> ChainHamiltonian:
     """Rice-Mele chain: SSH bonds plus staggered on-site +u (A) / -u (B)."""
-    L = _check_cells(L)
-    n = 2 * L
-    diag = np.empty(n)
-    diag[0::2] = u
-    diag[1::2] = -u
-    off = np.empty(n - 1)
-    off[0::2] = a
-    off[1::2] = b
-    return ChainHamiltonian(diag, off)
+    return ChainHamiltonian(*_chain_arrays("rm", _check_cells(L), {"a": a, "b": b, "u": u}))
 
 
 def build_trimer(L: int, a: float, b: float, c: float, u: float, v: float, w: float) -> ChainHamiltonian:
     """Trimer Rice-Mele chain of 3L sites: bonds repeat (a,b,c) with the
     final c bond absent, on-site energies repeat (u,v,w)."""
-    L = _check_cells(L)
-    n = 3 * L
-    diag = np.empty(n)
-    diag[0::3] = u
-    diag[1::3] = v
-    diag[2::3] = w
-    off = np.empty(n - 1)
-    off[0::3] = a
-    off[1::3] = b
-    off[2::3] = c
-    return ChainHamiltonian(diag, off)
+    p = {"a": a, "b": b, "c": c, "u": u, "v": v, "w": w}
+    return ChainHamiltonian(*_chain_arrays("trimer", _check_cells(L), p))
 
 
 def build_aah(n_sites: int, omega: float, alpha: float, phase: float, hop: float) -> ChainHamiltonian:
@@ -197,25 +199,21 @@ class FunctionSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.form not in _FORM_IDS:
+        if self.form not in FUNCTION_FORMS:
             raise InvalidParameterError(f"unknown function form {self.form!r}")
         for name in ("offset", "amplitude", "frequency_multiple", "phase"):
             if not np.isfinite(getattr(self, name)):
                 raise InvalidParameterError(f"{name} must be finite")
 
-    def value(self, t: float, period: float) -> float:
+    def value(self, t, period: float):
+        """The term at time ``t``, elementwise when ``t`` is an array."""
         if self.form == "const":
-            return self.offset
+            return np.full(np.shape(t), self.offset) if np.ndim(t) else self.offset
         if self.form == "linear":
             return self.offset + self.amplitude * (t / period)
         x = 2.0 * np.pi * self.frequency_multiple * t / period + self.phase
         f = np.sin(x) if self.form == "sin" else np.cos(x)
         return self.offset + self.amplitude * f
-
-    def table_row(self, period: float) -> tuple:
-        """(form_id, offset, amplitude, omega_rad, phase) row for the kernels."""
-        omega = 2.0 * np.pi * self.frequency_multiple / period
-        return (_FORM_IDS[self.form], self.offset, self.amplitude, omega, self.phase)
 
     def to_dict(self) -> dict:
         return {
@@ -265,7 +263,7 @@ class Schedule:
     def total_time(self) -> float:
         return self.cycles * self.period
 
-    def values(self, t: float) -> dict:
+    def values(self, t) -> dict:
         return {name: fn.value(t, self.period) for name, fn in self.params.items()}
 
     def to_dict(self) -> dict:
@@ -277,41 +275,23 @@ class Schedule:
         }
 
 
+def schedule_arrays(schedule: Schedule, L: int, times):
+    """H(t) of the schedule on the chain of L cells: (diag[k, n], off[k, n-1])
+    for a 1-D array of k times, (diag[n], off[n-1]) for a single time."""
+    vals = schedule.values(times)
+    shape = np.shape(times)
+    if shape:
+        vals = {name: v[..., np.newaxis] for name, v in vals.items()}
+    return _chain_arrays(schedule.kind, _check_cells(L), vals, shape)
+
+
 def sample_schedule(schedule: Schedule, L: int, t: float) -> ChainHamiltonian:
     """Evaluate the schedule at time t and build the matching chain."""
     if not 0.0 <= t <= schedule.total_time:
         raise InvalidParameterError(
             f"t={t} outside the schedule window [0, {schedule.total_time}]"
         )
-    vals = schedule.values(t)
-    if schedule.kind == "ssh":
-        return build_ssh(L, vals["a"], vals["b"])
-    if schedule.kind == "rm":
-        return build_rice_mele(L, vals["a"], vals["b"], vals["u"])
-    return build_trimer(L, vals["a"], vals["b"], vals["c"], vals["u"], vals["v"], vals["w"])
-
-
-def schedule_tables(schedule: Schedule, L: int):
-    """Kernel encoding of H(t): per-parameter function rows plus the static
-    0/1 (and sign) patterns each parameter multiplies."""
-    names = SCHEDULE_PARAMS[schedule.kind]
-    n = SITES_PER_CELL[schedule.kind] * L
-    table = np.array([schedule.params[name].table_row(schedule.period) for name in names], dtype=np.float64)
-    pat_diag = np.zeros((len(names), n))
-    pat_off = np.zeros((len(names), n - 1))
-    if schedule.kind == "ssh":
-        pat_off[0, 0::2] = 1.0
-        pat_off[1, 1::2] = 1.0
-    elif schedule.kind == "rm":
-        pat_off[0, 0::2] = 1.0
-        pat_off[1, 1::2] = 1.0
-        pat_diag[2, 0::2] = 1.0
-        pat_diag[2, 1::2] = -1.0
-    else:
-        for i in range(3):
-            pat_off[i, i::3] = 1.0
-            pat_diag[3 + i, i::3] = 1.0
-    return table, pat_diag, pat_off
+    return ChainHamiltonian(*schedule_arrays(schedule, L, t))
 
 
 # Pump sequences used throughout the figures.

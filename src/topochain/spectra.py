@@ -9,7 +9,7 @@ import numpy as np
 
 from ._kernels import tridiag_eigh
 from .errors import InvalidParameterError, NumericError, PhaseDomainError
-from .models import SITES_PER_CELL, ChainHamiltonian, Schedule, sample_schedule
+from .models import SITES_PER_CELL, ChainHamiltonian, Schedule, schedule_arrays
 
 EDGE_FLAG_THRESHOLD = 0.5
 
@@ -28,16 +28,20 @@ class Spectrum:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # Deterministic gauge: the largest-magnitude component of each column is
-    # positive; np.argmax breaks magnitude ties at the lowest index.
-    lead = np.argmax(np.abs(vectors), axis=0)
+    # Deterministic gauge: the leading component of each column is positive.
+    # It is the lowest index within a relative 1e-9 of the column's largest
+    # magnitude, so a tie between mirror-image components (mirror-symmetric
+    # chains) is broken by position, not by the solver's rounding.
+    mag = np.abs(vectors)
+    lead = np.argmax(mag >= (1.0 - 1e-9) * mag.max(axis=0), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     return vectors * signs
 
 
 def eigendecompose(h: ChainHamiltonian) -> Spectrum:
-    """Eigensystem of a chain via implicit-shift QL on the tridiagonal form."""
+    """Eigensystem of a chain from LAPACK's tridiagonal MRRR solver, in the
+    sign gauge of ``_fix_signs``."""
     if not (np.all(np.isfinite(h.diagonal)) and np.all(np.isfinite(h.offdiagonal))):
         raise NumericError("non-finite Hamiltonian entries")
     vals, vecs = tridiag_eigh(h.diagonal, h.offdiagonal)
@@ -92,7 +96,7 @@ def instantaneous_spectrum(schedule: Schedule, L: int, n_times: int) -> Spectrum
     if int(n_times) < 2:
         raise InvalidParameterError(f"n_times must be >= 2, got {n_times}")
     times = np.linspace(0.0, schedule.period, int(n_times))
-    hams = [sample_schedule(schedule, L, t) for t in times]
+    hams = [ChainHamiltonian(d, o) for d, o in zip(*schedule_arrays(schedule, L, times))]
     return trace_from_hamiltonians(times, hams, SITES_PER_CELL[schedule.kind])
 
 

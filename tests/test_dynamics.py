@@ -138,9 +138,8 @@ def test_tolerance_tightening_is_converged():
 
 
 def test_generic_rk4_provider_path():
-    # providers without kernel tables run through the python RK4 fallback
-    h = ChainHamiltonian(np.zeros(2), np.array([0.4]))
-    provider = HamiltonianProvider(lambda t: h)
+    # a provider written by hand, not built from a schedule or a chain
+    provider = HamiltonianProvider(lambda t: (np.zeros((t.size, 2)), np.full((t.size, 1), 0.4)))
     traj = evolve(provider, basis_state(2, 1), 0.0, 10.0, RK4, 21)
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - np.sin(0.4 * traj.times) ** 2).max() < 1e-9
 

@@ -3,7 +3,8 @@
 The full-size checks (N_c = 15, 961x961) live in the acceptance suite;
 here a reduced cutoff keeps the contracts fast to verify, plus one
 independent-oracle comparison at N_c = 4 via a hand-rolled real-symmetric
-embedding diagonalized by the package's own QL kernel.
+embedding diagonalized by the package's tridiagonal kernel (MRRR, a
+different algorithm from the dense solver under test).
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def _householder_tridiagonalize(a):
 def _hermitian_eigvals_oracle(h):
     """Eigenvalues of a complex Hermitian matrix through the real symmetric
     embedding [[Re, -Im], [Im, Re]] (each eigenvalue doubled), tridiagonal
-    reduction by hand and the package QL kernel."""
+    reduction by hand and the package's tridiagonal kernel."""
     re, im = h.real, h.imag
     embed = np.block([[re, -im], [im, re]])
     diag, off = _householder_tridiagonalize(embed)

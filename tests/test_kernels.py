@@ -1,10 +1,9 @@
-"""The numba and pure-numpy kernel paths must agree with each other and
-with independent references."""
+"""The kernels against independent references."""
 
 import numpy as np
-import pytest
 
 from topochain import _kernels as K
+from topochain.models import FunctionSpec
 
 from conftest import random_chain
 
@@ -27,81 +26,25 @@ def test_ql_single_site():
     assert vals[0] == 3.5 and vecs[0, 0] == 1.0
 
 
-def test_ql_paths_agree(rng):
-    for _ in range(25):
-        n = int(rng.integers(2, 20))
-        d0 = rng.normal(size=n)
-        e0 = rng.normal(size=n - 1)
-        results = []
-        for impl in (K._ql_loops, K._ql_numpy):
-            d = d0.copy()
-            e = np.zeros(n)
-            e[: n - 1] = e0
-            z = np.eye(n)
-            assert impl(d, e, z) == 0
-            results.append((d, z))
-        assert np.array_equal(results[0][0], results[1][0])
-        assert np.array_equal(results[0][1], results[1][1])
-
-
-@pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba path not active")
-def test_ql_numba_matches_python(rng):
-    n = 14
-    d0 = rng.normal(size=n)
-    e0 = rng.normal(size=n - 1)
-    outs = []
-    for impl in (K._ql_numba, K._ql_numpy):
-        d = d0.copy()
-        e = np.zeros(n)
-        e[: n - 1] = e0
-        z = np.eye(n)
-        assert impl(d, e, z) == 0
-        outs.append((d, z))
-    assert np.abs(outs[0][0] - outs[1][0]).max() == 0.0
-    assert np.abs(outs[0][1] - outs[1][1]).max() == 0.0
-
-
-def _pump_tables(n=14, period=100.0):
-    table = np.array(
-        [
-            [K.FORM_COS, 1.0, -1.0, 2 * np.pi / period, 0.0],
-            [K.FORM_CONST, 1.0, 0.0, 0.0, 0.0],
-            [K.FORM_SIN, 0.0, 1.0, 2 * np.pi / period, 0.0],
-        ]
-    )
-    pat_diag = np.zeros((3, n))
-    pat_off = np.zeros((3, n - 1))
-    pat_off[0, 0::2] = 1.0
-    pat_off[1, 1::2] = 1.0
-    pat_diag[2, 0::2] = 1.0
-    pat_diag[2, 1::2] = -1.0
-    return table, pat_diag, pat_off
-
-
 def test_rk4_static_rabi():
-    table = np.array([[K.FORM_CONST, 1.0, 0.0, 0.0, 0.0]])
-    pat_diag = np.zeros((1, 2))
-    pat_off = np.array([[0.3]])
+    def h_of_times(t):
+        return np.zeros((t.size, 2)), np.full((t.size, 1), 0.3)
+
     psi0 = np.array([1.0, 0.0], dtype=np.complex128)
     times = np.linspace(0.0, 12.0, 25)
-    out = K.rk4_integrate(table, 1.0, pat_diag, pat_off, psi0, times, 0.002)
+    out = K.rk4_integrate(h_of_times, psi0, times, 0.002)
     assert np.abs(np.abs(out[:, 1]) ** 2 - np.sin(0.3 * times) ** 2).max() < 1e-10
 
 
-def test_rk4_paths_agree():
-    table, pat_diag, pat_off = _pump_tables()
-    psi0 = np.zeros(14, dtype=np.complex128)
-    psi0[0] = 1.0
-    times = np.linspace(0.0, 10.0, 6)
-    a = K.rk4_kernel(table, 1.0 / 100.0, pat_diag, pat_off, psi0, times, 0.01)
-    b = K._rk4_numpy(table, 1.0 / 100.0, pat_diag, pat_off, psi0, times, 0.01)
-    assert np.abs(a - b).max() <= 1e-14
-
-
 def test_param_forms():
-    assert K._param_value(K.FORM_CONST, 2.0, 5.0, 1.0, 1.0, 3.0, 1.0) == 2.0
-    assert K._param_value(K.FORM_LINEAR, 1.0, 2.0, 0.0, 0.0, 0.25, 1.0) == 1.5
-    x = K._param_value(K.FORM_SIN, 0.0, 2.0, 3.0, 0.5, 1.2, 1.0)
-    assert abs(x - 2.0 * np.sin(3.0 * 1.2 + 0.5)) < 1e-15
-    y = K._param_value(K.FORM_COS, -1.0, 2.0, 3.0, 0.5, 1.2, 1.0)
-    assert abs(y - (-1.0 + 2.0 * np.cos(3.0 * 1.2 + 0.5))) < 1e-15
+    # every form over an array of times; omega = 2*pi*m/T
+    t = np.array([0.0, 0.25, 1.2, 7.5])
+    period, m = 7.5, 3.0
+    const = FunctionSpec("const", offset=2.0, amplitude=5.0, frequency_multiple=1.0, phase=1.0)
+    assert np.array_equal(const.value(t, period), np.full(4, 2.0))
+    linear = FunctionSpec("linear", offset=1.0, amplitude=2.0)
+    assert np.array_equal(linear.value(np.array([0.0, 0.25, 1.0]), 1.0), [1.0, 1.5, 3.0])
+    x = FunctionSpec("sin", offset=0.0, amplitude=2.0, frequency_multiple=m, phase=0.5).value(t, period)
+    assert np.abs(x - 2.0 * np.sin(2.0 * np.pi * m * t / period + 0.5)).max() < 1e-15
+    y = FunctionSpec("cos", offset=-1.0, amplitude=2.0, frequency_multiple=m, phase=0.5).value(t, period)
+    assert np.abs(y - (-1.0 + 2.0 * np.cos(2.0 * np.pi * m * t / period + 0.5))).max() < 1e-15

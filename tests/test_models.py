@@ -22,6 +22,8 @@ from topochain import (
     sample_schedule,
 )
 
+from topochain.models import SITES_PER_CELL, schedule_arrays
+
 from conftest import dense_eigvals
 
 
@@ -226,6 +228,35 @@ def test_sample_schedule_dispatch_and_periodicity():
         assert h1.allclose(h2, tol=1e-12)
     h = sample_schedule(pump_schedule(100.0), 7, 0.0)
     assert h.allclose(build_ssh(7, 0.0, 1.0, 0.0), tol=1e-12)
+
+
+_SSH_SCHEDULE = Schedule(
+    "ssh",
+    40.0,
+    {"a": FunctionSpec("linear", offset=0.2, amplitude=0.6), "b": FunctionSpec("sin", 1.0, 0.3, 1.5, 0.7)},
+    cycles=2,
+)
+
+
+@pytest.mark.parametrize(
+    "schedule, L",
+    [(_SSH_SCHEDULE, 5), (pump_schedule(100.0, cycles=2), 7), (bell_transfer_schedule(1000.0), 7)],
+    ids=["ssh", "rm", "trimer"],
+)
+def test_schedule_arrays_match_per_time_sampling_bitwise(schedule, L):
+    # The vectorized evaluator must reproduce, bit for bit, what the chain
+    # builders make of the scalar parameter values at each time.
+    builders = {"ssh": build_ssh, "rm": build_rice_mele, "trimer": build_trimer}
+    names = {"ssh": "ab", "rm": "abu", "trimer": "abcuvw"}[schedule.kind]
+    times = np.concatenate(([0.0], np.linspace(0.0, schedule.total_time, 53)[1:-1] + 0.137, [schedule.total_time]))
+    diag, off = schedule_arrays(schedule, L, times)
+    assert diag.shape == (times.size, SITES_PER_CELL[schedule.kind] * L)
+    for k, t in enumerate(times):
+        h = sample_schedule(schedule, L, t)
+        scalars = builders[schedule.kind](L, *(schedule.params[x].value(float(t), schedule.period) for x in names))
+        for ref in (h, scalars):
+            assert diag[k].tobytes() == ref.diagonal.tobytes()
+            assert off[k].tobytes() == ref.offdiagonal.tobytes()
 
 
 def test_sample_schedule_rejects_time_outside_window():

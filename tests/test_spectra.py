@@ -7,6 +7,7 @@ from topochain import (
     NumericError,
     PhaseDomainError,
     analytic_edge_states,
+    build_rice_mele,
     build_ssh,
     build_trimer,
     edge_weight,
@@ -15,10 +16,11 @@ from topochain import (
     localization_length,
     optimized_schedule,
     pump_schedule,
+    sample_schedule,
     trimer_edge_states,
 )
 from topochain.models import ChainHamiltonian, Schedule, const
-from topochain.spectra import coupling_ratio_norm_sq, trace_from_hamiltonians
+from topochain.spectra import _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
 
 from conftest import dense_eigvals, random_chain
 
@@ -71,6 +73,18 @@ def test_sign_convention_deterministic(rng):
     assert np.array_equal(a, b)
     lead = np.argmax(np.abs(a), axis=0)
     assert np.all(a[lead, np.arange(a.shape[1])] > 0)
+
+
+def test_sign_gauge_matches_dense_solver_on_mirror_symmetric_chains():
+    # Mirror symmetry makes the two largest components of a column tie in
+    # magnitude; the gauge must not let the solver's rounding pick between them.
+    for h in (
+        build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0),
+        sample_schedule(pump_schedule(100.0), 7, 25.0),
+        build_rice_mele(7, 0.3, 1.0, 0.0),
+    ):
+        _, dense = np.linalg.eigh(h.to_dense())
+        assert np.abs(eigendecompose(h).eigenvectors - _fix_signs(dense)).max() <= 1e-10
 
 
 def test_chiral_symmetry_of_zero_diagonal_chains(rng):
