@@ -8,11 +8,13 @@ with the offending key named, not just the first one found.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .dynamics import IntegratorConfig
 from .errors import SchemaError
+from .fluxcircuit import FluxQubitSpec
 from .models import FUNCTION_FORMS, MODEL_KINDS, SCHEDULE_PARAMS, FunctionSpec, Schedule
 
 SCHEMA_VERSION = 1
@@ -27,6 +29,11 @@ MODEL_PARAM_KEYS = {
 }
 
 _COMMON_KEYS = ("schema", "command", "seed", "output", "integrator")
+
+# one flux-qubit point costs 1-2 s at both limits (20 levels of a
+# 101^2-state charge basis); the solver also needs levels <= dimension - 2
+FLUX_MAX_LEVELS = 20
+FLUX_MAX_CHARGE_CUTOFF = 50
 
 
 @dataclass
@@ -61,7 +68,13 @@ class _Checker:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 self.fail(f"key '{key}' in {ctx} must be a number")
                 return default
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                self.fail(f"key '{key}' in {ctx} must be finite")
+                return default
         elif kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 self.fail(f"key '{key}' in {ctx} must be an integer")
@@ -397,10 +410,16 @@ def _parse_fluxqubit(chk: _Checker, cfg: dict) -> dict:
                     value = chk.take(sobj, name, sctx, kind=kind)
                     if value is not None:
                         spec_kwargs[name] = value
-    options = {
-        "spec_kwargs": spec_kwargs,
-        "levels": chk.take(cfg, "levels", ctx, kind="int", default=5),
-    }
+    cutoff = spec_kwargs.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
+    max_levels = FLUX_MAX_LEVELS
+    if not 1 <= cutoff <= FLUX_MAX_CHARGE_CUTOFF:
+        chk.fail(f"key 'charge_cutoff' in {ctx}.spec must be in 1..{FLUX_MAX_CHARGE_CUTOFF}, got {cutoff}")
+    else:
+        max_levels = min(max_levels, (2 * cutoff + 1) ** 2 - 2)
+    levels = chk.take(cfg, "levels", ctx, kind="int", default=5)
+    if levels is not None and not 1 <= levels <= max_levels:
+        chk.fail(f"key 'levels' in {ctx} must be in 1..{max_levels}, got {levels}")
+    options = {"spec_kwargs": spec_kwargs, "levels": levels}
     if "f_alpha_sweep" in cfg:
         options["f_alpha_sweep"] = _parse_range(chk, cfg["f_alpha_sweep"], f"{ctx}.f_alpha_sweep", points_min=2)
     else:

@@ -6,6 +6,9 @@ exp(-i(k*phi_1 + l*phi_2)) with k, l Cooper-pair numbers in
 exp(i*phi)|k> = |k+1> on each junction, so the alpha-junction term couples
 (k, l) -> (k+1, l+1) with amplitude -E_J*alpha*C_alpha*exp(i*chi), where
 C_alpha = cos(pi*(beta*(N - f_Sigma) + f_alpha)) and chi = pi*(n - f_eps).
+
+The matrix has at most 7 nonzeros per row: it is built sparse, and its lowest
+levels come from shift-invert Lanczos (ARPACK) below its Gershgorin bound.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 from .errors import InvalidParameterError
 
@@ -72,19 +76,21 @@ class QubitCharacter:
 def _single_junction_ops(n_c: int):
     dim = 2 * n_c + 1
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
-    raise_op = np.eye(dim, k=-1)  # exp(i*phi): |k> -> |k+1>
-    return charge, raise_op, np.eye(dim)
+    raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)  # exp(i*phi): |k> -> |k+1>
+    return charge, raise_op, sp.eye_array(dim)
 
 
-def _alpha_cosine(spec: FluxQubitSpec, f_alpha: float) -> float:
+def _alpha_hop(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
+    """(amp, chi, S): the alpha-junction term is -amp*(e^{i chi} S + h.c.)."""
+    _, raise_op, _ = _single_junction_ops(int(spec.charge_cutoff))
     f_sigma = spec.f_sigma_kappa * f_alpha
-    return float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
+    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
+    return spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps), sp.kron(raise_op, raise_op)
 
 
-def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray:
-    """Hermitian charge-basis Hamiltonian at the given reduced fluxes."""
-    n_c = int(spec.charge_cutoff)
-    charge, raise_op, ident = _single_junction_ops(n_c)
+def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csc_array:
+    """Hermitian charge-basis Hamiltonian at the given reduced fluxes (CSC)."""
+    charge, raise_op, ident = _single_junction_ops(int(spec.charge_cutoff))
     k_sq = charge**2
 
     coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
@@ -93,43 +99,56 @@ def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) 
         - 4.0 * spec.alpha * np.outer(charge, charge)
     ).ravel()
 
-    h = np.diag(kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)).astype(np.complex128)
-
     cos_phi = 0.5 * (raise_op + raise_op.T)
-    h -= spec.ej * np.kron(cos_phi, ident)
-    h -= spec.ej * np.kron(ident, cos_phi)
+    amp, chi, both_up = _alpha_hop(spec, f_alpha, f_eps)
+    h = (
+        sp.diags_array(kinetic + spec.ej * 2.0 * (1.0 + spec.alpha))
+        - spec.ej * sp.kron(cos_phi, ident)
+        - spec.ej * sp.kron(ident, cos_phi)
+        - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
+    )
+    return h.tocsc()
 
-    chi = np.pi * (spec.n_diff - f_eps)
-    both_up = np.kron(raise_op, raise_op)
-    amp = spec.ej * spec.alpha * _alpha_cosine(spec, f_alpha)
-    h -= amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
-    return h
 
-
-def d_hamiltonian_d_feps(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray:
-    """Analytic dH/df_eps; only chi = pi*(n - f_eps) depends on f_eps."""
-    n_c = int(spec.charge_cutoff)
-    _, raise_op, _ = _single_junction_ops(n_c)
-    chi = np.pi * (spec.n_diff - f_eps)
-    both_up = np.kron(raise_op, raise_op)
-    amp = spec.ej * spec.alpha * _alpha_cosine(spec, f_alpha)
+def d_hamiltonian_d_feps(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csr_array:
+    """Analytic dH/df_eps (CSR); only chi = pi*(n - f_eps) depends on f_eps."""
+    amp, chi, both_up = _alpha_hop(spec, f_alpha, f_eps)
     # d/df_eps of -amp*(e^{i chi} S + e^{-i chi} S^T) with dchi/df_eps = -pi
-    return 1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)
+    return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
 
 
-def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, vectors: bool):
+def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
+    """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos."""
     n_levels = int(n_levels)
-    if not 1 <= n_levels <= spec.dimension:
-        raise InvalidParameterError(f"n_levels must be in 1..{spec.dimension}, got {n_levels}")
+    dim = spec.dimension
+    if not 1 <= n_levels <= dim - 2:
+        raise InvalidParameterError(f"n_levels must be in 1..{dim - 2} at dimension {dim}, got {n_levels}")
     h = build_charge_hamiltonian(spec, f_alpha, f_eps)
-    if vectors:
-        return scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1))
-    return scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1), eigvals_only=True)
+    diag = h.diagonal().real
+    shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    # a fixed generic start vector keeps repeat solves bit-identical and has
+    # weight in both parity sectors of the f_eps = 0 point
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+    vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
+def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
+    """Lowest ``n_levels`` (>= 2) energies plus the qubit pair's loop currents
+    I_0 = <g|dH/df_eps|g>, I_1 = <e|dH/df_eps|e> and |g_perp| = |<e|dH/df_eps|g>|."""
+    vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels)
+    ground, excited = vecs[:, 0], vecs[:, 1]
+    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
+    dh_ground = dh @ ground
+    i0 = float(np.real(np.vdot(ground, dh_ground)))
+    i1 = float(np.real(np.vdot(excited, dh @ excited)))
+    return vals, i0, i1, float(abs(np.vdot(excited, dh_ground)))
 
 
 def qubit_levels(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int) -> np.ndarray:
     """Lowest ``n_levels`` eigenvalues, ascending."""
-    return _eigensystem(spec, f_alpha, f_eps, n_levels, vectors=False)
+    return _eigensystem(spec, f_alpha, f_eps, n_levels)[0]
 
 
 def qubit_gap(spec: FluxQubitSpec, f_alpha: float) -> float:
@@ -147,37 +166,18 @@ def coupling_elements(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> Qubi
     real); there <+|dH/df_eps|-> reduces to (I_1 - I_0)/2, which vanishes
     at the optimal point by parity.
     """
-    vals, vecs = _eigensystem(spec, f_alpha, f_eps, 2, vectors=True)
-    ground = vecs[:, 0]
-    excited = vecs[:, 1]
-    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
-    dh_ground = dh @ ground
-    cross = np.vdot(excited, dh_ground)
-    i0 = float(np.real(np.vdot(ground, dh_ground)))
-    i1 = float(np.real(np.vdot(excited, dh @ excited)))
-    g_perp = abs(cross)
-    g_par = abs(i1 - i0) / 2.0
-    return QubitCharacter(float(vals[1] - vals[0]), float(g_perp), float(g_par), f_alpha, f_eps)
+    return sweep_point(spec, f_alpha, f_eps, 2)[1]
 
 
 def persistent_currents(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     """Loop currents I_0 = <g|dH/df_eps|g> and I_1 = <e|dH/df_eps|e>."""
-    _, vecs = _eigensystem(spec, f_alpha, f_eps, 2, vectors=True)
-    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
-    i0 = float(np.real(np.vdot(vecs[:, 0], dh @ vecs[:, 0])))
-    i1 = float(np.real(np.vdot(vecs[:, 1], dh @ vecs[:, 1])))
+    _, i0, i1, _ = _qubit_pair(spec, f_alpha, f_eps, 2)
     return i0, i1
 
 
 def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
     """One flux-sweep sample from a single diagonalization: the lowest
     ``n_levels`` energies plus the coupling elements of the qubit pair."""
-    n_levels = max(int(n_levels), 2)
-    vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels, vectors=True)
-    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
-    dh_ground = dh @ vecs[:, 0]
-    g_perp = abs(np.vdot(vecs[:, 1], dh_ground))
-    i0 = float(np.real(np.vdot(vecs[:, 0], dh_ground)))
-    i1 = float(np.real(np.vdot(vecs[:, 1], dh @ vecs[:, 1])))
-    character = QubitCharacter(float(vals[1] - vals[0]), float(g_perp), abs(i1 - i0) / 2.0, f_alpha, f_eps)
+    vals, i0, i1, g_perp = _qubit_pair(spec, f_alpha, f_eps, max(int(n_levels), 2))
+    character = QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps)
     return vals, character

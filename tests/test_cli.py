@@ -354,6 +354,55 @@ def test_fluxqubit_cli_subcommand(tmp_path):
     assert len(rows) == 3 and "E_1" in rows[0]
 
 
+def _rejected(tmp_path, capsys, text, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+    assert not (tmp_path / "fluxqubit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "levels, spec, key",
+    [
+        (0, {}, "levels"),
+        (21, {}, "levels"),
+        (48, {"charge_cutoff": 3}, "levels"),
+        (8, {"charge_cutoff": 1}, "levels"),
+        (5, {"charge_cutoff": 0}, "charge_cutoff"),
+        (5, {"charge_cutoff": 51}, "charge_cutoff"),
+    ],
+)
+def test_fluxqubit_solver_bounds_are_named_violations(tmp_path, capsys, levels, spec, key):
+    cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": levels, "spec": spec}
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "t_final": Infinity}', "t_final"),
+        ('{"schema": 1, "command": "fluxqubit", "f_alpha": NaN}', "f_alpha"),
+        ('{"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "spec": {"ej_over_ec": Infinity}}', "ej_over_ec"),
+        (
+            '{"schema": 1, "command": "pump", "schedule": {"kind": "ssh", "L": 2, "T": 5.0, "params": {'
+            '"a": {"form": "const", "offset": NaN}, "b": {"form": "const", "offset": 1.0}}}}',
+            "offset",
+        ),
+    ],
+    ids=["quench-t_final", "fluxqubit-f_alpha", "fluxqubit-ej_over_ec", "pump-offset"],
+)
+def test_non_finite_numbers_are_named_violations(tmp_path, capsys, text, key):
+    _rejected(tmp_path, capsys, text, key)
+
+
+def test_non_finite_cli_flag_is_a_named_violation(tmp_path, capsys):
+    assert main(["fluxqubit", "--f-alpha", "nan", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'f_alpha'" in err and "finite" in err and "Traceback" not in err
+
+
 def test_reproduce_writes_expected_files(tmp_path):
     assert main(["reproduce", "lz1", "--out", str(tmp_path)]) == 0
     names = {p.name for p in tmp_path.iterdir()}

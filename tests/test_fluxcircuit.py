@@ -1,14 +1,16 @@
 """Flux-qubit charge-basis quantization.
 
-The full-size checks (N_c = 15, 961x961) live in the acceptance suite;
-here a reduced cutoff keeps the contracts fast to verify, plus one
-independent-oracle comparison at N_c = 4 via a hand-rolled real-symmetric
-embedding diagonalized by the package's tridiagonal kernel (MRRR, a
-different algorithm from the dense solver under test).
+The full-size checks (N_c = 15, 961x961) live in the acceptance suite and
+in one dense-LAPACK oracle comparison here; otherwise a reduced cutoff
+keeps the contracts fast to verify, plus one independent-oracle comparison
+at N_c = 4 via a hand-rolled real-symmetric embedding diagonalized by the
+package's tridiagonal kernel (MRRR, a different algorithm from the sparse
+shift-invert Lanczos solver under test).
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from topochain import (
     FluxQubitSpec,
@@ -28,7 +30,7 @@ SMALL = FluxQubitSpec(charge_cutoff=6)
 
 def _parity_reversed(matrix):
     # the (k, l) -> (-k, -l) parity operator reverses the flattened index
-    return matrix[::-1, ::-1]
+    return matrix.toarray()[::-1, ::-1]
 
 
 def _householder_tridiagonalize(a):
@@ -101,6 +103,8 @@ def test_spec_validation():
         FluxQubitSpec(charge_cutoff=0)
     with pytest.raises(InvalidParameterError):
         qubit_levels(SMALL, 0.2, 0.0, SMALL.dimension + 1)
+    with pytest.raises(InvalidParameterError):
+        qubit_levels(SMALL, 0.2, 0.0, SMALL.dimension - 1)
 
 
 def test_spectrum_periodic_in_f_eps():
@@ -156,11 +160,31 @@ def test_gap_tunable_and_continuous():
 
 def test_small_cutoff_matches_independent_oracle():
     spec = FluxQubitSpec(charge_cutoff=4)
+    n_levels = spec.dimension - 2  # the most the shift-invert solver returns
     for f_eps in (0.0, 0.31):
-        h = build_charge_hamiltonian(spec, 0.2, f_eps)
-        mine = np.linalg.eigvalsh(h)
-        oracle = _hermitian_eigvals_oracle(h)
+        h = build_charge_hamiltonian(spec, 0.2, f_eps).toarray()
+        mine = qubit_levels(spec, 0.2, f_eps, n_levels)
+        oracle = _hermitian_eigvals_oracle(h)[:n_levels]
         assert np.abs(mine - oracle).max() <= 1e-10
+
+
+@pytest.mark.parametrize("f_eps", [0.0, 0.013])
+def test_sweep_point_matches_dense_lapack_at_figure_cutoff(f_eps):
+    # f_eps = 0 is the parity point, where the start vector must reach both sectors
+    spec = FluxQubitSpec()
+    n_levels = 5
+    vals, character = sweep_point(spec, 0.2, f_eps, n_levels)
+    dense_vals, dense_vecs = scipy.linalg.eigh(build_charge_hamiltonian(spec, 0.2, f_eps).toarray())
+    dh = d_hamiltonian_d_feps(spec, 0.2, f_eps).toarray()
+    ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
+    g_perp = abs(np.vdot(excited, dh @ ground))
+    g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
+    assert np.abs(vals - dense_vals[:n_levels]).max() <= 1e-12
+    assert abs(character.g_perp - g_perp) <= 1e-10
+    assert abs(character.g_par - g_par) <= 1e-10
+    again_vals, again = sweep_point(spec, 0.2, f_eps, n_levels)
+    assert np.array_equal(vals, again_vals)
+    assert np.array_equal([character.g_perp, character.g_par], [again.g_perp, again.g_par])
 
 
 def test_sweep_point_consistent_with_separate_calls():
