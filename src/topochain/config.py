@@ -410,6 +410,9 @@ def _parse_fluxqubit(chk: _Checker, cfg: dict) -> dict:
                     value = chk.take(sobj, name, sctx, kind=kind)
                     if value is not None:
                         spec_kwargs[name] = value
+            for name in ("ej", "ej_over_ec", "alpha"):
+                if name in spec_kwargs and not spec_kwargs[name] > 0:
+                    chk.fail(f"key '{name}' in {sctx} must be > 0, got {spec_kwargs[name]}")
     cutoff = spec_kwargs.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
     max_levels = FLUX_MAX_LEVELS
     if not 1 <= cutoff <= FLUX_MAX_CHARGE_CUTOFF:

@@ -1,11 +1,13 @@
 """Time evolution in the single-excitation sector.
 
 The production integrator is scipy's adaptive BDF (the stiff multistep
-family); fixed-step RK4 with substep control serves as the independent
+family) with its LU hooks bound straight to LAPACK ``getrf``/``getrs``;
+fixed-step RK4 with substep control serves as the independent
 cross-check.  Both read H(t) from one vectorized evaluator,
 ``times -> (diag[k, n], off[k, n-1])``, wrapped in a HamiltonianProvider:
-BDF asks it for one time per call, RK4 for one record segment of times.
-Schedules are evaluated analytically at whatever times are asked for.
+BDF asks it for one time per call and evaluates each distinct time once,
+RK4 for one record segment of times.  Schedules are evaluated analytically
+at whatever times are asked for.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import BDF, solve_ivp
+from scipy.linalg import get_lapack_funcs
 
 from ._kernels import apply_minus_ih, rk4_integrate
 from .errors import IntegrationError, InvalidParameterError
@@ -123,6 +126,8 @@ def _renormalize(states: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(states, axis=1)
     segment_drift = np.abs(norms[1:] / norms[:-1] - 1.0)
     drift = segment_drift.max() if segment_drift.size else abs(norms[0] - 1.0)
+    if not np.isfinite(drift):
+        raise IntegrationError("the state became non-finite during integration")
     if drift > NORM_DRIFT_LIMIT:
         raise IntegrationError(
             f"per-segment norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT:.1e}; tighten tolerances"
@@ -130,12 +135,51 @@ def _renormalize(states: np.ndarray) -> np.ndarray:
     return states / norms[:, np.newaxis]
 
 
+class _LapackBDF(BDF):
+    """scipy's BDF with its dense LU hooks calling LAPACK getrf/getrs
+    directly: the same routines ``lu_factor``/``lu_solve`` call, without
+    their per-call batch dispatch and finiteness scan (``_renormalize``
+    rejects a non-finite state instead)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (self.I,))
+
+        def lu(a):
+            self.nlu += 1
+            lu_factors, piv, info = getrf(a, overwrite_a=True)
+            if info != 0:
+                raise IntegrationError(f"LAPACK getrf failed in BDF (info {info})")
+            return lu_factors, piv
+
+        def solve_lu(lu_and_piv, b):
+            x, info = getrs(*lu_and_piv, b, overwrite_b=True)
+            if info != 0:
+                raise IntegrationError(f"LAPACK getrs failed in BDF (info {info})")
+            return x
+
+        self.lu = lu
+        self.solve_lu = solve_lu
+
+
 def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
+    # The Newton iterations and the Jacobian of a step all ask for H at the
+    # same t_new, so H is evaluated once per distinct time.  Two times are
+    # kept because start-up asks for t0 again after its trial step.
+    recent = {}
+
+    def h_at(t):
+        if t not in recent:
+            if len(recent) == 2:
+                del recent[next(iter(recent))]
+            recent[t] = provider(t)
+        return recent[t]
+
     def rhs(t, y):
-        return apply_minus_ih(*provider(t), y)
+        return apply_minus_ih(*h_at(t), y)
 
     def jac(t, y):
-        return -1j * ChainHamiltonian(*provider(t)).to_dense()
+        return -1j * ChainHamiltonian(*h_at(t)).to_dense()
 
     kwargs = {}
     if cfg.max_step is not None:
@@ -144,7 +188,7 @@ def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
         rhs,
         (times[0], times[-1]),
         psi0,
-        method="BDF",
+        method=_LapackBDF,
         t_eval=times,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,

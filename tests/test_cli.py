@@ -372,6 +372,9 @@ def _rejected(tmp_path, capsys, text, key):
         (8, {"charge_cutoff": 1}, "levels"),
         (5, {"charge_cutoff": 0}, "charge_cutoff"),
         (5, {"charge_cutoff": 51}, "charge_cutoff"),
+        (5, {"ej": -1}, "ej"),
+        (5, {"ej_over_ec": 0}, "ej_over_ec"),
+        (5, {"alpha": -0.5}, "alpha"),
     ],
 )
 def test_fluxqubit_solver_bounds_are_named_violations(tmp_path, capsys, levels, spec, key):
@@ -401,6 +404,21 @@ def test_non_finite_cli_flag_is_a_named_violation(tmp_path, capsys):
     assert main(["fluxqubit", "--f-alpha", "nan", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "'f_alpha'" in err and "finite" in err and "Traceback" not in err
+
+
+def test_non_finite_state_fails_the_run(tmp_path, capsys):
+    # H entries of 1e200 overflow the RK4 stages to inf and then NaN
+    cfg = {"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 1e200, "b": 1,
+           "t_final": 1, "integrator": {"method": "rk4"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the state became non-finite during integration"
+    ]
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_reproduce_writes_expected_files(tmp_path):

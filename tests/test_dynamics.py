@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import topochain.dynamics as dynamics
 from topochain import (
     ChainHamiltonian,
     HamiltonianProvider,
     IntegratorConfig,
     InvalidParameterError,
+    LZPath,
     basis_state,
     build_ssh,
     evolve,
@@ -18,6 +21,7 @@ from topochain import (
     sigma_z,
     transfer_fidelity,
 )
+from topochain._kernels import apply_minus_ih
 
 from conftest import exact_propagator_state
 
@@ -164,3 +168,44 @@ def test_records_shape_and_times():
     assert traj.times[0] == 0.0 and traj.times[-1] == 20.0
     assert traj.states.shape == (401, 6)
     assert np.allclose(traj.state_at(10.0), traj.states[200])
+
+
+@pytest.mark.parametrize(
+    "provider, psi0, t1",
+    [
+        (HamiltonianProvider.from_schedule(pump_schedule(40.0), 7), basis_state(14, 1), 40.0),
+        (HamiltonianProvider(LZPath.arc(1.0, 50.0).hamiltonian_arrays), basis_state(2, 1), 50.0),
+    ],
+    ids=["plain-pump", "lz-arc"],
+)
+def test_bdf_matches_stock_scipy_bdf(monkeypatch, provider, psi0, t1):
+    times = np.linspace(0.0, t1, 41)
+    cfg = IntegratorConfig()
+
+    def rhs(t, y):
+        return apply_minus_ih(*provider(t), y)
+
+    def jac(t, y):
+        return -1j * ChainHamiltonian(*provider(t)).to_dense()
+
+    ref = solve_ivp(rhs, (0.0, t1), psi0, method="BDF", t_eval=times,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, jac=jac)
+
+    seen = {}
+
+    def recording_solve_ivp(*args, **kwargs):
+        seen["sol"] = solve_ivp(*args, **kwargs)
+        return seen["sol"]
+
+    calls = []
+
+    def counting_provider(t):
+        calls.append(float(t))
+        return provider(t)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording_solve_ivp)
+    states = dynamics._evolve_bdf(counting_provider, psi0, times, cfg)
+    assert np.array_equal(states, ref.y.T)
+    sol = seen["sol"]
+    assert (sol.nfev, sol.njev, sol.nlu) == (ref.nfev, ref.njev, ref.nlu)
+    assert len(calls) == len(set(calls))  # H(t) once per distinct time
