@@ -129,11 +129,12 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, TopochainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TopochainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # e.g. MemoryError or a library's ValueError: one line, no traceback
+        detail = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}" + (f": {detail}" if detail else ""), file=sys.stderr)
         return 1
     return 0
 

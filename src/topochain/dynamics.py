@@ -220,11 +220,14 @@ def evolve(
         raise InvalidParameterError("n_records must be >= 2")
     psi0 = _check_normalized(psi0)
     times = np.linspace(t0, t1, int(n_records))
-    if cfg.method == "bdf":
-        states = _evolve_bdf(provider, psi0, times, cfg)
-    else:
-        states = rk4_integrate(provider, psi0, times, cfg.rk4_step)
-    states = _renormalize(states)
+    # an overflowing state is reported once, by _renormalize's finiteness
+    # check, instead of by a numpy warning from every kernel it passes
+    with np.errstate(all="ignore"):
+        if cfg.method == "bdf":
+            states = _evolve_bdf(provider, psi0, times, cfg)
+        else:
+            states = rk4_integrate(provider, psi0, times, cfg.rk4_step)
+        states = _renormalize(states)
     return Trajectory(times, states, sigma_z(states))
 
 

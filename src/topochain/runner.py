@@ -197,20 +197,15 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int
     opts = cfg.options
     a1 = np.linspace(opts["alpha1"]["start"], opts["alpha1"]["stop"], opts["alpha1"]["points"])
     a2 = np.linspace(opts["alpha2"]["start"], opts["alpha2"]["stop"], opts["alpha2"]["points"])
-    grid = [(x, y) for x in a1 for y in a2]
+    x, y = a1[:, None], a2[None, :]
     scheme = opts["scheme"]
-
-    def evaluate(pair):
-        x, y = pair
-        if scheme == "identical":
-            p = effective_coupling_identical(opts["bare_a"], x, y, opts["n_max"]).value.real
-            q = effective_coupling_identical(opts["bare_b"], x, y, opts["n_max"]).value.real
-        else:
-            p = effective_coupling_matched(opts["bare_a"], x, y, odd_bond=True).value.imag
-            q = effective_coupling_matched(opts["bare_b"], x, y, odd_bond=False).value.imag
-        return [x, y, p, q]
-
-    rows = parallel_map(evaluate, grid, threads)
+    if scheme == "identical":
+        p = effective_coupling_identical(opts["bare_a"], x, y, opts["n_max"]).value.real
+        q = effective_coupling_identical(opts["bare_b"], x, y, opts["n_max"]).value.real
+    else:
+        p = effective_coupling_matched(opts["bare_a"], x, y, odd_bond=True).value.imag
+        q = effective_coupling_matched(opts["bare_b"], x, y, odd_bond=False).value.imag
+    rows = np.column_stack([np.repeat(a1, a2.size), np.tile(a2, a1.size), p.ravel(), q.ravel()])
     files = [io.write_csv(out_dir / f"{stem}.csv", ["alpha_1", "alpha_2", "P", "Q"], rows)]
     extras = {"scheme": scheme, "value_component": "real" if scheme == "identical" else "imag"}
     return files, extras

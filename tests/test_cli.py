@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topochain.cli
 from topochain.cli import main
 from topochain.config import parse_config
 from topochain.errors import SchemaError
@@ -360,7 +365,7 @@ def _rejected(tmp_path, capsys, text, key):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "Traceback" not in err
-    assert not (tmp_path / "fluxqubit.csv").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -379,6 +384,24 @@ def _rejected(tmp_path, capsys, text, key):
 )
 def test_fluxqubit_solver_bounds_are_named_violations(tmp_path, capsys, levels, spec, key):
     cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": levels, "spec": spec}
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"alpha1": {"start": 50.0, "stop": 1.0, "points": 3}}, "start"),
+        ({"alpha2": {"start": 0.0, "stop": -63.0, "points": 3}}, "stop"),
+        ({"n_max": -1}, "n_max"),
+        ({"n_max": 101}, "n_max"),
+        ({"alpha1": {"start": 0.0, "stop": 1.0, "points": 202}}, "points"),
+        ({"alpha2": {"start": 0.0, "stop": 1.0, "points": 1000}}, "points"),
+    ],
+    ids=["alpha1-start", "alpha2-stop", "n_max-negative", "n_max-101", "alpha1-points", "alpha2-points"],
+)
+def test_couplings_bounds_are_named_violations(tmp_path, capsys, override, key):
+    grid = {"start": 0.0, "stop": 1.0, "points": 3}
+    cfg = dict({"schema": 1, "command": "couplings", "alpha1": grid, "alpha2": grid}, **override)
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
@@ -419,6 +442,40 @@ def test_non_finite_state_fails_the_run(tmp_path, capsys):
     ]
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("method", ["rk4", "bdf"])
+def test_overflow_prints_one_stderr_line(tmp_path, method):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    cfg = {"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 1e200, "b": 1,
+           "t_final": 1, "integrator": {"method": method}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (MemoryError(), "error: MemoryError"),
+        (ValueError("array must not contain\ninfs or NaNs"), "error: ValueError: array must not contain infs or NaNs"),
+    ],
+    ids=["MemoryError", "ValueError"],
+)
+def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(topochain.cli, "run", fail)
+    assert main(["couplings", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_reproduce_writes_expected_files(tmp_path):

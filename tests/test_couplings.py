@@ -1,5 +1,8 @@
 """Bessel evaluation and modulated effective couplings."""
 
+import csv
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -12,6 +15,7 @@ from topochain import (
     effective_coupling_identical,
     effective_coupling_matched,
 )
+from topochain.cli import main
 
 
 def _bessel_series_oracle(n, x, terms=60):
@@ -36,11 +40,16 @@ def test_bessel_j0_of_one_against_series_oracle():
     assert bessel_j(0, 1.0) == pytest.approx(oracle, abs=1e-13)
 
 
+def _mp_bessel(n, x):
+    # arbitrary-precision reference, independent of scipy.special.jv
+    with mpmath.workdps(30):
+        return float(mpmath.besselj(n, mpmath.mpf(float(x))))
+
+
 @pytest.mark.parametrize("x", [0.03, 0.09, 0.11, 0.5, 1.0, 2.0, 7.5, 20.0, 49.5, -3.0, -0.05])
 def test_bessel_matches_scipy_grid(x):
-    orders = np.arange(0, 46)
     mine = bessel_jn(45, x)
-    ref = scipy.special.jv(orders, x)
+    ref = np.array([_mp_bessel(n, x) for n in range(46)])
     assert np.abs(mine - ref).max() <= 1e-12
 
 
@@ -122,3 +131,50 @@ def test_modulation_spec_validation():
         ModulationSpec((0.5,), 1.0, scheme="resonant")
     with pytest.raises(InvalidParameterError):
         ModulationSpec((np.inf,), 1.0)
+
+
+def _couplings_csv(tmp_path, scheme, threads):
+    out = tmp_path / f"{scheme}-{threads}"
+    args = ["couplings", "--scheme", scheme, "--bare-a", "0.8", "--bare-b", "1.3",
+            "--alpha1", "-45", "2.5", "7", "--alpha2", "-1.2", "0.6", "5",
+            "--n-max", "60", "--threads", str(threads), "--out", str(out)]
+    assert main(args) == 0
+    return (out / "couplings.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["identical", "matched"])
+def test_couplings_grid_with_negative_drives_matches_mpmath(tmp_path, capsys, scheme):
+    text = _couplings_csv(tmp_path, scheme, 1)
+    assert _couplings_csv(tmp_path, scheme, 2) == text
+    capsys.readouterr()
+    rows = list(csv.DictReader(text.decode().splitlines()))
+    assert len(rows) == 35
+    orders = range(-60, 61)
+    worst = 0.0
+    for row in rows:
+        a1, a2 = float(row["alpha_1"]), float(row["alpha_2"])
+        if scheme == "identical":
+            dressing = sum((-1) ** n * _mp_bessel(n, a1) * _mp_bessel(n, a2) for n in orders)
+            want_p, want_q = 0.8 * dressing, 1.3 * dressing
+        else:
+            want_p = 0.8 * _mp_bessel(0, a1) * _mp_bessel(1, a2)
+            want_q = 1.3 * _mp_bessel(1, a1) * _mp_bessel(0, a2)
+        worst = max(worst, abs(float(row["P"]) - want_p), abs(float(row["Q"]) - want_q))
+    assert worst <= 1e-12
+
+
+def test_array_drive_ratios_match_scalar_calls_bitwise():
+    a1 = np.array([-45.0, -0.05, 0.0, 0.3, 7.5])
+    a2 = np.array([-1.2, 0.0, 0.6, 20.0])
+    grid_i = effective_coupling_identical(0.8, a1[:, None], a2[None, :], 60).value
+    grid_m = effective_coupling_matched(1.3, a1[:, None], a2[None, :], odd_bond=False).value
+    row_i = effective_coupling_identical(0.8, a1[1], a2, 60).value  # scalar against array
+    assert grid_i.shape == grid_m.shape == (5, 4)
+    for i, x in enumerate(a1):
+        for j, y in enumerate(a2):
+            assert grid_i[i, j] == effective_coupling_identical(0.8, x, y, 60).value
+            assert grid_m[i, j] == effective_coupling_matched(1.3, x, y, odd_bond=False).value
+    assert np.array_equal(row_i, grid_i[1])
+    assert bessel_jn(3, a1).shape == (5, 4)
+    with pytest.raises(InvalidParameterError):
+        effective_coupling_identical(1.0, np.array([0.5, 50.0]), 0.1)
