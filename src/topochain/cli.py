@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
+from .couplings import DEFAULT_N_MAX
 from .errors import SchemaError, TopochainError
 from .presets import FIGURE_IDS
 from .runner import reproduce, run
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cpl.add_argument("--bare-b", type=float, default=1.0)
     p_cpl.add_argument("--alpha1", nargs=3, type=float, default=(0.0, 2.0, 21), metavar=("START", "STOP", "POINTS"))
     p_cpl.add_argument("--alpha2", nargs=3, type=float, default=(0.0, 2.0, 21), metavar=("START", "STOP", "POINTS"))
-    p_cpl.add_argument("--n-max", type=int, default=40)
+    p_cpl.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     _add_common(p_cpl)
 
     p_flx = sub.add_parser("fluxqubit", help="flux-qubit levels and couplings vs bias flux")

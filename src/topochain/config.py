@@ -12,11 +12,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .couplings import MAX_ARGUMENT
+from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import IntegratorConfig
 from .errors import SchemaError
 from .fluxcircuit import FluxQubitSpec
-from .models import FUNCTION_FORMS, MODEL_KINDS, SCHEDULE_PARAMS, FunctionSpec, Schedule
+from .models import FUNCTION_FORMS, MODEL_KINDS, SCHEDULE_PARAMS, SITES_PER_CELL, FunctionSpec, Schedule
 
 SCHEMA_VERSION = 1
 COMMANDS = ("spectrum", "pump", "quench", "lz", "trimer", "couplings", "fluxqubit")
@@ -43,6 +43,14 @@ FLUX_MAX_CHARGE_CUTOFF = 50
 # functions accept
 COUPLINGS_MAX_N_MAX = 100
 COUPLINGS_MAX_POINTS = 201
+
+# RK4 steps of one integration, estimated as its time span over max_step;
+# the Bell pump of criterion 13 (3 cycles of T = 1000 at dt 0.002) takes
+# 1,500,000.  At 21 sites a step costs about 25 us on 2 cores, so a run at
+# the budget takes about 50 s.  H(t) is evaluated RK4_CHUNK substeps at a
+# time, so only the time grid of a record segment grows with its steps:
+# 16 bytes a step, 31 MiB for one segment at the budget
+RK4_MAX_STEPS = 2_000_000
 
 
 @dataclass
@@ -177,9 +185,31 @@ def _parse_model_params(chk: _Checker, cfg: dict, ctx: str):
         params[name] = value if value is not None else 0.0
     if kind == "aah":
         n_sites = chk.take(cfg, "n_sites", ctx, required=True, kind="int")
+        if n_sites is not None and n_sites < 2:
+            chk.fail(f"key 'n_sites' in {ctx} must be >= 2, got {n_sites}")
         return {"kind": kind, "n_sites": n_sites, "params": params}
     cells = chk.take(cfg, "L", ctx, required=True, kind="int")
+    if cells is not None and cells < 1:
+        chk.fail(f"key 'L' in {ctx} must be >= 1, got {cells}")
     return {"kind": kind, "L": cells, "params": params}
+
+
+def _model_sites(model: Optional[dict]) -> Optional[int]:
+    if model is None:
+        return None
+    if model["kind"] == "aah":
+        return model["n_sites"]
+    return SITES_PER_CELL[model["kind"]] * model["L"] if model["L"] is not None else None
+
+
+def _check_site(chk: _Checker, site: Optional[int], n_sites: Optional[int], key: str, ctx: str):
+    if site is not None and n_sites is not None and n_sites >= 1 and not 1 <= site <= n_sites:
+        chk.fail(f"key '{key}' in {ctx} must be in 1..{n_sites}, got {site}")
+
+
+def _check_records(chk: _Checker, n_records: Optional[int], ctx: str):
+    if n_records is not None and n_records < 2:
+        chk.fail(f"key 'n_records' in {ctx} must be >= 2, got {n_records}")
 
 
 def _model_key_set(kind: Optional[str]):
@@ -280,7 +310,10 @@ def _parse_pump(chk: _Checker, cfg: dict) -> dict:
         return {}
     schedule, cells = _parse_schedule(chk, cfg["schedule"], f"{ctx}.schedule")
     initial_site = chk.take(cfg, "initial_site", ctx, kind="int", default=1)
+    if schedule is not None:
+        _check_site(chk, initial_site, SITES_PER_CELL[schedule.kind] * cells, "initial_site", ctx)
     n_records = chk.take(cfg, "n_records", ctx, kind="int")
+    _check_records(chk, n_records, ctx)
     return {"schedule": schedule, "L": cells, "initial_site": initial_site, "n_records": n_records}
 
 
@@ -294,7 +327,9 @@ def _parse_quench(chk: _Checker, cfg: dict, seed: int) -> dict:
     if t_final is not None and t_final <= 0:
         chk.fail(f"key 't_final' in {ctx} must be > 0")
     flip_site = chk.take(cfg, "flip_site", ctx, kind="int", default=1)
+    _check_site(chk, flip_site, _model_sites(model), "flip_site", ctx)
     n_records = chk.take(cfg, "n_records", ctx, kind="int", default=201)
+    _check_records(chk, n_records, ctx)
     disorder = None
     if "disorder" in cfg:
         disorder = _parse_disorder(chk, cfg["disorder"], f"{ctx}.disorder", seed)
@@ -316,6 +351,7 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
         "n_records": chk.take(cfg, "n_records", ctx, kind="int", default=201),
         "classify_tol": chk.take(cfg, "classify_tol", ctx, kind="number"),
     }
+    _check_records(chk, options["n_records"], ctx)
     if not any(key in cfg for key in ("path", "from_schedule", "reduce")):
         chk.fail(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
     if "path" in cfg:
@@ -328,6 +364,8 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
             ptype = chk.take(pobj, "type", pctx, required=True, kind="str", choices=("arc", "line", "line_at_angle", "custom"))
             period = chk.take(pobj, "T", pctx, required=True, kind="number")
             n_samples = chk.take(pobj, "n_samples", pctx, kind="int", default=201)
+            if n_samples is not None and n_samples < 3:
+                chk.fail(f"key 'n_samples' in {pctx} must be >= 3, got {n_samples}")
             path = {"type": ptype, "T": period, "n_samples": n_samples}
             if ptype in ("arc", "line", "line_at_angle"):
                 path["alpha"] = chk.take(pobj, "alpha", pctx, required=True, kind="number")
@@ -356,6 +394,9 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
                 "u": chk.take(robj, "u", rctx, kind="number", default=0.0),
                 "L": chk.take(robj, "L", rctx, required=True, kind="int"),
             }
+            cells = options["reduce"]["L"]
+            if cells is not None and cells < 1:
+                chk.fail(f"key 'L' in {rctx} must be >= 1, got {cells}")
     return options
 
 
@@ -371,6 +412,7 @@ def _parse_trimer(chk: _Checker, cfg: dict) -> dict:
         if s not in ("plus", "minus"):
             chk.fail(f"unknown Bell sign {s!r} in {ctx}.signs")
     n_records = chk.take(cfg, "n_records", ctx, kind="int")
+    _check_records(chk, n_records, ctx)
     return {"schedule": schedule, "L": cells, "signs": tuple(signs), "n_records": n_records}
 
 
@@ -378,7 +420,7 @@ def _parse_couplings(chk: _Checker, cfg: dict) -> dict:
     ctx = "command 'couplings'"
     chk.reject_unknown(cfg, set(_COMMON_KEYS) | {"scheme", "bare_a", "bare_b", "alpha1", "alpha2", "n_max"}, ctx)
     scheme = chk.take(cfg, "scheme", ctx, kind="str", default="identical", choices=("identical", "matched"))
-    n_max = chk.take(cfg, "n_max", ctx, kind="int", default=40)
+    n_max = chk.take(cfg, "n_max", ctx, kind="int", default=DEFAULT_N_MAX)
     if n_max is not None and not 0 <= n_max <= COUPLINGS_MAX_N_MAX:
         chk.fail(f"key 'n_max' in {ctx} must be in 0..{COUPLINGS_MAX_N_MAX}, got {n_max}")
     options = {
@@ -452,6 +494,29 @@ def _parse_fluxqubit(chk: _Checker, cfg: dict) -> dict:
     return options
 
 
+def _integrated_time(command: Optional[str], options: dict) -> Optional[float]:
+    """Time span of each integration the command runs, if it runs any."""
+    if command in ("pump", "trimer"):
+        schedule = options.get("schedule")
+        return schedule.total_time if schedule is not None else None
+    if command == "quench":
+        return options.get("t_final")
+    if command == "lz" and "path" in options:
+        return options["path"]["T"]
+    return None
+
+
+def _check_rk4_budget(chk: _Checker, integrator: IntegratorConfig, span: Optional[float]):
+    if integrator.method != "rk4" or span is None or not span > 0:
+        return
+    steps = span / integrator.rk4_step
+    if steps > RK4_MAX_STEPS:
+        chk.fail(
+            f"key 'max_step' in config.integrator: RK4 over t = {span:g} would take about "
+            f"{steps:.3g} steps, more than the budget of {RK4_MAX_STEPS:,}"
+        )
+
+
 _PARSERS = {
     "spectrum": lambda chk, cfg, seed: _parse_spectrum(chk, cfg),
     "pump": lambda chk, cfg, seed: _parse_pump(chk, cfg),
@@ -514,6 +579,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise
         except Exception as exc:  # turn construction errors into schema messages
             chk.fail(f"command '{command}': {exc}")
+        _check_rk4_budget(chk, integrator, _integrated_time(command, options))
     if chk.violations:
         raise SchemaError(chk.violations)
     return ExperimentConfig(

@@ -17,7 +17,7 @@ from scipy.special import jv
 from .errors import InvalidParameterError
 
 MAX_ARGUMENT = 50.0
-DEFAULT_N_MAX = 40
+DEFAULT_N_MAX = 75
 
 
 def bessel_jn(n_max: int, x) -> np.ndarray:
@@ -78,10 +78,12 @@ def effective_coupling_identical(
 ) -> EffectiveCoupling:
     """bare * sum_{n=-n_max}^{n_max} (-1)^n J_n(alpha_1) J_n(alpha_2).
 
-    The sum is real and symmetric in the drive ratios.  The truncation
-    error of n_max = 40 is below 1e-12 for |alpha| <= 25 but reaches 0.39
-    near |alpha| = 50; n_max = 75 keeps it below 1e-12 for every |alpha| < 50.
-    Array drive ratios broadcast against each other.
+    The sum is real and symmetric in the drive ratios; untruncated it is
+    J_0(alpha_1 + alpha_2) (Graf's addition theorem).  The default
+    n_max = 75 truncates it by at most 3.5e-18 for every |alpha| < 50
+    (measured against n_max = 100); n_max = 40 would be off by 5.2e-8 at
+    |alpha| <= 30 and by 0.39 near |alpha| = 50.  Array drive ratios
+    broadcast against each other.
     """
     n_max = int(n_max)
     j1 = bessel_jn(n_max, alpha_1)

@@ -6,8 +6,10 @@ fixed-step RK4 with substep control serves as the independent
 cross-check.  Both read H(t) from one vectorized evaluator,
 ``times -> (diag[k, n], off[k, n-1])``, wrapped in a HamiltonianProvider:
 BDF asks it for one time per call and evaluates each distinct time once,
-RK4 for one record segment of times.  Schedules are evaluated analytically
-at whatever times are asked for.
+RK4 for one record segment of times.  Both apply -iH through the same
+kernel, one BLAS ``zhbmv`` on the Hermitian band storage of H
+(``_kernels.hermitian_band``); RK4 also combines its stages with ``zaxpy``.
+Schedules are evaluated analytically at whatever times are asked for.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.integrate import BDF, solve_ivp
 from scipy.linalg import get_lapack_funcs
 
-from ._kernels import apply_minus_ih, rk4_integrate
+from ._kernels import apply_minus_ih, hermitian_band, rk4_integrate
 from .errors import IntegrationError, InvalidParameterError
 from .models import ChainHamiltonian, Schedule, schedule_arrays
 
@@ -164,22 +166,26 @@ class _LapackBDF(BDF):
 
 def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
     # The Newton iterations and the Jacobian of a step all ask for H at the
-    # same t_new, so H is evaluated once per distinct time.  Two times are
-    # kept because start-up asks for t0 again after its trial step.
+    # same t_new, so H is evaluated once per distinct time, and kept both as
+    # (diag, off) for the Jacobian and as the band the right-hand side
+    # reads.  Two times are kept because start-up asks for t0 again after
+    # its trial step.
     recent = {}
 
     def h_at(t):
         if t not in recent:
             if len(recent) == 2:
                 del recent[next(iter(recent))]
-            recent[t] = provider(t)
+            diag, off = provider(t)
+            recent[t] = diag, off, hermitian_band(diag, off)
         return recent[t]
 
     def rhs(t, y):
-        return apply_minus_ih(*h_at(t), y)
+        return apply_minus_ih(h_at(t)[2], y)
 
     def jac(t, y):
-        return -1j * ChainHamiltonian(*h_at(t)).to_dense()
+        diag, off, _ = h_at(t)
+        return -1j * ChainHamiltonian(diag, off).to_dense()
 
     kwargs = {}
     if cfg.max_step is not None:

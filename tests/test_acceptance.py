@@ -57,7 +57,7 @@ from topochain.spectra import coupling_ratio_norm_sq
 
 from conftest import dense_eigvals, plain_pump_cfm4, plain_pump_hamiltonians, random_chain
 
-BDF = IntegratorConfig()
+BDF = IntegratorConfig(method="bdf")
 RK4 = IntegratorConfig(method="rk4", max_step=0.002)
 OVERLAP_TOL = 1e-6
 

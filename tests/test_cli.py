@@ -405,6 +405,56 @@ def test_couplings_bounds_are_named_violations(tmp_path, capsys, override, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
+_TINY_SCHEDULE = {"kind": "ssh", "L": 2, "T": 5.0, "params": {
+    "a": {"form": "const", "offset": 0.5}, "b": {"form": "const", "offset": 1.0}}}
+_TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 0, "a": 0.1, "b": 1}, "L"),
+        ({"schema": 1, "command": "spectrum", "kind": "aah", "n_sites": 1, "omega": 1.0, "alpha": 0.3,
+          "phase": 0.0, "hop": 1.0}, "n_sites"),
+        (dict(_TINY_QUENCH, n_records=1), "n_records"),
+        ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "n_records": 1}, "n_records"),
+        (dict(_TINY_QUENCH, flip_site=9), "flip_site"),
+        ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "initial_site": 0}, "initial_site"),
+        ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 0}}, "L"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 2}}, "n_samples"),
+    ],
+    ids=["L-0", "aah-n_sites-1", "quench-n_records-1", "pump-n_records-1", "flip_site-9",
+         "initial_site-0", "reduce-L-0", "lz-n_samples-2"],
+)
+def test_sizes_and_sites_are_named_violations(tmp_path, capsys, cfg, key):
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(_TINY_QUENCH, integrator={"method": "rk4", "max_step": 1e-300}),
+        dict(_TINY_QUENCH, t_final=1e300, integrator={"method": "rk4"}),
+        dict(_TINY_QUENCH, t_final=20000.01, integrator={"method": "rk4"}),
+        {"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, T=1000.0, cycles=5),
+         "integrator": {"method": "rk4", "max_step": 0.002}},
+        {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 3000.0},
+         "integrator": {"method": "rk4", "max_step": 0.001}},
+    ],
+    ids=["max_step-1e-300", "t_final-1e300", "just-over", "pump-cycles", "lz-path"],
+)
+def test_rk4_step_budget_is_a_named_violation(cfg):
+    # parsed only: a config over the budget is never run
+    messages = _violations(cfg)
+    assert len(messages) == 1 and "'max_step'" in messages[0] and "2,000,000" in messages[0]
+
+
+def test_rk4_step_budget_admits_its_limit():
+    # 20000 / 0.01 is the budget exactly; BDF has no step budget
+    _parse(dict(_TINY_QUENCH, t_final=20000.0, integrator={"method": "rk4"}))
+    _parse(dict(_TINY_QUENCH, integrator={"method": "bdf", "max_step": 1e-300}))
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

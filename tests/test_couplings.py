@@ -104,6 +104,16 @@ def test_identical_symmetric_and_converged():
         assert abs(v20 - v40) <= 1e-12
 
 
+def test_default_order_reaches_graf_sum_over_whole_domain():
+    # sum_n (-1)^n J_n(a1) J_n(a2) = J_0(a1 + a2) (Graf); the default n_max
+    # must not truncate it anywhere in |alpha| < 50
+    a1 = np.linspace(-49.9, 49.9, 37)
+    a2 = np.linspace(-49.9, 49.9, 29)
+    mine = effective_coupling_identical(1.0, a1[:, None], a2[None, :]).value
+    ref = np.array([[_mp_bessel(0, x + y) for y in a2] for x in a1])
+    assert np.abs(mine - ref).max() <= 1e-12
+
+
 def test_matched_values():
     assert effective_coupling_matched(1.0, 0.3, 0.0).value == 0.0
     out = effective_coupling_matched(1.0, 0.0, 1.8412)

@@ -21,7 +21,7 @@ from topochain import (
     sigma_z,
     transfer_fidelity,
 )
-from topochain._kernels import apply_minus_ih
+from topochain._kernels import apply_minus_ih, hermitian_band
 
 from conftest import exact_propagator_state
 
@@ -88,6 +88,13 @@ def test_quench_uniform_chain_spreads_and_reflects():
     traj = quench(h, 1, 30.0, IntegratorConfig(), 301)
     assert traj.sz[:, 0].min() < 0.0
     assert traj.sz[:, 13].max() > -0.5
+
+
+def test_rk4_one_site_quench_is_a_phase():
+    # H = [omega]: psi(t) = exp(-i omega t), and the kernel has no bond
+    omega = 0.7
+    traj = quench(ChainHamiltonian(np.array([omega]), np.zeros(0)), 1, 20.0, RK4, 41)
+    assert np.abs(traj.states[:, 0] - np.exp(-1j * omega * traj.times)).max() < 1e-10
 
 
 def test_quench_rejects_site_out_of_range():
@@ -183,7 +190,7 @@ def test_bdf_matches_stock_scipy_bdf(monkeypatch, provider, psi0, t1):
     cfg = IntegratorConfig()
 
     def rhs(t, y):
-        return apply_minus_ih(*provider(t), y)
+        return apply_minus_ih(hermitian_band(*provider(t)), y)
 
     def jac(t, y):
         return -1j * ChainHamiltonian(*provider(t)).to_dense()
