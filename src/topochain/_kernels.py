@@ -57,6 +57,12 @@ def apply_minus_ih(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return zhbmv(1, -1j, band.T, x)
 
 
+def rk4_substeps(rec_times, max_step) -> np.ndarray:
+    """Equal substeps, each no longer than ``max_step``, of every segment
+    between consecutive ``rec_times`` (at least one per segment)."""
+    return np.maximum(np.ceil(np.diff(rec_times) / max_step), 1).astype(np.int64)
+
+
 def rk4_integrate(h_of_times, psi0, rec_times, max_step):
     """Propagate ``psi0`` through H(t), returning one state row per entry of
     ``rec_times`` (the first entry must be the start time).
@@ -70,9 +76,10 @@ def rk4_integrate(h_of_times, psi0, rec_times, max_step):
     psi = np.array(psi0, dtype=np.complex128)
     out = np.empty((rec_times.size, psi.size), dtype=np.complex128)
     out[0] = psi
+    substeps = rk4_substeps(rec_times, max_step)
     for r in range(1, rec_times.size):
         ta, tb = rec_times[r - 1], rec_times[r]
-        nsub = max(int(np.ceil((tb - ta) / max_step)), 1)
+        nsub = int(substeps[r - 1])
         dt = (tb - ta) / nsub
         half = 0.5 * dt
         third = dt / 3.0

@@ -16,7 +16,15 @@ from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import IntegratorConfig
 from .errors import SchemaError
 from .fluxcircuit import FluxQubitSpec
-from .models import FUNCTION_FORMS, MODEL_KINDS, SCHEDULE_PARAMS, SITES_PER_CELL, FunctionSpec, Schedule
+from .models import (
+    FUNCTION_FORMS,
+    MAX_DEVIATE,
+    MODEL_KINDS,
+    SCHEDULE_PARAMS,
+    SITES_PER_CELL,
+    FunctionSpec,
+    Schedule,
+)
 
 SCHEMA_VERSION = 1
 COMMANDS = ("spectrum", "pump", "quench", "lz", "trimer", "couplings", "fluxqubit")
@@ -51,6 +59,22 @@ COUPLINGS_MAX_POINTS = 201
 # time, so only the time grid of a record segment grows with its steps:
 # 16 bytes a step, 31 MiB for one segment at the budget
 RK4_MAX_STEPS = 2_000_000
+
+# RK4 is stable for i dpsi/dt = H psi while max_step * ||H|| stays inside
+# its stability interval on the imaginary axis, |z| <= 2*sqrt(2) = 2.83.
+# ||H|| is bounded from the config by Gershgorin: the largest on-site
+# magnitude plus the two largest bond magnitudes, each parameter at
+# |offset| + |amplitude| over the run, disorder at MAX_DEVIATE * sigma
+RK4_STABILITY_LIMIT = 2.8
+
+# (on-site, bond) parameters of each chain kind; a site's two bonds are
+# two of the bond parameters, both 'hop' in the AAH chain
+_DIAG_BOND_PARAMS = {
+    "ssh": (("omega",), ("a", "b")),
+    "rm": (("u",), ("a", "b")),
+    "trimer": (("u", "v", "w"), ("a", "b", "c")),
+    "aah": (("omega",), ("hop", "hop")),
+}
 
 
 @dataclass
@@ -298,6 +322,11 @@ def _parse_spectrum(chk: _Checker, cfg: dict) -> dict:
         value = cfg["export_states"]
         if value != "edge" and not (isinstance(value, list) and all(isinstance(i, int) for i in value)):
             chk.fail(f"key 'export_states' in {ctx} must be \"edge\" or a list of level indices")
+        elif value != "edge":
+            n_sites = _model_sites(model)
+            bad = [j for j in value if n_sites is not None and not 1 <= j <= n_sites]
+            if bad:
+                chk.fail(f"key 'export_states' in {ctx} must list levels in 1..{n_sites}, got {bad}")
         options["export_states"] = value
     return options
 
@@ -517,6 +546,59 @@ def _check_rk4_budget(chk: _Checker, integrator: IntegratorConfig, span: Optiona
         )
 
 
+def _function_bound(fn: FunctionSpec, cycles: int) -> float:
+    """Largest |fn(t)| over ``cycles`` periods."""
+    reach = cycles if fn.form == "linear" else 1
+    return abs(fn.offset) + abs(fn.amplitude) * reach
+
+
+def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
+    """Gershgorin bound on ||H(t)|| of the command's integration."""
+    if command in ("pump", "trimer"):
+        schedule = options.get("schedule")
+        if schedule is None:
+            return None
+        kind = schedule.kind
+        bounds = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
+    elif command == "quench" and options.get("model") is not None:
+        kind = options["model"]["kind"]
+        bounds = {name: abs(value) for name, value in options["model"]["params"].items()}
+        disorder = options.get("disorder")
+        if disorder is not None:
+            diag_params, bond_params = _DIAG_BOND_PARAMS[kind]
+            for target, names in (("diagonal", diag_params), ("offdiagonal", bond_params)):
+                if target in disorder["targets"]:
+                    for name in set(names):
+                        bounds[name] += MAX_DEVIATE * disorder["sigma"]
+    elif command == "lz" and "path" in options:
+        path = options["path"]
+        if path["type"] == "custom":
+            if path.get("u") is None or path.get("g") is None:
+                return None
+            return _function_bound(path["u"], 1) + _function_bound(path["g"], 1)
+        # H = [[u, g], [g, -u]]; |u| <= |alpha| on every path, and |g| is
+        # |alpha| on the arc, 0 on the line and |u tan(theta)| when tilted
+        alpha, theta = path.get("alpha"), path.get("theta", 0.0)
+        if alpha is None or theta is None:
+            return None
+        return abs(alpha) * (2.0 if path["type"] == "arc" else 1.0 + abs(math.tan(theta)))
+    else:
+        return None
+    diag_params, bond_params = _DIAG_BOND_PARAMS[kind]
+    bonds = sorted((bounds.get(name, 0.0) for name in bond_params), reverse=True)
+    return max(bounds.get(name, 0.0) for name in diag_params) + sum(bonds[:2])
+
+
+def _check_rk4_stability(chk: _Checker, integrator: IntegratorConfig, bound: Optional[float]):
+    if integrator.method != "rk4" or bound is None:
+        return
+    if not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
+        chk.fail(
+            f"key 'max_step' in config.integrator: RK4 at step {integrator.rk4_step:g} with ||H|| up to "
+            f"{bound:.3g} is unstable; max_step * ||H|| must be <= {RK4_STABILITY_LIMIT}"
+        )
+
+
 _PARSERS = {
     "spectrum": lambda chk, cfg, seed: _parse_spectrum(chk, cfg),
     "pump": lambda chk, cfg, seed: _parse_pump(chk, cfg),
@@ -580,6 +662,7 @@ def parse_config(text: str) -> ExperimentConfig:
         except Exception as exc:  # turn construction errors into schema messages
             chk.fail(f"command '{command}': {exc}")
         _check_rk4_budget(chk, integrator, _integrated_time(command, options))
+        _check_rk4_stability(chk, integrator, _norm_bound(command, options))
     if chk.violations:
         raise SchemaError(chk.violations)
     return ExperimentConfig(

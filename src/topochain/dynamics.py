@@ -10,18 +10,27 @@ RK4 for one record segment of times.  Both apply -iH through the same
 kernel, one BLAS ``zhbmv`` on the Hermitian band storage of H
 (``_kernels.hermitian_band``); RK4 also combines its stages with ``zaxpy``.
 Schedules are evaluated analytically at whatever times are asked for.
+
+BDF runs in the trace-free frame: it integrates under H - eps0, where eps0
+is the mean on-site energy of H(t0), and multiplies the records by
+exp(-i eps0 (t - t0)).  The shift is exact, since it only turns a global
+phase, and it removes the common rotation that limits BDF's step (4/3 on
+the Bell pump's trimer, a uniform on-site omega in a quench).  Rice-Mele
+and two-level Hamiltonians have eps0 = 0 and integrate exactly as without
+the frame.  RK4 stays in the lab frame, an independent check of the shift.
+Each Trajectory carries an ``integration`` record of what ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import BDF, solve_ivp
 from scipy.linalg import get_lapack_funcs
 
-from ._kernels import apply_minus_ih, hermitian_band, rk4_integrate
+from ._kernels import apply_minus_ih, hermitian_band, rk4_integrate, rk4_substeps
 from .errors import IntegrationError, InvalidParameterError
 from .models import ChainHamiltonian, Schedule, schedule_arrays
 
@@ -57,6 +66,9 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n_records, n_sites) complex
     sz: np.ndarray      # (n_records, n_sites) real
+    # what ran: method, energy_shift, nfev/njev/nlu (BDF) or steps (RK4),
+    # and norm_drift, the largest per-segment drift before renormalizing
+    integration: dict = field(default_factory=dict)
 
     @property
     def final_state(self) -> np.ndarray:
@@ -121,13 +133,15 @@ def _check_normalized(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _renormalize(states: np.ndarray) -> np.ndarray:
+def _renormalize(states: np.ndarray, stats=None) -> np.ndarray:
     # The evolution is linear, so dividing record r by its accumulated norm
     # equals renormalizing segment by segment; the drift limit applies to
     # each recording segment individually.
     norms = np.linalg.norm(states, axis=1)
     segment_drift = np.abs(norms[1:] / norms[:-1] - 1.0)
     drift = segment_drift.max() if segment_drift.size else abs(norms[0] - 1.0)
+    if stats is not None:
+        stats["norm_drift"] = float(drift)
     if not np.isfinite(drift):
         raise IntegrationError("the state became non-finite during integration")
     if drift > NORM_DRIFT_LIMIT:
@@ -164,21 +178,31 @@ class _LapackBDF(BDF):
         self.solve_lu = solve_lu
 
 
-def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
+def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
+    # BDF runs under H - eps0, eps0 = mean(diag H(t0)), and the records get
+    # the phase exp(-i eps0 (t - t0)) back (see the module docstring); with
+    # eps0 = 0 they are left as BDF returns them.
     # The Newton iterations and the Jacobian of a step all ask for H at the
     # same t_new, so H is evaluated once per distinct time, and kept both as
-    # (diag, off) for the Jacobian and as the band the right-hand side
-    # reads.  Two times are kept because start-up asks for t0 again after
-    # its trial step.
+    # (diag - eps0, off) for the Jacobian and as the band the right-hand
+    # side reads.  Two times are kept because start-up asks for t0 again
+    # after its trial step.
     recent = {}
+
+    def remember(t, diag, off):
+        if len(recent) == 2:
+            del recent[next(iter(recent))]
+        diag = diag - shift
+        recent[t] = diag, off, hermitian_band(diag, off)
 
     def h_at(t):
         if t not in recent:
-            if len(recent) == 2:
-                del recent[next(iter(recent))]
-            diag, off = provider(t)
-            recent[t] = diag, off, hermitian_band(diag, off)
+            remember(t, *provider(t))
         return recent[t]
+
+    diag0, off0 = provider(times[0])
+    shift = float(np.mean(diag0))
+    remember(times[0], diag0, off0)
 
     def rhs(t, y):
         return apply_minus_ih(h_at(t)[2], y)
@@ -203,7 +227,12 @@ def _evolve_bdf(provider, psi0, times, cfg) -> np.ndarray:
     )
     if not sol.success:
         raise IntegrationError(f"BDF integration failed: {sol.message}")
-    return np.ascontiguousarray(sol.y.T)
+    if stats is not None:
+        stats.update(energy_shift=shift, nfev=int(sol.nfev), njev=int(sol.njev), nlu=int(sol.nlu))
+    states = np.ascontiguousarray(sol.y.T)
+    if shift:
+        states *= np.exp(-1j * shift * (times - times[0]))[:, np.newaxis]
+    return states
 
 
 def evolve(
@@ -226,15 +255,18 @@ def evolve(
         raise InvalidParameterError("n_records must be >= 2")
     psi0 = _check_normalized(psi0)
     times = np.linspace(t0, t1, int(n_records))
+    # RK4 stays in the lab frame, so it cross-checks BDF's frame as well
+    stats = {"method": cfg.method, "energy_shift": 0.0}
     # an overflowing state is reported once, by _renormalize's finiteness
     # check, instead of by a numpy warning from every kernel it passes
     with np.errstate(all="ignore"):
         if cfg.method == "bdf":
-            states = _evolve_bdf(provider, psi0, times, cfg)
+            states = _evolve_bdf(provider, psi0, times, cfg, stats)
         else:
             states = rk4_integrate(provider, psi0, times, cfg.rk4_step)
-        states = _renormalize(states)
-    return Trajectory(times, states, sigma_z(states))
+            stats["steps"] = int(rk4_substeps(times, cfg.rk4_step).sum())
+        states = _renormalize(states, stats)
+    return Trajectory(times, states, sigma_z(states), stats)
 
 
 def quench(

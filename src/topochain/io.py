@@ -53,7 +53,10 @@ def write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float, extras=None) -> Path:
+def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float,
+                   extras=None, integrator=None) -> Path:
+    """``integrator`` maps each trajectory CSV's name to its
+    ``Trajectory.integration`` record."""
     payload = {
         "tool": "topochain",
         "version": version,
@@ -63,6 +66,8 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
     }
     if extras:
         payload["extras"] = extras
+    if integrator:
+        payload["integrator"] = integrator
     return write_json(path, payload)
 
 

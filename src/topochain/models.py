@@ -158,6 +158,11 @@ class DisorderSpec:
 _TARGET_TAGS = {"diagonal": 0, "offdiagonal": 1}
 
 
+# the largest finite |deviate| _gaussian_draws returns: ndtri of the
+# smallest uniform it forms, 2^-54, is -8.29
+MAX_DEVIATE = float(-ndtri(2.0**-54))
+
+
 def _gaussian_draws(seed: int, tag: int, count: int) -> np.ndarray:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
     raw = Philox(key=key).random_raw(count)

@@ -52,6 +52,11 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _trajectory_csv(path: Path, traj, amplitudes: bool, integrator: dict) -> Path:
+    integrator[path.name] = traj.integration
+    return io.trajectory_csv(path, traj, amplitudes)
+
+
 def _build_model(model: dict):
     kind = model["kind"]
     p = model["params"]
@@ -64,7 +69,7 @@ def _build_model(model: dict):
     return build_aah(model["n_sites"], p["omega"], p["alpha"], p["phase"], p["hop"])
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     files, extras = [], {}
     if opts["mode"] == "trace":
@@ -97,11 +102,8 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int,
     if export is not None:
         if export == "edge":
             levels = [j + 1 for j in range(spectrum.n_sites) if flags[j]]
-        else:
+        else:  # config.py checked the levels against the site count
             levels = list(export)
-            bad = [j for j in levels if not 1 <= j <= spectrum.n_sites]
-            if bad:
-                raise InvalidParameterError(f"export_states levels out of range: {bad}")
         vectors = spectrum.eigenvectors[:, [j - 1 for j in levels]]
         files.append(io.states_csv(out_dir / f"{stem}_states.csv", levels, vectors))
         extras["exported_levels"] = levels
@@ -109,14 +111,14 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int,
     return files, extras
 
 
-def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     schedule = opts["schedule"]
     n_sites = {"ssh": 2, "rm": 2, "trimer": 3}[schedule.kind] * opts["L"]
     psi0 = basis_state(n_sites, opts["initial_site"])
     n_records = opts["n_records"]
     traj = pump(schedule, opts["L"], psi0, cfg.integrator, n_records)
-    files = [io.trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes)]
+    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator)]
     extras = {
         "final_max_site": int(np.argmax(traj.sz[-1])) + 1,
         "final_fidelity_last_site": transfer_fidelity(traj.final_state, basis_state(n_sites, n_sites)),
@@ -124,14 +126,14 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amp
     return files, extras
 
 
-def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     chain = _build_model(opts["model"])
     if opts["disorder"] is not None:
         d = opts["disorder"]
         chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
     traj = quench(chain, opts["flip_site"], opts["t_final"], cfg.integrator, opts["n_records"])
-    files = [io.trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes)]
+    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator)]
     extras = {"min_sz_flip_site": float(traj.sz[:, opts["flip_site"] - 1].min())}
     return files, extras
 
@@ -147,7 +149,7 @@ def _lz_path_from_options(path_opts: dict) -> LZPath:
     return LZPath.from_functions(path_opts["u"], path_opts["g"], path_opts["T"], path_opts["n_samples"])
 
 
-def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
@@ -157,7 +159,7 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, ampli
         extras["path_class"] = classify_path(path, tol).value
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
         traj = lz_evolve(path, psi0, cfg.integrator, opts["n_records"])
-        files.append(io.trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes))
+        files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator))
         extras["final_population_L"] = float(np.abs(traj.final_state[0]) ** 2)
         extras["final_population_R"] = float(np.abs(traj.final_state[1]) ** 2)
     if "from_schedule" in opts:
@@ -173,7 +175,7 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, ampli
     return files, extras
 
 
-def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     schedule = opts["schedule"]
     L = opts["L"]
@@ -185,7 +187,7 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, a
         psi0[0] = 1.0 / np.sqrt(2.0)
         psi0[1] = sign / np.sqrt(2.0)
         traj = pump(schedule, L, psi0, cfg.integrator, opts["n_records"])
-        files.append(io.trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes))
+        files.append(_trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes, integrator))
         target = np.zeros(n, dtype=np.complex128)
         target[n - 2] = 1.0 / np.sqrt(2.0)
         target[n - 1] = sign / np.sqrt(2.0)
@@ -193,7 +195,7 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, a
     return files, extras
 
 
-def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     a1 = np.linspace(opts["alpha1"]["start"], opts["alpha1"]["stop"], opts["alpha1"]["points"])
     a2 = np.linspace(opts["alpha2"]["start"], opts["alpha2"]["stop"], opts["alpha2"]["points"])
@@ -211,7 +213,7 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int
     return files, extras
 
 
-def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool):
+def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
     opts = cfg.options
     spec = FluxQubitSpec(**opts["spec_kwargs"])
     files, extras = [], {}
@@ -252,10 +254,12 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1, amplitudes: bool = Fal
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or cfg.output or cfg.command
+    integrator = {}
     start = time.perf_counter()
-    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, threads, amplitudes)
+    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, threads, amplitudes, integrator)
     wall = time.perf_counter() - start
-    manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, extras)
+    manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, extras,
+                                 integrator)
     return RunResult(files, manifest, extras)
 
 

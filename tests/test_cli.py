@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 import topochain.cli
+import topochain.config
+from topochain import ChainHamiltonian, DisorderSpec, HamiltonianProvider, apply_disorder
 from topochain.cli import main
-from topochain.config import parse_config
+from topochain.config import _norm_bound, parse_config
 from topochain.errors import SchemaError
 from topochain.io import file_sha256
 from topochain.presets import PRESETS
+from topochain.runner import _build_model, _lz_path_from_options
 
 
 def _parse(cfg_dict):
@@ -422,9 +426,13 @@ _TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.
         ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "initial_site": 0}, "initial_site"),
         ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 0}}, "L"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 2}}, "n_samples"),
+        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [99]},
+         "export_states"),
+        ({"schema": 1, "command": "spectrum", "kind": "aah", "n_sites": 5, "omega": 1.0, "alpha": 0.3,
+          "phase": 0.0, "hop": 1.0, "export_states": [1, 0]}, "export_states"),
     ],
     ids=["L-0", "aah-n_sites-1", "quench-n_records-1", "pump-n_records-1", "flip_site-9",
-         "initial_site-0", "reduce-L-0", "lz-n_samples-2"],
+         "initial_site-0", "reduce-L-0", "lz-n_samples-2", "export_states-99", "export_states-0"],
 )
 def test_sizes_and_sites_are_named_violations(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
@@ -455,6 +463,113 @@ def test_rk4_step_budget_admits_its_limit():
     _parse(dict(_TINY_QUENCH, integrator={"method": "bdf", "max_step": 1e-300}))
 
 
+_BELL = PRESETS["belltransfer"][0][1]  # ||H|| <= 2 + 1.9 + 1.9 = 5.8 by Gershgorin
+_RAMP_SCHEDULE = {"kind": "rm", "L": 2, "T": 5.0, "cycles": 3, "params": {
+    "a": {"form": "const", "offset": 1.0}, "b": {"form": "const", "offset": 1.0},
+    "u": {"form": "linear", "amplitude": 100.0}}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(_TINY_QUENCH, a=1000, integrator={"method": "rk4"}),
+        dict(_BELL, integrator={"method": "rk4", "max_step": 0.49}),
+        {"schema": 1, "command": "pump", "schedule": _RAMP_SCHEDULE, "integrator": {"method": "rk4"}},
+        dict(_TINY_QUENCH, disorder={"sigma": 1.0}, integrator={"method": "rk4", "max_step": 0.2}),
+        {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 100.0, "theta": 1.5, "T": 10.0},
+         "integrator": {"method": "rk4"}},
+    ],
+    ids=["quench-a-1000", "bell-0.49", "linear-3-cycles", "disorder", "lz-tilted"],
+)
+def test_rk4_stability_is_a_named_violation(cfg):
+    # parsed only: an RK4 step beyond the stability bound is never run
+    messages = _violations(cfg)
+    assert len(messages) == 1 and "'max_step'" in messages[0] and "unstable" in messages[0]
+
+
+def test_rk4_stability_admits_the_crosschecks():
+    # criterion 13's RK4 runs and the benchmark's crosscheck jobs, and the
+    # stable side of each rejected case above; BDF has no such bound
+    rk4_fine = {"method": "rk4", "max_step": 0.002}
+    bell = dict(_BELL, schedule=dict(_BELL["schedule"], cycles=3), integrator=rk4_fine)
+    for cfg in (
+        dict(PRESETS["pumping"][0][1], integrator=rk4_fine, n_records=2001),
+        dict(PRESETS["optimization"][2][1], integrator=rk4_fine),
+        bell,
+        dict(_TINY_QUENCH, L=7, disorder={"sigma": 0.01}, t_final=100.0, n_records=2001,
+             integrator={"method": "rk4"}),
+        dict(_BELL, integrator={"method": "rk4", "max_step": 0.48}),
+        {"schema": 1, "command": "pump", "schedule": dict(_RAMP_SCHEDULE, cycles=1), "integrator": {"method": "rk4"}},
+        dict(_TINY_QUENCH, disorder={"sigma": 1.0}, integrator={"method": "rk4", "max_step": 0.1}),
+        {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.0, "theta": 1.5, "T": 10.0},
+         "integrator": {"method": "rk4"}},
+        dict(_TINY_QUENCH, a=1000),
+    ):
+        _parse(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        PRESETS["pumping"][0][1],
+        PRESETS["optimization"][2][1],
+        dict(_BELL, schedule=dict(_BELL["schedule"], cycles=2)),
+        {"schema": 1, "command": "pump", "schedule": _RAMP_SCHEDULE},
+        dict(PRESETS["trivial"][1][1], disorder={"sigma": 0.3}, omega=-0.7),
+        {"schema": 1, "command": "quench", "kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618,
+         "phase": 0.4, "hop": -0.8, "t_final": 1.0},
+        {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.3, "theta": 0.7, "T": 10.0}},
+        {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": -1.3, "T": 10.0}},
+    ],
+    ids=["pumping", "optimization_pump", "bell-2-cycles", "linear-3-cycles", "disordered-quench", "aah",
+         "lz-tilted", "lz-arc"],
+)
+def test_rk4_norm_bound_holds(cfg):
+    # the config's bound on ||H|| against the largest absolute row sum of
+    # each H(t) the command integrates, sampled densely over its run
+    parsed = _parse(cfg)
+    opts = parsed.options
+    times = np.linspace(0.0, 1.0, 1001)
+    if parsed.command in ("pump", "trimer"):
+        diag, off = HamiltonianProvider.from_schedule(opts["schedule"], opts["L"])(times * opts["schedule"].total_time)
+    elif parsed.command == "quench":
+        chain = _build_model(opts["model"])
+        if opts["disorder"] is not None:
+            d = opts["disorder"]
+            chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
+        diag, off = chain.diagonal[np.newaxis], chain.offdiagonal[np.newaxis]
+    else:
+        path = _lz_path_from_options(opts["path"])
+        diag, off = path.hamiltonian_arrays(times * path.period)
+    norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
+    assert norm <= _norm_bound(parsed.command, opts) * (1.0 + 1e-12)
+
+
+def test_manifest_records_each_integration(tmp_path):
+    trimer = {
+        "schema": 1, "command": "trimer", "n_records": 11,
+        "schedule": dict(_BELL["schedule"], L=2, T=5.0),
+    }
+    pump_rk4 = {
+        "schema": 1, "command": "pump", "n_records": 11, "integrator": {"method": "rk4", "max_step": 0.01},
+        "schedule": dict(PRESETS["pumping"][0][1]["schedule"], L=2, T=5.0),
+    }
+    for name, cfg in (("trimer", trimer), ("pump", pump_rk4)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "trimer.manifest.json").read_text())
+    assert set(manifest["integrator"]) == {"trimer_plus.csv", "trimer_minus.csv"}
+    assert set(manifest["extras"]) == {"final_fidelity_plus", "final_fidelity_minus"}
+    for record in manifest["integrator"].values():
+        assert record["method"] == "bdf"
+        assert record["energy_shift"] == pytest.approx(4.0 / 3.0, abs=1e-15)
+        assert min(record[key] for key in ("nfev", "njev", "nlu")) >= 1
+        assert 0.0 <= record["norm_drift"] <= 1e-6
+    record = json.loads((tmp_path / "pump.manifest.json").read_text())["integrator"]["pump.csv"]
+    assert record["method"] == "rk4" and record["steps"] == 500 and record["energy_shift"] == 0.0
+    assert 0.0 <= record["norm_drift"] <= 1e-6
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -479,8 +594,11 @@ def test_non_finite_cli_flag_is_a_named_violation(tmp_path, capsys):
     assert "'f_alpha'" in err and "finite" in err and "Traceback" not in err
 
 
-def test_non_finite_state_fails_the_run(tmp_path, capsys):
-    # H entries of 1e200 overflow the RK4 stages to inf and then NaN
+def test_non_finite_state_fails_the_run(tmp_path, capsys, monkeypatch):
+    # H entries of 1e200 overflow the RK4 stages to inf and then NaN.  The
+    # config's RK4 stability bound rejects this H; lifting it reaches the
+    # run-time guard behind it, which must still fail the run cleanly
+    monkeypatch.setattr(topochain.config, "RK4_STABILITY_LIMIT", math.inf)
     cfg = {"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 1e200, "b": 1,
            "t_final": 1, "integrator": {"method": "rk4"}}
     cfg_path = tmp_path / "cfg.json"
@@ -496,14 +614,17 @@ def test_non_finite_state_fails_the_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["rk4", "bdf"])
 def test_overflow_prints_one_stderr_line(tmp_path, method):
-    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr;
+    # the RK4 stability bound is lifted there, as in the test above
     cfg = {"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 1e200, "b": 1,
            "t_final": 1, "integrator": {"method": method}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    code = ("import math, sys, topochain.config as config; config.RK4_STABILITY_LIMIT = math.inf; "
+            "from topochain.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
-        [sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(tmp_path)],
+        [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 1

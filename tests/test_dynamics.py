@@ -12,6 +12,7 @@ from topochain import (
     InvalidParameterError,
     LZPath,
     basis_state,
+    bell_transfer_schedule,
     build_ssh,
     evolve,
     optimized_schedule,
@@ -216,3 +217,63 @@ def test_bdf_matches_stock_scipy_bdf(monkeypatch, provider, psi0, t1):
     sol = seen["sol"]
     assert (sol.nfev, sol.njev, sol.nlu) == (ref.nfev, ref.njev, ref.nlu)
     assert len(calls) == len(set(calls))  # H(t) once per distinct time
+
+
+def _bdf_counts(traj):
+    return tuple(traj.integration[key] for key in ("nfev", "njev", "nlu"))
+
+
+@pytest.mark.parametrize("omega", [0.37, 5.0, -3.3])
+def test_bdf_onsite_energy_is_only_a_phase(omega):
+    # a uniform on-site omega is a constant shift: BDF integrates in its
+    # frame, so the records are the omega = 0 records times exp(-i omega t),
+    # at the same cost
+    base = quench(build_ssh(7, 0.3, 1.0), 1, 100.0)
+    shifted = quench(build_ssh(7, 0.3, 1.0, omega), 1, 100.0)
+    assert shifted.integration["energy_shift"] == pytest.approx(omega, abs=1e-15)
+    expected = np.exp(-1j * omega * base.times)[:, np.newaxis] * base.states
+    assert np.abs(shifted.states - expected).max() <= 1e-12
+    assert _bdf_counts(shifted) == _bdf_counts(base)
+
+
+def test_bdf_with_onsite_energy_matches_exact_propagator():
+    h = build_ssh(7, 0.3, 1.0, 5.0)
+    traj = quench(h, 1, 100.0)
+    exact = np.array([exact_propagator_state(h, basis_state(14, 1), t) for t in traj.times])
+    assert np.abs(traj.states - exact).max() <= 2e-6
+
+
+def test_bdf_frame_matches_stock_scipy_bdf_on_shifted_h(monkeypatch):
+    provider = HamiltonianProvider.from_schedule(bell_transfer_schedule(50.0), 7)
+    psi0 = np.zeros(21, dtype=np.complex128)
+    psi0[:2] = 1.0 / np.sqrt(2.0)
+    times = np.linspace(0.0, 50.0, 41)
+    cfg = IntegratorConfig()
+    eps0 = np.mean(provider(0.0)[0])
+    assert eps0 == pytest.approx(4.0 / 3.0, abs=1e-15)  # (u + v + w) / 3
+
+    def rhs(t, y):
+        diag, off = provider(t)
+        return apply_minus_ih(hermitian_band(diag - eps0, off), y)
+
+    def jac(t, y):
+        diag, off = provider(t)
+        return -1j * ChainHamiltonian(diag - eps0, off).to_dense()
+
+    ref = solve_ivp(rhs, (0.0, 50.0), psi0, method="BDF", t_eval=times,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, jac=jac)
+    expected = ref.y.T * np.exp(-1j * eps0 * (times - times[0]))[:, np.newaxis]
+
+    calls = []
+
+    def counting_provider(t):
+        calls.append(float(t))
+        return provider(t)
+
+    stats = {}
+    states = dynamics._evolve_bdf(counting_provider, psi0, times, cfg, stats)
+    assert np.array_equal(states, expected)
+    assert (stats["nfev"], stats["njev"], stats["nlu"]) == (ref.nfev, ref.njev, ref.nlu)
+    assert stats["energy_shift"] == eps0
+    assert len(calls) == len(set(calls))  # H(t) once per distinct time
+
