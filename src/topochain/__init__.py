@@ -41,7 +41,6 @@ from .spectra import (
     trimer_edge_states,
 )
 from .dynamics import (
-    HamiltonianProvider,
     IntegratorConfig,
     Trajectory,
     basis_state,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,22 +21,9 @@ from .presets import FIGURE_IDS
 from .runner import reproduce, run
 
 
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TOPOCHAIN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"ignoring non-integer TOPOCHAIN_THREADS={env!r}", file=sys.stderr)
-    return 1
-
-
 def _add_common(parser):
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for sweeps (env TOPOCHAIN_THREADS)")
     parser.add_argument("--amplitudes", action="store_true", help="add re_j/im_j state columns to trajectory CSVs")
 
 
@@ -102,7 +88,6 @@ def _config_from_flags(args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _threads_from(args)
     try:
         if args.subcommand == "run":
             text = Path(args.config).read_text(encoding="utf-8")
@@ -110,17 +95,17 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 raw = dict(cfg.raw, seed=args.seed)
                 cfg = parse_config(json.dumps(raw))
-            result = run(cfg, args.out, threads, args.amplitudes)
+            result = run(cfg, args.out, args.amplitudes)
             for path in result.files + [result.manifest]:
                 print(f"wrote {path}")
         elif args.subcommand == "reproduce":
-            results = reproduce(args.figure, args.out, threads, args.amplitudes)
+            results = reproduce(args.figure, args.out, args.amplitudes)
             for result in results:
                 for path in result.files + [result.manifest]:
                     print(f"wrote {path}")
         else:
             cfg = parse_config(json.dumps(_config_from_flags(args)))
-            result = run(cfg, args.out, threads, args.amplitudes)
+            result = run(cfg, args.out, args.amplitudes)
             if args.subcommand == "couplings":
                 print(result.files[0].read_text(encoding="utf-8"), end="")
             for path in result.files + [result.manifest]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
-from .dynamics import IntegratorConfig
+from .dynamics import RECORDS_PER_CYCLE, IntegratorConfig
 from .errors import SchemaError
 from .fluxcircuit import FluxQubitSpec
 from .models import (
@@ -51,6 +51,16 @@ FLUX_MAX_CHARGE_CUTOFF = 50
 # functions accept
 COUPLINGS_MAX_N_MAX = 100
 COUPLINGS_MAX_POINTS = 201
+
+# sites of one chain: a static spectrum at 1000 sites takes 0.36 s and
+# 96 MiB (its n x n eigenvectors and their copies) on 2 cores
+MAX_SITES = 1000
+
+# rows x sites of one trace, sweep or trajectory (rows are n_times, sweep
+# points or n_records): 200 rows of 1000 sites take 17 s to diagonalize on
+# 2 cores, and a 14-site RK4 quench with 14,285 records and amplitudes
+# takes 2.2 s, most of it writing the CSV
+MAX_ROW_SITES = 200_000
 
 # RK4 steps of one integration, estimated as its time span over max_step;
 # the Bell pump of criterion 13 (3 cycles of T = 1000 at dt 0.002) takes
@@ -236,6 +246,33 @@ def _check_records(chk: _Checker, n_records: Optional[int], ctx: str):
         chk.fail(f"key 'n_records' in {ctx} must be >= 2, got {n_records}")
 
 
+def _check_size(chk: _Checker, sites: Optional[int], sites_key: str, rows: Optional[int] = None, rows_key: str = ""):
+    """Bound a chain's sites and its table's rows x sites; each key is named
+    with its context, e.g. "'L' in command 'pump'.schedule"."""
+    if sites is not None and sites > MAX_SITES:
+        chk.fail(f"key {sites_key} gives {sites:,} sites, more than the bound of {MAX_SITES:,}")
+    if sites is not None and rows is not None and rows * sites > MAX_ROW_SITES:
+        chk.fail(f"key {rows_key} asks for {rows:,} rows of {sites:,} sites, "
+                 f"more than the bound of {MAX_ROW_SITES:,} values")
+
+
+def _schedule_sites(schedule: Optional[Schedule], cells: Optional[int]) -> Optional[int]:
+    return SITES_PER_CELL[schedule.kind] * cells if schedule is not None else None
+
+
+def _check_pump_size(chk: _Checker, schedule: Optional[Schedule], cells: Optional[int], n_records, ctx: str):
+    if schedule is not None:  # without n_records, the rows follow from the cycles
+        rows = n_records or RECORDS_PER_CYCLE * schedule.cycles + 1
+        rows_key = f"'n_records' in {ctx}" if n_records else f"'cycles' in {ctx}.schedule"
+        _check_size(chk, _schedule_sites(schedule, cells), f"'L' in {ctx}.schedule", rows, rows_key)
+
+
+def _check_model_size(chk: _Checker, model: Optional[dict], ctx: str, rows: Optional[int], rows_key: str):
+    if model is not None:
+        key = "n_sites" if model["kind"] == "aah" else "L"
+        _check_size(chk, _model_sites(model), f"'{key}' in {ctx}", rows, rows_key)
+
+
 def _model_key_set(kind: Optional[str]):
     base = set(_COMMON_KEYS) | {"kind"}
     if kind == "aah":
@@ -291,6 +328,7 @@ def _parse_spectrum(chk: _Checker, cfg: dict) -> dict:
         n_times = chk.take(cfg, "n_times", ctx, kind="int", default=201)
         if n_times is not None and n_times < 2:
             chk.fail(f"key 'n_times' in {ctx} must be >= 2")
+        _check_size(chk, _schedule_sites(schedule, cells), f"'L' in {ctx}.schedule", n_times, f"'n_times' in {ctx}")
         options.update(mode="trace", schedule=schedule, L=cells, n_times=n_times)
         return options
     kind = cfg.get("kind") if isinstance(cfg.get("kind"), str) else None
@@ -318,6 +356,7 @@ def _parse_spectrum(chk: _Checker, cfg: dict) -> dict:
             options["sweep_param"] = name
             if model is not None and name is not None and name not in model["params"]:
                 chk.fail(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
+    _check_model_size(chk, model, ctx, options.get("sweep", {}).get("points"), f"'points' in {ctx}.sweep")
     if "export_states" in cfg:
         value = cfg["export_states"]
         if value != "edge" and not (isinstance(value, list) and all(isinstance(i, int) for i in value)):
@@ -339,10 +378,10 @@ def _parse_pump(chk: _Checker, cfg: dict) -> dict:
         return {}
     schedule, cells = _parse_schedule(chk, cfg["schedule"], f"{ctx}.schedule")
     initial_site = chk.take(cfg, "initial_site", ctx, kind="int", default=1)
-    if schedule is not None:
-        _check_site(chk, initial_site, SITES_PER_CELL[schedule.kind] * cells, "initial_site", ctx)
+    _check_site(chk, initial_site, _schedule_sites(schedule, cells), "initial_site", ctx)
     n_records = chk.take(cfg, "n_records", ctx, kind="int")
     _check_records(chk, n_records, ctx)
+    _check_pump_size(chk, schedule, cells, n_records, ctx)
     return {"schedule": schedule, "L": cells, "initial_site": initial_site, "n_records": n_records}
 
 
@@ -359,6 +398,7 @@ def _parse_quench(chk: _Checker, cfg: dict, seed: int) -> dict:
     _check_site(chk, flip_site, _model_sites(model), "flip_site", ctx)
     n_records = chk.take(cfg, "n_records", ctx, kind="int", default=201)
     _check_records(chk, n_records, ctx)
+    _check_model_size(chk, model, ctx, n_records, f"'n_records' in {ctx}")
     disorder = None
     if "disorder" in cfg:
         disorder = _parse_disorder(chk, cfg["disorder"], f"{ctx}.disorder", seed)
@@ -396,6 +436,7 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
             if n_samples is not None and n_samples < 3:
                 chk.fail(f"key 'n_samples' in {pctx} must be >= 3, got {n_samples}")
             path = {"type": ptype, "T": period, "n_samples": n_samples}
+            _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")  # 2 sites: only rows can exceed
             if ptype in ("arc", "line", "line_at_angle"):
                 path["alpha"] = chk.take(pobj, "alpha", pctx, required=True, kind="number")
             if ptype == "line_at_angle":
@@ -426,6 +467,8 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
             cells = options["reduce"]["L"]
             if cells is not None and cells < 1:
                 chk.fail(f"key 'L' in {rctx} must be >= 1, got {cells}")
+            if cells is not None:
+                _check_size(chk, SITES_PER_CELL["rm"] * cells, f"'L' in {rctx}")
     return options
 
 
@@ -442,6 +485,7 @@ def _parse_trimer(chk: _Checker, cfg: dict) -> dict:
             chk.fail(f"unknown Bell sign {s!r} in {ctx}.signs")
     n_records = chk.take(cfg, "n_records", ctx, kind="int")
     _check_records(chk, n_records, ctx)
+    _check_pump_size(chk, schedule, cells, n_records, ctx)
     return {"schedule": schedule, "L": cells, "signs": tuple(signs), "n_records": n_records}
 
 

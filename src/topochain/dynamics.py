@@ -3,11 +3,11 @@
 The production integrator is scipy's adaptive BDF (the stiff multistep
 family) with its LU hooks bound straight to LAPACK ``getrf``/``getrs``;
 fixed-step RK4 with substep control serves as the independent
-cross-check.  Both read H(t) from one vectorized evaluator,
-``times -> (diag[k, n], off[k, n-1])``, wrapped in a HamiltonianProvider:
+cross-check.  Both read H(t) from a function ``times -> (diag[k, n],
+off[k, n-1])``, such as ``models.schedule_arrays`` bound to a schedule:
 BDF asks it for one time per call and evaluates each distinct time once,
-RK4 for one record segment of times.  Both apply -iH through the same
-kernel, one BLAS ``zhbmv`` on the Hermitian band storage of H
+RK4 for up to ``RK4_CHUNK`` substeps of times.  Both apply -iH through the
+same kernel, one BLAS ``zhbmv`` on the Hermitian band storage of H
 (``_kernels.hermitian_band``); RK4 also combines its stages with ``zaxpy``.
 Schedules are evaluated analytically at whatever times are asked for.
 
@@ -24,7 +24,7 @@ Each Trajectory carries an ``integration`` record of what ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import BDF, solve_ivp
@@ -81,29 +81,11 @@ class Trajectory:
         return self.states[i]
 
 
-class HamiltonianProvider:
-    """H(t) of a chain: ``provider(times)`` returns the diagonals (k, n) and
-    bonds (k, n-1) at each of a 1-D array of k times, and (n,), (n-1,) for a
-    single time (the BDF right-hand side asks for one time per call)."""
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-
-    def __call__(self, times) -> Tuple[np.ndarray, np.ndarray]:
-        return self._fn(times)
-
-    @classmethod
-    def from_static(cls, h: ChainHamiltonian) -> "HamiltonianProvider":
-        def fn(times):
-            shape = np.shape(times)
-            return (np.broadcast_to(h.diagonal, shape + h.diagonal.shape),
-                    np.broadcast_to(h.offdiagonal, shape + h.offdiagonal.shape))
-
-        return cls(fn)
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule, L: int) -> "HamiltonianProvider":
-        return cls(lambda times: schedule_arrays(schedule, L, times))
+def static_arrays(h: ChainHamiltonian, times):
+    """H(t) of a fixed chain at ``times``, laid out as ``models.schedule_arrays``."""
+    shape = np.shape(times)
+    return (np.broadcast_to(h.diagonal, shape + h.diagonal.shape),
+            np.broadcast_to(h.offdiagonal, shape + h.offdiagonal.shape))
 
 
 def basis_state(n_sites: int, site: int) -> np.ndarray:
@@ -236,7 +218,7 @@ def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
 
 
 def evolve(
-    provider,
+    h_of_times,
     psi0: np.ndarray,
     t0: float,
     t1: float,
@@ -245,8 +227,8 @@ def evolve(
 ) -> Trajectory:
     """Integrate i dpsi/dt = H(t) psi and record uniform samples.
 
-    ``provider`` is a HamiltonianProvider (or any callable with its
-    contract).  Norm drift beyond 1e-6 raises IntegrationError; smaller
+    ``h_of_times`` maps times to ``(diag, off)`` (see the module
+    docstring).  Norm drift beyond 1e-6 raises IntegrationError; smaller
     drift is renormalized away at the record times.
     """
     if not t1 > t0:
@@ -261,9 +243,9 @@ def evolve(
     # check, instead of by a numpy warning from every kernel it passes
     with np.errstate(all="ignore"):
         if cfg.method == "bdf":
-            states = _evolve_bdf(provider, psi0, times, cfg, stats)
+            states = _evolve_bdf(h_of_times, psi0, times, cfg, stats)
         else:
-            states = rk4_integrate(provider, psi0, times, cfg.rk4_step)
+            states = rk4_integrate(h_of_times, psi0, times, cfg.rk4_step)
             stats["steps"] = int(rk4_substeps(times, cfg.rk4_step).sum())
         states = _renormalize(states, stats)
     return Trajectory(times, states, sigma_z(states), stats)
@@ -278,7 +260,7 @@ def quench(
 ) -> Trajectory:
     """Flip one qubit of an otherwise spin-down chain and watch it evolve."""
     psi0 = basis_state(h.n_sites, flip_site)
-    return evolve(HamiltonianProvider.from_static(h), psi0, 0.0, t_final, cfg, n_records)
+    return evolve(lambda times: static_arrays(h, times), psi0, 0.0, t_final, cfg, n_records)
 
 
 def pump(
@@ -291,5 +273,4 @@ def pump(
     """Drive the chain through ``schedule.cycles`` pump cycles."""
     if n_records is None:
         n_records = RECORDS_PER_CYCLE * schedule.cycles + 1
-    provider = HamiltonianProvider.from_schedule(schedule, L)
-    return evolve(provider, psi0, 0.0, schedule.total_time, cfg, n_records)
+    return evolve(lambda times: schedule_arrays(schedule, L, times), psi0, 0.0, schedule.total_time, cfg, n_records)

@@ -18,9 +18,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import HamiltonianProvider, IntegratorConfig, Trajectory, evolve
+from .dynamics import IntegratorConfig, Trajectory, evolve
 from .errors import InvalidParameterError, PhaseDomainError
-from .models import ChainHamiltonian, FunctionSpec, Schedule, const
+from .models import ChainHamiltonian, FunctionSpec, Schedule, const, schedule_arrays
 from .spectra import analytic_edge_states, coupling_ratio_norm_sq, eigendecompose
 from . import models
 
@@ -191,7 +191,7 @@ class LZPath:
         return cls(times, vals["u"], g, schedule.period)
 
     def hamiltonian_arrays(self, times):
-        """H(t) = [[u, g], [g, -u]] in the HamiltonianProvider layout
+        """H(t) = [[u, g], [g, -u]] in the layout of ``models.schedule_arrays``
         (diag[k, 2], off[k, 1]): analytic paths are resampled exactly,
         sample-only paths are interpolated linearly between their points."""
         if self.u_fn is not None and self.g_fn is not None:
@@ -253,8 +253,7 @@ def lz_evolve(
 ) -> Trajectory:
     """Integrate the two-level Schroedinger equation along the path
     (see ``LZPath.hamiltonian_arrays``)."""
-    provider = HamiltonianProvider(path.hamiltonian_arrays)
-    return evolve(provider, psi0, path.times[0], path.times[-1], cfg, n_records)
+    return evolve(path.hamiltonian_arrays, psi0, path.times[0], path.times[-1], cfg, n_records)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def compare_reduction(
     pair0 = analytic_edge_states(vals0["a"], vals0["b"], L)
     psi0 = pair0.left.astype(np.complex128)
 
-    full = evolve(HamiltonianProvider.from_schedule(schedule, L), psi0, t0, t1, cfg, n_records)
+    full = evolve(lambda times: schedule_arrays(schedule, L, times), psi0, t0, t1, cfg, n_records)
 
     # reduce_rm raises PhaseDomainError once the window leaves the topological phase
     reduced_g = np.vectorize(lambda a, b: reduce_rm(a, b, 0.0, L).g)
@@ -302,7 +301,7 @@ def compare_reduction(
         vals = schedule.values(times)
         return _two_level_arrays(vals["u"], reduced_g(vals["a"], vals["b"]))
 
-    reduced = evolve(HamiltonianProvider(reduced_arrays), np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
+    reduced = evolve(reduced_arrays, np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
 
     pop_full = np.empty((full.times.size, 2))
     for i, t in enumerate(full.times):

@@ -138,7 +138,7 @@ class DisorderSpec:
     Draws are reproducible and order-independent: entry i of a target block
     reads stream position i of a Philox counter-based generator keyed by
     (seed, target tag), and is mapped to a normal deviate by the inverse CDF
-    (uniform in (0,1) from the top 53 bits of the raw draw).
+    (uniform in (0,1) from the top 53 bits of the raw draw, at most 1 - 2^-53).
     """
 
     sigma: float
@@ -158,8 +158,8 @@ class DisorderSpec:
 _TARGET_TAGS = {"diagonal": 0, "offdiagonal": 1}
 
 
-# the largest finite |deviate| _gaussian_draws returns: ndtri of the
-# smallest uniform it forms, 2^-54, is -8.29
+# the largest |deviate| _gaussian_draws returns: ndtri of the smallest
+# uniform it forms, 2^-54, is -8.29; the largest, 1 - 2^-53, gives 8.21
 MAX_DEVIATE = float(-ndtri(2.0**-54))
 
 
@@ -167,7 +167,8 @@ def _gaussian_draws(seed: int, tag: int, count: int) -> np.ndarray:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
     raw = Philox(key=key).random_raw(count)
     uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(uniform)
+    # a draw whose top 53 bits are all ones rounds to 1.0, whose deviate is +inf
+    return ndtri(np.minimum(uniform, np.nextafter(1.0, 0.0)))
 
 
 def apply_disorder(h: ChainHamiltonian, spec: DisorderSpec) -> ChainHamiltonian:

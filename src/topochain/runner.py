@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -17,6 +16,7 @@ from .effective import LZPath, classify_path, lz_evolve, reduction_report
 from .errors import InvalidParameterError
 from .fluxcircuit import FluxQubitSpec, qubit_gap, sweep_point
 from .models import (
+    SITES_PER_CELL,
     DisorderSpec,
     apply_disorder,
     build_aah,
@@ -34,7 +34,7 @@ from .spectra import (
     trace_from_hamiltonians,
 )
 
-_EDGE_SITES = {"ssh": 2, "rm": 2, "trimer": 3, "aah": 2}
+_EDGE_SITES = dict(SITES_PER_CELL, aah=2)
 
 
 @dataclass
@@ -42,14 +42,6 @@ class RunResult:
     files: List[Path]
     manifest: Path
     extras: dict
-
-
-def parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _trajectory_csv(path: Path, traj, amplitudes: bool, integrator: dict) -> Path:
@@ -69,7 +61,7 @@ def _build_model(model: dict):
     return build_aah(model["n_sites"], p["omega"], p["alpha"], p["phase"], p["hop"])
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     files, extras = [], {}
     if opts["mode"] == "trace":
@@ -83,25 +75,20 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int,
         sweep = opts["sweep"]
         name = opts["sweep_param"]
         values = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
-
-        def build_at(value):
-            swept = dict(model, params=dict(model["params"], **{name: float(value)}))
-            return _build_model(swept)
-
-        hams = parallel_map(build_at, values, 1)
-        trace = trace_from_hamiltonians(values, hams, n_edge, axis_name=name)
+        chains = [_build_model(dict(model, params=dict(model["params"], **{name: float(v)}))) for v in values]
+        diag = np.stack([h.diagonal for h in chains])
+        off = np.stack([h.offdiagonal for h in chains])
+        trace = trace_from_hamiltonians(values, diag, off, n_edge, axis_name=name)
         files.append(io.spectrum_trace_csv(out_dir / f"{stem}.csv", trace))
         return files, extras
 
     spectrum = eigendecompose(_build_model(model))
-    flags = np.array(
-        [edge_weight(spectrum.eigenvectors[:, j], n_edge) >= EDGE_FLAG_THRESHOLD for j in range(spectrum.n_sites)]
-    )
+    flags = edge_weight(spectrum.eigenvectors, n_edge) >= EDGE_FLAG_THRESHOLD
     files.append(io.static_spectrum_csv(out_dir / f"{stem}.csv", spectrum.eigenvalues, flags))
     export = opts.get("export_states")
     if export is not None:
         if export == "edge":
-            levels = [j + 1 for j in range(spectrum.n_sites) if flags[j]]
+            levels = [int(j) + 1 for j in np.flatnonzero(flags)]
         else:  # config.py checked the levels against the site count
             levels = list(export)
         vectors = spectrum.eigenvectors[:, [j - 1 for j in levels]]
@@ -111,10 +98,10 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int,
     return files, extras
 
 
-def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     schedule = opts["schedule"]
-    n_sites = {"ssh": 2, "rm": 2, "trimer": 3}[schedule.kind] * opts["L"]
+    n_sites = SITES_PER_CELL[schedule.kind] * opts["L"]
     psi0 = basis_state(n_sites, opts["initial_site"])
     n_records = opts["n_records"]
     traj = pump(schedule, opts["L"], psi0, cfg.integrator, n_records)
@@ -126,7 +113,7 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amp
     return files, extras
 
 
-def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     chain = _build_model(opts["model"])
     if opts["disorder"] is not None:
@@ -149,7 +136,7 @@ def _lz_path_from_options(path_opts: dict) -> LZPath:
     return LZPath.from_functions(path_opts["u"], path_opts["g"], path_opts["T"], path_opts["n_samples"])
 
 
-def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
@@ -175,11 +162,11 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, ampli
     return files, extras
 
 
-def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     schedule = opts["schedule"]
     L = opts["L"]
-    n = 3 * L
+    n = SITES_PER_CELL[schedule.kind] * L
     files, extras = [], {}
     for sign_name in opts["signs"]:
         sign = 1.0 if sign_name == "plus" else -1.0
@@ -195,7 +182,7 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, a
     return files, extras
 
 
-def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     a1 = np.linspace(opts["alpha1"]["start"], opts["alpha1"]["stop"], opts["alpha1"]["points"])
     a2 = np.linspace(opts["alpha2"]["start"], opts["alpha2"]["stop"], opts["alpha2"]["points"])
@@ -213,22 +200,21 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int
     return files, extras
 
 
-def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, threads: int, amplitudes: bool, integrator: dict):
+def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
     opts = cfg.options
     spec = FluxQubitSpec(**opts["spec_kwargs"])
     files, extras = [], {}
     if "f_alpha_sweep" in opts:
         rng = opts["f_alpha_sweep"]
         values = np.linspace(rng["start"], rng["stop"], rng["points"])
-        gaps = parallel_map(lambda fa: qubit_gap(spec, fa), values, threads)
-        rows = [[fa, gap] for fa, gap in zip(values, gaps)]
+        rows = [[fa, qubit_gap(spec, fa)] for fa in values]
         files.append(io.write_csv(out_dir / f"{stem}.csv", ["f_alpha", "gap"], rows))
         return files, extras
     levels = opts["levels"]
     f_alpha = opts["f_alpha"]
     rng = opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
-    points = parallel_map(lambda fe: sweep_point(spec, f_alpha, fe, levels), values, threads)
+    points = [sweep_point(spec, f_alpha, fe, levels) for fe in values]
     header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
     rows = []
     for fe, (vals, character) in zip(values, points):
@@ -249,21 +235,21 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir, threads: int = 1, amplitudes: bool = False, stem=None) -> RunResult:
+def run(cfg: ExperimentConfig, out_dir, amplitudes: bool = False, stem=None) -> RunResult:
     """Run one experiment; returns the written data files and manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or cfg.output or cfg.command
     integrator = {}
     start = time.perf_counter()
-    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, threads, amplitudes, integrator)
+    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, amplitudes, integrator)
     wall = time.perf_counter() - start
     manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, extras,
                                  integrator)
     return RunResult(files, manifest, extras)
 
 
-def reproduce(figure_id: str, out_dir, threads: int = 1, amplitudes: bool = False) -> List[RunResult]:
+def reproduce(figure_id: str, out_dir, amplitudes: bool = False) -> List[RunResult]:
     """Run every preset config filed under a figure id."""
     from .config import parse_config
     import json
@@ -275,5 +261,5 @@ def reproduce(figure_id: str, out_dir, threads: int = 1, amplitudes: bool = Fals
     results = []
     for name, preset in PRESETS[figure_id]:
         cfg = parse_config(json.dumps(preset))
-        results.append(run(cfg, out_dir, threads, amplitudes, stem=name))
+        results.append(run(cfg, out_dir, amplitudes, stem=name))
     return results

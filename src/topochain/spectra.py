@@ -1,9 +1,10 @@
-"""Diagonalization, instantaneous spectra and analytic edge states."""
+"""Diagonalization, instantaneous spectra and analytic edge states.
+
+A trace takes H as the stacked arrays of ``models.schedule_arrays``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -21,10 +22,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n_sites(self) -> int:
-        return self.eigenvalues.size
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -48,16 +45,18 @@ def eigendecompose(h: ChainHamiltonian) -> Spectrum:
     return Spectrum(vals, _fix_signs(vecs))
 
 
-def edge_weight(state: np.ndarray, n_edge_sites: int) -> float:
-    """Total probability on the first and last ``n_edge_sites`` sites."""
-    state = np.asarray(state)
-    prob = np.abs(state) ** 2
-    n = prob.size
+def edge_weight(states: np.ndarray, n_edge_sites: int):
+    """Total probability on the first and last ``n_edge_sites`` sites of one
+    state (a float), or of each column of a matrix of states (an array)."""
     if n_edge_sites < 0:
         raise InvalidParameterError("n_edge_sites must be >= 0")
+    prob = np.abs(np.asarray(states)) ** 2
+    n = prob.shape[0]
     if 2 * n_edge_sites >= n:
-        return float(prob.sum())
-    return float(prob[:n_edge_sites].sum() + prob[n - n_edge_sites:].sum())
+        weight = prob.sum(axis=0)
+    else:
+        weight = prob[:n_edge_sites].sum(axis=0) + prob[n - n_edge_sites:].sum(axis=0)
+    return float(weight) if prob.ndim == 1 else weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,24 +70,28 @@ class SpectrumTrace:
     times: np.ndarray
     energies: np.ndarray
     edge_flags: np.ndarray
-    spectra: List[Spectrum]
     axis_name: str = "t"
 
 
-def trace_from_hamiltonians(times, hamiltonians, n_edge_sites: int, axis_name: str = "t") -> SpectrumTrace:
+def trace_from_hamiltonians(times, diag, off, n_edge_sites: int, axis_name: str = "t") -> SpectrumTrace:
+    """Spectra of a stack of chains: row i of ``diag[k, n]`` and
+    ``off[k, n-1]`` is the chain at axis value ``times[i]``."""
     times = np.asarray(times, dtype=np.float64)
-    if times.size > 1 and np.any(np.diff(times) <= 0):
+    diag = np.asarray(diag, dtype=np.float64)
+    off = np.asarray(off, dtype=np.float64)
+    if diag.ndim != 2 or off.shape != (len(diag), diag.shape[1] - 1) or times.shape != (len(diag),):
+        raise InvalidParameterError(f"a trace needs diag (k, n), off (k, n-1) and k axis values, got "
+                                    f"{diag.shape}, {off.shape}, {times.shape}")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise NumericError("non-finite Hamiltonian entries")
+    if np.any(np.diff(times) <= 0):
         raise InvalidParameterError("trace axis values must increase strictly")
-    spectra = [eigendecompose(h) for h in hamiltonians]
-    n = spectra[0].n_sites
-    if any(s.n_sites != n for s in spectra):
-        raise InvalidParameterError("all spectra in a trace must share one dimension")
-    energies = np.vstack([s.eigenvalues for s in spectra])
-    flags = np.zeros(energies.shape, dtype=bool)
-    for i, s in enumerate(spectra):
-        for j in range(n):
-            flags[i, j] = edge_weight(s.eigenvectors[:, j], n_edge_sites) >= EDGE_FLAG_THRESHOLD
-    return SpectrumTrace(times, energies, flags, spectra, axis_name)
+    energies = np.empty(diag.shape)
+    flags = np.empty(diag.shape, dtype=bool)
+    for i in range(times.size):
+        energies[i], vectors = tridiag_eigh(diag[i], off[i])
+        flags[i] = edge_weight(vectors, n_edge_sites) >= EDGE_FLAG_THRESHOLD
+    return SpectrumTrace(times, energies, flags, axis_name)
 
 
 def instantaneous_spectrum(schedule: Schedule, L: int, n_times: int) -> SpectrumTrace:
@@ -96,8 +99,7 @@ def instantaneous_spectrum(schedule: Schedule, L: int, n_times: int) -> Spectrum
     if int(n_times) < 2:
         raise InvalidParameterError(f"n_times must be >= 2, got {n_times}")
     times = np.linspace(0.0, schedule.period, int(n_times))
-    hams = [ChainHamiltonian(d, o) for d, o in zip(*schedule_arrays(schedule, L, times))]
-    return trace_from_hamiltonians(times, hams, SITES_PER_CELL[schedule.kind])
+    return trace_from_hamiltonians(times, *schedule_arrays(schedule, L, times), SITES_PER_CELL[schedule.kind])
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import pytest
 
 import topochain.cli
 import topochain.config
-from topochain import ChainHamiltonian, DisorderSpec, HamiltonianProvider, apply_disorder
+from topochain import ChainHamiltonian, DisorderSpec, apply_disorder
 from topochain.cli import main
 from topochain.config import _norm_bound, parse_config
 from topochain.errors import SchemaError
 from topochain.io import file_sha256
+from topochain.models import schedule_arrays
 from topochain.presets import PRESETS
 from topochain.runner import _build_model, _lz_path_from_options
 
@@ -182,7 +183,7 @@ def test_fluxqubit_sweep_gpar_zero_at_optimal_point(tmp_path):
     }
     cfg_path = tmp_path / "flux.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--threads", "2"]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "fluxqubit.csv") as fh:
         rows = list(csv.DictReader(fh))
     centre = rows[2]
@@ -438,6 +439,50 @@ def test_sizes_and_sites_are_named_violations(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
+_SSH_SPECTRUM = {"schema": 1, "command": "spectrum", "kind": "ssh", "a": 0.1, "b": 1}
+_AAH_SPECTRUM = {"schema": 1, "command": "spectrum", "kind": "aah", "omega": 1.0, "alpha": 0.3, "phase": 0.0,
+                 "hop": 1.0}
+_TRACE = {"schema": 1, "command": "spectrum", "n_times": 201}
+_SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(_SSH_SPECTRUM, L=100000000), "L"),
+        (dict(_AAH_SPECTRUM, n_sites=1001), "n_sites"),
+        (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=501)), "L"),
+        (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=100), n_times=1001), "n_times"),
+        (dict(_SSH_SPECTRUM, L=100, sweep=dict(_SWEEP, points=1001)), "points"),
+        (dict(_TINY_QUENCH, L=501), "L"),
+        (dict(_TINY_QUENCH, n_records=50001), "n_records"),
+        ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "n_records": 50001}, "n_records"),
+        ({"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, cycles=250)}, "cycles"),
+        ({"schema": 1, "command": "trimer", "schedule": dict(PRESETS["belltransfer"][0][1]["schedule"], L=334)}, "L"),
+        ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 501}}, "L"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100001},
+         "n_records"),
+    ],
+    ids=["spectrum-L", "aah-n_sites", "trace-L", "trace-n_times", "sweep-points", "quench-L", "quench-n_records",
+         "pump-n_records", "pump-cycles", "trimer-L", "reduce-L", "lz-n_records"],
+)
+def test_size_bounds_are_named_violations(tmp_path, capsys, cfg, key):
+    # parsed only: a config over a bound is rejected before anything runs
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+def test_size_bounds_admit_their_limits():
+    # 1000 sites, and 200,000 rows x sites, exactly
+    _parse(dict(_SSH_SPECTRUM, L=500))
+    _parse(dict(_AAH_SPECTRUM, n_sites=1000))
+    _parse(dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=100), n_times=1000))
+    _parse(dict(_SSH_SPECTRUM, L=500, sweep=dict(_SWEEP, points=200)))
+    _parse(dict(_TINY_QUENCH, n_records=50000))
+    _parse({"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, cycles=249)})
+    _parse({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 500}})
+    _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100000})
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -531,7 +576,7 @@ def test_rk4_norm_bound_holds(cfg):
     opts = parsed.options
     times = np.linspace(0.0, 1.0, 1001)
     if parsed.command in ("pump", "trimer"):
-        diag, off = HamiltonianProvider.from_schedule(opts["schedule"], opts["L"])(times * opts["schedule"].total_time)
+        diag, off = schedule_arrays(opts["schedule"], opts["L"], times * opts["schedule"].total_time)
     elif parsed.command == "quench":
         chain = _build_model(opts["model"])
         if opts["disorder"] is not None:

@@ -143,11 +143,11 @@ def test_modulation_spec_validation():
         ModulationSpec((np.inf,), 1.0)
 
 
-def _couplings_csv(tmp_path, scheme, threads):
-    out = tmp_path / f"{scheme}-{threads}"
+def _couplings_csv(tmp_path, scheme, run):
+    out = tmp_path / f"{scheme}-{run}"
     args = ["couplings", "--scheme", scheme, "--bare-a", "0.8", "--bare-b", "1.3",
             "--alpha1", "-45", "2.5", "7", "--alpha2", "-1.2", "0.6", "5",
-            "--n-max", "60", "--threads", str(threads), "--out", str(out)]
+            "--n-max", "60", "--out", str(out)]
     assert main(args) == 0
     return (out / "couplings.csv").read_bytes()
 

@@ -1,5 +1,7 @@
 """Integrator contracts, quench and pump behavior."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,7 +9,6 @@ from scipy.integrate import solve_ivp
 import topochain.dynamics as dynamics
 from topochain import (
     ChainHamiltonian,
-    HamiltonianProvider,
     IntegratorConfig,
     InvalidParameterError,
     LZPath,
@@ -23,6 +24,8 @@ from topochain import (
     transfer_fidelity,
 )
 from topochain._kernels import apply_minus_ih, hermitian_band
+from topochain.dynamics import static_arrays
+from topochain.models import schedule_arrays
 
 from conftest import exact_propagator_state
 
@@ -32,7 +35,7 @@ RK4 = IntegratorConfig(method="rk4", max_step=0.005)
 
 def test_zero_hamiltonian_is_stationary():
     h = ChainHamiltonian(np.zeros(4), np.zeros(3))
-    traj = evolve(HamiltonianProvider.from_static(h), basis_state(4, 2), 0.0, 5.0, BDF_TIGHT, 6)
+    traj = evolve(lambda t: static_arrays(h, t), basis_state(4, 2), 0.0, 5.0, BDF_TIGHT, 6)
     assert np.abs(traj.states - traj.states[0]).max() < 1e-9
 
 
@@ -40,7 +43,7 @@ def test_zero_hamiltonian_is_stationary():
 def test_two_site_rabi(method):
     cfg = BDF_TIGHT if method == "bdf" else RK4
     h = ChainHamiltonian(np.zeros(2), np.array([0.4]))
-    traj = evolve(HamiltonianProvider.from_static(h), basis_state(2, 1), 0.0, 15.0, cfg, 31)
+    traj = evolve(lambda t: static_arrays(h, t), basis_state(2, 1), 0.0, 15.0, cfg, 31)
     expected = np.sin(0.4 * traj.times) ** 2
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - expected).max() < 1e-8
 
@@ -48,7 +51,7 @@ def test_two_site_rabi(method):
 def test_static_chain_matches_exact_propagator():
     h = build_ssh(7, 0.4, 1.0, 0.3)
     psi0 = basis_state(14, 1)
-    traj = evolve(HamiltonianProvider.from_static(h), psi0, 0.0, 100.0, BDF_TIGHT, 11)
+    traj = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 100.0, BDF_TIGHT, 11)
     exact = exact_propagator_state(h, psi0, 100.0)
     assert 1.0 - abs(np.vdot(exact, traj.final_state)) <= 1e-6
 
@@ -56,9 +59,9 @@ def test_static_chain_matches_exact_propagator():
 def test_time_reversal_returns_start(rng):
     h = build_ssh(5, 0.3, 1.0)
     psi0 = basis_state(10, 3)
-    fwd = evolve(HamiltonianProvider.from_static(h), psi0, 0.0, 25.0, BDF_TIGHT, 3)
+    fwd = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 25.0, BDF_TIGHT, 3)
     reversed_h = ChainHamiltonian(-h.diagonal, -h.offdiagonal)
-    back = evolve(HamiltonianProvider.from_static(reversed_h), fwd.final_state, 0.0, 25.0, BDF_TIGHT, 3)
+    back = evolve(lambda t: static_arrays(reversed_h, t), fwd.final_state, 0.0, 25.0, BDF_TIGHT, 3)
     assert abs(np.vdot(psi0, back.final_state)) >= 1.0 - 1e-8
 
 
@@ -71,7 +74,7 @@ def test_excitation_number_conserved():
 
 def test_evolve_rejects_bad_inputs():
     h = build_ssh(2, 0.1, 1.0)
-    provider = HamiltonianProvider.from_static(h)
+    provider = lambda t: static_arrays(h, t)
     with pytest.raises(InvalidParameterError):
         evolve(provider, basis_state(4, 1) * 2.0, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -151,7 +154,7 @@ def test_tolerance_tightening_is_converged():
 
 def test_generic_rk4_provider_path():
     # a provider written by hand, not built from a schedule or a chain
-    provider = HamiltonianProvider(lambda t: (np.zeros((t.size, 2)), np.full((t.size, 1), 0.4)))
+    provider = lambda t: (np.zeros((t.size, 2)), np.full((t.size, 1), 0.4))
     traj = evolve(provider, basis_state(2, 1), 0.0, 10.0, RK4, 21)
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - np.sin(0.4 * traj.times) ** 2).max() < 1e-9
 
@@ -181,8 +184,8 @@ def test_records_shape_and_times():
 @pytest.mark.parametrize(
     "provider, psi0, t1",
     [
-        (HamiltonianProvider.from_schedule(pump_schedule(40.0), 7), basis_state(14, 1), 40.0),
-        (HamiltonianProvider(LZPath.arc(1.0, 50.0).hamiltonian_arrays), basis_state(2, 1), 50.0),
+        (partial(schedule_arrays, pump_schedule(40.0), 7), basis_state(14, 1), 40.0),
+        (LZPath.arc(1.0, 50.0).hamiltonian_arrays, basis_state(2, 1), 50.0),
     ],
     ids=["plain-pump", "lz-arc"],
 )
@@ -244,7 +247,7 @@ def test_bdf_with_onsite_energy_matches_exact_propagator():
 
 
 def test_bdf_frame_matches_stock_scipy_bdf_on_shifted_h(monkeypatch):
-    provider = HamiltonianProvider.from_schedule(bell_transfer_schedule(50.0), 7)
+    provider = partial(schedule_arrays, bell_transfer_schedule(50.0), 7)
     psi0 = np.zeros(21, dtype=np.complex128)
     psi0[:2] = 1.0 / np.sqrt(2.0)
     times = np.linspace(0.0, 50.0, 41)

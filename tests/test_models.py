@@ -22,6 +22,7 @@ from topochain import (
     sample_schedule,
 )
 
+from topochain import models
 from topochain.models import SITES_PER_CELL, schedule_arrays
 
 from conftest import dense_eigvals
@@ -194,6 +195,24 @@ def test_disorder_sample_statistics():
     assert n >= 1e5
     assert abs(noise.mean()) <= 5 * sigma / np.sqrt(n)
     assert abs(noise.std() - sigma) <= 0.02 * sigma
+
+
+def test_extreme_raw_draws_give_bounded_deviates(monkeypatch):
+    # the smallest raw draw, the largest, and the smallest whose top 53 bits
+    # are all ones; the last two once mapped to a uniform of exactly 1.0
+    raw = np.array([0, 2**64 - 1, 2**64 - 2**11], dtype=np.uint64)
+
+    class FixedDraws:
+        def __init__(self, key):
+            pass
+
+        def random_raw(self, count):
+            return raw[:count]
+
+    monkeypatch.setattr(models, "Philox", FixedDraws)
+    deviates = models._gaussian_draws(0, 0, raw.size)
+    assert np.all(np.isfinite(deviates))
+    assert np.abs(deviates).max() <= models.MAX_DEVIATE
 
 
 # -- schedules ---------------------------------------------------------------

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from topochain import (
+    InvalidParameterError,
     NumericError,
     PhaseDomainError,
     analytic_edge_states,
+    bell_transfer_schedule,
     build_rice_mele,
     build_ssh,
     build_trimer,
@@ -19,8 +21,8 @@ from topochain import (
     sample_schedule,
     trimer_edge_states,
 )
-from topochain.models import ChainHamiltonian, Schedule, const
-from topochain.spectra import _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
+from topochain.models import SITES_PER_CELL, ChainHamiltonian, Schedule, const, schedule_arrays
+from topochain.spectra import EDGE_FLAG_THRESHOLD, _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
 
 from conftest import dense_eigvals, random_chain
 
@@ -271,7 +273,65 @@ def test_instantaneous_spectrum_optimized_gap_stays_open():
 
 
 def test_trace_from_hamiltonians_rejects_mixed_sizes():
-    from topochain.errors import InvalidParameterError
-
+    # bonds of a 6-site chain against diagonals of a 4-site one
+    h4, h6 = build_ssh(2, 0.1, 1.0), build_ssh(3, 0.1, 1.0)
     with pytest.raises(InvalidParameterError):
-        trace_from_hamiltonians([0.0, 1.0], [build_ssh(2, 0.1, 1.0), build_ssh(3, 0.1, 1.0)], 2)
+        trace_from_hamiltonians([0.0, 1.0], np.stack([h4.diagonal] * 2), np.stack([h6.offdiagonal] * 2), 2)
+
+
+def _per_time_trace(chains, n_edge_sites):
+    # the reference: one eigendecompose per chain, one edge_weight per level
+    energies, flags = [], []
+    for h in chains:
+        s = eigendecompose(h)
+        energies.append(s.eigenvalues)
+        flags.append([edge_weight(s.eigenvectors[:, j], n_edge_sites) >= EDGE_FLAG_THRESHOLD
+                      for j in range(h.n_sites)])
+    return np.array(energies), np.array(flags)
+
+
+@pytest.mark.parametrize(
+    "schedule, L",
+    [(pump_schedule(100.0), 7), (bell_transfer_schedule(), 7)],
+    ids=["pump-degenerate-start", "bell-transfer"],
+)
+def test_batched_trace_matches_per_time_eigendecompose(schedule, L):
+    trace = instantaneous_spectrum(schedule, L, 201)
+    diag, off = schedule_arrays(schedule, L, trace.times)
+    chains = [ChainHamiltonian(d, o) for d, o in zip(diag, off)]
+    energies, flags = _per_time_trace(chains, SITES_PER_CELL[schedule.kind])
+    assert np.array_equal(trace.energies, energies)
+    assert np.array_equal(trace.edge_flags, flags)
+
+
+def test_batched_trimer_sweep_matches_per_chain_eigendecompose():
+    values = np.linspace(0.0, 2.0, 41)
+    chains = [build_trimer(8, a, a, 2.0, 0.0, 0.0, 0.0) for a in values]
+    trace = trace_from_hamiltonians(values, np.stack([h.diagonal for h in chains]),
+                                    np.stack([h.offdiagonal for h in chains]), 3, axis_name="a")
+    energies, flags = _per_time_trace(chains, 3)
+    assert np.array_equal(trace.energies, energies)
+    assert np.array_equal(trace.edge_flags, flags)
+    assert trace.edge_flags.any() and trace.axis_name == "a"
+
+
+@pytest.mark.parametrize("n, n_edge_sites", [(14, 2), (24, 3), (5, 3), (4, 0)])
+def test_edge_weight_of_a_matrix_is_per_column(rng, n, n_edge_sites):
+    states = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    weights = edge_weight(states, n_edge_sites)
+    assert np.array_equal(weights, [edge_weight(states[:, j], n_edge_sites) for j in range(n)])
+
+
+def test_trace_from_hamiltonians_rejects_bad_stacks():
+    diag, off = schedule_arrays(pump_schedule(100.0), 3, np.linspace(0.0, 50.0, 4))
+    bad = diag.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(NumericError):
+        trace_from_hamiltonians([0.0, 1.0, 2.0, 3.0], bad, off, 2)
+    off_bad = off.copy()
+    off_bad[0, 0] = np.inf
+    with pytest.raises(NumericError):
+        trace_from_hamiltonians([0.0, 1.0, 2.0, 3.0], diag, off_bad, 2)
+    for times in ([0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
+        with pytest.raises(InvalidParameterError):
+            trace_from_hamiltonians(times, diag, off, 2)
