@@ -77,6 +77,14 @@ RK4_MAX_STEPS = 2_000_000
 # |offset| + |amplitude| over the run, disorder at MAX_DEVIATE * sigma
 RK4_STABILITY_LIMIT = 2.8
 
+# BDF work grows with the phase an integration accumulates, its time span
+# times ||H|| (the Gershgorin bound above): BDF needs a few steps per
+# oscillation of the state.  A static 14-site SSH quench at the bound
+# (t_final 10,000, ||H|| <= 2) takes 50 s and 720,845 right-hand sides on 2
+# cores; the Bell pump (T = 1000, ||H|| <= 5.8) takes 6.2 s a cycle, and its
+# three cycles in the acceptance suite reach 17,400
+BDF_MAX_PHASE = 20_000
+
 # (on-site, bond) parameters of each chain kind; a site's two bonds are
 # two of the bond parameters, both 'hop' in the AAH chain
 _DIAG_BOND_PARAMS = {
@@ -436,7 +444,9 @@ def _parse_lz(chk: _Checker, cfg: dict) -> dict:
             if n_samples is not None and n_samples < 3:
                 chk.fail(f"key 'n_samples' in {pctx} must be >= 3, got {n_samples}")
             path = {"type": ptype, "T": period, "n_samples": n_samples}
-            _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")  # 2 sites: only rows can exceed
+            # 2 sites: only rows (records, path samples) can exceed
+            _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
+            _check_size(chk, 2, "", n_samples, f"'n_samples' in {pctx}")
             if ptype in ("arc", "line", "line_at_angle"):
                 path["alpha"] = chk.take(pobj, "alpha", pctx, required=True, kind="number")
             if ptype == "line_at_angle":
@@ -567,16 +577,18 @@ def _parse_fluxqubit(chk: _Checker, cfg: dict) -> dict:
     return options
 
 
-def _integrated_time(command: Optional[str], options: dict) -> Optional[float]:
-    """Time span of each integration the command runs, if it runs any."""
+def _integrated_time(command: Optional[str], options: dict):
+    """Time span of each integration the command runs and the key that sets
+    it, or (None, None) if it runs none."""
     if command in ("pump", "trimer"):
         schedule = options.get("schedule")
-        return schedule.total_time if schedule is not None else None
+        if schedule is not None:
+            return schedule.total_time, f"'T' in command '{command}'.schedule"
     if command == "quench":
-        return options.get("t_final")
+        return options.get("t_final"), "'t_final' in command 'quench'"
     if command == "lz" and "path" in options:
-        return options["path"]["T"]
-    return None
+        return options["path"]["T"], "'T' in command 'lz'.path"
+    return None, None
 
 
 def _check_rk4_budget(chk: _Checker, integrator: IntegratorConfig, span: Optional[float]):
@@ -631,6 +643,17 @@ def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
     diag_params, bond_params = _DIAG_BOND_PARAMS[kind]
     bonds = sorted((bounds.get(name, 0.0) for name in bond_params), reverse=True)
     return max(bounds.get(name, 0.0) for name in diag_params) + sum(bonds[:2])
+
+
+def _check_bdf_budget(chk: _Checker, integrator: IntegratorConfig, span: Optional[float], span_key: str,
+                      bound: Optional[float]):
+    if integrator.method != "bdf" or span is None or bound is None:
+        return
+    if not span * bound <= BDF_MAX_PHASE:
+        chk.fail(
+            f"key {span_key}: BDF over t = {span:g} with ||H|| up to {bound:.3g} accumulates a phase of "
+            f"{span * bound:.6g}, more than the bound of {BDF_MAX_PHASE:,}; shorten the run or lower the couplings"
+        )
 
 
 def _check_rk4_stability(chk: _Checker, integrator: IntegratorConfig, bound: Optional[float]):
@@ -705,8 +728,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise
         except Exception as exc:  # turn construction errors into schema messages
             chk.fail(f"command '{command}': {exc}")
-        _check_rk4_budget(chk, integrator, _integrated_time(command, options))
-        _check_rk4_stability(chk, integrator, _norm_bound(command, options))
+        span, span_key = _integrated_time(command, options)
+        bound = _norm_bound(command, options)
+        _check_rk4_budget(chk, integrator, span)
+        _check_rk4_stability(chk, integrator, bound)
+        _check_bdf_budget(chk, integrator, span, span_key, bound)
     if chk.violations:
         raise SchemaError(chk.violations)
     return ExperimentConfig(

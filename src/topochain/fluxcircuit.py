@@ -7,8 +7,13 @@ exp(i*phi)|k> = |k+1> on each junction, so the alpha-junction term couples
 (k, l) -> (k+1, l+1) with amplitude -E_J*alpha*C_alpha*exp(i*chi), where
 C_alpha = cos(pi*(beta*(N - f_Sigma) + f_alpha)) and chi = pi*(n - f_eps).
 
-The matrix has at most 7 nonzeros per row: it is built sparse, and its lowest
-levels come from shift-invert Lanczos (ARPACK) below its Gershgorin bound.
+The matrix has at most 7 nonzeros per row and is built sparse.  In the
+flattened index (2N_c+1)(k+N_c) + (l+N_c) it is a Hermitian band matrix of
+half-bandwidth kd = 2N_c+2, the reach of the alpha hop.  Its lowest levels
+come from shift-invert Lanczos (ARPACK) at a shift sigma below its Gershgorin
+bound, where H - sigma is positive definite: the upper triangle is packed
+into LAPACK Hermitian band storage, factored once per bias point by banded
+Cholesky (``zpbtrf``), and every shift-invert solve is one ``zpbtrs``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericError
+
+_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,12 @@ class FluxQubitSpec:
     @property
     def dimension(self) -> int:
         return (2 * int(self.charge_cutoff) + 1) ** 2
+
+    @property
+    def band_width(self) -> int:
+        """Half-bandwidth kd of the charge Hamiltonian: the alpha hop
+        (k, l) -> (k+1, l+1) moves the flattened index by 2N_c + 2."""
+        return 2 * int(self.charge_cutoff) + 2
 
     def with_cutoff(self, charge_cutoff: int) -> "FluxQubitSpec":
         return replace(self, charge_cutoff=charge_cutoff)
@@ -117,8 +131,36 @@ def d_hamiltonian_d_feps(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> s
     return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
 
 
-def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
-    """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos."""
+def upper_band(h: sp.csc_array, kd: int) -> np.ndarray:
+    """LAPACK upper Hermitian band storage of ``h``: a Fortran-ordered
+    complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = h[i, j]``
+    for ``j - kd <= i <= j``."""
+    dim = h.shape[0]
+    cols = np.repeat(np.arange(dim), np.diff(h.indptr))
+    upper = h.indices <= cols
+    rows, cols = h.indices[upper], cols[upper]
+    if np.any(cols - rows > kd):
+        raise InvalidParameterError(f"matrix has entries beyond half-bandwidth {kd}")
+    band = np.zeros((kd + 1, dim), dtype=np.complex128, order="F")
+    band[kd + rows - cols, cols] = h.data[upper]
+    return band
+
+
+def band_cholesky(band: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor, in the same band storage, of the Hermitian
+    positive definite matrix held by ``band`` (``zpbtrf``)."""
+    factor, info = _PBTRF(band)
+    if info != 0:
+        raise NumericError(f"banded Cholesky failed (zpbtrf info {info}): the shifted charge Hamiltonian "
+                           "is not positive definite")
+    return factor
+
+
+def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
+    """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos.
+
+    ``stats``, if given, receives the dimension, band width, shift and the
+    number of shift-invert solves."""
     n_levels = int(n_levels)
     dim = spec.dimension
     if not 1 <= n_levels <= dim - 2:
@@ -126,18 +168,51 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     h = build_charge_hamiltonian(spec, f_alpha, f_eps)
     diag = h.diagonal().real
     shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    if not np.isfinite(shift):  # any inf or NaN entry of H reaches the Gershgorin bound
+        raise NumericError("the charge Hamiltonian has non-finite entries")
+    kd = spec.band_width
+    band = upper_band(h, kd)
+    band[kd] -= shift
+    factor = band_cholesky(band)
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return _PBTRS(factor, x)[0]
+
     # a fixed generic start vector keeps repeat solves bit-identical and has
     # weight in both parity sectors of the f_eps = 0 point
     start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-    vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start)
+    vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
+                       OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
+    if stats is not None:
+        stats.update(dimension=dim, band_width=kd, shift=shift, solves=solves)
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
 
 
-def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
+def solver_record(point_stats) -> dict:
+    """Manifest summary of the ``stats`` of every point of one sweep."""
+    shifts = [p["shift"] for p in point_stats]
+    solves = [p["solves"] for p in point_stats]
+    first = point_stats[0]
+    return {
+        "dimension": first["dimension"],
+        "band_width": first["band_width"],
+        "factorization": "lapack zpbtrf/zpbtrs",
+        "points": len(point_stats),
+        "shift_min": min(shifts),
+        "shift_max": max(shifts),
+        "solves_total": sum(solves),
+        "solves_max_per_point": max(solves),
+    }
+
+
+def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
     """Lowest ``n_levels`` (>= 2) energies plus the qubit pair's loop currents
     I_0 = <g|dH/df_eps|g>, I_1 = <e|dH/df_eps|e> and |g_perp| = |<e|dH/df_eps|g>|."""
-    vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels)
+    vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels, stats)
     ground, excited = vecs[:, 0], vecs[:, 1]
     dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
     dh_ground = dh @ ground
@@ -146,14 +221,14 @@ def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int
     return vals, i0, i1, float(abs(np.vdot(excited, dh_ground)))
 
 
-def qubit_levels(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int) -> np.ndarray:
-    """Lowest ``n_levels`` eigenvalues, ascending."""
-    return _eigensystem(spec, f_alpha, f_eps, n_levels)[0]
+def qubit_levels(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None) -> np.ndarray:
+    """Lowest ``n_levels`` eigenvalues, ascending; ``stats`` as in ``_eigensystem``."""
+    return _eigensystem(spec, f_alpha, f_eps, n_levels, stats)[0]
 
 
-def qubit_gap(spec: FluxQubitSpec, f_alpha: float) -> float:
+def qubit_gap(spec: FluxQubitSpec, f_alpha: float, stats=None) -> float:
     """Qubit frequency omega = E_1 - E_0 at the optimal point f_eps = 0."""
-    levels = qubit_levels(spec, f_alpha, 0.0, 2)
+    levels = qubit_levels(spec, f_alpha, 0.0, 2, stats)
     return float(levels[1] - levels[0])
 
 
@@ -175,9 +250,10 @@ def persistent_currents(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     return i0, i1
 
 
-def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int):
+def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
     """One flux-sweep sample from a single diagonalization: the lowest
-    ``n_levels`` energies plus the coupling elements of the qubit pair."""
-    vals, i0, i1, g_perp = _qubit_pair(spec, f_alpha, f_eps, max(int(n_levels), 2))
+    ``n_levels`` energies plus the coupling elements of the qubit pair.
+    ``stats``, if given, receives the solver record of ``_eigensystem``."""
+    vals, i0, i1, g_perp = _qubit_pair(spec, f_alpha, f_eps, max(int(n_levels), 2), stats)
     character = QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps)
     return vals, character

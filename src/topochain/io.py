@@ -54,9 +54,10 @@ def write_json(path: Path, payload: dict) -> Path:
 
 
 def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float,
-                   extras=None, integrator=None) -> Path:
-    """``integrator`` maps each trajectory CSV's name to its
-    ``Trajectory.integration`` record."""
+                   extras=None, blocks=None) -> Path:
+    """``blocks`` holds further top-level records of what ran: ``integrator``
+    maps each trajectory CSV's name to its ``Trajectory.integration`` record,
+    and ``solver`` summarizes the flux-qubit eigensolves."""
     payload = {
         "tool": "topochain",
         "version": version,
@@ -66,8 +67,7 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
     }
     if extras:
         payload["extras"] = extras
-    if integrator:
-        payload["integrator"] = integrator
+    payload.update(blocks or {})
     return write_json(path, payload)
 
 

@@ -14,7 +14,7 @@ from .config import ExperimentConfig
 from .dynamics import basis_state, pump, quench, transfer_fidelity
 from .effective import LZPath, classify_path, lz_evolve, reduction_report
 from .errors import InvalidParameterError
-from .fluxcircuit import FluxQubitSpec, qubit_gap, sweep_point
+from .fluxcircuit import FluxQubitSpec, qubit_gap, solver_record, sweep_point
 from .models import (
     SITES_PER_CELL,
     DisorderSpec,
@@ -44,8 +44,8 @@ class RunResult:
     extras: dict
 
 
-def _trajectory_csv(path: Path, traj, amplitudes: bool, integrator: dict) -> Path:
-    integrator[path.name] = traj.integration
+def _trajectory_csv(path: Path, traj, amplitudes: bool, blocks: dict) -> Path:
+    blocks.setdefault("integrator", {})[path.name] = traj.integration
     return io.trajectory_csv(path, traj, amplitudes)
 
 
@@ -61,7 +61,7 @@ def _build_model(model: dict):
     return build_aah(model["n_sites"], p["omega"], p["alpha"], p["phase"], p["hop"])
 
 
-def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     files, extras = [], {}
     if opts["mode"] == "trace":
@@ -98,14 +98,14 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
     return files, extras
 
 
-def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     schedule = opts["schedule"]
     n_sites = SITES_PER_CELL[schedule.kind] * opts["L"]
     psi0 = basis_state(n_sites, opts["initial_site"])
     n_records = opts["n_records"]
     traj = pump(schedule, opts["L"], psi0, cfg.integrator, n_records)
-    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator)]
+    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks)]
     extras = {
         "final_max_site": int(np.argmax(traj.sz[-1])) + 1,
         "final_fidelity_last_site": transfer_fidelity(traj.final_state, basis_state(n_sites, n_sites)),
@@ -113,14 +113,14 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool,
     return files, extras
 
 
-def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     chain = _build_model(opts["model"])
     if opts["disorder"] is not None:
         d = opts["disorder"]
         chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
     traj = quench(chain, opts["flip_site"], opts["t_final"], cfg.integrator, opts["n_records"])
-    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator)]
+    files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks)]
     extras = {"min_sz_flip_site": float(traj.sz[:, opts["flip_site"] - 1].min())}
     return files, extras
 
@@ -136,7 +136,7 @@ def _lz_path_from_options(path_opts: dict) -> LZPath:
     return LZPath.from_functions(path_opts["u"], path_opts["g"], path_opts["T"], path_opts["n_samples"])
 
 
-def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
@@ -146,7 +146,7 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, i
         extras["path_class"] = classify_path(path, tol).value
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
         traj = lz_evolve(path, psi0, cfg.integrator, opts["n_records"])
-        files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, integrator))
+        files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks))
         extras["final_population_L"] = float(np.abs(traj.final_state[0]) ** 2)
         extras["final_population_R"] = float(np.abs(traj.final_state[1]) ** 2)
     if "from_schedule" in opts:
@@ -162,7 +162,7 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, i
     return files, extras
 
 
-def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     schedule = opts["schedule"]
     L = opts["L"]
@@ -174,7 +174,7 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
         psi0[0] = 1.0 / np.sqrt(2.0)
         psi0[1] = sign / np.sqrt(2.0)
         traj = pump(schedule, L, psi0, cfg.integrator, opts["n_records"])
-        files.append(_trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes, integrator))
+        files.append(_trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes, blocks))
         target = np.zeros(n, dtype=np.complex128)
         target[n - 2] = 1.0 / np.sqrt(2.0)
         target[n - 1] = sign / np.sqrt(2.0)
@@ -182,7 +182,7 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
     return files, extras
 
 
-def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     a1 = np.linspace(opts["alpha1"]["start"], opts["alpha1"]["stop"], opts["alpha1"]["points"])
     a2 = np.linspace(opts["alpha2"]["start"], opts["alpha2"]["stop"], opts["alpha2"]["points"])
@@ -200,21 +200,25 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     return files, extras
 
 
-def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, integrator: dict):
+def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     spec = FluxQubitSpec(**opts["spec_kwargs"])
     files, extras = [], {}
     if "f_alpha_sweep" in opts:
         rng = opts["f_alpha_sweep"]
         values = np.linspace(rng["start"], rng["stop"], rng["points"])
-        rows = [[fa, qubit_gap(spec, fa)] for fa in values]
+        point_stats = [{} for _ in values]
+        rows = [[fa, qubit_gap(spec, fa, stats=st)] for fa, st in zip(values, point_stats)]
+        blocks["solver"] = solver_record(point_stats)
         files.append(io.write_csv(out_dir / f"{stem}.csv", ["f_alpha", "gap"], rows))
         return files, extras
     levels = opts["levels"]
     f_alpha = opts["f_alpha"]
     rng = opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
-    points = [sweep_point(spec, f_alpha, fe, levels) for fe in values]
+    point_stats = [{} for _ in values]
+    points = [sweep_point(spec, f_alpha, fe, levels, stats=st) for fe, st in zip(values, point_stats)]
+    blocks["solver"] = solver_record(point_stats)
     header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
     rows = []
     for fe, (vals, character) in zip(values, points):
@@ -240,12 +244,12 @@ def run(cfg: ExperimentConfig, out_dir, amplitudes: bool = False, stem=None) -> 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or cfg.output or cfg.command
-    integrator = {}
+    blocks = {}  # top-level manifest records beside the extras: "integrator", "solver"
     start = time.perf_counter()
-    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, amplitudes, integrator)
+    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, amplitudes, blocks)
     wall = time.perf_counter() - start
     manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, extras,
-                                 integrator)
+                                 blocks)
     return RunResult(files, manifest, extras)
 
 

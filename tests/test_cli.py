@@ -192,6 +192,22 @@ def test_fluxqubit_sweep_gpar_zero_at_optimal_point(tmp_path):
     assert float(centre["g_perp"]) > 0.0
 
 
+def test_fluxqubit_manifest_records_the_solver(tmp_path):
+    levels = {"schema": 1, "command": "fluxqubit", "spec": {"charge_cutoff": 4}, "f_alpha": 0.2,
+              "f_eps_range": {"start": -0.004, "stop": 0.004, "points": 3}, "levels": 3, "output": "levels"}
+    gap = {"schema": 1, "command": "fluxqubit", "spec": {"charge_cutoff": 4},
+           "f_alpha_sweep": {"start": 0.0, "stop": 0.3, "points": 4}, "output": "gap"}
+    for cfg, points in ((levels, 3), (gap, 4)):
+        cfg_path = tmp_path / "flux.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        solver = json.loads((tmp_path / f"{cfg['output']}.manifest.json").read_text())["solver"]
+        assert solver["dimension"] == 81 and solver["band_width"] == 10
+        assert solver["factorization"] == "lapack zpbtrf/zpbtrs" and solver["points"] == points
+        assert solver["shift_min"] <= solver["shift_max"] < 0.0
+        assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= points * solver["solves_max_per_point"]
+
+
 def test_couplings_subcommand(tmp_path):
     assert (
         main(
@@ -462,9 +478,14 @@ _SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
         ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 501}}, "L"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100001},
          "n_records"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 100001}},
+         "n_samples"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 1000000000}},
+         "n_samples"),
     ],
     ids=["spectrum-L", "aah-n_sites", "trace-L", "trace-n_times", "sweep-points", "quench-L", "quench-n_records",
-         "pump-n_records", "pump-cycles", "trimer-L", "reduce-L", "lz-n_records"],
+         "pump-n_records", "pump-cycles", "trimer-L", "reduce-L", "lz-n_records", "lz-n_samples",
+         "lz-n_samples-1e9"],
 )
 def test_size_bounds_are_named_violations(tmp_path, capsys, cfg, key):
     # parsed only: a config over a bound is rejected before anything runs
@@ -481,6 +502,7 @@ def test_size_bounds_admit_their_limits():
     _parse({"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, cycles=249)})
     _parse({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 500}})
     _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100000})
+    _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 100000}})
 
 
 @pytest.mark.parametrize(
@@ -551,6 +573,33 @@ def test_rk4_stability_admits_the_crosschecks():
         dict(_TINY_QUENCH, a=1000),
     ):
         _parse(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(_TINY_QUENCH, t_final=1e300), "t_final"),
+        (dict(_TINY_QUENCH, a=1e200), "t_final"),
+        (dict(_TINY_QUENCH, t_final=18181.82), "t_final"),
+        ({"schema": 1, "command": "trimer", "schedule": dict(_BELL["schedule"], cycles=4)}, "T"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.01}}, "T"),
+    ],
+    ids=["t_final-1e300", "a-1e200", "just-over", "bell-4-cycles", "lz-path"],
+)
+def test_bdf_phase_bound_is_a_named_violation(tmp_path, capsys, cfg, key):
+    # parsed only: span x ||H|| over the bound of 20,000 is rejected before
+    # anything runs (the tiny quench has ||H|| <= 1.1)
+    messages = _violations(cfg)
+    assert len(messages) == 1 and "BDF" in messages[0] and "20,000" in messages[0]
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+def test_bdf_phase_bound_admits_its_limit_and_the_bell_pumps():
+    # ||H|| <= 2 for the arc, so T = 10,000 is the bound exactly; the
+    # three-cycle Bell pump of criteria 9 and 13 reaches 3000 x 5.8 = 17,400
+    _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.0}})
+    _parse(dict(_BELL, schedule=dict(_BELL["schedule"], cycles=3)))
+    _parse(dict(_TINY_QUENCH, t_final=18181.82, integrator={"method": "rk4"}))  # the bound is BDF's
 
 
 @pytest.mark.parametrize(
@@ -660,14 +709,15 @@ def test_non_finite_state_fails_the_run(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("method", ["rk4", "bdf"])
 def test_overflow_prints_one_stderr_line(tmp_path, method):
     # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr;
-    # the RK4 stability bound is lifted there, as in the test above
+    # the RK4 stability bound and the BDF phase bound are lifted there, as
+    # in the test above
     cfg = {"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 1e200, "b": 1,
            "t_final": 1, "integrator": {"method": method}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
     code = ("import math, sys, topochain.config as config; config.RK4_STABILITY_LIMIT = math.inf; "
-            "from topochain.cli import main; sys.exit(main(sys.argv[1:]))")
+            "config.BDF_MAX_PHASE = math.inf; from topochain.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
         [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--out", str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,

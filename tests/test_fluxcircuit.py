@@ -8,13 +8,22 @@ package's tridiagonal kernel (MRRR, a different algorithm from the sparse
 shift-invert Lanczos solver under test).
 """
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
+import topochain
 from topochain import (
     FluxQubitSpec,
     InvalidParameterError,
+    NumericError,
     build_charge_hamiltonian,
     coupling_elements,
     d_hamiltonian_d_feps,
@@ -23,7 +32,7 @@ from topochain import (
     qubit_levels,
 )
 from topochain._kernels import tridiag_eigh
-from topochain.fluxcircuit import sweep_point
+from topochain.fluxcircuit import band_cholesky, sweep_point, upper_band
 
 SMALL = FluxQubitSpec(charge_cutoff=6)
 
@@ -193,3 +202,76 @@ def test_sweep_point_consistent_with_separate_calls():
     direct = coupling_elements(SMALL, 0.2, 0.01)
     assert character.g_perp == pytest.approx(direct.g_perp, rel=1e-9)
     assert character.g_par == pytest.approx(direct.g_par, rel=1e-9)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 4, 15])
+def test_upper_band_matches_dense_upper_triangle(cutoff):
+    # kd = 2N_c + 2 is the reach of the alpha hop; off the parity point the
+    # hop's phase makes the upper triangle differ from its conjugate
+    spec = FluxQubitSpec(charge_cutoff=cutoff)
+    kd = 2 * cutoff + 2
+    h = build_charge_hamiltonian(spec, 0.2, 0.013)
+    dense = h.toarray()
+    band = upper_band(h, spec.band_width)
+    assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
+    for d in range(kd + 1):
+        assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
+        assert not band[kd - d, :d].any()
+    assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
+
+
+@pytest.mark.parametrize("f_eps", [0.0, -0.05, 0.031])
+@pytest.mark.parametrize("f_alpha", [0.0, 0.1, 0.3])
+def test_sweep_point_matches_dense_eigh_over_bias_grid(f_alpha, f_eps):
+    spec = FluxQubitSpec()
+    n_levels = 5
+    vals, character = sweep_point(spec, f_alpha, f_eps, n_levels)
+    dense_vals, dense_vecs = scipy.linalg.eigh(build_charge_hamiltonian(spec, f_alpha, f_eps).toarray())
+    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps).toarray()
+    ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
+    g_perp = abs(np.vdot(excited, dh @ ground))
+    g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
+    assert np.abs(vals - dense_vals[:n_levels]).max() <= 1e-12
+    assert abs(character.g_perp - g_perp) <= 1e-10
+    assert abs(character.g_par - g_par) <= 1e-10
+
+
+def test_indefinite_band_raises_numeric_error():
+    indefinite = sp.csc_array(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5j], [0.0, -0.5j, 3.0]]))
+    with pytest.raises(NumericError):
+        band_cholesky(upper_band(indefinite, 1))
+    with pytest.raises(InvalidParameterError):  # an entry beyond the band is not dropped
+        upper_band(indefinite, 0)
+    with pytest.raises(NumericError):
+        qubit_levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
+
+
+def test_sweep_point_reports_its_solver_stats():
+    stats = {}
+    sweep_point(SMALL, 0.2, 0.01, 3, stats=stats)
+    assert stats["dimension"] == 169 and stats["band_width"] == 14
+    assert stats["shift"] < qubit_levels(SMALL, 0.2, 0.01, 1)[0]
+    assert stats["solves"] > 0
+
+
+def _fluxqubit_csv(tmp_path, threads, run):
+    cfg_path = tmp_path / "flux.json"
+    cfg_path.write_text('{"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 5, '
+                        '"f_eps_range": {"start": -0.05, "stop": 0.031, "points": 5}}')
+    out = tmp_path / f"threads{threads}-{run}"
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return out / "fluxqubit.csv"
+
+
+def test_fluxqubit_csv_across_blas_thread_counts(tmp_path):
+    # fresh interpreters: repeat runs at one BLAS thread count are
+    # byte-identical.  Across thread counts only ARPACK's reorthogonalization
+    # (a BLAS zgemv whose sum order follows the thread split) moves the bits
+    one, two, again = (_fluxqubit_csv(tmp_path, t, r) for t, r in ((1, 0), (2, 0), (2, 1)))
+    assert two.read_bytes() == again.read_bytes()
+    a, b = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (one, two))
+    assert a.shape == (5, 8) and np.abs(a - b).max() <= 1e-12
