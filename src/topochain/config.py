@@ -2,15 +2,19 @@
 
 Configs are JSON with a versioned ``schema`` field.  Validation is strict:
 unknown keys are rejected, and every violation is collected and reported
-with the offending key named, not just the first one found.
+with the offending key named, not just the first one found.  Each object's
+keys are described once, in the tables below, and ``_walk`` checks an object
+against its table; the checks that tie keys together follow the tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import RECORDS_PER_CYCLE, IntegratorConfig
@@ -27,22 +31,21 @@ from .models import (
 )
 
 SCHEMA_VERSION = 1
-COMMANDS = ("spectrum", "pump", "quench", "lz", "trimer", "couplings", "fluxqubit")
-
-# flat model-parameter keys per kind; 'omega' is optional for ssh chains
-MODEL_PARAM_KEYS = {
-    "ssh": ("a", "b", "omega"),
-    "rm": ("a", "b", "u"),
-    "trimer": ("a", "b", "c", "u", "v", "w"),
-    "aah": ("omega", "alpha", "phase", "hop"),
-}
-
-_COMMON_KEYS = ("schema", "command", "seed", "output", "integrator")
 
 # one flux-qubit point costs 1-2 s at both limits (20 levels of a
 # 101^2-state charge basis); the solver also needs levels <= dimension - 2
 FLUX_MAX_LEVELS = 20
 FLUX_MAX_CHARGE_CUTOFF = 50
+
+# circuit energies ej and E_C = ej / ej_over_ec: the solver shifts H to 1.0
+# below its Gershgorin bound (about 2e4 E_C), a step rounding loses above
+# 1e12.  Measured at charge_cutoff 50, 20 levels, one thread: a point costs
+# 0.8 s at the defaults, 1.3-8.9 s at the corners of these bounds and 108 s
+# at ej = E_C = 1e-4; at ej = E_C = 1e25 the levels are 13% off the scaled
+# ones (3e-15 at 1e20), and ej 1e300 over ej_over_ec 1e-300 overflows H
+FLUX_MIN_EJ = 1e-2
+FLUX_MIN_EC = 1e-4
+FLUX_MAX_ENERGY = 1e12
 
 # a couplings run at both limits (n_max 100, 201 x 201 drive ratios) costs
 # 0.6 s on 2 cores, most of it writing the 40,401-row CSV, and 33 MiB for
@@ -85,6 +88,11 @@ RK4_STABILITY_LIMIT = 2.8
 # three cycles in the acceptance suite reach 17,400
 BDF_MAX_PHASE = 20_000
 
+# magnitude of a range's ends (sweeps, drive ratios, flux biases):
+# np.linspace forms stop - start, which overflows once the two magnitudes
+# sum past the float range (1.8e308); below 1e300 the span stays finite
+MAX_RANGE_END = 1e300
+
 # (on-site, bond) parameters of each chain kind; a site's two bonds are
 # two of the bond parameters, both 'hop' in the AAH chain
 _DIAG_BOND_PARAMS = {
@@ -105,476 +113,402 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
-class _Checker:
-    def __init__(self):
-        self.violations = []
+class Bound(NamedTuple):
+    """``value <op> limit``; a violation reads as the op's text in
+    ``_BOUND_OPS``, then ", got <value>" if ``got``."""
 
-    def fail(self, message: str):
-        self.violations.append(message)
-
-    def reject_unknown(self, obj: dict, allowed, ctx: str):
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"unknown key '{key}' in {ctx}")
-
-    def take(self, obj: dict, key: str, ctx: str, required=False, kind=None, default=None, choices=None):
-        if key not in obj:
-            if required:
-                self.fail(f"missing required key '{key}' in {ctx}")
-            return default
-        value = obj[key]
-        if kind == "number":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                self.fail(f"key '{key}' in {ctx} must be a number")
-                return default
-            try:
-                value = float(value)
-            except OverflowError:  # an integer beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                self.fail(f"key '{key}' in {ctx} must be finite")
-                return default
-        elif kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                self.fail(f"key '{key}' in {ctx} must be an integer")
-                return default
-        elif kind == "str":
-            if not isinstance(value, str):
-                self.fail(f"key '{key}' in {ctx} must be a string")
-                return default
-        elif kind == "dict":
-            if not isinstance(value, dict):
-                self.fail(f"key '{key}' in {ctx} must be an object")
-                return default
-        elif kind == "list":
-            if not isinstance(value, list):
-                self.fail(f"key '{key}' in {ctx} must be a list")
-                return default
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                self.fail(f"key '{key}' in {ctx} must be a boolean")
-                return default
-        if choices is not None and value not in choices:
-            self.fail(f"key '{key}' in {ctx} must be one of {sorted(choices)}, got {value!r}")
-            return default
-        return value
+    op: str
+    limit: object
+    got: bool = True
 
 
-def _parse_function_spec(chk: _Checker, obj, ctx: str) -> Optional[FunctionSpec]:
-    if not isinstance(obj, dict):
-        chk.fail(f"{ctx} must be an object with a 'form' field")
-        return None
-    chk.reject_unknown(obj, ("form", "offset", "amplitude", "frequency_multiple", "phase"), ctx)
-    form = chk.take(obj, "form", ctx, required=True, kind="str", choices=FUNCTION_FORMS)
-    offset = chk.take(obj, "offset", ctx, kind="number", default=0.0)
-    amplitude = chk.take(obj, "amplitude", ctx, kind="number", default=0.0)
-    freq = chk.take(obj, "frequency_multiple", ctx, kind="number", default=1.0)
-    phase = chk.take(obj, "phase", ctx, kind="number", default=0.0)
-    if form is None:
-        return None
-    return FunctionSpec(form, offset=offset, amplitude=amplitude, frequency_multiple=freq, phase=phase)
+_BOUND_OPS = {
+    ">": (operator.gt, "must be > {:g}"),
+    ">=": (operator.ge, "must be >= {:g}"),
+    "<=": (operator.le, "must be <= {:g}"),
+    "in": (lambda value, limit: limit[0] <= value <= limit[1], "must be in {0[0]}..{0[1]}"),
+    "below": (lambda value, limit: abs(value) < limit, "must have magnitude below {}"),
+    "positive": (lambda value, limit: value >= limit, "must be a positive integer"),
+}
 
 
-def _parse_schedule(chk: _Checker, obj, ctx: str, kinds=MODEL_KINDS):
-    """Parse {kind, L, T, cycles, params} into (Schedule, L)."""
-    if not isinstance(obj, dict):
-        chk.fail(f"{ctx} must be an object")
-        return None, None
-    chk.reject_unknown(obj, ("kind", "L", "T", "cycles", "params"), ctx)
-    kind = chk.take(obj, "kind", ctx, required=True, kind="str", choices=kinds)
-    cells = chk.take(obj, "L", ctx, required=True, kind="int")
-    period = chk.take(obj, "T", ctx, required=True, kind="number")
-    cycles = chk.take(obj, "cycles", ctx, kind="int", default=1)
-    params_obj = chk.take(obj, "params", ctx, required=True, kind="dict", default={})
-    if kind is None or period is None or params_obj is None:
-        return None, None
-    if period <= 0:
-        chk.fail(f"key 'T' in {ctx} must be > 0")
-        return None, None
-    if cells is None or cells < 1:
-        chk.fail(f"key 'L' in {ctx} must be a positive integer")
-        return None, None
-    expected = set(SCHEDULE_PARAMS[kind])
-    for name in params_obj:
-        if name not in expected:
-            chk.fail(f"unknown key '{name}' in {ctx}.params for kind '{kind}'")
-    missing = expected - set(params_obj)
-    for name in sorted(missing):
-        chk.fail(f"missing required key '{name}' in {ctx}.params for kind '{kind}'")
-    if missing or set(params_obj) - expected:
-        return None, None
-    params = {}
-    for name, spec_obj in params_obj.items():
-        fn = _parse_function_spec(chk, spec_obj, f"{ctx}.params.{name}")
-        if fn is None:
-            return None, None
-        params[name] = fn
-    if cycles is None or cycles < 1:
-        chk.fail(f"key 'cycles' in {ctx} must be >= 1")
-        return None, None
-    return Schedule(kind, period, params, cycles), cells
+@dataclass(frozen=True)
+class Key:
+    """One key of a table: its kind (a name in ``_KINDS`` or the table of a
+    nested object), default, whether it is required, its choices or bounds,
+    the choices of each item of a list (reported by ``item_error``) and the
+    size or cost check it ``feeds``.  A nested object allows its ``extra``
+    keys unchecked, adds ``hint`` to its not-an-object violation, and
+    ``build(chk, ctx, values, ok)`` makes its value."""
+
+    kind: object
+    default: object = None
+    required: bool = False
+    choices: Optional[tuple] = None
+    bounds: tuple = ()
+    feeds: str = ""
+    items: Optional[tuple] = None
+    item_error: str = ""
+    extra: tuple = ()
+    hint: str = ""
+    build: Optional[Callable] = None
 
 
-def _parse_model_params(chk: _Checker, cfg: dict, ctx: str):
-    """Flat static-model keys: kind, L | n_sites, and per-kind parameters."""
-    kind = chk.take(cfg, "kind", ctx, required=True, kind="str", choices=MODEL_KINDS + ("aah",))
-    if kind is None:
-        return None
-    params = {}
-    for name in MODEL_PARAM_KEYS[kind]:
-        required = kind == "aah" or name != "omega"
-        value = chk.take(cfg, name, f"{ctx} (kind '{kind}')", required=required, kind="number", default=0.0)
-        params[name] = value if value is not None else 0.0
-    if kind == "aah":
-        n_sites = chk.take(cfg, "n_sites", ctx, required=True, kind="int")
-        if n_sites is not None and n_sites < 2:
-            chk.fail(f"key 'n_sites' in {ctx} must be >= 2, got {n_sites}")
-        return {"kind": kind, "n_sites": n_sites, "params": params}
-    cells = chk.take(cfg, "L", ctx, required=True, kind="int")
-    if cells is not None and cells < 1:
-        chk.fail(f"key 'L' in {ctx} must be >= 1, got {cells}")
-    return {"kind": kind, "L": cells, "params": params}
+_KINDS = {  # the test and the name of each kind of value
+    "number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+    "levels": (lambda v: v == "edge" or isinstance(v, list) and all(isinstance(i, int) for i in v),
+               '"edge" or a list of level indices'),
+}
+
+# the schema: one table of keys per config object.  A key feeds "sites" or
+# "rows" (MAX_SITES, MAX_ROW_SITES), the "span", "norm" or "step" of the
+# integrators' cost models, or a command's own cost bounds
+_NUMBER, _INT, _REQUIRED_NUMBER = Key("number"), Key("int"), Key("number", required=True)
+_POSITIVE = Bound(">", 0, got=False)
+_RECORDS = Key("int", bounds=(Bound(">=", 2),), feeds="rows")
+_CELLS = Key("int", required=True, bounds=(Bound(">=", 1),), feeds="sites")
+_PARAM = Key("number", 0.0, required=True, feeds="norm")
+
+FUNCTION = Key({
+    "form": Key("str", required=True, choices=FUNCTION_FORMS),
+    "offset": Key("number", 0.0, feeds="norm"),
+    "amplitude": Key("number", 0.0, feeds="norm"),
+    "frequency_multiple": Key("number", 1.0),
+    "phase": Key("number", 0.0),
+}, required=True, hint=" with a 'form' field", build=lambda chk, ctx, v, ok: FunctionSpec(**v) if ok else None)
 
 
-def _model_sites(model: Optional[dict]) -> Optional[int]:
-    if model is None:
-        return None
-    if model["kind"] == "aah":
-        return model["n_sites"]
-    return SITES_PER_CELL[model["kind"]] * model["L"] if model["L"] is not None else None
+def _build_schedule(chk, ctx, v, ok):
+    """{"schedule": Schedule or None, "L": cells}, the terms checked against
+    the kind; a missing or non-integer L also reads as not positive."""
+    if v["L"] is None:
+        chk.append(f"key 'L' in {ctx} must be a positive integer")
+    terms, terms_ok = {}, False
+    if v["kind"] is not None:
+        table = dict.fromkeys(SCHEDULE_PARAMS[v["kind"]], FUNCTION)
+        where = f"{ctx}.params for kind '{v['kind']}'"
+        terms, terms_ok = _walk(chk, v["params"], table, f"{ctx}.params", where=where)
+    return {"schedule": Schedule(v["kind"], v["T"], terms, v["cycles"]) if ok and terms_ok else None, "L": v["L"]}
 
 
-def _check_site(chk: _Checker, site: Optional[int], n_sites: Optional[int], key: str, ctx: str):
-    if site is not None and n_sites is not None and n_sites >= 1 and not 1 <= site <= n_sites:
-        chk.fail(f"key '{key}' in {ctx} must be in 1..{n_sites}, got {site}")
+def _schedule(kinds, required=True) -> Key:
+    return Key({
+        "kind": Key("str", required=True, choices=kinds),
+        "L": Key("int", required=True, bounds=(Bound("positive", 1, got=False),), feeds="sites"),
+        "T": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
+        "cycles": Key("int", 1, bounds=(Bound(">=", 1, got=False),), feeds="span, rows"),
+        "params": Key("dict", {}, required=True),
+    }, required=required, build=_build_schedule)
 
 
-def _check_records(chk: _Checker, n_records: Optional[int], ctx: str):
-    if n_records is not None and n_records < 2:
-        chk.fail(f"key 'n_records' in {ctx} must be >= 2, got {n_records}")
+def _range(points_min: int, end_limit=MAX_RANGE_END, max_points=None, **key) -> Key:
+    end = Key("number", required=True, bounds=(Bound("below", end_limit),))
+    points = (Bound(">=", points_min, got=False),) + ((Bound("<=", max_points),) if max_points else ())
+    table = {"start": end, "stop": end, "points": Key("int", required=True, bounds=points, feeds="rows")}
+    return Key(table, hint=" {start, stop, points}", **key)
 
 
-def _check_size(chk: _Checker, sites: Optional[int], sites_key: str, rows: Optional[int] = None, rows_key: str = ""):
+CONFIG = {
+    "schema": Key("int", required=True),
+    "command": Key("str", required=True),
+    "seed": Key("int", 0),
+    "output": Key("str"),
+    "integrator": Key({
+        "rel_tol": Key("number", IntegratorConfig.rel_tol, bounds=(_POSITIVE,)),
+        "abs_tol": Key("number", IntegratorConfig.abs_tol, bounds=(_POSITIVE,)),
+        "max_step": Key("number", bounds=(_POSITIVE,), feeds="step"),
+        "method": Key("str", IntegratorConfig.method, choices=("bdf", "rk4")),
+    }, IntegratorConfig(), build=lambda chk, ctx, v, ok: IntegratorConfig(**v) if ok else None),
+}
+
+# flat static-model keys of each kind: its parameters (omega is optional in
+# an ssh chain) and the key that sizes the chain
+MODEL = {
+    "ssh": ({"a": _PARAM, "b": _PARAM, "omega": Key("number", 0.0, feeds="norm")}, "L"),
+    "rm": ({"a": _PARAM, "b": _PARAM, "u": _PARAM}, "L"),
+    "trimer": (dict.fromkeys(("a", "b", "c", "u", "v", "w"), _PARAM), "L"),
+    "aah": (dict.fromkeys(("omega", "alpha", "phase", "hop"), _PARAM), "n_sites"),
+}
+MODEL_KIND = Key("str", required=True, choices=tuple(MODEL))
+MODEL_SIZE = {"L": _CELLS, "n_sites": Key("int", required=True, bounds=(Bound(">=", 2),), feeds="sites")}
+
+SPECTRUM_TRACE = {
+    "schedule": _schedule(MODEL_KINDS),
+    "n_times": Key("int", 201, bounds=(Bound(">=", 2, got=False),), feeds="rows"),
+}
+SPECTRUM_STATIC = {
+    "sweep": Key({"param": Key("str", required=True), **_range(2).kind}, hint=" {param, start, stop, points}"),
+    "export_states": Key("levels"),
+}
+
+PUMP = {"schedule": _schedule(MODEL_KINDS), "initial_site": Key("int", 1), "n_records": _RECORDS}
+
+QUENCH = {
+    "t_final": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
+    "flip_site": Key("int", 1),
+    "n_records": Key("int", 201, bounds=_RECORDS.bounds, feeds="rows"),
+    "disorder": Key({
+        "sigma": Key("number", required=True, bounds=(Bound(">=", 0, got=False),), feeds="norm"),
+        "seed": _INT,  # defaults to the config's seed
+        "targets": Key("list", ("diagonal", "offdiagonal"), items=("diagonal", "offdiagonal"),
+                       item_error="unknown disorder target {item!r} in {ctx}", feeds="norm"),
+    }, build=lambda chk, ctx, v, ok: dict(v, targets=tuple(v["targets"])) if ok else None),
+}
+
+LZ_PATH = Key({
+    "type": Key("str", required=True, choices=("arc", "line", "line_at_angle", "custom")),
+    "T": Key("number", required=True, feeds="span"),
+    "n_samples": Key("int", 201, bounds=(Bound(">=", 3),), feeds="rows"),
+}, extra=("alpha", "theta", "u", "g"))
+_ALPHA = Key("number", required=True, feeds="norm")
+LZ_PATH_TYPES = {  # the path keys of each type
+    "arc": {"alpha": _ALPHA},
+    "line": {"alpha": _ALPHA},
+    "line_at_angle": {"alpha": _ALPHA, "theta": Key("number", required=True, feeds="norm")},
+    "custom": {"u": FUNCTION, "g": FUNCTION},
+}
+LZ = {
+    "initial_state": Key("str", "L", choices=("L", "R")),
+    "n_records": QUENCH["n_records"],
+    "classify_tol": _NUMBER,
+    "path": LZ_PATH,
+    "from_schedule": _schedule(("rm",), required=False),
+    "reduce": Key({"a": _REQUIRED_NUMBER, "b": _REQUIRED_NUMBER, "u": Key("number", 0.0), "L": _CELLS}),
+}
+
+TRIMER = {
+    "schedule": _schedule(("trimer",)),
+    "signs": Key("list", ("plus", "minus"), items=("plus", "minus"),
+                 item_error="unknown Bell sign {item!r} in {ctx}.signs"),
+    "n_records": _RECORDS,
+}
+
+COUPLINGS = {
+    "scheme": Key("str", "identical", choices=("identical", "matched")),
+    "n_max": Key("int", DEFAULT_N_MAX, bounds=(Bound("in", (0, COUPLINGS_MAX_N_MAX)),), feeds="couplings cost"),
+    "bare_a": Key("number", 1.0),
+    "bare_b": Key("number", 1.0),
+    **dict.fromkeys(("alpha1", "alpha2"), _range(1, MAX_ARGUMENT, COUPLINGS_MAX_POINTS, required=True)),
+}
+
+_POSITIVE_NUMBER = Key("number", bounds=(Bound(">", 0),))
+FLUX = {
+    "spec": Key({
+        "ej": Key("number", bounds=(Bound(">", 0), Bound(">=", FLUX_MIN_EJ), Bound("<=", FLUX_MAX_ENERGY))),
+        **dict.fromkeys(("ej_over_ec", "alpha"), _POSITIVE_NUMBER),
+        **dict.fromkeys(("beta", "f_sigma_kappa"), _NUMBER),
+        **dict.fromkeys(("n_total", "n_diff"), _INT),
+        "charge_cutoff": Key("int", bounds=(Bound("in", (1, FLUX_MAX_CHARGE_CUTOFF)),), feeds="flux cost"),
+    }),
+    "levels": Key("int", 5, feeds="flux cost"),
+}
+# the level sweep at one f_alpha, or the gap sweep over f_alpha
+FLUX_LEVELS = {
+    "f_alpha": _REQUIRED_NUMBER,
+    "f_eps_range": _range(1, default={"start": -0.05, "stop": 0.05, "points": 41}),
+}
+FLUX_GAP = {"f_alpha_sweep": _range(2, required=True)}
+
+
+def _walk(chk: list, obj: dict, keys: dict, ctx: str, extra=(), where=None):
+    """Check ``obj`` against the table ``keys``, adding violations to
+    ``chk``: keys outside the table and ``extra`` are unknown (unless
+    ``extra`` is None), then each table key is taken in order.  Returns the
+    values and whether every required key was usable and every bound held;
+    ``where`` replaces ``ctx`` in the unknown- and missing-key messages."""
+    where = where or ctx
+    if extra is not None:
+        chk += [f"unknown key '{key}' in {where}" for key in obj if key not in keys and key not in extra]
+    values, ok = {}, True
+    for name, key in keys.items():
+        values[name], usable = _take(chk, obj, name, key, ctx, where)
+        ok = ok and usable
+    return values, ok
+
+
+def _take(chk: list, obj: dict, name: str, key: Key, ctx: str, where: str):
+    """The value of key ``name`` in ``obj`` and whether it is usable.  A value
+    of the wrong kind or outside the choices reads as the default; one that
+    breaks a bound (the first is reported) is kept for the cross-key checks."""
+    if name not in obj:
+        if key.required:
+            chk.append(f"missing required key '{name}' in {where}")
+            return key.default, False
+        if not isinstance(key.default, dict):  # a default object is checked like a given one
+            return key.default, True
+    value = obj.get(name, key.default)
+    if isinstance(key.kind, dict):
+        if not isinstance(value, dict):
+            chk.append(f"{ctx}.{name} must be an object{key.hint}")
+            return None, False
+        values, ok = _walk(chk, value, key.kind, f"{ctx}.{name}", key.extra)
+        return (key.build(chk, f"{ctx}.{name}", values, ok) if key.build else values), ok
+    is_kind, kind_name = _KINDS[key.kind]
+    if key.kind == "number" and is_kind(value):  # an integer beyond the float range reads as inf
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if not is_kind(value):
+        error = f"must be {kind_name}"
+    elif key.kind == "number" and not math.isfinite(value):
+        error = "must be finite"
+    elif key.choices is not None and value not in key.choices:
+        error = f"must be one of {sorted(key.choices)}, got {value!r}"
+    else:
+        bounds_hold = all(_check_bound(chk, name, ctx, value, bound) for bound in key.bounds)
+        bad_items = [item for item in value if item not in key.items] if key.items else []
+        chk += [key.item_error.format(item=item, ctx=ctx) for item in bad_items]
+        return value, bounds_hold and not bad_items
+    chk.append(f"key '{name}' in {ctx} {error}")
+    return key.default, not key.required
+
+
+def _check_bound(chk: list, name: str, ctx: str, value, bound: Bound) -> bool:
+    test, text = _BOUND_OPS[bound.op]
+    holds = test(value, bound.limit)
+    if not holds:
+        got = f", got {value}" if bound.got else ""
+        chk.append(f"key '{name}' in {ctx} {text.format(bound.limit)}{got}")
+    return holds
+
+
+def _sites(kind: Optional[str], count: Optional[int]) -> Optional[int]:
+    """Sites of a chain of ``count`` cells, or of ``count`` sites (aah)."""
+    return None if kind is None or count is None else SITES_PER_CELL.get(kind, 1) * count
+
+
+def _chain_sites(chain: dict) -> Optional[int]:
+    """Sites of a schedule's chain, {"schedule": Schedule or None, "L": cells}."""
+    return _sites(chain["schedule"] and chain["schedule"].kind, chain["L"])
+
+
+def _check_site(chk: list, site: Optional[int], n_sites: Optional[int], key: str, ctx: str):
+    if site is not None and n_sites is not None and n_sites >= 1:
+        _check_bound(chk, key, ctx, site, Bound("in", (1, n_sites)))
+
+
+def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[int] = None, rows_key: str = ""):
     """Bound a chain's sites and its table's rows x sites; each key is named
     with its context, e.g. "'L' in command 'pump'.schedule"."""
     if sites is not None and sites > MAX_SITES:
-        chk.fail(f"key {sites_key} gives {sites:,} sites, more than the bound of {MAX_SITES:,}")
+        chk.append(f"key {sites_key} gives {sites:,} sites, more than the bound of {MAX_SITES:,}")
     if sites is not None and rows is not None and rows * sites > MAX_ROW_SITES:
-        chk.fail(f"key {rows_key} asks for {rows:,} rows of {sites:,} sites, "
-                 f"more than the bound of {MAX_ROW_SITES:,} values")
+        chk.append(f"key {rows_key} asks for {rows:,} rows of {sites:,} sites, "
+                   f"more than the bound of {MAX_ROW_SITES:,} values")
 
 
-def _schedule_sites(schedule: Optional[Schedule], cells: Optional[int]) -> Optional[int]:
-    return SITES_PER_CELL[schedule.kind] * cells if schedule is not None else None
+def _model(chk: list, cfg: dict, ctx: str, table: dict):
+    """The flat static-model keys (kind, the kind's parameters, L or n_sites;
+    the other kinds' keys are unknown), then the command's ``table``.
+    Returns the model, its sites, the key that sizes it and the values."""
+    kind = cfg.get("kind")
+    params, size = MODEL[kind] if isinstance(kind, str) and kind in MODEL else ({}, None)
+    allowed = _COMMON + tuple(table) + tuple(params) + ((size,) if size else tuple(MODEL_SIZE))
+    kind = _walk(chk, cfg, {"kind": MODEL_KIND}, ctx, allowed)[0]["kind"]
+    model = None
+    if kind is not None:
+        model = {"kind": kind, "params": _walk(chk, cfg, params, f"{ctx} (kind '{kind}')", extra=None)[0]}
+        model[size] = _take(chk, cfg, size, MODEL_SIZE[size], ctx, ctx)[0]
+    sites = _sites(kind, model and model[size])
+    return model, sites, f"'{size}' in {ctx}", _walk(chk, cfg, table, ctx, extra=None)[0]
 
 
-def _check_pump_size(chk: _Checker, schedule: Optional[Schedule], cells: Optional[int], n_records, ctx: str):
-    if schedule is not None:  # without n_records, the rows follow from the cycles
-        rows = n_records or RECORDS_PER_CYCLE * schedule.cycles + 1
-        rows_key = f"'n_records' in {ctx}" if n_records else f"'cycles' in {ctx}.schedule"
-        _check_size(chk, _schedule_sites(schedule, cells), f"'L' in {ctx}.schedule", rows, rows_key)
+def _pump(chk: list, cfg: dict, ctx: str, table: dict) -> dict:
+    """The pump and trimer commands: states pumped along the schedule."""
+    v = _walk(chk, cfg, table, ctx, _COMMON)[0]
+    chain = v.pop("schedule") or _NO_CHAIN
+    sites = _chain_sites(chain)
+    if chain["schedule"] is not None:  # without n_records, the rows follow from the cycles
+        rows = v["n_records"] or RECORDS_PER_CYCLE * chain["schedule"].cycles + 1
+        rows_key = f"'n_records' in {ctx}" if v["n_records"] else f"'cycles' in {ctx}.schedule"
+        _check_size(chk, sites, f"'L' in {ctx}.schedule", rows, rows_key)
+    if "signs" in v:
+        v["signs"] = tuple(v["signs"])
+    else:
+        _check_site(chk, v["initial_site"], sites, "initial_site", ctx)
+    return {**chain, **v}
 
 
-def _check_model_size(chk: _Checker, model: Optional[dict], ctx: str, rows: Optional[int], rows_key: str):
-    if model is not None:
-        key = "n_sites" if model["kind"] == "aah" else "L"
-        _check_size(chk, _model_sites(model), f"'{key}' in {ctx}", rows, rows_key)
-
-
-def _model_key_set(kind: Optional[str]):
-    base = set(_COMMON_KEYS) | {"kind"}
-    if kind == "aah":
-        return base | {"n_sites"} | set(MODEL_PARAM_KEYS["aah"])
-    if kind in MODEL_PARAM_KEYS:
-        return base | {"L"} | set(MODEL_PARAM_KEYS[kind])
-    return base | {"L", "n_sites"}
-
-
-def _parse_range(chk: _Checker, obj, ctx: str, points_min=1):
-    if not isinstance(obj, dict):
-        chk.fail(f"{ctx} must be an object {{start, stop, points}}")
-        return None
-    chk.reject_unknown(obj, ("start", "stop", "points"), ctx)
-    start = chk.take(obj, "start", ctx, required=True, kind="number")
-    stop = chk.take(obj, "stop", ctx, required=True, kind="number")
-    points = chk.take(obj, "points", ctx, required=True, kind="int")
-    if None in (start, stop, points):
-        return None
-    if points < points_min:
-        chk.fail(f"key 'points' in {ctx} must be >= {points_min}")
-        return None
-    return {"start": start, "stop": stop, "points": points}
-
-
-def _parse_disorder(chk: _Checker, obj, ctx: str, default_seed: int):
-    if not isinstance(obj, dict):
-        chk.fail(f"{ctx} must be an object")
-        return None
-    chk.reject_unknown(obj, ("sigma", "seed", "targets"), ctx)
-    sigma = chk.take(obj, "sigma", ctx, required=True, kind="number")
-    seed = chk.take(obj, "seed", ctx, kind="int", default=default_seed)
-    targets = chk.take(obj, "targets", ctx, kind="list", default=["diagonal", "offdiagonal"])
-    if sigma is None:
-        return None
-    if sigma < 0:
-        chk.fail(f"key 'sigma' in {ctx} must be >= 0")
-        return None
-    for t in targets:
-        if t not in ("diagonal", "offdiagonal"):
-            chk.fail(f"unknown disorder target {t!r} in {ctx}")
-            return None
-    return {"sigma": sigma, "seed": seed, "targets": tuple(targets)}
-
-
-def _parse_spectrum(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'spectrum'"
-    options = {}
+def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     if "schedule" in cfg:
-        allowed = set(_COMMON_KEYS) | {"schedule", "n_times"}
-        chk.reject_unknown(cfg, allowed, ctx)
-        schedule, cells = _parse_schedule(chk, cfg["schedule"], f"{ctx}.schedule")
-        n_times = chk.take(cfg, "n_times", ctx, kind="int", default=201)
-        if n_times is not None and n_times < 2:
-            chk.fail(f"key 'n_times' in {ctx} must be >= 2")
-        _check_size(chk, _schedule_sites(schedule, cells), f"'L' in {ctx}.schedule", n_times, f"'n_times' in {ctx}")
-        options.update(mode="trace", schedule=schedule, L=cells, n_times=n_times)
-        return options
-    kind = cfg.get("kind") if isinstance(cfg.get("kind"), str) else None
-    allowed = _model_key_set(kind) | {"sweep", "export_states"}
-    chk.reject_unknown(cfg, allowed, ctx)
-    model = _parse_model_params(chk, cfg, ctx)
-    options.update(mode="static", model=model)
-    if "sweep" in cfg:
-        sctx = f"{ctx}.sweep"
-        sobj = cfg["sweep"]
-        options["mode"] = "sweep"
-        if not isinstance(sobj, dict):
-            chk.fail(f"{sctx} must be an object {{param, start, stop, points}}")
-        else:
-            chk.reject_unknown(sobj, ("param", "start", "stop", "points"), sctx)
-            name = chk.take(sobj, "param", sctx, required=True, kind="str")
-            sweep = {
-                "start": chk.take(sobj, "start", sctx, required=True, kind="number"),
-                "stop": chk.take(sobj, "stop", sctx, required=True, kind="number"),
-                "points": chk.take(sobj, "points", sctx, required=True, kind="int"),
-            }
-            if sweep["points"] is not None and sweep["points"] < 2:
-                chk.fail(f"key 'points' in {sctx} must be >= 2")
-            options["sweep"] = sweep
-            options["sweep_param"] = name
-            if model is not None and name is not None and name not in model["params"]:
-                chk.fail(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
-    _check_model_size(chk, model, ctx, options.get("sweep", {}).get("points"), f"'points' in {ctx}.sweep")
+        v = _walk(chk, cfg, SPECTRUM_TRACE, ctx, _COMMON)[0]
+        chain = v.pop("schedule") or _NO_CHAIN
+        _check_size(chk, _chain_sites(chain), f"'L' in {ctx}.schedule", v["n_times"], f"'n_times' in {ctx}")
+        return {"mode": "trace", **chain, **v}
+    model, sites, sites_key, v = _model(chk, cfg, ctx, SPECTRUM_STATIC)
+    options = {"mode": "sweep" if "sweep" in cfg else "static", "model": model}
+    sweep = v["sweep"]
+    if sweep is not None:
+        name = options["sweep_param"] = sweep.pop("param")
+        options["sweep"] = sweep
+        if model is not None and name is not None and name not in model["params"]:
+            chk.append(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
+    _check_size(chk, sites, sites_key, sweep and sweep["points"], f"'points' in {ctx}.sweep")
+    levels = v["export_states"]
     if "export_states" in cfg:
-        value = cfg["export_states"]
-        if value != "edge" and not (isinstance(value, list) and all(isinstance(i, int) for i in value)):
-            chk.fail(f"key 'export_states' in {ctx} must be \"edge\" or a list of level indices")
-        elif value != "edge":
-            n_sites = _model_sites(model)
-            bad = [j for j in value if n_sites is not None and not 1 <= j <= n_sites]
-            if bad:
-                chk.fail(f"key 'export_states' in {ctx} must list levels in 1..{n_sites}, got {bad}")
-        options["export_states"] = value
+        options["export_states"] = levels
+    bad = [j for j in levels if not 1 <= j <= sites] if isinstance(levels, list) and sites is not None else []
+    if bad:
+        chk.append(f"key 'export_states' in {ctx} must list levels in 1..{sites}, got {bad}")
     return options
 
 
-def _parse_pump(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'pump'"
-    chk.reject_unknown(cfg, set(_COMMON_KEYS) | {"schedule", "initial_site", "n_records"}, ctx)
-    if "schedule" not in cfg:
-        chk.fail(f"missing required key 'schedule' in {ctx}")
-        return {}
-    schedule, cells = _parse_schedule(chk, cfg["schedule"], f"{ctx}.schedule")
-    initial_site = chk.take(cfg, "initial_site", ctx, kind="int", default=1)
-    _check_site(chk, initial_site, _schedule_sites(schedule, cells), "initial_site", ctx)
-    n_records = chk.take(cfg, "n_records", ctx, kind="int")
-    _check_records(chk, n_records, ctx)
-    _check_pump_size(chk, schedule, cells, n_records, ctx)
-    return {"schedule": schedule, "L": cells, "initial_site": initial_site, "n_records": n_records}
+def _quench(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+    model, sites, sites_key, v = _model(chk, cfg, ctx, QUENCH)
+    _check_site(chk, v["flip_site"], sites, "flip_site", ctx)
+    _check_size(chk, sites, sites_key, v["n_records"], f"'n_records' in {ctx}")
+    if v["disorder"] is not None and v["disorder"]["seed"] is None:
+        v["disorder"]["seed"] = seed
+    return {"model": model, **v}
 
 
-def _parse_quench(chk: _Checker, cfg: dict, seed: int) -> dict:
-    ctx = "command 'quench'"
-    kind = cfg.get("kind") if isinstance(cfg.get("kind"), str) else None
-    allowed = _model_key_set(kind) | {"disorder", "flip_site", "t_final", "n_records"}
-    chk.reject_unknown(cfg, allowed, ctx)
-    model = _parse_model_params(chk, cfg, ctx)
-    t_final = chk.take(cfg, "t_final", ctx, required=True, kind="number")
-    if t_final is not None and t_final <= 0:
-        chk.fail(f"key 't_final' in {ctx} must be > 0")
-    flip_site = chk.take(cfg, "flip_site", ctx, kind="int", default=1)
-    _check_site(chk, flip_site, _model_sites(model), "flip_site", ctx)
-    n_records = chk.take(cfg, "n_records", ctx, kind="int", default=201)
-    _check_records(chk, n_records, ctx)
-    _check_model_size(chk, model, ctx, n_records, f"'n_records' in {ctx}")
-    disorder = None
-    if "disorder" in cfg:
-        disorder = _parse_disorder(chk, cfg["disorder"], f"{ctx}.disorder", seed)
-    return {
-        "model": model,
-        "t_final": t_final,
-        "flip_site": flip_site,
-        "n_records": n_records,
-        "disorder": disorder,
-    }
-
-
-def _parse_lz(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'lz'"
-    allowed = set(_COMMON_KEYS) | {"path", "from_schedule", "reduce", "initial_state", "n_records", "classify_tol"}
-    chk.reject_unknown(cfg, allowed, ctx)
-    options = {
-        "initial_state": chk.take(cfg, "initial_state", ctx, kind="str", default="L", choices=("L", "R")),
-        "n_records": chk.take(cfg, "n_records", ctx, kind="int", default=201),
-        "classify_tol": chk.take(cfg, "classify_tol", ctx, kind="number"),
-    }
-    _check_records(chk, options["n_records"], ctx)
+def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+    options = _walk(chk, cfg, LZ, ctx, _COMMON)[0]
+    path, chain, reduce = (options.pop(name) for name in ("path", "from_schedule", "reduce"))
     if not any(key in cfg for key in ("path", "from_schedule", "reduce")):
-        chk.fail(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
-    if "path" in cfg:
-        pctx = f"{ctx}.path"
-        pobj = cfg["path"]
-        if not isinstance(pobj, dict):
-            chk.fail(f"{pctx} must be an object")
-        else:
-            chk.reject_unknown(pobj, ("type", "alpha", "theta", "T", "n_samples", "u", "g"), pctx)
-            ptype = chk.take(pobj, "type", pctx, required=True, kind="str", choices=("arc", "line", "line_at_angle", "custom"))
-            period = chk.take(pobj, "T", pctx, required=True, kind="number")
-            n_samples = chk.take(pobj, "n_samples", pctx, kind="int", default=201)
-            if n_samples is not None and n_samples < 3:
-                chk.fail(f"key 'n_samples' in {pctx} must be >= 3, got {n_samples}")
-            path = {"type": ptype, "T": period, "n_samples": n_samples}
-            # 2 sites: only rows (records, path samples) can exceed
-            _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
-            _check_size(chk, 2, "", n_samples, f"'n_samples' in {pctx}")
-            if ptype in ("arc", "line", "line_at_angle"):
-                path["alpha"] = chk.take(pobj, "alpha", pctx, required=True, kind="number")
-            if ptype == "line_at_angle":
-                path["theta"] = chk.take(pobj, "theta", pctx, required=True, kind="number")
-            if ptype == "custom":
-                for fname in ("u", "g"):
-                    if fname in pobj:
-                        path[fname] = _parse_function_spec(chk, pobj[fname], f"{pctx}.{fname}")
-                    else:
-                        chk.fail(f"missing required key '{fname}' in {pctx}")
-            options["path"] = path
+        chk.append(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
+    if path is not None:
+        # 2 sites: only rows (records, path samples) can exceed
+        _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
+        _check_size(chk, 2, "", path["n_samples"], f"'n_samples' in {ctx}.path")
+        typed = _walk(chk, cfg["path"], LZ_PATH_TYPES.get(path["type"], {}), f"{ctx}.path", extra=None)[0]
+        options["path"] = {**path, **typed}
     if "from_schedule" in cfg:
-        schedule, cells = _parse_schedule(chk, cfg["from_schedule"], f"{ctx}.from_schedule", kinds=("rm",))
-        options["from_schedule"] = {"schedule": schedule, "L": cells}
-    if "reduce" in cfg:
-        rctx = f"{ctx}.reduce"
-        robj = cfg["reduce"]
-        if not isinstance(robj, dict):
-            chk.fail(f"{rctx} must be an object")
-        else:
-            chk.reject_unknown(robj, ("a", "b", "u", "L"), rctx)
-            options["reduce"] = {
-                "a": chk.take(robj, "a", rctx, required=True, kind="number"),
-                "b": chk.take(robj, "b", rctx, required=True, kind="number"),
-                "u": chk.take(robj, "u", rctx, kind="number", default=0.0),
-                "L": chk.take(robj, "L", rctx, required=True, kind="int"),
-            }
-            cells = options["reduce"]["L"]
-            if cells is not None and cells < 1:
-                chk.fail(f"key 'L' in {rctx} must be >= 1, got {cells}")
-            if cells is not None:
-                _check_size(chk, SITES_PER_CELL["rm"] * cells, f"'L' in {rctx}")
+        options["from_schedule"] = chain or _NO_CHAIN
+    if reduce is not None:
+        options["reduce"] = reduce
+        _check_size(chk, _sites("rm", reduce["L"]), f"'L' in {ctx}.reduce")
     return options
 
 
-def _parse_trimer(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'trimer'"
-    chk.reject_unknown(cfg, set(_COMMON_KEYS) | {"schedule", "signs", "n_records"}, ctx)
-    if "schedule" not in cfg:
-        chk.fail(f"missing required key 'schedule' in {ctx}")
-        return {}
-    schedule, cells = _parse_schedule(chk, cfg["schedule"], f"{ctx}.schedule", kinds=("trimer",))
-    signs = chk.take(cfg, "signs", ctx, kind="list", default=["plus", "minus"])
-    for s in signs:
-        if s not in ("plus", "minus"):
-            chk.fail(f"unknown Bell sign {s!r} in {ctx}.signs")
-    n_records = chk.take(cfg, "n_records", ctx, kind="int")
-    _check_records(chk, n_records, ctx)
-    _check_pump_size(chk, schedule, cells, n_records, ctx)
-    return {"schedule": schedule, "L": cells, "signs": tuple(signs), "n_records": n_records}
+def _fluxqubit(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+    v = _walk(chk, cfg, FLUX, ctx, _COMMON + tuple(FLUX_LEVELS) + tuple(FLUX_GAP))[0]
+    spec = {name: value for name, value in (v["spec"] or {}).items() if value is not None}
+    ej, ratio = spec.get("ej", FluxQubitSpec.ej), spec.get("ej_over_ec", FluxQubitSpec.ej_over_ec)
+    if ej > 0 and ratio > 0 and not FLUX_MIN_EC <= ej / ratio <= FLUX_MAX_ENERGY:
+        chk.append(f"key 'ej_over_ec' in {ctx}.spec gives E_C = ej / ej_over_ec = {ej / ratio:g}, "
+                   f"outside {FLUX_MIN_EC:g}..{FLUX_MAX_ENERGY:g}")
+    cutoff = spec.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
+    max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
+    if v["levels"] is not None:
+        _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
+    sweep = _walk(chk, cfg, FLUX_GAP if "f_alpha_sweep" in cfg else FLUX_LEVELS, ctx, extra=None)[0]
+    return {"spec_kwargs": spec, "levels": v["levels"], **sweep}
 
 
-def _parse_couplings(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'couplings'"
-    chk.reject_unknown(cfg, set(_COMMON_KEYS) | {"scheme", "bare_a", "bare_b", "alpha1", "alpha2", "n_max"}, ctx)
-    scheme = chk.take(cfg, "scheme", ctx, kind="str", default="identical", choices=("identical", "matched"))
-    n_max = chk.take(cfg, "n_max", ctx, kind="int", default=DEFAULT_N_MAX)
-    if n_max is not None and not 0 <= n_max <= COUPLINGS_MAX_N_MAX:
-        chk.fail(f"key 'n_max' in {ctx} must be in 0..{COUPLINGS_MAX_N_MAX}, got {n_max}")
-    options = {
-        "scheme": scheme,
-        "bare_a": chk.take(cfg, "bare_a", ctx, kind="number", default=1.0),
-        "bare_b": chk.take(cfg, "bare_b", ctx, kind="number", default=1.0),
-        "n_max": n_max,
-    }
-    for key in ("alpha1", "alpha2"):
-        if key not in cfg:
-            chk.fail(f"missing required key '{key}' in {ctx}")
-            options[key] = None
-            continue
-        rctx = f"{ctx}.{key}"
-        rng = options[key] = _parse_range(chk, cfg[key], rctx)
-        if rng is None:
-            continue
-        for end in ("start", "stop"):
-            if not abs(rng[end]) < MAX_ARGUMENT:
-                chk.fail(f"key '{end}' in {rctx} must have magnitude below {MAX_ARGUMENT}, got {rng[end]}")
-        if rng["points"] > COUPLINGS_MAX_POINTS:
-            chk.fail(f"key 'points' in {rctx} must be <= {COUPLINGS_MAX_POINTS}, got {rng['points']}")
-    return options
-
-
-def _parse_fluxqubit(chk: _Checker, cfg: dict) -> dict:
-    ctx = "command 'fluxqubit'"
-    chk.reject_unknown(cfg, set(_COMMON_KEYS) | {"spec", "f_alpha", "f_eps_range", "f_alpha_sweep", "levels"}, ctx)
-    spec_kwargs = {}
-    if "spec" in cfg:
-        sctx = f"{ctx}.spec"
-        sobj = cfg["spec"]
-        if not isinstance(sobj, dict):
-            chk.fail(f"{sctx} must be an object")
-        else:
-            fields = {
-                "ej": "number",
-                "ej_over_ec": "number",
-                "alpha": "number",
-                "beta": "number",
-                "f_sigma_kappa": "number",
-                "n_total": "int",
-                "n_diff": "int",
-                "charge_cutoff": "int",
-            }
-            chk.reject_unknown(sobj, fields, sctx)
-            for name, kind in fields.items():
-                if name in sobj:
-                    value = chk.take(sobj, name, sctx, kind=kind)
-                    if value is not None:
-                        spec_kwargs[name] = value
-            for name in ("ej", "ej_over_ec", "alpha"):
-                if name in spec_kwargs and not spec_kwargs[name] > 0:
-                    chk.fail(f"key '{name}' in {sctx} must be > 0, got {spec_kwargs[name]}")
-    cutoff = spec_kwargs.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
-    max_levels = FLUX_MAX_LEVELS
-    if not 1 <= cutoff <= FLUX_MAX_CHARGE_CUTOFF:
-        chk.fail(f"key 'charge_cutoff' in {ctx}.spec must be in 1..{FLUX_MAX_CHARGE_CUTOFF}, got {cutoff}")
-    else:
-        max_levels = min(max_levels, (2 * cutoff + 1) ** 2 - 2)
-    levels = chk.take(cfg, "levels", ctx, kind="int", default=5)
-    if levels is not None and not 1 <= levels <= max_levels:
-        chk.fail(f"key 'levels' in {ctx} must be in 1..{max_levels}, got {levels}")
-    options = {"spec_kwargs": spec_kwargs, "levels": levels}
-    if "f_alpha_sweep" in cfg:
-        options["f_alpha_sweep"] = _parse_range(chk, cfg["f_alpha_sweep"], f"{ctx}.f_alpha_sweep", points_min=2)
-    else:
-        options["f_alpha"] = chk.take(cfg, "f_alpha", ctx, required=True, kind="number")
-        f_eps = cfg.get("f_eps_range", {"start": -0.05, "stop": 0.05, "points": 41})
-        options["f_eps_range"] = _parse_range(chk, f_eps, f"{ctx}.f_eps_range")
-    return options
+_COMMON = tuple(CONFIG)
+_NO_CHAIN = {"schedule": None, "L": None}
+COMMANDS = {  # the parser of each command's options
+    "spectrum": _spectrum,
+    "pump": lambda chk, cfg, ctx, seed: _pump(chk, cfg, ctx, PUMP),
+    "quench": _quench,
+    "lz": _lz,
+    "trimer": lambda chk, cfg, ctx, seed: _pump(chk, cfg, ctx, TRIMER),
+    "couplings": lambda chk, cfg, ctx, seed: _walk(chk, cfg, COUPLINGS, ctx, _COMMON)[0],
+    "fluxqubit": _fluxqubit,
+}
 
 
 def _integrated_time(command: Optional[str], options: dict):
@@ -591,12 +525,12 @@ def _integrated_time(command: Optional[str], options: dict):
     return None, None
 
 
-def _check_rk4_budget(chk: _Checker, integrator: IntegratorConfig, span: Optional[float]):
+def _check_rk4_budget(chk: list, integrator: IntegratorConfig, span: Optional[float]):
     if integrator.method != "rk4" or span is None or not span > 0:
         return
     steps = span / integrator.rk4_step
     if steps > RK4_MAX_STEPS:
-        chk.fail(
+        chk.append(
             f"key 'max_step' in config.integrator: RK4 over t = {span:g} would take about "
             f"{steps:.3g} steps, more than the budget of {RK4_MAX_STEPS:,}"
         )
@@ -645,36 +579,25 @@ def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
     return max(bounds.get(name, 0.0) for name in diag_params) + sum(bonds[:2])
 
 
-def _check_bdf_budget(chk: _Checker, integrator: IntegratorConfig, span: Optional[float], span_key: str,
+def _check_bdf_budget(chk: list, integrator: IntegratorConfig, span: Optional[float], span_key: str,
                       bound: Optional[float]):
     if integrator.method != "bdf" or span is None or bound is None:
         return
     if not span * bound <= BDF_MAX_PHASE:
-        chk.fail(
+        chk.append(
             f"key {span_key}: BDF over t = {span:g} with ||H|| up to {bound:.3g} accumulates a phase of "
             f"{span * bound:.6g}, more than the bound of {BDF_MAX_PHASE:,}; shorten the run or lower the couplings"
         )
 
 
-def _check_rk4_stability(chk: _Checker, integrator: IntegratorConfig, bound: Optional[float]):
+def _check_rk4_stability(chk: list, integrator: IntegratorConfig, bound: Optional[float]):
     if integrator.method != "rk4" or bound is None:
         return
     if not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
-        chk.fail(
+        chk.append(
             f"key 'max_step' in config.integrator: RK4 at step {integrator.rk4_step:g} with ||H|| up to "
             f"{bound:.3g} is unstable; max_step * ||H|| must be <= {RK4_STABILITY_LIMIT}"
         )
-
-
-_PARSERS = {
-    "spectrum": lambda chk, cfg, seed: _parse_spectrum(chk, cfg),
-    "pump": lambda chk, cfg, seed: _parse_pump(chk, cfg),
-    "quench": _parse_quench,
-    "lz": lambda chk, cfg, seed: _parse_lz(chk, cfg),
-    "trimer": lambda chk, cfg, seed: _parse_trimer(chk, cfg),
-    "couplings": lambda chk, cfg, seed: _parse_couplings(chk, cfg),
-    "fluxqubit": lambda chk, cfg, seed: _parse_fluxqubit(chk, cfg),
-}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -686,60 +609,23 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(cfg, dict):
         raise SchemaError(["config must be a JSON object"])
 
-    chk = _Checker()
-    schema = chk.take(cfg, "schema", "config", required=True, kind="int")
+    chk = []
+    top = _walk(chk, cfg, CONFIG, "config", extra=None)[0]
+    schema, command = top["schema"], top["command"]
     if schema is not None and schema != SCHEMA_VERSION:
-        chk.fail(f"unsupported schema version {schema}; this tool reads version {SCHEMA_VERSION}")
-    command = chk.take(cfg, "command", "config", required=True, kind="str")
+        chk.append(f"unsupported schema version {schema}; this tool reads version {SCHEMA_VERSION}")
     if command is not None and command not in COMMANDS:
-        chk.fail(f"unknown command {command!r}; expected one of {list(COMMANDS)}")
-        raise SchemaError(chk.violations)
-    seed = chk.take(cfg, "seed", "config", kind="int", default=0)
-    output = chk.take(cfg, "output", "config", kind="str")
-
-    integrator = IntegratorConfig()
-    if "integrator" in cfg:
-        ictx = "config.integrator"
-        iobj = cfg["integrator"]
-        if not isinstance(iobj, dict):
-            chk.fail(f"{ictx} must be an object")
-        else:
-            chk.reject_unknown(iobj, ("rel_tol", "abs_tol", "max_step", "method"), ictx)
-            kwargs = {}
-            for name, kind in (("rel_tol", "number"), ("abs_tol", "number"), ("max_step", "number")):
-                if name in iobj:
-                    value = chk.take(iobj, name, ictx, kind=kind)
-                    if value is not None:
-                        kwargs[name] = value
-            if "method" in iobj:
-                method = chk.take(iobj, "method", ictx, kind="str", choices=("bdf", "rk4"))
-                if method is not None:
-                    kwargs["method"] = method
-            try:
-                integrator = IntegratorConfig(**kwargs)
-            except Exception as exc:
-                chk.fail(f"{ictx}: {exc}")
-
+        chk.append(f"unknown command {command!r}; expected one of {list(COMMANDS)}")
+        raise SchemaError(chk)
+    integrator = top["integrator"] or IntegratorConfig()
     options = {}
     if command is not None:
-        try:
-            options = _PARSERS[command](chk, cfg, seed if seed is not None else 0)
-        except SchemaError:
-            raise
-        except Exception as exc:  # turn construction errors into schema messages
-            chk.fail(f"command '{command}': {exc}")
+        options = COMMANDS[command](chk, cfg, f"command '{command}'", top["seed"])
         span, span_key = _integrated_time(command, options)
         bound = _norm_bound(command, options)
         _check_rk4_budget(chk, integrator, span)
         _check_rk4_stability(chk, integrator, bound)
         _check_bdf_budget(chk, integrator, span, span_key, bound)
-    if chk.violations:
-        raise SchemaError(chk.violations)
-    return ExperimentConfig(
-        command=command,
-        seed=seed if seed is not None else 0,
-        output=output,
-        integrator=integrator,
-        options=options,
-        raw=cfg,
-    )
+    if chk:
+        raise SchemaError(chk)
+    return ExperimentConfig(command, top["seed"], top["output"], integrator, options, cfg)

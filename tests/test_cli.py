@@ -727,6 +727,54 @@ def test_overflow_prints_one_stderr_line(tmp_path, method):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+_HUGE_RANGE = {"start": -1.7e308, "stop": 1.7e308}
+
+
+@pytest.mark.parametrize(
+    "cfg, keys",
+    [
+        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 7, "a": 0.0, "b": 1.0,
+          "sweep": dict(_HUGE_RANGE, param="a", points=201)}, ("start", "stop")),
+        ({"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "f_eps_range": dict(_HUGE_RANGE, points=41)},
+         ("start", "stop")),
+        ({"schema": 1, "command": "fluxqubit", "f_alpha_sweep": dict(_HUGE_RANGE, points=31)}, ("start", "stop")),
+        ({"schema": 1, "command": "fluxqubit", "f_alpha": 0.2,
+          "spec": {"ej": 1e300, "ej_over_ec": 1e-300, "charge_cutoff": 2}}, ("ej", "ej_over_ec")),
+    ],
+    ids=["sweep", "f_eps_range", "f_alpha_sweep", "flux-energies"],
+)
+def test_overflowing_inputs_are_named_violations(tmp_path, cfg, keys):
+    # a fresh interpreter, so a numpy RuntimeWarning would reach stderr: a
+    # range whose span overflows, or circuit energies that overflow H, are
+    # rejected before anything runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert all(f"'{key}'" in proc.stderr for key in keys), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "integrator, key",
+    [({"rel_tol": 0}, "rel_tol"), ({"abs_tol": -1e-12}, "abs_tol"), ({"max_step": -1}, "max_step")],
+    ids=["rel_tol", "abs_tol", "max_step"],
+)
+def test_integrator_bounds_are_named_violations(tmp_path, capsys, integrator, key):
+    _rejected(tmp_path, capsys, json.dumps(dict(_TINY_QUENCH, integrator=integrator)), key)
+
+
+def test_integrator_violations_are_all_reported():
+    messages = _violations(dict(_TINY_QUENCH, integrator={"abs_tol": 0, "max_step": -1}))
+    assert messages == ["key 'abs_tol' in config.integrator must be > 0",
+                        "key 'max_step' in config.integrator must be > 0"]
+
+
 @pytest.mark.parametrize(
     "exc, line",
     [

@@ -1,0 +1,237 @@
+"""The config schema table: a property test of parse_config built from the
+table, the presets against the model schedules, and the README's config
+section against the table."""
+
+import copy
+import json
+import math
+import re
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import topochain.config as config
+from topochain.config import Key, parse_config
+from topochain.errors import SchemaError
+from topochain.models import bell_transfer_schedule, optimized_schedule, pump_schedule
+from topochain.presets import PRESETS
+
+PRESET_CONFIGS = dict(entry for entries in PRESETS.values() for entry in entries)
+
+_MODEL_KEYS = {"kind": config.MODEL_KIND, **config.MODEL_SIZE,
+               **{name: key for params, _ in config.MODEL.values() for name, key in params.items()}}
+# every key a command's top level may hold, whatever its mode or model kind
+COMMAND_KEYS = {
+    "spectrum": {**config.SPECTRUM_TRACE, **config.SPECTRUM_STATIC, **_MODEL_KEYS},
+    "pump": config.PUMP,
+    "quench": {**config.QUENCH, **_MODEL_KEYS},
+    "lz": config.LZ,
+    "trimer": config.TRIMER,
+    "couplings": config.COUPLINGS,
+    "fluxqubit": {**config.FLUX, **config.FLUX_LEVELS, **config.FLUX_GAP},
+}
+_PATH_KEYS = {name: key for keys in config.LZ_PATH_TYPES.values() for name, key in keys.items()}
+
+
+def _children(key: Key) -> dict:
+    """The table of the keys inside a value of ``key``."""
+    if not isinstance(key.kind, dict):
+        return {}
+    return {**key.kind, **(_PATH_KEYS if key is config.LZ_PATH else {})}
+
+
+def table_names() -> set:
+    """Every key name of every table of the schema."""
+    names, stack = set(), [config.CONFIG, config.FUNCTION.kind, *COMMAND_KEYS.values()]
+    while stack:
+        keys = stack.pop()
+        names.update(keys)
+        stack += [_children(key) for key in keys.values()]
+    return names
+
+
+def slots(cfg: dict):
+    """(path, Key) of every key of ``cfg`` that the schema describes; the
+    terms of a schedule's params are FUNCTION objects."""
+    def walk(obj, keys, path):
+        for name, value in obj.items():
+            key = keys.get(name)
+            if key is None:
+                continue
+            yield path + (name,), key
+            if key.kind == "dict" and isinstance(value, dict):
+                for term_name, term in value.items():
+                    yield path + (name, term_name), config.FUNCTION
+                    if isinstance(term, dict):
+                        yield from walk(term, config.FUNCTION.kind, path + (name, term_name))
+            elif isinstance(value, dict):
+                yield from walk(value, _children(key), path + (name,))
+
+    command = cfg.get("command")
+    yield from walk(cfg, {**config.CONFIG, **COMMAND_KEYS.get(command if isinstance(command, str) else "", {})}, ())
+
+
+def _step(value, direction, kind):
+    return value + direction if kind == "int" else math.nextafter(value, direction * math.inf)
+
+
+def bound_values(key: Key) -> list:
+    """Each limit of each bound of ``key`` and one step to either side."""
+    values = []
+    for bound in key.bounds:
+        limits = bound.limit if bound.op == "in" else (bound.limit,)
+        if bound.op == "below":
+            limits = (bound.limit, -bound.limit)
+        for limit in limits:
+            values += [_step(limit, -1, key.kind), limit, _step(limit, 1, key.kind)]
+    return values
+
+
+_WRONG_KINDS = {
+    "number": ["1", True, None, [1.0], math.nan, math.inf, 10**400],
+    "int": [1.5, "1", True, None],
+    "str": [1, None, ["x"]],
+    "list": ["plus", 1, {}],
+    "dict": [[], 1, "x"],
+    "levels": [1, [1.5], "all"],
+}
+
+
+def mutations(key: Key) -> list:
+    """Values to put at a key: its bounds, wrong kinds, bad choices and,
+    for a key that feeds a size or cost check, huge sizes."""
+    values = bound_values(key)
+    values += [1, [], "x"] if isinstance(key.kind, dict) else _WRONG_KINDS[key.kind]
+    if key.choices is not None or key.items is not None:
+        values += ["bogus", ["bogus"]]
+    if key.feeds and key.kind in ("int", "number"):
+        values += [10**9, 1e300, -1e300]
+    return values
+
+
+_DELETE = object()
+# a few valid configs beyond the presets: the other model kinds and LZ paths
+_EXTRA_BASES = [
+    {"schema": 1, "command": "quench", "kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4,
+     "hop": -0.8, "t_final": 1.0, "integrator": {"method": "rk4", "max_step": 0.01, "rel_tol": 1e-9}},
+    {"schema": 1, "command": "quench", "kind": "rm", "L": 3, "a": 0.5, "b": 1.0, "u": 0.2, "t_final": 2.0,
+     "disorder": {"sigma": 0.1, "seed": 3, "targets": ["diagonal"]}, "n_records": 11},
+    {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.3, "theta": 0.7, "T": 10.0},
+     "n_records": 11, "classify_tol": 1e-3},
+    {"schema": 1, "command": "lz", "path": {"type": "custom", "T": 10.0, "n_samples": 11,
+                                             "u": {"form": "linear", "offset": -1.0, "amplitude": 2.0},
+                                             "g": {"form": "const", "offset": 0.3}}, "initial_state": "R"},
+    {"schema": 1, "command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}},
+    {"schema": 1, "command": "couplings", "scheme": "matched", "n_max": 20,
+     "alpha1": {"start": -2.0, "stop": 2.0, "points": 5}, "alpha2": {"start": 0.0, "stop": 1.0, "points": 3}},
+    {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 3,
+     "spec": {"ej": 1.0, "ej_over_ec": 40.0, "alpha": 0.6, "beta": 0.1, "f_sigma_kappa": 10.0, "n_total": 1,
+              "n_diff": 0, "charge_cutoff": 4}},
+    {"schema": 1, "command": "spectrum", "kind": "rm", "L": 4, "a": 0.5, "b": 1.0, "u": 0.0,
+     "export_states": [1, 8], "seed": 5, "output": "rm"},
+]
+BASES = list(PRESET_CONFIGS.values()) + _EXTRA_BASES
+
+
+def _set(cfg: dict, path: tuple, value):
+    parent = cfg
+    for name in path[:-1]:
+        parent = parent[name]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with up to three of its keys set to a value at or
+    beyond a bound, of the wrong kind, outside the choices, or deleted,
+    or with an unknown key added."""
+    cfg = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(0, 3))):
+        described = list(slots(cfg))
+        if not described:
+            break
+        path, key = draw(st.sampled_from(described))
+        if draw(st.integers(0, 9)) == 0:
+            path = path[:-1] + ("bogus",)
+            value = 1
+        else:
+            value = draw(st.sampled_from(mutations(key) + [_DELETE]))
+        _set(cfg, path, value)
+    return cfg
+
+
+def _all_keys(obj) -> set:
+    if isinstance(obj, dict):
+        return set(obj).union(*(_all_keys(value) for value in obj.values()))
+    if isinstance(obj, list):
+        return set().union(*(_all_keys(value) for value in obj))
+    return set()
+
+
+def _names_a_key(message: str, names: set) -> bool:
+    """A violation names its key quoted or as the last part of its context;
+    three name the schema version, the command or the sweep parameter."""
+    quoted = {a or b for a, b in re.findall(r"'(\w+)'|\.(\w+)", message)}
+    return bool(quoted & names) or message.startswith(("unsupported schema version", "unknown command",
+                                                       "sweep parameter"))
+
+
+TABLE_NAMES = table_names()
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(mutated_configs())
+def test_parse_config_returns_or_names_every_violation(cfg):
+    names = TABLE_NAMES | _all_keys(cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse_config(json.dumps(cfg))
+        except SchemaError as exc:
+            assert exc.violations
+            for message in exc.violations:
+                assert _names_a_key(message, names), message
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_every_preset_key_is_in_the_table():
+    # so the property test above can reach every key of every preset
+    for name, cfg in PRESET_CONFIGS.items():
+        described = {path for path, _ in slots(cfg)}
+        for path in _paths(cfg):
+            assert path in described, f"{name}: {path}"
+
+
+def _paths(obj, path=()):
+    for name, value in obj.items():
+        yield path + (name,)
+        if isinstance(value, dict):
+            yield from _paths(value, path + (name,))
+
+
+def test_presets_run_the_model_schedules():
+    # reproduce runs the preset dicts; the acceptance criteria run the
+    # schedules of models.py: they must be the same protocols
+    def parsed(name):
+        return parse_config(json.dumps(PRESET_CONFIGS[name])).options
+
+    plain = pump_schedule(100.0)
+    assert parsed("pumping")["schedule"] == plain
+    assert parsed("rm_spectrum")["schedule"] == plain
+    assert parsed("lz2_pump_path")["from_schedule"]["schedule"] == plain
+    assert parsed("optimization_full")["schedule"] == optimized_schedule(100.0)
+    assert parsed("optimization_pump")["schedule"] == optimized_schedule(100.0, 3)
+    assert parsed("belltransfer")["schedule"] == bell_transfer_schedule(1000.0)
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```.*?```|`[^`]+`", section, flags=re.S)
+    documented = set(re.findall(r"\w+", " ".join(code)))
+    assert sorted(table_names() - documented) == []
