@@ -261,7 +261,7 @@ QUENCH = {
 
 LZ_PATH = Key({
     "type": Key("str", required=True, choices=("arc", "line", "line_at_angle", "custom")),
-    "T": Key("number", required=True, feeds="span"),
+    "T": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
     "n_samples": Key("int", 201, bounds=(Bound(">=", 3),), feeds="rows"),
 }, extra=("alpha", "theta", "u", "g"))
 _ALPHA = Key("number", required=True, feeds="norm")
@@ -274,7 +274,7 @@ LZ_PATH_TYPES = {  # the path keys of each type
 LZ = {
     "initial_state": Key("str", "L", choices=("L", "R")),
     "n_records": QUENCH["n_records"],
-    "classify_tol": _NUMBER,
+    "classify_tol": Key("number", bounds=(_POSITIVE,)),
     "path": LZ_PATH,
     "from_schedule": _schedule(("rm",), required=False),
     "reduce": Key({"a": _REQUIRED_NUMBER, "b": _REQUIRED_NUMBER, "u": Key("number", 0.0), "L": _CELLS}),

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import InvalidParameterError
 
@@ -34,6 +33,8 @@ def bessel_jn(n_max: int, x) -> np.ndarray:
     bad = ~(np.abs(x) < MAX_ARGUMENT)  # also catches NaN
     if bad.any():
         raise InvalidParameterError(f"|x| must be below {MAX_ARGUMENT}, got {x[bad].flat[0]}")
+    from scipy.special import jv  # on first use, so that importing the package skips scipy.special
+
     return jv(np.arange(n_max + 1), x[..., np.newaxis])
 
 

@@ -24,10 +24,10 @@ Each Trajectory carries an ``integration`` record of what ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import BDF, solve_ivp
 from scipy.linalg import get_lapack_funcs
 
 from ._kernels import apply_minus_ih, hermitian_band, rk4_integrate, rk4_substeps
@@ -133,31 +133,48 @@ def _renormalize(states: np.ndarray, stats=None) -> np.ndarray:
     return states / norms[:, np.newaxis]
 
 
-class _LapackBDF(BDF):
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first BDF run.
+
+    scipy.integrate loads scipy.optimize, scipy.special and scipy.sparse,
+    which only the runs that integrate with BDF need.  ``_evolve_bdf``
+    calls through this module attribute, so that it can be replaced."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+@cache
+def _lapack_bdf():
     """scipy's BDF with its dense LU hooks calling LAPACK getrf/getrs
     directly: the same routines ``lu_factor``/``lu_solve`` call, without
     their per-call batch dispatch and finiteness scan (``_renormalize``
-    rejects a non-finite state instead)."""
+    rejects a non-finite state instead).  Built on first use, as
+    ``solve_ivp`` is imported."""
+    from scipy.integrate import BDF
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (self.I,))
+    class _LapackBDF(BDF):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (self.I,))
 
-        def lu(a):
-            self.nlu += 1
-            lu_factors, piv, info = getrf(a, overwrite_a=True)
-            if info != 0:
-                raise IntegrationError(f"LAPACK getrf failed in BDF (info {info})")
-            return lu_factors, piv
+            def lu(a):
+                self.nlu += 1
+                lu_factors, piv, info = getrf(a, overwrite_a=True)
+                if info != 0:
+                    raise IntegrationError(f"LAPACK getrf failed in BDF (info {info})")
+                return lu_factors, piv
 
-        def solve_lu(lu_and_piv, b):
-            x, info = getrs(*lu_and_piv, b, overwrite_b=True)
-            if info != 0:
-                raise IntegrationError(f"LAPACK getrs failed in BDF (info {info})")
-            return x
+            def solve_lu(lu_and_piv, b):
+                x, info = getrs(*lu_and_piv, b, overwrite_b=True)
+                if info != 0:
+                    raise IntegrationError(f"LAPACK getrs failed in BDF (info {info})")
+                return x
 
-        self.lu = lu
-        self.solve_lu = solve_lu
+            self.lu = lu
+            self.solve_lu = solve_lu
+
+    return _LapackBDF
 
 
 def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
@@ -200,7 +217,7 @@ def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
         rhs,
         (times[0], times[-1]),
         psi0,
-        method=_LapackBDF,
+        method=_lapack_bdf(),
         t_eval=times,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,

@@ -14,6 +14,9 @@ come from shift-invert Lanczos (ARPACK) at a shift sigma below its Gershgorin
 bound, where H - sigma is positive definite: the upper triangle is packed
 into LAPACK Hermitian band storage, factored once per bias point by banded
 Cholesky (``zpbtrf``), and every shift-invert solve is one ``zpbtrs``.
+
+scipy.sparse and scipy.sparse.linalg are imported by the functions that
+use them, so that importing the package does not load them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import InvalidParameterError, NumericError
 
@@ -88,6 +89,8 @@ class QubitCharacter:
 
 
 def _single_junction_ops(n_c: int):
+    import scipy.sparse as sp
+
     dim = 2 * n_c + 1
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)  # exp(i*phi): |k> -> |k+1>
@@ -96,6 +99,8 @@ def _single_junction_ops(n_c: int):
 
 def _alpha_hop(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     """(amp, chi, S): the alpha-junction term is -amp*(e^{i chi} S + h.c.)."""
+    import scipy.sparse as sp
+
     _, raise_op, _ = _single_junction_ops(int(spec.charge_cutoff))
     f_sigma = spec.f_sigma_kappa * f_alpha
     c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
@@ -104,6 +109,8 @@ def _alpha_hop(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
 
 def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csc_array:
     """Hermitian charge-basis Hamiltonian at the given reduced fluxes (CSC)."""
+    import scipy.sparse as sp
+
     charge, raise_op, ident = _single_junction_ops(int(spec.charge_cutoff))
     k_sq = charge**2
 
@@ -161,11 +168,17 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
 
     ``stats``, if given, receives the dimension, band width, shift and the
     number of shift-invert solves."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     n_levels = int(n_levels)
     dim = spec.dimension
     if not 1 <= n_levels <= dim - 2:
         raise InvalidParameterError(f"n_levels must be in 1..{dim - 2} at dimension {dim}, got {n_levels}")
-    h = build_charge_hamiltonian(spec, f_alpha, f_eps)
+    # solved in units of E_J, so that the problem, and the solver's work, is
+    # the same at every ej: the shift's margin below the Gershgorin bound is
+    # one E_J, and ARPACK's convergence test, which has an absolute floor of
+    # eps**(2/3), sees Ritz values of order 1
+    h = build_charge_hamiltonian(spec, f_alpha, f_eps) / spec.ej
     diag = h.diagonal().real
     shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
     if not np.isfinite(shift):  # any inf or NaN entry of H reaches the Gershgorin bound
@@ -187,9 +200,9 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
                        OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
     if stats is not None:
-        stats.update(dimension=dim, band_width=kd, shift=shift, solves=solves)
+        stats.update(dimension=dim, band_width=kd, shift=shift * spec.ej, solves=solves)
     order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return vals[order] * spec.ej, vecs[:, order]
 
 
 def solver_record(point_stats) -> dict:

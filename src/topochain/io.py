@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy
 
 from .dynamics import Trajectory
 from .effective import LZPath, lz_eigen, TwoLevelSystem
@@ -53,6 +55,10 @@ def write_json(path: Path, payload: dict) -> Path:
     return path
 
 
+# the interpreter and libraries a manifest's run used
+VERSIONS = {"python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float,
                    extras=None, blocks=None) -> Path:
     """``blocks`` holds further top-level records of what ran: ``integrator``
@@ -61,6 +67,7 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
     payload = {
         "tool": "topochain",
         "version": version,
+        "versions": VERSIONS,
         "config": config,
         "wall_time_s": wall_time,
         "outputs": {Path(p).name: file_sha256(p) for p in outputs},

@@ -12,7 +12,6 @@ from typing import Mapping
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .errors import InvalidDimensionError, InvalidParameterError, NumericError
 
@@ -159,11 +158,15 @@ _TARGET_TAGS = {"diagonal": 0, "offdiagonal": 1}
 
 
 # the largest |deviate| _gaussian_draws returns: ndtri of the smallest
-# uniform it forms, 2^-54, is -8.29; the largest, 1 - 2^-53, gives 8.21
-MAX_DEVIATE = float(-ndtri(2.0**-54))
+# uniform it forms, 2^-54, is -8.29; the largest, 1 - 2^-53, gives 8.21.
+# A literal, so that importing the package does not load scipy.special;
+# tests/test_coldstart.py checks it against ndtri
+MAX_DEVIATE = 8.292361075813597
 
 
 def _gaussian_draws(seed: int, tag: int, count: int) -> np.ndarray:
+    from scipy.special import ndtri
+
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(tag)], dtype=np.uint64)
     raw = Philox(key=key).random_raw(count)
     uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53

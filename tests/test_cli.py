@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import topochain.cli
 import topochain.config
@@ -119,6 +120,15 @@ def test_run_is_deterministic(tmp_path):
         assert manifest["config"] == QUENCH_CFG
         assert manifest["tool"] == "topochain"
     assert digests[0] == digests[1]
+
+
+def test_manifest_records_the_library_versions(tmp_path):
+    cfg_path = tmp_path / "quench.json"
+    cfg_path.write_text(json.dumps(QUENCH_CFG))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "quench.manifest.json").read_text())
+    assert manifest["versions"] == {"python": "{}.{}.{}".format(*sys.version_info[:3]),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def test_seed_override_changes_disorder(tmp_path):
@@ -758,6 +768,17 @@ def test_overflowing_inputs_are_named_violations(tmp_path, cfg, keys):
     assert all(f"'{key}'" in proc.stderr for key in keys), proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [({"path": {"type": "arc", "alpha": 1, "T": -1}}, "T"),
+     ({"path": {"type": "arc", "alpha": 1, "T": 0}}, "T"),
+     ({"classify_tol": 0, "path": {"type": "arc", "alpha": 1, "T": 5}}, "classify_tol")],
+    ids=["T-negative", "T-zero", "classify_tol"],
+)
+def test_lz_bounds_are_named_violations(tmp_path, capsys, cfg, key):
+    _rejected(tmp_path, capsys, json.dumps(dict(cfg, schema=1, command="lz")), key)
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,19 @@ def test_indefinite_band_raises_numeric_error():
         qubit_levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
 
 
+@pytest.mark.parametrize("ej, ej_over_ec", [(1e100, 50.0), (1e-4, 1.0)], ids=["large", "small"])
+def test_levels_scale_with_the_circuit_energy(ej, ej_over_ec):
+    # H is linear in E_J at fixed E_J/E_C, so the levels scale with it and
+    # the solver's work does not change; an absolute shift margin gave
+    # levels 8e-4 off with 21 solves at ej 1e100, and 203 solves at 1e-4
+    unit_stats, stats = {}, {}
+    unit = qubit_levels(FluxQubitSpec(ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, unit_stats)
+    levels = qubit_levels(FluxQubitSpec(ej=ej, ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, stats)
+    assert np.abs(levels / ej - unit).max() <= 1e-13 * np.abs(unit).max()
+    assert stats["solves"] == unit_stats["solves"]
+    assert stats["shift"] / ej == pytest.approx(unit_stats["shift"], rel=1e-14)
+
+
 def test_sweep_point_reports_its_solver_stats():
     stats = {}
     sweep_point(SMALL, 0.2, 0.01, 3, stats=stats)
