@@ -37,7 +37,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(h: ChainHamiltonian) -> Spectrum:
-    """Eigensystem of a chain from LAPACK's tridiagonal MRRR solver, in the
+    """Eigensystem of a chain from LAPACK's tridiagonal solver (dstevd), in the
     sign gauge of ``_fix_signs``."""
     if not (np.all(np.isfinite(h.diagonal)) and np.all(np.isfinite(h.offdiagonal))):
         raise NumericError("non-finite Hamiltonian entries")

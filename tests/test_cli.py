@@ -14,9 +14,11 @@ import scipy
 
 import topochain.cli
 import topochain.config
+import topochain.dynamics
 from topochain import ChainHamiltonian, DisorderSpec, apply_disorder
 from topochain.cli import main
 from topochain.config import _norm_bound, parse_config
+from topochain.dynamics import MAGNUS_MAX_STEPS
 from topochain.errors import SchemaError
 from topochain.io import file_sha256
 from topochain.models import schedule_arrays
@@ -585,16 +587,23 @@ def test_rk4_stability_admits_the_crosschecks():
         _parse(cfg)
 
 
+_PHASE_CASES = [
+    (dict(_TINY_QUENCH, t_final=1e300), "t_final"),
+    (dict(_TINY_QUENCH, a=1e200), "t_final"),
+    (dict(_TINY_QUENCH, t_final=18181.82), "t_final"),
+    ({"schema": 1, "command": "trimer", "schedule": dict(_BELL["schedule"], cycles=4)}, "T"),
+    ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.01}}, "T"),
+]
+_PHASE_IDS = ["t_final-1e300", "a-1e200", "just-over", "bell-4-cycles", "lz-path"]
+# ||H|| <= 1.5, so T = 20,000 is 1.5 times the bound; pump integrates with
+# BDF unless the config names a method
+_LONG_PUMP = {"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, T=20000.0)}
+
+
 @pytest.mark.parametrize(
     "cfg, key",
-    [
-        (dict(_TINY_QUENCH, t_final=1e300), "t_final"),
-        (dict(_TINY_QUENCH, a=1e200), "t_final"),
-        (dict(_TINY_QUENCH, t_final=18181.82), "t_final"),
-        ({"schema": 1, "command": "trimer", "schedule": dict(_BELL["schedule"], cycles=4)}, "T"),
-        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.01}}, "T"),
-    ],
-    ids=["t_final-1e300", "a-1e200", "just-over", "bell-4-cycles", "lz-path"],
+    [(dict(cfg, integrator={"method": "bdf"}), key) for cfg, key in _PHASE_CASES] + [(_LONG_PUMP, "T")],
+    ids=_PHASE_IDS + ["pump-default"],
 )
 def test_bdf_phase_bound_is_a_named_violation(tmp_path, capsys, cfg, key):
     # parsed only: span x ||H|| over the bound of 20,000 is rejected before
@@ -604,12 +613,58 @@ def test_bdf_phase_bound_is_a_named_violation(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
-def test_bdf_phase_bound_admits_its_limit_and_the_bell_pumps():
+@pytest.mark.parametrize(
+    "cfg, key",
+    _PHASE_CASES + [(dict(_LONG_PUMP, integrator={"method": "magnus"}), "T")],
+    ids=_PHASE_IDS + ["pump-magnus"],
+)
+def test_magnus_phase_bound_is_a_named_violation(tmp_path, capsys, cfg, key):
+    # the same bound holds for Magnus, the default of every command but pump
+    messages = _violations(cfg)
+    assert len(messages) == 1 and "Magnus" in messages[0] and "20,000" in messages[0]
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+def _admitted_at_the_phase_bound(method):
     # ||H|| <= 2 for the arc, so T = 10,000 is the bound exactly; the
     # three-cycle Bell pump of criteria 9 and 13 reaches 3000 x 5.8 = 17,400
-    _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.0}})
-    _parse(dict(_BELL, schedule=dict(_BELL["schedule"], cycles=3)))
-    _parse(dict(_TINY_QUENCH, t_final=18181.82, integrator={"method": "rk4"}))  # the bound is BDF's
+    integrator = {"method": method}
+    _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10000.0},
+            "integrator": integrator})
+    _parse(dict(_BELL, schedule=dict(_BELL["schedule"], cycles=3), integrator=integrator))
+
+
+def test_bdf_phase_bound_admits_its_limit_and_the_bell_pumps():
+    _admitted_at_the_phase_bound("bdf")
+    _parse(dict(_TINY_QUENCH, t_final=18181.82, integrator={"method": "rk4"}))  # the bound is BDF's and Magnus's
+
+
+def test_magnus_phase_bound_admits_its_limit_and_the_bell_pumps():
+    _admitted_at_the_phase_bound("magnus")
+
+
+def test_magnus_step_budget_is_a_named_violation():
+    # parsed only: a max_step the halving would start from that costs more
+    # than the budget (three times span / max_step) is never run
+    messages = _violations(dict(_TINY_QUENCH, integrator={"max_step": 1e-300}))
+    assert len(messages) == 1 and "'max_step'" in messages[0] and "Magnus" in messages[0]
+    assert f"{MAGNUS_MAX_STEPS:,}" in messages[0]
+    _parse(dict(_TINY_QUENCH, integrator={"max_step": 4.0 / MAGNUS_MAX_STEPS}))  # 3/4 of the budget
+
+
+def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
+    # a budget the halving passes before its estimate reaches rel_tol fails
+    # the run with one error line and writes no trajectory (the path CSV
+    # comes first)
+    monkeypatch.setattr(topochain.dynamics, "MAGNUS_MAX_STEPS", 1000)
+    cfg = {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 200.0}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "budget of 1,000 steps" in lines[0], err
+    assert "Traceback" not in err and not (tmp_path / "lz.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -658,12 +713,23 @@ def test_manifest_records_each_integration(tmp_path):
         "schema": 1, "command": "pump", "n_records": 11, "integrator": {"method": "rk4", "max_step": 0.01},
         "schedule": dict(PRESETS["pumping"][0][1]["schedule"], L=2, T=5.0),
     }
-    for name, cfg in (("trimer", trimer), ("pump", pump_rk4)):
+    trimer_bdf = dict(trimer, integrator={"method": "bdf"}, output="trimer_bdf")
+    runs = (("trimer", trimer), ("trimer_bdf", trimer_bdf), ("pump", pump_rk4))
+    for name, cfg in runs:
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         assert main(["run", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "trimer.manifest.json").read_text())
     assert set(manifest["integrator"]) == {"trimer_plus.csv", "trimer_minus.csv"}
     assert set(manifest["extras"]) == {"final_fidelity_plus", "final_fidelity_minus"}
+    for record in manifest["integrator"].values():
+        # Magnus, the trimer default: 10 record segments, halved from one step each
+        assert set(record) == {"method", "steps", "steps_total", "error_estimate", "norm_drift"}
+        assert record["method"] == "magnus"
+        assert record["steps"] >= 20 and record["steps"] % 10 == 0
+        assert record["steps_total"] == 2 * record["steps"] - 10
+        assert 0.0 <= record["error_estimate"] <= 1e-8
+        assert 0.0 <= record["norm_drift"] <= 1e-12
+    manifest = json.loads((tmp_path / "trimer_bdf.manifest.json").read_text())
     for record in manifest["integrator"].values():
         assert record["method"] == "bdf"
         assert record["energy_shift"] == pytest.approx(4.0 / 3.0, abs=1e-15)

@@ -3,9 +3,10 @@ wraps.
 
 ``import topochain.cli`` loads numpy and scipy.linalg only: scipy.integrate
 (with scipy.optimize), scipy.special and scipy.sparse are imported by the
-functions that use them.  ``perfbench/tracing.py`` wraps module attributes
-by name, so every one of them must stay a module-level binding that the
-program calls through.
+functions that use them, and a run that integrates with Magnus, the default
+of every command but ``pump``, never loads scipy.integrate.
+``perfbench/tracing.py`` wraps module attributes by name, so every one of
+them must stay a module-level binding that the program calls through.
 """
 
 import importlib.util
@@ -46,6 +47,39 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert literal == computed
 
 
+def test_magnus_runs_load_no_scipy_integrate(tmp_path):
+    # a tiny quench, lz and trimer run in one fresh interpreter, each with
+    # the default integrator; only BDF loads scipy.integrate and, through
+    # it, scipy.optimize
+    configs = [
+        {"command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1.0, "t_final": 5.0,
+         "disorder": {"sigma": 0.01}},
+        {"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 10.0}},
+        {"command": "trimer", "n_records": 11, "schedule": {
+            "kind": "trimer", "L": 2, "T": 5.0, "params": {
+                "a": {"form": "cos", "offset": 1.0, "amplitude": -0.9}, "b": {"form": "const", "offset": 1.0},
+                "c": {"form": "const", "offset": 1.0}, "u": {"form": "const"}, "v": {"form": "const"},
+                "w": {"form": "const"}}}},
+    ]
+    paths = []
+    for cfg in configs:
+        paths.append(str(tmp_path / f"{cfg['command']}.json"))
+        Path(paths[-1]).write_text(json.dumps(dict(cfg, schema=1)))
+    code = (
+        "import json, sys\n"
+        "from topochain.cli import main\n"
+        "loaded = []\n"
+        f"for path in {paths!r}:\n"
+        f"    assert main(['run', '--config', path, '--out', {str(tmp_path)!r}]) == 0\n"
+        "    loaded.append(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert json.loads(_fresh(code).splitlines()[-1]) == [[], [], []]  # main prints the files first
+    for cfg in configs:
+        manifest = json.loads((tmp_path / f"{cfg['command']}.manifest.json").read_text())
+        assert {record["method"] for record in manifest["integrator"].values()} == {"magnus"}
+
+
 def _tracing():
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     module = importlib.util.module_from_spec(spec)
@@ -84,8 +118,8 @@ def test_traced_bdf_run_reports_its_counts():
         "tracer = tracing.Tracer()\n"
         "tracer.install()\n"
         "tracer.start_run('quench')\n"
-        "from topochain import build_ssh, quench\n"
-        "quench(build_ssh(3, 0.3, 1.0), 1, 5.0)\n"
+        "from topochain import IntegratorConfig, build_ssh, quench\n"
+        "quench(build_ssh(3, 0.3, 1.0), 1, 5.0, IntegratorConfig(method='bdf'))\n"
         "print(json.dumps([tracer.absent, dict(tracer.note_failures), tracer.counts['bdf.nfev']]))\n"
     )
     absent, failures, nfev = json.loads(_fresh(code))

@@ -29,7 +29,8 @@ from topochain.models import schedule_arrays
 
 from conftest import exact_propagator_state
 
-BDF_TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+BDF_TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="bdf")
+BDF = IntegratorConfig(method="bdf")
 RK4 = IntegratorConfig(method="rk4", max_step=0.005)
 
 
@@ -147,8 +148,8 @@ def test_integrators_agree_on_pump():
 
 def test_tolerance_tightening_is_converged():
     psi0 = basis_state(14, 1)
-    base = pump(pump_schedule(100.0), 7, psi0, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10), 51)
-    tight = pump(pump_schedule(100.0), 7, psi0, IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11), 51)
+    base = pump(pump_schedule(100.0), 7, psi0, IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, method="bdf"), 51)
+    tight = pump(pump_schedule(100.0), 7, psi0, IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, method="bdf"), 51)
     assert 1.0 - abs(np.vdot(base.final_state, tight.final_state)) <= 1e-6
 
 
@@ -191,7 +192,7 @@ def test_records_shape_and_times():
 )
 def test_bdf_matches_stock_scipy_bdf(monkeypatch, provider, psi0, t1):
     times = np.linspace(0.0, t1, 41)
-    cfg = IntegratorConfig()
+    cfg = BDF
 
     def rhs(t, y):
         return apply_minus_ih(hermitian_band(*provider(t)), y)
@@ -231,8 +232,8 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
     # a uniform on-site omega is a constant shift: BDF integrates in its
     # frame, so the records are the omega = 0 records times exp(-i omega t),
     # at the same cost
-    base = quench(build_ssh(7, 0.3, 1.0), 1, 100.0)
-    shifted = quench(build_ssh(7, 0.3, 1.0, omega), 1, 100.0)
+    base = quench(build_ssh(7, 0.3, 1.0), 1, 100.0, BDF)
+    shifted = quench(build_ssh(7, 0.3, 1.0, omega), 1, 100.0, BDF)
     assert shifted.integration["energy_shift"] == pytest.approx(omega, abs=1e-15)
     expected = np.exp(-1j * omega * base.times)[:, np.newaxis] * base.states
     assert np.abs(shifted.states - expected).max() <= 1e-12
@@ -241,7 +242,7 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
 
 def test_bdf_with_onsite_energy_matches_exact_propagator():
     h = build_ssh(7, 0.3, 1.0, 5.0)
-    traj = quench(h, 1, 100.0)
+    traj = quench(h, 1, 100.0, BDF)
     exact = np.array([exact_propagator_state(h, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 2e-6
 
@@ -251,7 +252,7 @@ def test_bdf_frame_matches_stock_scipy_bdf_on_shifted_h(monkeypatch):
     psi0 = np.zeros(21, dtype=np.complex128)
     psi0[:2] = 1.0 / np.sqrt(2.0)
     times = np.linspace(0.0, 50.0, 41)
-    cfg = IntegratorConfig()
+    cfg = BDF
     eps0 = np.mean(provider(0.0)[0])
     assert eps0 == pytest.approx(4.0 / 3.0, abs=1e-15)  # (u + v + w) / 3
 

@@ -250,7 +250,8 @@ def test_lz_evolve_path_b_persists():
 
 def test_lz_evolve_constant_coupling_rabi():
     path = LZPath.from_functions(const(0.0), const(0.25), 20.0)
-    traj = lz_evolve(path, np.array([1.0, 0.0], dtype=complex), IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12))
+    cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="bdf")
+    traj = lz_evolve(path, np.array([1.0, 0.0], dtype=complex), cfg)
     expected = np.sin(0.25 * traj.times) ** 2
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - expected).max() < 1e-7
 
