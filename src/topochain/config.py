@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import MAGNUS_MAX_STEPS, METHODS, RECORDS_PER_CYCLE, IntegratorConfig
-from .errors import SchemaError
+from .effective import LZPath
+from .errors import InvalidParameterError, SchemaError
 from .fluxcircuit import FluxQubitSpec
 from .models import (
     FUNCTION_FORMS,
@@ -93,8 +94,17 @@ BDF_MAX_PHASE = 20_000
 
 # magnitude of a range's ends (sweeps, drive ratios, flux biases):
 # np.linspace forms stop - start, which overflows once the two magnitudes
-# sum past the float range (1.8e308); below 1e300 the span stays finite
+# sum past the float range (1.8e308); below 1e300 the span stays finite.
+# It also bounds each number that sets an entry of H (the chain parameters,
+# function terms, disorder and LZ keys): a chain of 1e308 bonds has
+# eigenvalues beyond the float range, one of 1e300 bonds finite ones
 MAX_RANGE_END = 1e300
+
+# shortest time span (a schedule's T, an lz path's T, a quench's t_final):
+# record and sample times are linspace(0, span, rows), at most
+# MAX_ROW_SITES / 2 = 100,000 rows, so their step is a normal float and
+# they increase strictly; a subnormal span repeats them
+MIN_SPAN = 1e-300
 
 # (on-site, bond) parameters of each chain kind; a site's two bonds are
 # two of the bond parameters, both 'hop' in the AAH chain
@@ -172,14 +182,17 @@ _KINDS = {  # the test and the name of each kind of value
 # integrators' cost models, or a command's own cost bounds
 _NUMBER, _INT, _REQUIRED_NUMBER = Key("number"), Key("int"), Key("number", required=True)
 _POSITIVE = Bound(">", 0, got=False)
+_SPAN = (_POSITIVE, Bound(">=", MIN_SPAN))
+_MAGNITUDE = Bound("below", MAX_RANGE_END)
 _RECORDS = Key("int", bounds=(Bound(">=", 2),), feeds="rows")
 _CELLS = Key("int", required=True, bounds=(Bound(">=", 1),), feeds="sites")
-_PARAM = Key("number", 0.0, required=True, feeds="norm")
+_PARAM = Key("number", 0.0, required=True, bounds=(_MAGNITUDE,), feeds="norm")
+_TERM = Key("number", 0.0, bounds=(_MAGNITUDE,), feeds="norm")
 
 FUNCTION = Key({
     "form": Key("str", required=True, choices=FUNCTION_FORMS),
-    "offset": Key("number", 0.0, feeds="norm"),
-    "amplitude": Key("number", 0.0, feeds="norm"),
+    "offset": _TERM,
+    "amplitude": _TERM,
     "frequency_multiple": Key("number", 1.0),
     "phase": Key("number", 0.0),
 }, required=True, hint=" with a 'form' field", build=lambda chk, ctx, v, ok: FunctionSpec(**v) if ok else None)
@@ -202,7 +215,7 @@ def _schedule(kinds, required=True) -> Key:
     return Key({
         "kind": Key("str", required=True, choices=kinds),
         "L": Key("int", required=True, bounds=(Bound("positive", 1, got=False),), feeds="sites"),
-        "T": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
+        "T": Key("number", required=True, bounds=_SPAN, feeds="span"),
         "cycles": Key("int", 1, bounds=(Bound(">=", 1, got=False),), feeds="span, rows"),
         "params": Key("dict", {}, required=True),
     }, required=required, build=_build_schedule)
@@ -231,7 +244,7 @@ CONFIG = {
 # flat static-model keys of each kind: its parameters (omega is optional in
 # an ssh chain) and the key that sizes the chain
 MODEL = {
-    "ssh": ({"a": _PARAM, "b": _PARAM, "omega": Key("number", 0.0, feeds="norm")}, "L"),
+    "ssh": ({"a": _PARAM, "b": _PARAM, "omega": _TERM}, "L"),
     "rm": ({"a": _PARAM, "b": _PARAM, "u": _PARAM}, "L"),
     "trimer": (dict.fromkeys(("a", "b", "c", "u", "v", "w"), _PARAM), "L"),
     "aah": (dict.fromkeys(("omega", "alpha", "phase", "hop"), _PARAM), "n_sites"),
@@ -251,36 +264,46 @@ SPECTRUM_STATIC = {
 PUMP = {"schedule": _schedule(MODEL_KINDS), "initial_site": Key("int", 1), "n_records": _RECORDS}
 
 QUENCH = {
-    "t_final": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
+    "t_final": Key("number", required=True, bounds=_SPAN, feeds="span"),
     "flip_site": Key("int", 1),
     "n_records": Key("int", 201, bounds=_RECORDS.bounds, feeds="rows"),
     "disorder": Key({
-        "sigma": Key("number", required=True, bounds=(Bound(">=", 0, got=False),), feeds="norm"),
+        "sigma": Key("number", required=True, bounds=(Bound(">=", 0, got=False), _MAGNITUDE), feeds="norm"),
         "seed": _INT,  # defaults to the config's seed
         "targets": Key("list", ("diagonal", "offdiagonal"), items=("diagonal", "offdiagonal"),
                        item_error="unknown disorder target {item!r} in {ctx}", feeds="norm"),
     }, build=lambda chk, ctx, v, ok: dict(v, targets=tuple(v["targets"])) if ok else None),
 }
 
+# an lz path: the keys of every type, and whether they are usable; _lz
+# checks the keys of its type and builds the LZPath
 LZ_PATH = Key({
     "type": Key("str", required=True, choices=("arc", "line", "line_at_angle", "custom")),
-    "T": Key("number", required=True, bounds=(_POSITIVE,), feeds="span"),
+    "T": Key("number", required=True, bounds=_SPAN, feeds="span"),
     "n_samples": Key("int", 201, bounds=(Bound(">=", 3),), feeds="rows"),
-}, extra=("alpha", "theta", "u", "g"))
-_ALPHA = Key("number", required=True, feeds="norm")
-LZ_PATH_TYPES = {  # the path keys of each type
+}, extra=("alpha", "theta", "u", "g"), build=lambda chk, ctx, v, ok: (v, ok))
+_ALPHA = Key("number", required=True, bounds=(_MAGNITUDE,), feeds="norm")
+LZ_PATH_TYPES = {  # the path keys of each type, in the order its constructor takes them
     "arc": {"alpha": _ALPHA},
     "line": {"alpha": _ALPHA},
-    "line_at_angle": {"alpha": _ALPHA, "theta": Key("number", required=True, feeds="norm")},
+    "line_at_angle": {"alpha": _ALPHA, "theta": Key("number", required=True, bounds=(_MAGNITUDE,), feeds="norm")},
     "custom": {"u": FUNCTION, "g": FUNCTION},
 }
+_LZ_PATHS = {  # the constructor of each type: its keys, then T and n_samples
+    "arc": LZPath.arc,
+    "line": LZPath.line,
+    "line_at_angle": LZPath.line_at_angle,
+    "custom": LZPath.from_functions,
+}
+_REDUCE_NUMBER = Key("number", required=True, bounds=(_MAGNITUDE,))
 LZ = {
     "initial_state": Key("str", "L", choices=("L", "R")),
     "n_records": QUENCH["n_records"],
     "classify_tol": Key("number", bounds=(_POSITIVE,)),
     "path": LZ_PATH,
     "from_schedule": _schedule(("rm",), required=False),
-    "reduce": Key({"a": _REQUIRED_NUMBER, "b": _REQUIRED_NUMBER, "u": Key("number", 0.0), "L": _CELLS}),
+    "reduce": Key({"a": _REDUCE_NUMBER, "b": _REDUCE_NUMBER, "u": Key("number", 0.0, bounds=(_MAGNITUDE,)),
+                   "L": _CELLS}),
 }
 
 TRIMER = {
@@ -392,14 +415,18 @@ def _check_site(chk: list, site: Optional[int], n_sites: Optional[int], key: str
         _check_bound(chk, key, ctx, site, Bound("in", (1, n_sites)))
 
 
-def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[int] = None, rows_key: str = ""):
-    """Bound a chain's sites and its table's rows x sites; each key is named
-    with its context, e.g. "'L' in command 'pump'.schedule"."""
+def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[int] = None,
+                rows_key: str = "") -> bool:
+    """Bound a chain's sites and its table's rows x sites, and return whether
+    both hold; each key is named with its context, e.g. "'L' in command
+    'pump'.schedule"."""
+    count = len(chk)
     if sites is not None and sites > MAX_SITES:
         chk.append(f"key {sites_key} gives {sites:,} sites, more than the bound of {MAX_SITES:,}")
     if sites is not None and rows is not None and rows * sites > MAX_ROW_SITES:
         chk.append(f"key {rows_key} asks for {rows:,} rows of {sites:,} sites, "
                    f"more than the bound of {MAX_ROW_SITES:,} values")
+    return len(chk) == count
 
 
 def _model(chk: list, cfg: dict, ctx: str, table: dict):
@@ -473,11 +500,16 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     if not any(key in cfg for key in ("path", "from_schedule", "reduce")):
         chk.append(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
     if path is not None:
+        path, usable = path
         # 2 sites: only rows (records, path samples) can exceed
         _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
-        _check_size(chk, 2, "", path["n_samples"], f"'n_samples' in {ctx}.path")
-        typed = _walk(chk, cfg["path"], LZ_PATH_TYPES.get(path["type"], {}), f"{ctx}.path", extra=None)[0]
-        options["path"] = {**path, **typed}
+        usable &= _check_size(chk, 2, "", path["n_samples"], f"'n_samples' in {ctx}.path")
+        typed, typed_ok = _walk(chk, cfg["path"], LZ_PATH_TYPES.get(path["type"], {}), f"{ctx}.path", extra=None)
+        if usable and typed_ok:  # sampled here, so only once its size holds
+            try:
+                options["path"] = _LZ_PATHS[path["type"]](*typed.values(), path["T"], path["n_samples"])
+            except InvalidParameterError as exc:  # path C: g = tan(theta) * u beyond the float range
+                chk.append(f"key 'theta' in {ctx}.path makes g = tan(theta) * u non-finite ({exc})")
     if "from_schedule" in cfg:
         options["from_schedule"] = chain or _NO_CHAIN
     if reduce is not None:
@@ -524,7 +556,7 @@ def _integrated_time(command: Optional[str], options: dict):
     if command == "quench":
         return options.get("t_final"), "'t_final' in command 'quench'"
     if command == "lz" and "path" in options:
-        return options["path"]["T"], "'T' in command 'lz'.path"
+        return options["path"].period, "'T' in command 'lz'.path"
     return None, None
 
 
@@ -547,9 +579,11 @@ def _check_step_budget(chk: list, integrator: IntegratorConfig, span: Optional[f
 
 
 def _function_bound(fn: FunctionSpec, cycles: int) -> float:
-    """Largest |fn(t)| over ``cycles`` periods."""
-    reach = cycles if fn.form == "linear" else 1
-    return abs(fn.offset) + abs(fn.amplitude) * reach
+    """Bound on |fn(t)| over ``cycles`` periods: a linear term's larger end
+    value, or |offset| + |amplitude|."""
+    if fn.form == "linear":
+        return max(abs(fn.offset), abs(fn.offset + fn.amplitude * cycles))
+    return abs(fn.offset) + abs(fn.amplitude)
 
 
 def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
@@ -571,17 +605,8 @@ def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
                     for name in set(names):
                         bounds[name] += MAX_DEVIATE * disorder["sigma"]
     elif command == "lz" and "path" in options:
-        path = options["path"]
-        if path["type"] == "custom":
-            if path.get("u") is None or path.get("g") is None:
-                return None
-            return _function_bound(path["u"], 1) + _function_bound(path["g"], 1)
-        # H = [[u, g], [g, -u]]; |u| <= |alpha| on every path, and |g| is
-        # |alpha| on the arc, 0 on the line and |u tan(theta)| when tilted
-        alpha, theta = path.get("alpha"), path.get("theta", 0.0)
-        if alpha is None or theta is None:
-            return None
-        return abs(alpha) * (2.0 if path["type"] == "arc" else 1.0 + abs(math.tan(theta)))
+        path = options["path"]  # H = [[u, g], [g, -u]]
+        return _function_bound(path.u_fn, 1) + _function_bound(path.g_fn, 1)
     else:
         return None
     diag_params, bond_params = _DIAG_BOND_PARAMS[kind]

@@ -48,9 +48,14 @@ def edge_coupling(a: float, b: float, L: int) -> float:
 
     No phase-domain guard: outside |a| < |b| this is the analytic
     continuation used to draw closed pump paths through the trivial region.
+    There it is evaluated in mu = -b/a = 1/lam, as Xi^2(mu) * a * mu^(L-1),
+    the same closed form, which stays finite where lam^(L-1) overflows and
+    gives g = 0 at b = 0 (L >= 2); a = b = 0 gives g = 0.
     """
-    lam = -a / b
-    return coupling_ratio_norm_sq(lam, int(L)) * a * lam ** (int(L) - 1)
+    if not (a or b):
+        return 0.0
+    ratio = -b / a if abs(a) > abs(b) else -a / b
+    return coupling_ratio_norm_sq(ratio, int(L)) * a * ratio ** (int(L) - 1)
 
 
 def reduce_rm(a: float, b: float, u: float, L: int) -> TwoLevelSystem:
@@ -175,7 +180,7 @@ class LZPath:
     def line_at_angle(cls, alpha: float, theta: float, period: float, n_samples: int = 201) -> "LZPath":
         """Path C: the path-B ramp tilted so that g = tan(theta) * u."""
         u_fn = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
-        tan = np.tan(theta)
+        tan = float(np.tan(theta))  # a float product overflows to inf without a warning
         g_fn = FunctionSpec("linear", offset=-alpha * tan, amplitude=2.0 * alpha * tan)
         return cls.from_functions(u_fn, g_fn, period, n_samples)
 

@@ -7,7 +7,7 @@ measured in 1/b.  Sites are 1-based in documentation and file output,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -225,13 +225,9 @@ class FunctionSpec:
         return self.offset + self.amplitude * f
 
     def to_dict(self) -> dict:
-        return {
-            "form": self.form,
-            "offset": self.offset,
-            "amplitude": self.amplitude,
-            "frequency_multiple": self.frequency_multiple,
-            "phase": self.phase,
-        }
+        """The term as a config reads it: its form and the fields that differ from their defaults."""
+        changed = {f.name: getattr(self, f.name) for f in fields(self)[1:] if getattr(self, f.name) != f.default}
+        return {"form": self.form, **changed}
 
 
 def const(value: float) -> FunctionSpec:
@@ -275,13 +271,11 @@ class Schedule:
     def values(self, t) -> dict:
         return {name: fn.value(t, self.period) for name, fn in self.params.items()}
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "T": self.period,
-            "cycles": self.cycles,
-            "params": {name: fn.to_dict() for name, fn in sorted(self.params.items())},
-        }
+    def to_dict(self, L: int) -> dict:
+        """The schedule on a chain of L cells as a config's ``schedule`` key
+        reads it; ``config.parse_config`` gives back an equal Schedule."""
+        params = {name: fn.to_dict() for name, fn in sorted(self.params.items())}
+        return {"kind": self.kind, "L": L, "T": self.period, "cycles": self.cycles, "params": params}
 
 
 def schedule_arrays(schedule: Schedule, L: int, times):

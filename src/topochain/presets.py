@@ -2,35 +2,46 @@
 
 Every preset is a plain JSON-ready dict that round-trips through
 ``config.parse_config`` unchanged; ``reproduce`` runs all configs filed
-under one figure id.
+under one figure id.  The plain, gap-preserving and Bell pumps are the
+``models`` schedules in their config form (``Schedule.to_dict``), so the
+figures run the protocols that the tests check.
 """
 
 from __future__ import annotations
 
-_PUMP_PARAMS = {
-    "a": {"form": "cos", "offset": 1.0, "amplitude": -1.0},
-    "b": {"form": "const", "offset": 1.0},
-    "u": {"form": "sin", "amplitude": 1.0},
-}
-
-_OPTIMIZED_PARAMS = {
-    "a": {"form": "cos", "offset": 0.5, "amplitude": -0.5},
-    "b": {"form": "const", "offset": 1.0},
-    "u": {"form": "sin", "amplitude": 0.25},
-}
-
-_BELL_PARAMS = {
-    "a": {"form": "cos", "offset": 1.0, "amplitude": -0.9},
-    "b": {"form": "cos", "offset": 1.0, "amplitude": -0.9},
-    "c": {"form": "const", "offset": 1.0},
-    "u": {"form": "cos", "offset": 1.0, "amplitude": 1.0, "frequency_multiple": 0.5},
-    "v": {"form": "const", "offset": 2.0},
-    "w": {"form": "cos", "offset": 1.0, "amplitude": -1.0, "frequency_multiple": 0.5},
-}
+from .models import bell_transfer_schedule, optimized_schedule, pump_schedule
 
 
-def _schedule(period, cycles=1, params=_PUMP_PARAMS, kind="rm", L=7):
-    return {"kind": kind, "L": L, "T": period, "cycles": cycles, "params": params}
+def _figure_schedule(kind, L, params):
+    """A schedule that only its figure preset runs: one period, T = 100."""
+    return {"kind": kind, "L": L, "T": 100.0, "cycles": 1, "params": params}
+
+
+def _trace(schedule):
+    """The instantaneous spectrum along a schedule at 201 times."""
+    return {"schema": 1, "command": "spectrum", "schedule": schedule, "n_times": 201}
+
+
+def _trivial_quench(a):
+    """A spin flipped on site 1 of a disordered 14-site SSH chain."""
+    return {
+        "schema": 1,
+        "command": "quench",
+        "kind": "ssh",
+        "L": 7,
+        "a": a,
+        "b": 1.0,
+        "disorder": {"sigma": 0.01},
+        "flip_site": 1,
+        "t_final": 100.0,
+        "n_records": 401,
+        "seed": 42,
+    }
+
+
+def _lz1_path(path_type):
+    """The two-level system evolved from |L> along an lz path of alpha 1."""
+    return {"schema": 1, "command": "lz", "path": {"type": path_type, "alpha": 1.0, "T": 200.0}, "initial_state": "L"}
 
 
 PRESETS = {
@@ -48,124 +59,37 @@ PRESETS = {
             },
         )
     ],
-    "trivial": [
-        (
-            "trivial_topological",
-            {
-                "schema": 1,
-                "command": "quench",
-                "kind": "ssh",
-                "L": 7,
-                "a": 0.1,
-                "b": 1.0,
-                "disorder": {"sigma": 0.01},
-                "flip_site": 1,
-                "t_final": 100.0,
-                "n_records": 401,
-                "seed": 42,
-            },
-        ),
-        (
-            "trivial_uniform",
-            {
-                "schema": 1,
-                "command": "quench",
-                "kind": "ssh",
-                "L": 7,
-                "a": 1.0,
-                "b": 1.0,
-                "disorder": {"sigma": 0.01},
-                "flip_site": 1,
-                "t_final": 100.0,
-                "n_records": 401,
-                "seed": 42,
-            },
-        ),
-    ],
-    "pumping": [
-        (
-            "pumping",
-            {"schema": 1, "command": "pump", "schedule": _schedule(100.0)},
-        )
-    ],
-    "rm": [
-        (
-            "rm_spectrum",
-            {"schema": 1, "command": "spectrum", "schedule": _schedule(100.0), "n_times": 201},
-        )
-    ],
-    "lz1": [
-        (
-            "lz1_path_a",
-            {
-                "schema": 1,
-                "command": "lz",
-                "path": {"type": "arc", "alpha": 1.0, "T": 200.0},
-                "initial_state": "L",
-            },
-        ),
-        (
-            "lz1_path_b",
-            {
-                "schema": 1,
-                "command": "lz",
-                "path": {"type": "line", "alpha": 1.0, "T": 200.0},
-                "initial_state": "L",
-            },
-        ),
-    ],
-    "lz2": [
-        (
-            "lz2_pump_path",
-            {"schema": 1, "command": "lz", "from_schedule": _schedule(100.0)},
-        )
-    ],
+    "trivial": [("trivial_topological", _trivial_quench(0.1)), ("trivial_uniform", _trivial_quench(1.0))],
+    "pumping": [("pumping", {"schema": 1, "command": "pump", "schedule": pump_schedule(100.0).to_dict(7)})],
+    "rm": [("rm_spectrum", _trace(pump_schedule(100.0).to_dict(7)))],
+    "lz1": [("lz1_path_a", _lz1_path("arc")), ("lz1_path_b", _lz1_path("line"))],
+    "lz2": [("lz2_pump_path", {"schema": 1, "command": "lz", "from_schedule": pump_schedule(100.0).to_dict(7)})],
     "optimization": [
         (
             "optimization_u_only",
-            {
-                "schema": 1,
-                "command": "spectrum",
-                "schedule": _schedule(
-                    100.0,
-                    params={
+            _trace(
+                _figure_schedule(
+                    "rm",
+                    7,
+                    {
                         "a": {"form": "cos", "offset": 1.0, "amplitude": -1.0},
                         "b": {"form": "const", "offset": 1.0},
                         "u": {"form": "sin", "amplitude": 0.25},
                     },
-                ),
-                "n_times": 201,
-            },
+                )
+            ),
         ),
-        (
-            "optimization_full",
-            {
-                "schema": 1,
-                "command": "spectrum",
-                "schedule": _schedule(100.0, params=_OPTIMIZED_PARAMS),
-                "n_times": 201,
-            },
-        ),
-        (
-            "optimization_pump",
-            {
-                "schema": 1,
-                "command": "pump",
-                "schedule": _schedule(100.0, cycles=3, params=_OPTIMIZED_PARAMS),
-            },
-        ),
+        ("optimization_full", _trace(optimized_schedule(100.0).to_dict(7))),
+        ("optimization_pump", {"schema": 1, "command": "pump", "schedule": optimized_schedule(100.0, 3).to_dict(7)}),
     ],
     "trimer": [
         (
             "trimer_intercell",
-            {
-                "schema": 1,
-                "command": "spectrum",
-                "schedule": _schedule(
-                    100.0,
-                    kind="trimer",
-                    L=8,
-                    params={
+            _trace(
+                _figure_schedule(
+                    "trimer",
+                    8,
+                    {
                         "a": {"form": "const", "offset": 1.0},
                         "b": {"form": "const", "offset": 1.0},
                         "c": {"form": "sin", "amplitude": 2.0},
@@ -173,20 +97,16 @@ PRESETS = {
                         "v": {"form": "const"},
                         "w": {"form": "const"},
                     },
-                ),
-                "n_times": 201,
-            },
+                )
+            ),
         ),
         (
             "trimer_intracell",
-            {
-                "schema": 1,
-                "command": "spectrum",
-                "schedule": _schedule(
-                    100.0,
-                    kind="trimer",
-                    L=8,
-                    params={
+            _trace(
+                _figure_schedule(
+                    "trimer",
+                    8,
+                    {
                         "a": {"form": "sin", "amplitude": 1.0},
                         "b": {"form": "sin", "amplitude": 1.0},
                         "c": {"form": "const", "offset": 2.0},
@@ -194,9 +114,8 @@ PRESETS = {
                         "v": {"form": "const"},
                         "w": {"form": "const"},
                     },
-                ),
-                "n_times": 201,
-            },
+                )
+            ),
         ),
     ],
     "ssh3edges": [
@@ -223,7 +142,7 @@ PRESETS = {
             {
                 "schema": 1,
                 "command": "trimer",
-                "schedule": _schedule(1000.0, kind="trimer", L=7, params=_BELL_PARAMS),
+                "schedule": bell_transfer_schedule(1000.0).to_dict(7),
                 "signs": ["plus", "minus"],
             },
         )

@@ -125,27 +125,21 @@ def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
     return files, extras
 
 
-def _lz_path_from_options(path_opts: dict) -> LZPath:
-    ptype = path_opts["type"]
-    if ptype == "arc":
-        return LZPath.arc(path_opts["alpha"], path_opts["T"], path_opts["n_samples"])
-    if ptype == "line":
-        return LZPath.line(path_opts["alpha"], path_opts["T"], path_opts["n_samples"])
-    if ptype == "line_at_angle":
-        return LZPath.line_at_angle(path_opts["alpha"], path_opts["theta"], path_opts["T"], path_opts["n_samples"])
-    return LZPath.from_functions(path_opts["u"], path_opts["g"], path_opts["T"], path_opts["n_samples"])
-
-
 def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
+    # the parts that can fail (the integration, a reduction outside |a| < |b|)
+    # run before the first file is written, so a failed run leaves no file
     if "path" in opts:
-        path = _lz_path_from_options(opts["path"])
-        files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", path))
-        extras["path_class"] = classify_path(path, tol).value
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
-        traj = lz_evolve(path, psi0, cfg.integrator, opts["n_records"])
+        traj = lz_evolve(opts["path"], psi0, cfg.integrator, opts["n_records"])
+    if "reduce" in opts:
+        r = opts["reduce"]
+        report = reduction_report(r["a"], r["b"], r["u"], r["L"])
+    if "path" in opts:
+        files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", opts["path"]))
+        extras["path_class"] = classify_path(opts["path"], tol).value
         files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks))
         extras["final_population_L"] = float(np.abs(traj.final_state[0]) ** 2)
         extras["final_population_R"] = float(np.abs(traj.final_state[1]) ** 2)
@@ -155,8 +149,6 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
         files.append(io.lz_path_csv(out_dir / f"{stem}_schedule_path.csv", path))
         extras["schedule_path_class"] = classify_path(path, tol).value
     if "reduce" in opts:
-        r = opts["reduce"]
-        report = reduction_report(r["a"], r["b"], r["u"], r["L"])
         files.append(io.write_json(out_dir / f"{stem}_reduction.json", report))
         extras["reduction_rel_err"] = report["rel_err"]
     return files, extras

@@ -23,7 +23,7 @@ from topochain.errors import SchemaError
 from topochain.io import file_sha256
 from topochain.models import schedule_arrays
 from topochain.presets import PRESETS
-from topochain.runner import _build_model, _lz_path_from_options
+from topochain.runner import _build_model
 
 
 def _parse(cfg_dict):
@@ -654,8 +654,8 @@ def test_magnus_step_budget_is_a_named_violation():
 
 def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
     # a budget the halving passes before its estimate reaches rel_tol fails
-    # the run with one error line and writes no trajectory (the path CSV
-    # comes first)
+    # the run with one error line and writes no file: the path is integrated
+    # before its CSV is written
     monkeypatch.setattr(topochain.dynamics, "MAGNUS_MAX_STEPS", 1000)
     cfg = {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 200.0}}
     cfg_path = tmp_path / "cfg.json"
@@ -665,6 +665,19 @@ def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
     lines = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(lines) == 1 and "budget of 1,000 steps" in lines[0], err
     assert "Traceback" not in err and not (tmp_path / "lz.csv").exists()
+    assert not (tmp_path / "lz_path.csv").exists()
+
+
+def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
+    # the path is integrated and the reduction computed before any file is
+    # written; a reduction outside |a| < |b| fails the run
+    cfg = {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0},
+           "reduce": {"a": 2.0, "b": 1.0, "L": 3}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+    assert "|a| < |b|" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -698,7 +711,7 @@ def test_rk4_norm_bound_holds(cfg):
             chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
         diag, off = chain.diagonal[np.newaxis], chain.offdiagonal[np.newaxis]
     else:
-        path = _lz_path_from_options(opts["path"])
+        path = opts["path"]
         diag, off = path.hamiltonian_arrays(times * path.period)
     norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
     assert norm <= _norm_bound(parsed.command, opts) * (1.0 + 1e-12)
@@ -834,6 +847,150 @@ def test_overflowing_inputs_are_named_violations(tmp_path, cfg, keys):
     assert all(f"'{key}'" in proc.stderr for key in keys), proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _run_fresh(tmp_path, *cfgs):
+    """Run each config in one fresh interpreter, so numpy's RuntimeWarnings
+    would reach stderr; returns the largest exit code and the stderr."""
+    paths = []
+    for k, cfg in enumerate(cfgs):
+        paths.append(tmp_path / f"cfg{k}.json")
+        paths[-1].write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    code = ("import sys; from topochain.cli import main; "
+            "sys.exit(max(main(['run', '--config', p, '--out', sys.argv[1]]) for p in sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *map(str, paths)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def _csv_values(path: Path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return np.array([[float(x) for x in row] for row in list(csv.reader(fh))[1:]])
+
+
+_SPAN_CASES = [
+    (dict(_TRACE, schedule=_TINY_SCHEDULE), ("schedule", "T")),
+    ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE}, ("schedule", "T")),
+    (_TINY_QUENCH, ("t_final",)),
+    ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}}, ("path", "T")),
+    ({"schema": 1, "command": "trimer", "schedule": dict(_BELL["schedule"], L=2)}, ("schedule", "T")),
+]
+_SPAN_IDS = ["spectrum", "pump", "quench", "lz", "trimer"]
+
+
+def _with_span(cfg, keys, span):
+    cfg = json.loads(json.dumps(cfg))
+    parent = cfg
+    for name in keys[:-1]:
+        parent = parent[name]
+    parent[keys[-1]] = span
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, keys", _SPAN_CASES, ids=_SPAN_IDS)
+def test_span_floor_is_a_named_violation(tmp_path, capsys, cfg, keys):
+    # a subnormal span repeats record times: it used to fail the run (exit 1)
+    # inside LZPath, scipy's t_eval check or the trace's axis check
+    cfg = _with_span(cfg, keys, 5e-324)
+    assert _violations(cfg) == [f"key '{keys[-1]}' in command '{cfg['command']}'"
+                                + "".join(f".{name}" for name in keys[:-1]) + " must be >= 1e-300, got 5e-324"]
+    _rejected(tmp_path, capsys, json.dumps(cfg), keys[-1])
+
+
+def test_span_floor_admits_its_limit(tmp_path):
+    # at the floor, the times of the largest accepted row count (MAX_ROW_SITES
+    # over the 2 sites of the smallest chain) still increase strictly, and
+    # every command runs
+    times = np.linspace(0.0, topochain.config.MIN_SPAN, topochain.config.MAX_ROW_SITES // 2)
+    assert np.all(np.diff(times) > 0)
+    cfgs = [_with_span(cfg, keys, topochain.config.MIN_SPAN) for cfg, keys in _SPAN_CASES]
+    for k, cfg in enumerate(cfgs):
+        cfg["output"] = f"run{k}"
+    code, err = _run_fresh(tmp_path, *cfgs)
+    assert code == 0 and "Warning" not in err, err
+    assert all(np.isfinite(_csv_values(path)).all() for path in tmp_path.glob("*.csv"))
+
+
+_BEYOND = 1e308  # two such bonds give eigenvalues beyond the float range
+
+
+@pytest.mark.parametrize(
+    "cfg, keys",
+    [
+        (dict(_SSH_SPECTRUM, L=7, a=_BEYOND, b=-_BEYOND), ("a", "b")),
+        ({"schema": 1, "command": "spectrum", "kind": "rm", "L": 7, "a": 1.0, "b": 1.0, "u": _BEYOND}, ("u",)),
+        (dict(_AAH_SPECTRUM, n_sites=9, omega=_BEYOND, hop=-_BEYOND), ("omega", "hop")),
+        (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, params={
+            "a": {"form": "const", "offset": _BEYOND}, "b": {"form": "sin", "amplitude": -_BEYOND}})),
+         ("offset", "amplitude")),
+        (dict(_TINY_QUENCH, disorder={"sigma": _BEYOND}), ("sigma",)),
+        ({"schema": 1, "command": "lz", "reduce": {"a": _BEYOND, "b": -_BEYOND, "u": _BEYOND, "L": 3}},
+         ("a", "b", "u")),
+        ({"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": _BEYOND, "theta": _BEYOND,
+                                                  "T": 5.0}}, ("alpha", "theta")),
+        ({"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1e299,
+                                                  "theta": 1.5707963267948966, "T": 5.0}}, ("theta",)),
+    ],
+    ids=["ssh", "rm", "aah", "trace", "disorder", "reduce", "lz-path", "lz-path-tilt"],
+)
+def test_entries_of_h_are_bounded(tmp_path, capsys, cfg, keys):
+    # parsed only: each number that sets an entry of H has magnitude below
+    # 1e300, and path C's g = tan(theta) * u must stay finite
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in keys) and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_entries_of_h_at_the_bound_stay_finite(tmp_path):
+    big = math.nextafter(topochain.config.MAX_RANGE_END, 0.0)
+    trimer = {name: {"form": "const", "offset": big} for name in ("a", "b", "c", "u", "v", "w")}
+    cfgs = [
+        {"schema": 1, "command": "spectrum", "kind": "rm", "L": 7, "a": big, "b": -big, "u": big, "output": "rm"},
+        dict(_TRACE, n_times=11, schedule={"kind": "trimer", "L": 3, "T": 1.0, "params": trimer}, output="trace"),
+        dict(_AAH_SPECTRUM, n_sites=9, omega=big, hop=-big, output="aah"),
+    ]
+    code, err = _run_fresh(tmp_path, *cfgs)
+    assert code == 0 and "Warning" not in err, err
+    for name in ("rm", "trace", "aah"):
+        assert np.isfinite(_csv_values(tmp_path / f"{name}.csv")).all()
+
+
+def test_schedule_path_through_zero_and_overflowing_bonds(tmp_path):
+    # the reduced path of an rm schedule with b(0) = 0, and one whose
+    # lam = -a/b = -100 overflows lam^(L-1) at L = 200: both finite, and no
+    # RuntimeWarning
+    pump = PRESETS["pumping"][0][1]["schedule"]
+    b_sin = dict(pump, params=dict(pump["params"], b={"form": "sin", "amplitude": 1.0}))
+    steep = dict(pump, L=200, params=dict(pump["params"], a={"form": "const", "offset": 10.0},
+                                          b={"form": "const", "offset": 0.1}))
+    cfgs = [{"schema": 1, "command": "lz", "from_schedule": sch, "output": name}
+            for name, sch in (("b_sin", b_sin), ("steep", steep))]
+    code, err = _run_fresh(tmp_path, *cfgs)
+    assert code == 0 and "Warning" not in err, err
+    for name in ("b_sin", "steep"):
+        assert np.isfinite(_csv_values(tmp_path / f"{name}_schedule_path.csv")).all()
+
+
+def test_linear_terms_are_bounded_by_their_end_values():
+    # a linear term reaches its larger end value, not |offset| + |amplitude|
+    # x cycles: a ramp u from -1 to 1 with g = 0.1 over T = 10,000 accumulates
+    # a phase of 11,000, inside the bound of 20,000 (30,000 by the sum)
+    ramp = {"schema": 1, "command": "lz", "path": {
+        "type": "custom", "T": 10000.0, "u": {"form": "linear", "offset": -1.0, "amplitude": 2.0},
+        "g": {"form": "const", "offset": 0.1}}}
+    assert _norm_bound("lz", _parse(ramp).options) == 1.1
+    # three cycles of u from -150 to 150, bonds of 1: 150 + 1 + 1
+    pump = {"schema": 1, "command": "pump", "schedule": dict(_RAMP_SCHEDULE, params=dict(
+        _RAMP_SCHEDULE["params"], u={"form": "linear", "offset": -150.0, "amplitude": 100.0}))}
+    opts = _parse(pump).options
+    assert _norm_bound("pump", opts) == 152.0
+    diag, off = schedule_arrays(opts["schedule"], opts["L"], np.linspace(0.0, opts["schedule"].total_time, 3001))
+    norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
+    assert norm == 152.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Landau-Zener reduction, path classification and reduced-model dynamics."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +70,56 @@ def test_g_parity_closed_form(rng):
         g_plus = edge_coupling(a, 1.0, L)
         g_minus = edge_coupling(-a, 1.0, L)
         assert g_plus * g_minus == pytest.approx((-1.0) ** L * g_plus**2, rel=1e-12)
+
+
+def _lam_form(a, b, L):
+    # Xi^2(lam) * a * lam^(L-1) with lam = -a/b alone, which overflows for |a| > |b|
+    lam = -a / b
+    return coupling_ratio_norm_sq(lam, L) * a * lam ** (L - 1)
+
+
+def _mp_edge_coupling(a, b, L):
+    with mpmath.workdps(60):
+        lam = -mpmath.mpf(float(a)) / mpmath.mpf(float(b))
+        lam2 = lam * lam
+        xi2 = mpmath.mpf(1) / L if lam2 == 1 else (1 - lam2) / (1 - lam2**L)
+        return float(xi2 * a * lam ** (L - 1))
+
+
+def test_edge_coupling_through_the_trivial_region():
+    # outside |a| < |b| the coupling is evaluated in mu = -b/a: finite where
+    # lam^(L-1) overflows, and equal to mpmath to the rounding that the power
+    # (L eps) and 1 - mu^2 (eps / (1 - mu^2)) amplify; where the lam form is
+    # finite and that close to mpmath, equal to it
+    rng = np.random.default_rng(11)
+    checked = 0
+    for L in (1, 2, 3, 7, 50, 200):
+        for a, b in rng.uniform(-10, 10, (300, 2)) * 10.0 ** rng.uniform(-3, 3, (300, 1)):
+            a, b = np.float64(a), np.float64(b)  # as LZPath.from_schedule passes them
+            if not abs(a) > abs(b):
+                continue
+            tol = 4.0 * (L + 1.0 / (1.0 - (b / a) ** 2)) * np.finfo(float).eps
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = edge_coupling(a, b, L)
+            exact = _mp_edge_coupling(a, b, L)
+            assert np.isfinite(g) and abs(g - exact) <= tol * abs(exact) + 1e-290, (a, b, L)
+            with np.errstate(all="ignore"):
+                old = _lam_form(a, b, L)
+            if np.isfinite(old) and abs(old - exact) <= tol * abs(exact):
+                assert abs(g - old) <= 2.0 * tol * abs(old)
+                checked += 1
+    assert checked > 500
+
+
+def test_edge_coupling_at_zero_bonds():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for L in (2, 7, 200):
+            assert edge_coupling(np.float64(0.7), np.float64(0.0), L) == 0.0
+            assert edge_coupling(np.float64(0.0), np.float64(0.0), L) == 0.0
+        assert edge_coupling(np.float64(0.7), np.float64(0.0), 1) == 0.7  # lam^0 = 1 in either form
+        assert edge_coupling(np.float64(10.0), np.float64(0.1), 200) == pytest.approx(0.0, abs=1e-300)
 
 
 def test_lz_eigen_examples():
