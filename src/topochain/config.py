@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import MAGNUS_MAX_STEPS, METHODS, RECORDS_PER_CYCLE, IntegratorConfig
 from .effective import LZPath
@@ -29,6 +31,7 @@ from .models import (
     SITES_PER_CELL,
     FunctionSpec,
     Schedule,
+    chain_arrays,
 )
 
 SCHEMA_VERSION = 1
@@ -76,9 +79,7 @@ RK4_MAX_STEPS = 2_000_000
 
 # RK4 is stable for i dpsi/dt = H psi while max_step * ||H|| stays inside
 # its stability interval on the imaginary axis, |z| <= 2*sqrt(2) = 2.83.
-# ||H|| is bounded from the config by Gershgorin: the largest on-site
-# magnitude plus the two largest bond magnitudes, each parameter at
-# |offset| + |amplitude| over the run, disorder at MAX_DEVIATE * sigma
+# ||H|| is bounded from the config by Gershgorin (see _integration)
 RK4_STABILITY_LIMIT = 2.8
 
 # BDF and Magnus work grows with the phase an integration accumulates, its
@@ -105,16 +106,6 @@ MAX_RANGE_END = 1e300
 # MAX_ROW_SITES / 2 = 100,000 rows, so their step is a normal float and
 # they increase strictly; a subnormal span repeats them
 MIN_SPAN = 1e-300
-
-# (on-site, bond) parameters of each chain kind; a site's two bonds are
-# two of the bond parameters, both 'hop' in the AAH chain
-_DIAG_BOND_PARAMS = {
-    "ssh": (("omega",), ("a", "b")),
-    "rm": (("u",), ("a", "b")),
-    "trimer": (("u", "v", "w"), ("a", "b", "c")),
-    "aah": (("omega",), ("hop", "hop")),
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -402,7 +393,7 @@ def _check_bound(chk: list, name: str, ctx: str, value, bound: Bound) -> bool:
 
 def _sites(kind: Optional[str], count: Optional[int]) -> Optional[int]:
     """Sites of a chain of ``count`` cells, or of ``count`` sites (aah)."""
-    return None if kind is None or count is None else SITES_PER_CELL.get(kind, 1) * count
+    return None if kind is None or count is None else SITES_PER_CELL[kind] * count
 
 
 def _chain_sites(chain: dict) -> Optional[int]:
@@ -515,6 +506,10 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     if reduce is not None:
         options["reduce"] = reduce
         _check_size(chk, _sites("rm", reduce["L"]), f"'L' in {ctx}.reduce")
+        a, b = reduce["a"], reduce["b"]
+        if a is not None and b is not None and not abs(a) < abs(b):
+            chk.append(f"keys 'a' and 'b' in {ctx}.reduce must have |a| < |b|, the topological phase the reduction "
+                       f"needs, got a={a}, b={b}")
     return options
 
 
@@ -546,93 +541,86 @@ COMMANDS = {  # the parser of each command's options
 }
 
 
-def _integrated_time(command: Optional[str], options: dict):
-    """Time span of each integration the command runs and the key that sets
-    it, or (None, None) if it runs none."""
-    if command in ("pump", "trimer"):
-        schedule = options.get("schedule")
-        if schedule is not None:
-            return schedule.total_time, f"'T' in command '{command}'.schedule"
-    if command == "quench":
-        return options.get("t_final"), "'t_final' in command 'quench'"
-    if command == "lz" and "path" in options:
-        return options["path"].period, "'T' in command 'lz'.path"
-    return None, None
-
-
-def _check_step_budget(chk: list, integrator: IntegratorConfig, span: Optional[float]):
-    # Magnus halves its steps at least once, so a max_step it starts from
-    # costs three times span / max_step
-    if span is None or not span > 0:
-        return
-    if integrator.method == "rk4":
-        name, steps, budget = "RK4", span / integrator.rk4_step, RK4_MAX_STEPS
-    elif integrator.method == "magnus" and integrator.max_step is not None:
-        name, steps, budget = "Magnus", 3.0 * span / integrator.max_step, MAGNUS_MAX_STEPS
-    else:
-        return
-    if steps > budget:
-        chk.append(
-            f"key 'max_step' in config.integrator: {name} over t = {span:g} would take about "
-            f"{steps:.3g} steps, more than the budget of {budget:,}"
-        )
-
-
 def _function_bound(fn: FunctionSpec, cycles: int) -> float:
     """Bound on |fn(t)| over ``cycles`` periods: a linear term's larger end
-    value, or |offset| + |amplitude|."""
+    value, a const term's |offset|, or |offset| + |amplitude|."""
     if fn.form == "linear":
         return max(abs(fn.offset), abs(fn.offset + fn.amplitude * cycles))
+    if fn.form == "const":
+        return abs(fn.offset)
     return abs(fn.offset) + abs(fn.amplitude)
 
 
-def _norm_bound(command: Optional[str], options: dict) -> Optional[float]:
-    """Gershgorin bound on ||H(t)|| of the command's integration."""
-    if command in ("pump", "trimer"):
-        schedule = options.get("schedule")
-        if schedule is None:
-            return None
-        kind = schedule.kind
-        bounds = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
-    elif command == "quench" and options.get("model") is not None:
-        kind = options["model"]["kind"]
-        bounds = {name: abs(value) for name, value in options["model"]["params"].items()}
-        disorder = options.get("disorder")
-        if disorder is not None:
-            diag_params, bond_params = _DIAG_BOND_PARAMS[kind]
-            for target, names in (("diagonal", diag_params), ("offdiagonal", bond_params)):
-                if target in disorder["targets"]:
-                    for name in set(names):
-                        bounds[name] += MAX_DEVIATE * disorder["sigma"]
-    elif command == "lz" and "path" in options:
-        path = options["path"]  # H = [[u, g], [g, -u]]
-        return _function_bound(path.u_fn, 1) + _function_bound(path.g_fn, 1)
-    else:
-        return None
-    diag_params, bond_params = _DIAG_BOND_PARAMS[kind]
-    bonds = sorted((bounds.get(name, 0.0) for name in bond_params), reverse=True)
-    return max(bounds.get(name, 0.0) for name in diag_params) + sum(bonds[:2])
+def _row_sum_bound(kind: str, size: int, params: dict, deviate: float = 0.0, targets=()) -> Optional[float]:
+    """The largest absolute row sum of the chain that chain_arrays lays out,
+    ``deviate`` added to the magnitude of each entry of the ``targets``
+    ("diagonal", "offdiagonal"); None if an entry is not a number."""
+    with np.errstate(all="ignore"):  # entries set by out-of-bound keys, already named, may overflow
+        diag, off = chain_arrays(kind, size, params)
+        rows = np.abs(diag) + (deviate if "diagonal" in targets else 0.0)
+        bonds = np.zeros(rows.size + 1)
+        bonds[1:-1] = np.abs(off) + (deviate if "offdiagonal" in targets else 0.0)
+        bound = float(np.max(rows + (bonds[:-1] + bonds[1:])))
+    return None if math.isnan(bound) else bound
 
 
-def _check_phase_budget(chk: list, integrator: IntegratorConfig, span: Optional[float], span_key: str,
-                        bound: Optional[float]):
-    if integrator.method == "rk4" or span is None or bound is None:
+def _integration(command: Optional[str], options: dict):
+    """(span, span_key, bound): the time span of each integration the
+    command runs, the key that sets it, and a bound on ||H(t)|| over it;
+    each is None where the config lacks it, all three if the command
+    integrates nothing.  The bound is Gershgorin's, the largest absolute
+    row sum of the chain that chain_arrays lays out: a schedule's on
+    min(L, 2) cells (two cells hold every row of a longer chain), each term
+    at its _function_bound; a quench's at its own entries, MAX_DEVIATE *
+    sigma added to those its disorder targets, once its size holds
+    (2..MAX_SITES sites); an lz path's H = [[u, g], [g, -u]] at the bounds
+    of its u and g terms."""
+    if command in ("pump", "trimer") and options.get("schedule") is not None:
+        schedule = options["schedule"]
+        terms = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
+        bound = _row_sum_bound(schedule.kind, min(options["L"], 2), terms)
+        return schedule.total_time, f"'T' in command '{command}'.schedule", bound
+    if command == "quench":
+        model, disorder, bound = options["model"], options["disorder"], None
+        size = model and model[MODEL[model["kind"]][1]]
+        if size is not None and 2 <= _sites(model["kind"], size) <= MAX_SITES:  # a size out of bounds is not laid out
+            deviate = (MAX_DEVIATE * disorder["sigma"], disorder["targets"]) if disorder is not None else ()
+            bound = _row_sum_bound(model["kind"], size, model["params"], *deviate)
+        return options["t_final"], "'t_final' in command 'quench'", bound
+    if command == "lz" and "path" in options:
+        path = options["path"]
+        return path.period, "'T' in command 'lz'.path", _function_bound(path.u_fn, 1) + _function_bound(path.g_fn, 1)
+    return None, None, None
+
+
+def _check_integration(chk: list, integrator: IntegratorConfig, span: Optional[float], span_key: Optional[str],
+                       bound: Optional[float]):
+    """The integrator's cost over the span: RK4's and Magnus's step budgets,
+    RK4's stability at ||H||, and the phase span x ||H|| of BDF and Magnus."""
+    method = integrator.method
+    name = {"rk4": "RK4", "bdf": "BDF", "magnus": "Magnus"}[method]
+    # Magnus halves its steps at least once, so a max_step it starts from
+    # costs three times span / max_step
+    step, passes, budget = {"rk4": (integrator.rk4_step, 1.0, RK4_MAX_STEPS),
+                            "magnus": (integrator.max_step, 3.0, MAGNUS_MAX_STEPS)}.get(method, (None, 0.0, 0))
+    if span is not None and span > 0 and step is not None:
+        steps = passes * span / step
+        if steps > budget:
+            chk.append(
+                f"key 'max_step' in config.integrator: {name} over t = {span:g} would take about "
+                f"{steps:.3g} steps, more than the budget of {budget:,}"
+            )
+    if bound is None:
         return
-    if not span * bound <= BDF_MAX_PHASE:
-        name = "BDF" if integrator.method == "bdf" else "Magnus"
-        chk.append(
-            f"key {span_key}: {name} over t = {span:g} with ||H|| up to {bound:.3g} accumulates a phase of "
-            f"{span * bound:.6g}, more than the bound of {BDF_MAX_PHASE:,}; shorten the run or lower the couplings"
-        )
-
-
-def _check_rk4_stability(chk: list, integrator: IntegratorConfig, bound: Optional[float]):
-    if integrator.method != "rk4" or bound is None:
-        return
-    if not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
+    if method == "rk4" and not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
         chk.append(
             f"key 'max_step' in config.integrator: RK4 at step {integrator.rk4_step:g} with ||H|| up to "
             f"{bound:.3g} is unstable; max_step * ||H|| must be <= {RK4_STABILITY_LIMIT}"
+        )
+    if method != "rk4" and span is not None and not span * bound <= BDF_MAX_PHASE:
+        chk.append(
+            f"key {span_key}: {name} over t = {span:g} with ||H|| up to {bound:.3g} accumulates a phase of "
+            f"{span * bound:.6g}, more than the bound of {BDF_MAX_PHASE:,}; shorten the run or lower the couplings"
         )
 
 
@@ -664,11 +652,7 @@ def parse_config(text: str) -> ExperimentConfig:
     options = {}
     if command is not None:
         options = COMMANDS[command](chk, cfg, f"command '{command}'", top["seed"])
-        span, span_key = _integrated_time(command, options)
-        bound = _norm_bound(command, options)
-        _check_step_budget(chk, integrator, span)
-        _check_rk4_stability(chk, integrator, bound)
-        _check_phase_budget(chk, integrator, span, span_key, bound)
+        _check_integration(chk, integrator, *_integration(command, options))
     if chk:
         raise SchemaError(chk)
     return ExperimentConfig(command, top["seed"], top["output"], integrator, options, cfg)

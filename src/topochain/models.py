@@ -17,7 +17,7 @@ from .errors import InvalidDimensionError, InvalidParameterError, NumericError
 
 MODEL_KINDS = ("ssh", "rm", "trimer")
 SCHEDULE_PARAMS = {"ssh": ("a", "b"), "rm": ("a", "b", "u"), "trimer": ("a", "b", "c", "u", "v", "w")}
-SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3}
+SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3, "aah": 1}
 
 FUNCTION_FORMS = ("const", "sin", "cos", "linear")
 
@@ -72,16 +72,22 @@ def _check_cells(L: int) -> int:
     return L
 
 
-def _chain_arrays(kind: str, L: int, p: Mapping, shape: tuple = ()):
-    """Diagonal and bonds of an L-cell chain from its per-cell parameters.
+def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
+    """Diagonal and bonds of a chain of ``size`` cells (sites, for aah) from
+    its parameters.
 
     This is the one layout of every chain kind: the builders pass scalars,
-    the schedule evaluator passes scalars or arrays of shape ``shape + (1,)``
-    so that each leading index is one time.
+    the schedule evaluator and the sweeps pass scalars or arrays of shape
+    ``shape + (1,)`` so that each leading index is one time or sweep point.
     """
-    n = SITES_PER_CELL[kind] * L
+    n = SITES_PER_CELL[kind] * size
     diag = np.empty(shape + (n,))
     off = np.empty(shape + (n - 1,))
+    if kind == "aah":
+        j = np.arange(1, n + 1, dtype=np.float64)
+        diag[...] = p["omega"] * np.cos(2.0 * np.pi * j * p["alpha"] + p["phase"])
+        off[...] = p["hop"]
+        return diag, off
     if kind == "trimer":
         for i, (site, bond) in enumerate((("u", "a"), ("v", "b"), ("w", "c"))):
             diag[..., i::3] = p[site]
@@ -99,19 +105,19 @@ def _chain_arrays(kind: str, L: int, p: Mapping, shape: tuple = ()):
 
 def build_ssh(L: int, a: float, b: float, omega: float = 0.0) -> ChainHamiltonian:
     """SSH chain of 2L sites: uniform on-site omega, bonds a,b,a,...,a."""
-    return ChainHamiltonian(*_chain_arrays("ssh", _check_cells(L), {"a": a, "b": b, "omega": omega}))
+    return ChainHamiltonian(*chain_arrays("ssh", _check_cells(L), {"a": a, "b": b, "omega": omega}))
 
 
 def build_rice_mele(L: int, a: float, b: float, u: float) -> ChainHamiltonian:
     """Rice-Mele chain: SSH bonds plus staggered on-site +u (A) / -u (B)."""
-    return ChainHamiltonian(*_chain_arrays("rm", _check_cells(L), {"a": a, "b": b, "u": u}))
+    return ChainHamiltonian(*chain_arrays("rm", _check_cells(L), {"a": a, "b": b, "u": u}))
 
 
 def build_trimer(L: int, a: float, b: float, c: float, u: float, v: float, w: float) -> ChainHamiltonian:
     """Trimer Rice-Mele chain of 3L sites: bonds repeat (a,b,c) with the
     final c bond absent, on-site energies repeat (u,v,w)."""
     p = {"a": a, "b": b, "c": c, "u": u, "v": v, "w": w}
-    return ChainHamiltonian(*_chain_arrays("trimer", _check_cells(L), p))
+    return ChainHamiltonian(*chain_arrays("trimer", _check_cells(L), p))
 
 
 def build_aah(n_sites: int, omega: float, alpha: float, phase: float, hop: float) -> ChainHamiltonian:
@@ -120,9 +126,8 @@ def build_aah(n_sites: int, omega: float, alpha: float, phase: float, hop: float
     n_sites = int(n_sites)
     if n_sites < 2:
         raise InvalidDimensionError(f"AAH chain needs >= 2 sites, got {n_sites}")
-    j = np.arange(1, n_sites + 1, dtype=np.float64)
-    diag = omega * np.cos(2.0 * np.pi * j * alpha + phase)
-    return ChainHamiltonian(diag, np.full(n_sites - 1, float(hop)))
+    p = {"omega": omega, "alpha": alpha, "phase": phase, "hop": hop}
+    return ChainHamiltonian(*chain_arrays("aah", n_sites, p))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +290,7 @@ def schedule_arrays(schedule: Schedule, L: int, times):
     shape = np.shape(times)
     if shape:
         vals = {name: v[..., np.newaxis] for name, v in vals.items()}
-    return _chain_arrays(schedule.kind, _check_cells(L), vals, shape)
+    return chain_arrays(schedule.kind, _check_cells(L), vals, shape)
 
 
 def sample_schedule(schedule: Schedule, L: int, t: float) -> ChainHamiltonian:

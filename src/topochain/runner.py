@@ -5,25 +5,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from . import __version__, io
-from .config import ExperimentConfig
+from .config import MODEL, ExperimentConfig
 from .dynamics import basis_state, pump, quench, transfer_fidelity
 from .effective import LZPath, classify_path, lz_evolve, reduction_report
 from .errors import InvalidParameterError
 from .fluxcircuit import FluxQubitSpec, qubit_gap, solver_record, sweep_point
-from .models import (
-    SITES_PER_CELL,
-    DisorderSpec,
-    apply_disorder,
-    build_aah,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
-)
+from .models import SITES_PER_CELL, ChainHamiltonian, DisorderSpec, apply_disorder, chain_arrays
 from .couplings import effective_coupling_identical, effective_coupling_matched
 from .presets import FIGURE_IDS, PRESETS
 from .spectra import (
@@ -49,16 +41,11 @@ def _trajectory_csv(path: Path, traj, amplitudes: bool, blocks: dict) -> Path:
     return io.trajectory_csv(path, traj, amplitudes)
 
 
-def _build_model(model: dict):
-    kind = model["kind"]
-    p = model["params"]
-    if kind == "ssh":
-        return build_ssh(model["L"], p["a"], p["b"], p.get("omega", 0.0))
-    if kind == "rm":
-        return build_rice_mele(model["L"], p["a"], p["b"], p["u"])
-    if kind == "trimer":
-        return build_trimer(model["L"], p["a"], p["b"], p["c"], p["u"], p["v"], p["w"])
-    return build_aah(model["n_sites"], p["omega"], p["alpha"], p["phase"], p["hop"])
+def _build_model(model: dict, swept: Optional[dict] = None, shape: tuple = ()):
+    """(diag, off) of the config's static model, the ``swept`` parameters
+    replaced by columns of shape ``shape + (1,)``."""
+    size = model[MODEL[model["kind"]][1]]
+    return chain_arrays(model["kind"], size, {**model["params"], **(swept or {})}, shape)
 
 
 def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
@@ -75,14 +62,12 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
         sweep = opts["sweep"]
         name = opts["sweep_param"]
         values = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
-        chains = [_build_model(dict(model, params=dict(model["params"], **{name: float(v)}))) for v in values]
-        diag = np.stack([h.diagonal for h in chains])
-        off = np.stack([h.offdiagonal for h in chains])
+        diag, off = _build_model(model, {name: values[:, np.newaxis]}, values.shape)
         trace = trace_from_hamiltonians(values, diag, off, n_edge, axis_name=name)
         files.append(io.spectrum_trace_csv(out_dir / f"{stem}.csv", trace))
         return files, extras
 
-    spectrum = eigendecompose(_build_model(model))
+    spectrum = eigendecompose(ChainHamiltonian(*_build_model(model)))
     flags = edge_weight(spectrum.eigenvectors, n_edge) >= EDGE_FLAG_THRESHOLD
     files.append(io.static_spectrum_csv(out_dir / f"{stem}.csv", spectrum.eigenvalues, flags))
     export = opts.get("export_states")
@@ -115,7 +100,7 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool,
 
 def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
-    chain = _build_model(opts["model"])
+    chain = ChainHamiltonian(*_build_model(opts["model"]))
     if opts["disorder"] is not None:
         d = opts["disorder"]
         chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
@@ -129,8 +114,8 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
-    # the parts that can fail (the integration, a reduction outside |a| < |b|)
-    # run before the first file is written, so a failed run leaves no file
+    # the integration and the reduction run before the first file is
+    # written, so a run that fails in either leaves no file
     if "path" in opts:
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
         traj = lz_evolve(opts["path"], psi0, cfg.integrator, opts["n_records"])

@@ -15,9 +15,18 @@ import scipy
 import topochain.cli
 import topochain.config
 import topochain.dynamics
-from topochain import ChainHamiltonian, DisorderSpec, apply_disorder
+import topochain.runner
+from topochain import (
+    ChainHamiltonian,
+    DisorderSpec,
+    apply_disorder,
+    build_aah,
+    build_rice_mele,
+    build_ssh,
+    build_trimer,
+)
 from topochain.cli import main
-from topochain.config import _norm_bound, parse_config
+from topochain.config import _integration, parse_config
 from topochain.dynamics import MAGNUS_MAX_STEPS
 from topochain.errors import SchemaError
 from topochain.io import file_sha256
@@ -546,6 +555,10 @@ _BELL = PRESETS["belltransfer"][0][1]  # ||H|| <= 2 + 1.9 + 1.9 = 5.8 by Gershgo
 _RAMP_SCHEDULE = {"kind": "rm", "L": 2, "T": 5.0, "cycles": 3, "params": {
     "a": {"form": "const", "offset": 1.0}, "b": {"form": "const", "offset": 1.0},
     "u": {"form": "linear", "amplitude": 100.0}}}
+# ||H|| <= 5 + 0.1 + 0.1 = 5.2 on the u rows, where the largest on-site
+# magnitude and the two largest bonds would give 5 + 3 + 0.1 = 8.1
+_TRIMER_QUENCH = {"schema": 1, "command": "quench", "kind": "trimer", "L": 3, "a": 0.1, "b": 3.0, "c": 0.1,
+                  "u": 5.0, "v": 0.0, "w": 0.0, "t_final": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -669,14 +682,14 @@ def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
-    # the path is integrated and the reduction computed before any file is
-    # written; a reduction outside |a| < |b| fails the run
+    # a reduction outside |a| < |b| is a named violation, and nothing is run
     cfg = {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0},
            "reduce": {"a": 2.0, "b": 1.0, "L": 3}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
-    assert "|a| < |b|" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert ("keys 'a' and 'b' in command 'lz'.reduce must have |a| < |b|, the topological phase the reduction "
+            "needs, got a=2.0, b=1.0") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -692,20 +705,25 @@ def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
          "phase": 0.4, "hop": -0.8, "t_final": 1.0},
         {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.3, "theta": 0.7, "T": 10.0}},
         {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": -1.3, "T": 10.0}},
+        _TRIMER_QUENCH,
+        {"schema": 1, "command": "quench", "kind": "ssh", "L": 1, "a": 0.1, "b": 1.0, "t_final": 1.0},
+        dict(_BELL, schedule=dict(_BELL["schedule"], L=1, params=dict(
+            _BELL["schedule"]["params"], c={"form": "const", "offset": 3.0}))),
     ],
     ids=["pumping", "optimization_pump", "bell-2-cycles", "linear-3-cycles", "disordered-quench", "aah",
-         "lz-tilted", "lz-arc"],
+         "lz-tilted", "lz-arc", "trimer-quench", "ssh-quench-L1", "trimer-pump-L1"],
 )
 def test_rk4_norm_bound_holds(cfg):
     # the config's bound on ||H|| against the largest absolute row sum of
-    # each H(t) the command integrates, sampled densely over its run
+    # each H(t) the command integrates, sampled densely over its run; a
+    # static quench without disorder is bounded by exactly that sum
     parsed = _parse(cfg)
     opts = parsed.options
     times = np.linspace(0.0, 1.0, 1001)
     if parsed.command in ("pump", "trimer"):
         diag, off = schedule_arrays(opts["schedule"], opts["L"], times * opts["schedule"].total_time)
     elif parsed.command == "quench":
-        chain = _build_model(opts["model"])
+        chain = ChainHamiltonian(*_build_model(opts["model"]))
         if opts["disorder"] is not None:
             d = opts["disorder"]
             chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
@@ -714,7 +732,46 @@ def test_rk4_norm_bound_holds(cfg):
         path = opts["path"]
         diag, off = path.hamiltonian_arrays(times * path.period)
     norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
-    assert norm <= _norm_bound(parsed.command, opts) * (1.0 + 1e-12)
+    bound = _integration(parsed.command, opts)[2]
+    assert norm <= bound * (1.0 + 1e-12)
+    if parsed.command == "quench" and opts["disorder"] is None:
+        assert bound == pytest.approx(norm, rel=1e-15)
+
+
+_SWEPT_MODELS = {
+    "ssh": ({"kind": "ssh", "L": 5, "a": 0.3, "b": 1.0},
+            lambda n, p: build_ssh(n, p["a"], p["b"], p["omega"])),
+    "rm": ({"kind": "rm", "L": 4, "a": 0.5, "b": 1.0, "u": 0.2},
+           lambda n, p: build_rice_mele(n, p["a"], p["b"], p["u"])),
+    "trimer": ({"kind": "trimer", "L": 3, "a": 0.4, "b": 0.7, "c": 1.0, "u": 0.3, "v": -0.2, "w": 0.1},
+               lambda n, p: build_trimer(n, *(p[name] for name in "abcuvw"))),
+    "aah": ({"kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4, "hop": -0.8},
+            lambda n, p: build_aah(n, p["omega"], p["alpha"], p["phase"], p["hop"])),
+}
+
+
+@pytest.mark.parametrize("kind, param", [("ssh", "omega"), ("rm", "a"), ("trimer", "c"), ("aah", "omega"),
+                                         ("aah", "alpha"), ("aah", "phase"), ("aah", "hop")])
+def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, param):
+    # the runner lays a sweep out in one call, the parameter a column; each
+    # row must be the chain the builder makes at that point, byte for byte
+    model, build = _SWEPT_MODELS[kind]
+    cfg = _parse({"schema": 1, "command": "spectrum", **model,
+                  "sweep": {"param": param, "start": -0.37, "stop": 1.91, "points": 9}})
+    seen = []
+
+    def trace_spy(values, diag, off, *args, **kwargs):
+        seen.append((values, diag, off))
+        return trace_from_hamiltonians(values, diag, off, *args, **kwargs)
+
+    trace_from_hamiltonians = topochain.runner.trace_from_hamiltonians
+    monkeypatch.setattr(topochain.runner, "trace_from_hamiltonians", trace_spy)
+    topochain.runner.run(cfg, tmp_path)
+    (values, diag, off), = seen
+    size = model.get("L", model.get("n_sites"))
+    chains = [build(size, dict(cfg.options["model"]["params"], **{param: float(v)})) for v in values]
+    assert diag.tobytes() == np.stack([h.diagonal for h in chains]).tobytes()
+    assert off.tobytes() == np.stack([h.offdiagonal for h in chains]).tobytes()
 
 
 def test_manifest_records_each_integration(tmp_path):
@@ -982,15 +1039,19 @@ def test_linear_terms_are_bounded_by_their_end_values():
     ramp = {"schema": 1, "command": "lz", "path": {
         "type": "custom", "T": 10000.0, "u": {"form": "linear", "offset": -1.0, "amplitude": 2.0},
         "g": {"form": "const", "offset": 0.1}}}
-    assert _norm_bound("lz", _parse(ramp).options) == 1.1
+    assert _integration("lz", _parse(ramp).options)[2] == 1.1
     # three cycles of u from -150 to 150, bonds of 1: 150 + 1 + 1
     pump = {"schema": 1, "command": "pump", "schedule": dict(_RAMP_SCHEDULE, params=dict(
         _RAMP_SCHEDULE["params"], u={"form": "linear", "offset": -150.0, "amplitude": 100.0}))}
     opts = _parse(pump).options
-    assert _norm_bound("pump", opts) == 152.0
+    assert _integration("pump", opts)[2] == 152.0
     diag, off = schedule_arrays(opts["schedule"], opts["L"], np.linspace(0.0, opts["schedule"].total_time, 3001))
     norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
     assert norm == 152.0
+    # a const term is its offset, whatever its amplitude: bonds of 0.5 and 1
+    const = {"schema": 1, "command": "pump", "schedule": {"kind": "ssh", "L": 2, "T": 100.0, "params": {
+        "a": {"form": "const", "offset": 0.5, "amplitude": 1000.0}, "b": {"form": "const", "offset": 1.0}}}}
+    assert _integration("pump", _parse(const).options)[2] == 1.5
 
 
 @pytest.mark.parametrize(

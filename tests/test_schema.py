@@ -199,6 +199,36 @@ def test_parse_config_returns_or_names_every_violation(cfg):
     assert not caught, [str(w.message) for w in caught]
 
 
+def single_mutations():
+    """Each base with one described key set to each of its mutations or
+    deleted, or with an unknown key beside it."""
+    for base in BASES:
+        for path, key in slots(base):
+            changes = [(path, value) for value in mutations(key) + [_DELETE]] + [(path[:-1] + ("bogus",), 1)]
+            for target, value in changes:
+                cfg = copy.deepcopy(base)
+                _set(cfg, target, value)
+                yield cfg
+
+
+def test_every_single_mutation_parses_or_names_its_violations():
+    # exhaustive where the property test above samples: each config parses
+    # or raises a SchemaError whose every message names a key, and warns not
+    count = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cfg in single_mutations():
+            count += 1
+            try:
+                parse_config(json.dumps(cfg))
+            except SchemaError as exc:
+                assert exc.violations, cfg
+                names = TABLE_NAMES | _all_keys(cfg)
+                assert all(_names_a_key(message, names) for message in exc.violations), (cfg, exc.violations)
+    assert not caught, [str(w.message) for w in caught]
+    assert count > 3000
+
+
 def test_every_preset_key_is_in_the_table():
     # so the property test above can reach every key of every preset
     for name, cfg in PRESET_CONFIGS.items():
