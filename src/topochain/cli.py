@@ -2,7 +2,7 @@
 
 Subcommands:
   run        execute a JSON experiment config
-  reproduce  run the bundled preset configs for one figure id
+  reproduce  run the bundled preset configs for one or more figure ids
   couplings  modulated-coupling sweep straight from flags
   fluxqubit  flux-qubit spectrum/coupling sweep straight from flags
 """
@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     _add_common(p_run)
 
-    p_rep = sub.add_parser("reproduce", help="write the data files behind one figure")
-    p_rep.add_argument("figure", help=f"one of: {', '.join(FIGURE_IDS)}")
+    p_rep = sub.add_parser("reproduce", help="write the data files behind one or more figures")
+    p_rep.add_argument("figure", nargs="+", help=f"any of: {', '.join(FIGURE_IDS)}, or all")
     _add_common(p_rep)
 
     p_cpl = sub.add_parser("couplings", help="effective-coupling sweep over drive ratios")
@@ -99,8 +99,7 @@ def main(argv=None) -> int:
             for path in result.files + [result.manifest]:
                 print(f"wrote {path}")
         elif args.subcommand == "reproduce":
-            results = reproduce(args.figure, args.out, args.amplitudes)
-            for result in results:
+            for result in reproduce(args.figure, args.out, args.amplitudes, args.seed):
                 for path in result.files + [result.manifest]:
                     print(f"wrote {path}")
         else:

@@ -180,13 +180,25 @@ _CELLS = Key("int", required=True, bounds=(Bound(">=", 1),), feeds="sites")
 _PARAM = Key("number", 0.0, required=True, bounds=(_MAGNITUDE,), feeds="norm")
 _TERM = Key("number", 0.0, bounds=(_MAGNITUDE,), feeds="norm")
 
+# the keys a form does not read: a const term is its offset, a linear one offset + amplitude * t/T
+_UNREAD = {"const": ("amplitude", "frequency_multiple", "phase"), "linear": ("frequency_multiple", "phase")}
+
+
+def _build_function(chk, ctx, v, ok):
+    """The term's FunctionSpec; None if a key broke its bound or a key its
+    form does not read is set off its default."""
+    unread = [name for name in _UNREAD.get(v["form"], ()) if v[name] != FUNCTION.kind[name].default]
+    chk += [f"key '{name}' in {ctx} has no effect on a '{v['form']}' term, got {v[name]}" for name in unread]
+    return FunctionSpec(**v) if ok and not unread else None
+
+
 FUNCTION = Key({
     "form": Key("str", required=True, choices=FUNCTION_FORMS),
     "offset": _TERM,
     "amplitude": _TERM,
     "frequency_multiple": Key("number", 1.0),
     "phase": Key("number", 0.0),
-}, required=True, hint=" with a 'form' field", build=lambda chk, ctx, v, ok: FunctionSpec(**v) if ok else None)
+}, required=True, hint=" with a 'form' field", build=_build_function)
 
 
 def _build_schedule(chk, ctx, v, ok):
@@ -363,7 +375,9 @@ def _take(chk: list, obj: dict, name: str, key: Key, ctx: str, where: str):
             chk.append(f"{ctx}.{name} must be an object{key.hint}")
             return None, False
         values, ok = _walk(chk, value, key.kind, f"{ctx}.{name}", key.extra)
-        return (key.build(chk, f"{ctx}.{name}", values, ok) if key.build else values), ok
+        if key.build:  # a build that gives None found the object unusable
+            values = key.build(chk, f"{ctx}.{name}", values, ok)
+        return values, ok and values is not None
     is_kind, kind_name = _KINDS[key.kind]
     if key.kind == "number" and is_kind(value):  # an integer beyond the float range reads as inf
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
@@ -543,11 +557,9 @@ COMMANDS = {  # the parser of each command's options
 
 def _function_bound(fn: FunctionSpec, cycles: int) -> float:
     """Bound on |fn(t)| over ``cycles`` periods: a linear term's larger end
-    value, a const term's |offset|, or |offset| + |amplitude|."""
+    value, else |offset| + |amplitude| (a const term's amplitude is 0)."""
     if fn.form == "linear":
         return max(abs(fn.offset), abs(fn.offset + fn.amplitude * cycles))
-    if fn.form == "const":
-        return abs(fn.offset)
     return abs(fn.offset) + abs(fn.amplitude)
 
 

@@ -38,8 +38,8 @@ class TwoLevelSystem:
 
 
 def lz_eigen(sys: TwoLevelSystem) -> Tuple[float, float]:
-    """(E_minus, E_plus), ascending."""
-    r = float(np.hypot(sys.u, sys.g))
+    """(E_minus, E_plus), ascending; elementwise when u and g are arrays."""
+    r = np.hypot(sys.u, sys.g)
     return (sys.offset - r, sys.offset + r)
 
 

@@ -1,7 +1,11 @@
 """Bit-stable CSV and JSON artifact writers.
 
-CSV cells use shortest round-trip float printing (repr), '.' decimals and
-LF line endings so identical runs produce byte-identical files.
+Every CSV goes through ``write_csv``: a header and one equal-length 1-D
+numpy column per name, each formatted in one step: bool as "1"/"0",
+integers by ``str``, float64 by shortest round-trip ``repr`` ('.' decimals);
+any other dtype raises TypeError.  Rows go out in blocks of about
+``BLOCK_CELLS`` cells with LF line endings, so memory stays flat in the
+table's size and identical runs give identical bytes.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy
@@ -19,24 +23,33 @@ from .dynamics import Trajectory
 from .effective import LZPath, lz_eigen, TwoLevelSystem
 from .spectra import SpectrumTrace
 
-
-def format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+BLOCK_CELLS = 2048  # cells formatted and written at a time, in whole rows
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    path = Path(path)
+def _formatter(column: np.ndarray):
+    """The text of one entry of ``column``: int.__repr__ gives bools as 1/0."""
+    if column.dtype.kind in "biu":
+        return int.__repr__
+    if column.dtype == np.float64:
+        return float.__repr__
+    raise TypeError(f"a CSV column must be bool, integer or float64, got {column.dtype}")
+
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Path:
+    """Write ``header``, then one row per entry of the equal-length 1-D
+    ``columns``, one column per header name."""
+    columns = [np.asarray(column) for column in columns]
+    rows = columns[0].size if columns else 0
+    if len(columns) != len(header) or any(column.shape != (rows,) for column in columns):
+        raise ValueError(f"write_csv needs {len(header)} 1-D columns of one length")
+    formats = [_formatter(column) for column in columns]
+    block = max(1, BLOCK_CELLS // max(1, len(columns)))  # rows per block
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
-    return path
+        for start in range(0, rows, block):
+            cells = [map(fmt, column[start:start + block].tolist()) for fmt, column in zip(formats, columns)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return Path(path)
 
 
 def file_sha256(path: Path) -> str:
@@ -48,11 +61,10 @@ def file_sha256(path: Path) -> str:
 
 
 def write_json(path: Path, payload: dict) -> Path:
-    path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return Path(path)
 
 
 # the interpreter and libraries a manifest's run used
@@ -64,14 +76,8 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
     """``blocks`` holds further top-level records of what ran: ``integrator``
     maps each trajectory CSV's name to its ``Trajectory.integration`` record,
     and ``solver`` summarizes the flux-qubit eigensolves."""
-    payload = {
-        "tool": "topochain",
-        "version": version,
-        "versions": VERSIONS,
-        "config": config,
-        "wall_time_s": wall_time,
-        "outputs": {Path(p).name: file_sha256(p) for p in outputs},
-    }
+    payload = {"tool": "topochain", "version": version, "versions": VERSIONS, "config": config,
+               "wall_time_s": wall_time, "outputs": {Path(p).name: file_sha256(p) for p in outputs}}
     if extras:
         payload["extras"] = extras
     payload.update(blocks or {})
@@ -81,46 +87,30 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
 def trajectory_csv(path: Path, traj: Trajectory, amplitudes: bool = False) -> Path:
     n = traj.states.shape[1]
     header = ["t"] + [f"sz_{j}" for j in range(1, n + 1)]
+    columns = [traj.times, *traj.sz.T]
     if amplitudes:
-        for j in range(1, n + 1):
-            header += [f"re_{j}", f"im_{j}"]
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = [t] + list(traj.sz[i])
-        if amplitudes:
-            for j in range(n):
-                row += [traj.states[i, j].real, traj.states[i, j].imag]
-        rows.append(row)
-    return write_csv(path, header, rows)
+        header += [f"{part}_{j}" for j in range(1, n + 1) for part in ("re", "im")]
+        # the float64 view of a complex row is its (re, im) pairs in site order
+        columns += [*np.ascontiguousarray(traj.states).view(np.float64).T]
+    return write_csv(path, header, columns)
 
 
 def spectrum_trace_csv(path: Path, trace: SpectrumTrace) -> Path:
     n = trace.energies.shape[1]
     header = [trace.axis_name] + [f"E_{j}" for j in range(1, n + 1)] + [f"edge_flag_{j}" for j in range(1, n + 1)]
-    rows = [
-        [trace.times[i]] + list(trace.energies[i]) + list(trace.edge_flags[i])
-        for i in range(trace.times.size)
-    ]
-    return write_csv(path, header, rows)
+    return write_csv(path, header, [trace.times, *trace.energies.T, *trace.edge_flags.T])
 
 
 def static_spectrum_csv(path: Path, energies: np.ndarray, edge_flags: np.ndarray) -> Path:
-    header = ["level", "energy", "edge_flag"]
-    rows = [[j + 1, energies[j], edge_flags[j]] for j in range(energies.size)]
-    return write_csv(path, header, rows)
+    return write_csv(path, ["level", "energy", "edge_flag"], [np.arange(1, energies.size + 1), energies, edge_flags])
 
 
 def states_csv(path: Path, levels: Sequence[int], vectors: np.ndarray) -> Path:
     # vectors: (n_sites, n_levels) columns aligned with `levels` (1-based ids)
     header = ["site"] + [f"state_{lvl}" for lvl in levels]
-    rows = [[site + 1] + list(vectors[site]) for site in range(vectors.shape[0])]
-    return write_csv(path, header, rows)
+    return write_csv(path, header, [np.arange(1, vectors.shape[0] + 1), *vectors.T])
 
 
 def lz_path_csv(path: Path, lz_path: LZPath) -> Path:
-    header = ["t", "u", "g", "E_minus", "E_plus"]
-    rows = []
-    for i in range(lz_path.times.size):
-        e_minus, e_plus = lz_eigen(TwoLevelSystem(lz_path.u[i], lz_path.g[i]))
-        rows.append([lz_path.times[i], lz_path.u[i], lz_path.g[i], e_minus, e_plus])
-    return write_csv(path, header, rows)
+    e_minus, e_plus = lz_eigen(TwoLevelSystem(lz_path.u, lz_path.g))
+    return write_csv(path, ["t", "u", "g", "E_minus", "E_plus"], [lz_path.times, lz_path.u, lz_path.g, e_minus, e_plus])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +11,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, io
-from .config import MODEL, ExperimentConfig
+from .config import MODEL, ExperimentConfig, parse_config
 from .dynamics import basis_state, pump, quench, transfer_fidelity
 from .effective import LZPath, classify_path, lz_evolve, reduction_report
 from .errors import InvalidParameterError
@@ -171,8 +172,8 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     else:
         p = effective_coupling_matched(opts["bare_a"], x, y, odd_bond=True).value.imag
         q = effective_coupling_matched(opts["bare_b"], x, y, odd_bond=False).value.imag
-    rows = np.column_stack([np.repeat(a1, a2.size), np.tile(a2, a1.size), p.ravel(), q.ravel()])
-    files = [io.write_csv(out_dir / f"{stem}.csv", ["alpha_1", "alpha_2", "P", "Q"], rows)]
+    columns = [np.repeat(a1, a2.size), np.tile(a2, a1.size), p.ravel(), q.ravel()]
+    files = [io.write_csv(out_dir / f"{stem}.csv", ["alpha_1", "alpha_2", "P", "Q"], columns)]
     extras = {"scheme": scheme, "value_component": "real" if scheme == "identical" else "imag"}
     return files, extras
 
@@ -185,9 +186,9 @@ def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
         rng = opts["f_alpha_sweep"]
         values = np.linspace(rng["start"], rng["stop"], rng["points"])
         point_stats = [{} for _ in values]
-        rows = [[fa, qubit_gap(spec, fa, stats=st)] for fa, st in zip(values, point_stats)]
+        gaps = np.array([qubit_gap(spec, fa, stats=st) for fa, st in zip(values, point_stats)])
         blocks["solver"] = solver_record(point_stats)
-        files.append(io.write_csv(out_dir / f"{stem}.csv", ["f_alpha", "gap"], rows))
+        files.append(io.write_csv(out_dir / f"{stem}.csv", ["f_alpha", "gap"], [values, gaps]))
         return files, extras
     levels = opts["levels"]
     f_alpha = opts["f_alpha"]
@@ -197,10 +198,8 @@ def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     points = [sweep_point(spec, f_alpha, fe, levels, stats=st) for fe, st in zip(values, point_stats)]
     blocks["solver"] = solver_record(point_stats)
     header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
-    rows = []
-    for fe, (vals, character) in zip(values, points):
-        rows.append([fe] + list(vals[:levels]) + [character.g_perp, character.g_par])
-    files.append(io.write_csv(out_dir / f"{stem}.csv", header, rows))
+    table = np.array([[*vals[:levels], character.g_perp, character.g_par] for vals, character in points])
+    files.append(io.write_csv(out_dir / f"{stem}.csv", header, [values, *table.T]))
     extras["gap_at_first_point"] = float(points[0][1].gap)
     return files, extras
 
@@ -230,17 +229,17 @@ def run(cfg: ExperimentConfig, out_dir, amplitudes: bool = False, stem=None) -> 
     return RunResult(files, manifest, extras)
 
 
-def reproduce(figure_id: str, out_dir, amplitudes: bool = False) -> List[RunResult]:
-    """Run every preset config filed under a figure id."""
-    from .config import parse_config
-    import json
-
-    if figure_id not in PRESETS:
-        raise InvalidParameterError(
-            f"unknown figure id {figure_id!r}; available: {', '.join(FIGURE_IDS)}"
-        )
+def reproduce(figure_ids, out_dir, amplitudes: bool = False, seed: Optional[int] = None) -> List[RunResult]:
+    """Run every preset config filed under each figure id ("all" stands for
+    every id), each with ``seed`` in place of its own when given.  Every id
+    is checked before the first config runs."""
+    ids = [name for arg in figure_ids for name in (FIGURE_IDS if arg == "all" else (arg,))]
+    unknown = [name for name in ids if name not in PRESETS]
+    if unknown:
+        raise InvalidParameterError(f"unknown figure id {unknown[0]!r}; available: {', '.join(FIGURE_IDS)}")
     results = []
-    for name, preset in PRESETS[figure_id]:
-        cfg = parse_config(json.dumps(preset))
-        results.append(run(cfg, out_dir, amplitudes, stem=name))
+    for figure_id in dict.fromkeys(ids):
+        for name, preset in PRESETS[figure_id]:
+            cfg = parse_config(json.dumps(preset if seed is None else dict(preset, seed=seed)))
+            results.append(run(cfg, out_dir, amplitudes, stem=name))
     return results

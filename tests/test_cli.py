@@ -30,7 +30,7 @@ from topochain.config import _integration, parse_config
 from topochain.dynamics import MAGNUS_MAX_STEPS
 from topochain.errors import SchemaError
 from topochain.io import file_sha256
-from topochain.models import schedule_arrays
+from topochain.models import FunctionSpec, schedule_arrays
 from topochain.presets import PRESETS
 from topochain.runner import _build_model
 
@@ -1032,7 +1032,7 @@ def test_schedule_path_through_zero_and_overflowing_bonds(tmp_path):
         assert np.isfinite(_csv_values(tmp_path / f"{name}_schedule_path.csv")).all()
 
 
-def test_linear_terms_are_bounded_by_their_end_values():
+def test_linear_terms_are_bounded_by_their_end_values(tmp_path, capsys):
     # a linear term reaches its larger end value, not |offset| + |amplitude|
     # x cycles: a ramp u from -1 to 1 with g = 0.1 over T = 10,000 accumulates
     # a phase of 11,000, inside the bound of 20,000 (30,000 by the sum)
@@ -1048,10 +1048,26 @@ def test_linear_terms_are_bounded_by_their_end_values():
     diag, off = schedule_arrays(opts["schedule"], opts["L"], np.linspace(0.0, opts["schedule"].total_time, 3001))
     norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
     assert norm == 152.0
-    # a const term is its offset, whatever its amplitude: bonds of 0.5 and 1
+    # a const term is its offset: an amplitude on it is a named violation,
+    # with no phase-budget line for the unusable schedule
     const = {"schema": 1, "command": "pump", "schedule": {"kind": "ssh", "L": 2, "T": 100.0, "params": {
         "a": {"form": "const", "offset": 0.5, "amplitude": 1000.0}, "b": {"form": "const", "offset": 1.0}}}}
-    assert _integration("pump", _parse(const).options)[2] == 1.5
+    _rejected(tmp_path, capsys, json.dumps(const), "amplitude")
+    assert _violations(const) == ["key 'amplitude' in command 'pump'.schedule.params.a has no effect on a "
+                                  "'const' term, got 1000.0"]
+
+
+@pytest.mark.parametrize("form, key", [("const", "amplitude"), ("const", "frequency_multiple"), ("const", "phase"),
+                                       ("linear", "frequency_multiple"), ("linear", "phase")])
+def test_keys_a_form_does_not_read_are_named_violations(tmp_path, capsys, form, key):
+    term = {"form": form, "offset": 1.0, key: 0.5}
+    cfg = {"schema": 1, "command": "lz", "path": {"type": "custom", "T": 10.0, "u": term,
+                                                   "g": {"form": "const", "offset": 0.3}}}
+    _rejected(tmp_path, capsys, json.dumps(cfg), key)
+    assert _violations(cfg) == [f"key '{key}' in command 'lz'.path.u has no effect on a '{form}' term, got 0.5"]
+    # at its default the key changes nothing and is accepted
+    term[key] = topochain.config.FUNCTION.kind[key].default
+    assert _parse(cfg).options["path"].u_fn == FunctionSpec(form, offset=1.0)
 
 
 @pytest.mark.parametrize(
@@ -1111,3 +1127,51 @@ def test_reproduce_writes_expected_files(tmp_path):
     manifest = json.loads((tmp_path / "lz1_path_a.manifest.json").read_text())
     assert manifest["extras"]["path_class"] == "around-critical"
     assert manifest["extras"]["final_population_R"] >= 0.999
+
+
+def _file_bytes(directory: Path) -> dict:
+    """Each file's bytes; a manifest without its wall time."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        files[path.name] = path.read_bytes()
+        if path.name.endswith(".manifest.json"):
+            files[path.name] = dict(json.loads(files[path.name]), wall_time_s=None)
+    return files
+
+
+def test_reproduce_seed_replaces_each_preset_seed(tmp_path):
+    assert main(["reproduce", "trivial", "--out", str(tmp_path / "default")]) == 0
+    assert main(["reproduce", "trivial", "--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    for name, preset in PRESETS["trivial"]:
+        seeded = (tmp_path / "seeded" / f"{name}.csv").read_bytes()
+        assert seeded != (tmp_path / "default" / f"{name}.csv").read_bytes()
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(preset))
+        assert main(["run", "--config", str(cfg_path), "--seed", "5", "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "quench.csv").read_bytes() == seeded
+        manifest = json.loads((tmp_path / "seeded" / f"{name}.manifest.json").read_text())
+        assert manifest["config"] == json.loads((tmp_path / name / "quench.manifest.json").read_text())["config"]
+        assert manifest["config"]["seed"] == 5
+
+
+def test_reproduce_several_ids_in_one_process(tmp_path):
+    ids = ["energylevel", "rm", "lz1", "ssh3edges"]
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    for figure_id in ids:
+        argv = [sys.executable, "-m", "topochain.cli", "reproduce", figure_id, "--out", str(tmp_path / "apart")]
+        subprocess.run(argv, env=env, check=True, capture_output=True)
+    assert main(["reproduce", *ids, "--out", str(tmp_path / "together")]) == 0
+    apart = _file_bytes(tmp_path / "apart")
+    assert len(apart) == 13 and _file_bytes(tmp_path / "together") == apart
+
+
+def test_reproduce_checks_every_id_first(tmp_path, capsys, monkeypatch):
+    assert main(["reproduce", "lz1", "nosuchfigure", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: unknown figure id 'nosuchfigure'; available: {', '.join(sorted(PRESETS))}"]
+    assert not (tmp_path / "out").exists()
+    # "all" stands for every id, each run once
+    stems = []
+    monkeypatch.setattr(topochain.runner, "run", lambda cfg, out_dir, amplitudes, stem: stems.append(stem))
+    topochain.runner.reproduce(["rm", "all"], tmp_path)
+    assert stems == [name for figure_id in ["rm"] + sorted(set(PRESETS) - {"rm"}) for name, _ in PRESETS[figure_id]]
