@@ -7,16 +7,17 @@ exp(i*phi)|k> = |k+1> on each junction, so the alpha-junction term couples
 (k, l) -> (k+1, l+1) with amplitude -E_J*alpha*C_alpha*exp(i*chi), where
 C_alpha = cos(pi*(beta*(N - f_Sigma) + f_alpha)) and chi = pi*(n - f_eps).
 
-The matrix has at most 7 nonzeros per row and is built sparse.  In the
-flattened index (2N_c+1)(k+N_c) + (l+N_c) it is a Hermitian band matrix of
-half-bandwidth kd = 2N_c+2, the reach of the alpha hop.  Its lowest levels
-come from shift-invert Lanczos (ARPACK) at a shift sigma below its Gershgorin
-bound, where H - sigma is positive definite: the upper triangle is packed
-into LAPACK Hermitian band storage, factored once per bias point by banded
-Cholesky (``zpbtrf``), and every shift-invert solve is one ``zpbtrs``.
-
-scipy.sparse and scipy.sparse.linalg are imported by the functions that
-use them, so that importing the package does not load them.
+In the flattened index (2N_c+1)(k+N_c) + (l+N_c) the matrix is banded, of
+half-bandwidth kd = 2N_c+2, with four nonzero diagonals in its upper
+triangle: the charging energy, the l hop at offset 1, the k hop at offset
+2N_c+1 and the alpha hop at offset kd.  ``charge_band`` writes H/E_J straight
+into LAPACK upper Hermitian band storage.  The lowest levels come from
+shift-invert Lanczos (ARPACK) at a shift sigma below the Gershgorin bound,
+where H - sigma is positive definite: the shifted band is factored once per
+bias point by banded Cholesky (``zpbtrf``), and every shift-invert solve is
+one ``zpbtrs``.  scipy.sparse.linalg (``eigsh``) and scipy.sparse (for the
+matrices of ``build_charge_hamiltonian`` and ``d_hamiltonian_d_feps``) are
+imported by the functions that use them, so importing the package does not.
 """
 
 from __future__ import annotations
@@ -88,69 +89,65 @@ class QubitCharacter:
     f_eps: float
 
 
-def _single_junction_ops(n_c: int):
-    import scipy.sparse as sp
-
-    dim = 2 * n_c + 1
-    charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
-    raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)  # exp(i*phi): |k> -> |k+1>
-    return charge, raise_op, sp.eye_array(dim)
-
-
-def _alpha_hop(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
-    """(amp, chi, S): the alpha-junction term is -amp*(e^{i chi} S + h.c.)."""
-    import scipy.sparse as sp
-
-    _, raise_op, _ = _single_junction_ops(int(spec.charge_cutoff))
+def _alpha_term(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
+    """(amp, chi, starts): the alpha-junction term is -amp*(e^{i chi} S + h.c.);
+    S moves i to i + kd, and the l hop i to i + 1, where starts[i] (l < N_c)."""
+    d = 2 * int(spec.charge_cutoff) + 1
     f_sigma = spec.f_sigma_kappa * f_alpha
     c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
-    return spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps), sp.kron(raise_op, raise_op)
+    starts = np.arange(spec.dimension - 1) % d != d - 1
+    return spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps), starts
 
 
-def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csc_array:
-    """Hermitian charge-basis Hamiltonian at the given reduced fluxes (CSC)."""
-    import scipy.sparse as sp
-
-    charge, raise_op, ident = _single_junction_ops(int(spec.charge_cutoff))
+def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float, unit: float | None = None) -> np.ndarray:
+    """H/unit (default unit E_J) in LAPACK upper Hermitian band storage: a
+    Fortran-ordered complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j]
+    = H[i, j]/unit`` for ``j - kd <= i <= j``, 0 where no term couples i, j."""
+    n_c, kd, dim = int(spec.charge_cutoff), spec.band_width, spec.dimension
+    charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     k_sq = charge**2
-
     coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
     kinetic = coef * (
         (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
         - 4.0 * spec.alpha * np.outer(charge, charge)
     ).ravel()
+    amp, chi, starts = _alpha_term(spec, f_alpha, f_eps)
+    band = np.zeros((kd + 1, dim), dtype=np.complex128, order="F")
+    band[kd] = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
+    band[kd - 1, 1:] = np.where(starts, -(spec.ej * 0.5), 0.0)  # -E_J cos(phi_2): (k, l) -> (k, l+1)
+    band[1, kd - 1:] = -(spec.ej * 0.5)  # -E_J cos(phi_1): (k, l) -> (k+1, l), offset D = kd - 1
+    # -amp e^{-i chi} S^T, as 0 - z so that a zero part of z is stored as +0.0
+    band[0, kd:] = np.where(starts[:dim - kd], 0.0 - amp * np.exp(-1j * chi), 0.0)
+    band *= 1 / (spec.ej if unit is None else unit)
+    return band
 
-    cos_phi = 0.5 * (raise_op + raise_op.T)
-    amp, chi, both_up = _alpha_hop(spec, f_alpha, f_eps)
-    h = (
-        sp.diags_array(kinetic + spec.ej * 2.0 * (1.0 + spec.alpha))
-        - spec.ej * sp.kron(cos_phi, ident)
-        - spec.ej * sp.kron(ident, cos_phi)
-        - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
-    )
-    return h.tocsc()
+
+def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csc_array:
+    """Hermitian charge-basis Hamiltonian at the given reduced fluxes, a
+    scipy.sparse CSC array expanded from ``charge_band``."""
+    import scipy.sparse as sp
+
+    band, kd = charge_band(spec, f_alpha, f_eps, unit=1.0), spec.band_width
+    upper = [band[kd - m, m:] for m in range(kd + 1)]  # H[j, j + m]; H[j + m, j] is its conjugate
+    offsets = [*range(kd + 1), *range(-1, -kd - 1, -1)]
+    return sp.diags_array(upper + [d.conj() for d in upper[1:]], offsets=offsets).tocsc()
+
+
+def _dh_hops(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
+    """(lower, upper): dH/df_eps[i + kd, i] and dH/df_eps[i, i + kd], i < dim - kd."""
+    amp, chi, starts = _alpha_term(spec, f_alpha, f_eps)
+    c = 1j * np.pi * amp  # d/df_eps of -amp*(e^{i chi} S + h.c.), with dchi/df_eps = -pi
+    starts = starts[:spec.dimension - spec.band_width]
+    return np.where(starts, c * np.exp(1j * chi), 0.0), np.where(starts, c * -np.exp(-1j * chi), 0.0)
 
 
 def d_hamiltonian_d_feps(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csr_array:
-    """Analytic dH/df_eps (CSR); only chi = pi*(n - f_eps) depends on f_eps."""
-    amp, chi, both_up = _alpha_hop(spec, f_alpha, f_eps)
-    # d/df_eps of -amp*(e^{i chi} S + e^{-i chi} S^T) with dchi/df_eps = -pi
-    return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
+    """Analytic dH/df_eps, a scipy.sparse CSR array; only chi = pi*(n - f_eps)
+    depends on f_eps."""
+    import scipy.sparse as sp
 
-
-def upper_band(h: sp.csc_array, kd: int) -> np.ndarray:
-    """LAPACK upper Hermitian band storage of ``h``: a Fortran-ordered
-    complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = h[i, j]``
-    for ``j - kd <= i <= j``."""
-    dim = h.shape[0]
-    cols = np.repeat(np.arange(dim), np.diff(h.indptr))
-    upper = h.indices <= cols
-    rows, cols = h.indices[upper], cols[upper]
-    if np.any(cols - rows > kd):
-        raise InvalidParameterError(f"matrix has entries beyond half-bandwidth {kd}")
-    band = np.zeros((kd + 1, dim), dtype=np.complex128, order="F")
-    band[kd + rows - cols, cols] = h.data[upper]
-    return band
+    kd = spec.band_width
+    return sp.diags_array(_dh_hops(spec, f_alpha, f_eps), offsets=[-kd, kd], shape=(spec.dimension,) * 2).tocsr()
 
 
 def band_cholesky(band: np.ndarray) -> np.ndarray:
@@ -178,13 +175,15 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     # the same at every ej: the shift's margin below the Gershgorin bound is
     # one E_J, and ARPACK's convergence test, which has an absolute floor of
     # eps**(2/3), sees Ritz values of order 1
-    h = build_charge_hamiltonian(spec, f_alpha, f_eps) / spec.ej
-    diag = h.diagonal().real
-    shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    band = charge_band(spec, f_alpha, f_eps)
+    kd, magnitude, rows = spec.band_width, np.abs(band), np.zeros(dim)
+    # Gershgorin: each row of |H| summed in ascending j, then the diagonal taken out
+    for off in range(-kd, kd + 1):  # |H[i, i + off]|, stored at column max(i, i + off)
+        rows[:dim - max(off, 0)] += magnitude[kd - abs(off), max(off, 0):]
+    diag = band[kd].real
+    shift = float(np.min(diag - (rows - np.abs(diag)))) - 1.0
     if not np.isfinite(shift):  # any inf or NaN entry of H reaches the Gershgorin bound
         raise NumericError("the charge Hamiltonian has non-finite entries")
-    kd = spec.band_width
-    band = upper_band(h, kd)
     band[kd] -= shift
     factor = band_cholesky(band)
     solves = 0
@@ -195,10 +194,11 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
         return _PBTRS(factor, x)[0]
 
     # a fixed generic start vector keeps repeat solves bit-identical and has
-    # weight in both parity sectors of the f_eps = 0 point
+    # weight in both parity sectors of the f_eps = 0 point; in shift-invert
+    # mode ARPACK applies only OPinv to complex A, so A gives shape and dtype
     start = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-    vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
-                       OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
+    inverse = LinearOperator((dim, dim), matvec=solve, dtype=np.complex128)
+    vals, vecs = eigsh(inverse, k=n_levels, sigma=shift, which="LM", v0=start, OPinv=inverse)
     if stats is not None:
         stats.update(dimension=dim, band_width=kd, shift=shift * spec.ej, solves=solves)
     order = np.argsort(vals, kind="stable")
@@ -227,11 +227,16 @@ def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int
     I_0 = <g|dH/df_eps|g>, I_1 = <e|dH/df_eps|e> and |g_perp| = |<e|dH/df_eps|g>|."""
     vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels, stats)
     ground, excited = vecs[:, 0], vecs[:, 1]
-    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps)
-    dh_ground = dh @ ground
-    i0 = float(np.real(np.vdot(ground, dh_ground)))
-    i1 = float(np.real(np.vdot(excited, dh @ excited)))
-    return vals, i0, i1, float(abs(np.vdot(excited, dh_ground)))
+    lower, upper = _dh_hops(spec, f_alpha, f_eps)
+    kd, pair, dh = spec.band_width, vecs[:, :2].T, np.zeros((2, vecs.shape[0]), dtype=np.complex128)
+    # dH/df_eps on both states: row i sums column i - kd, then i + kd; products as
+    # (ar*xr - ai*xi) + i(ar*xi + ai*xr), no fused multiply-add, so SIMD moves no bit
+    for hop, rows, x in ((lower, dh[:, kd:], pair[:, :-kd]), (upper, dh[:, :-kd], pair[:, kd:])):
+        rows.real += hop.real * x.real - hop.imag * x.imag
+        rows.imag += hop.real * x.imag + hop.imag * x.real
+    i0 = float(np.real(np.vdot(ground, dh[0])))
+    i1 = float(np.real(np.vdot(excited, dh[1])))
+    return vals, i0, i1, float(abs(np.vdot(excited, dh[0])))
 
 
 def qubit_levels(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None) -> np.ndarray:

@@ -181,27 +181,22 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
 def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     spec = FluxQubitSpec(**opts["spec_kwargs"])
-    files, extras = [], {}
-    if "f_alpha_sweep" in opts:
-        rng = opts["f_alpha_sweep"]
-        values = np.linspace(rng["start"], rng["stop"], rng["points"])
-        point_stats = [{} for _ in values]
-        gaps = np.array([qubit_gap(spec, fa, stats=st) for fa, st in zip(values, point_stats)])
-        blocks["solver"] = solver_record(point_stats)
-        files.append(io.write_csv(out_dir / f"{stem}.csv", ["f_alpha", "gap"], [values, gaps]))
-        return files, extras
-    levels = opts["levels"]
-    f_alpha = opts["f_alpha"]
-    rng = opts["f_eps_range"]
+    rng = opts.get("f_alpha_sweep") or opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
     point_stats = [{} for _ in values]
-    points = [sweep_point(spec, f_alpha, fe, levels, stats=st) for fe, st in zip(values, point_stats)]
+    extras = {}
+    if "f_alpha_sweep" in opts:
+        header = ["f_alpha", "gap"]
+        columns = [values, np.array([qubit_gap(spec, fa, stats=st) for fa, st in zip(values, point_stats)])]
+    else:
+        levels = opts["levels"]
+        points = [sweep_point(spec, opts["f_alpha"], fe, levels, stats=st) for fe, st in zip(values, point_stats)]
+        header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
+        table = np.array([[*vals[:levels], character.g_perp, character.g_par] for vals, character in points])
+        columns = [values, *table.T]
+        extras["gap_at_first_point"] = float(points[0][1].gap)
     blocks["solver"] = solver_record(point_stats)
-    header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
-    table = np.array([[*vals[:levels], character.g_perp, character.g_par] for vals, character in points])
-    files.append(io.write_csv(out_dir / f"{stem}.csv", header, [values, *table.T]))
-    extras["gap_at_first_point"] = float(points[0][1].gap)
-    return files, extras
+    return [io.write_csv(out_dir / f"{stem}.csv", header, columns)], extras
 
 
 _RUNNERS = {

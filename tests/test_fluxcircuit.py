@@ -5,7 +5,9 @@ in one dense-LAPACK oracle comparison here; otherwise a reduced cutoff
 keeps the contracts fast to verify, plus one independent-oracle comparison
 at N_c = 4 via a hand-rolled real-symmetric embedding diagonalized by the
 package's tridiagonal kernel (MRRR, a different algorithm from the sparse
-shift-invert Lanczos solver under test).
+shift-invert Lanczos solver under test).  The band builder is checked
+against a Kronecker-product assembly of the Hamiltonian written here from
+the module docstring's conventions.
 """
 
 import math
@@ -32,9 +34,54 @@ from topochain import (
     qubit_levels,
 )
 from topochain._kernels import tridiag_eigh
-from topochain.fluxcircuit import band_cholesky, sweep_point, upper_band
+from topochain.fluxcircuit import band_cholesky, charge_band, sweep_point
 
 SMALL = FluxQubitSpec(charge_cutoff=6)
+
+
+def _kron_terms(spec, f_alpha, f_eps):
+    """(diagonal, cos_phi, identity, amp, chi, S) of H = diag - E_J(cos phi_1 +
+    cos phi_2) - amp(e^{i chi} S + h.c.), with exp(i phi)|k> = |k+1> on each
+    junction and S = exp(i phi_1) exp(i phi_2)."""
+    n_c = int(spec.charge_cutoff)
+    dim = 2 * n_c + 1
+    charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
+    raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)
+    k_sq = charge**2
+    coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
+    kinetic = coef * (
+        (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
+        - 4.0 * spec.alpha * np.outer(charge, charge)
+    ).ravel()
+    f_sigma = spec.f_sigma_kappa * f_alpha
+    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
+    amp, chi = spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps)
+    diagonal = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
+    return diagonal, 0.5 * (raise_op + raise_op.T), sp.eye_array(dim), amp, chi, sp.kron(raise_op, raise_op)
+
+
+def _kron_hamiltonian(spec, f_alpha, f_eps):
+    diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+    h = (
+        sp.diags_array(diagonal)
+        - spec.ej * sp.kron(cos_phi, ident)
+        - spec.ej * sp.kron(ident, cos_phi)
+        - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
+    )
+    return h.tocsc()
+
+
+def _kron_dh(spec, f_alpha, f_eps):
+    _, _, _, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+    return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
+
+
+def _pack_upper(dense, kd):
+    """LAPACK upper band storage: band[kd + i - j, j] = dense[i, j]."""
+    band = np.zeros((kd + 1, dense.shape[0]), dtype=np.complex128, order="F")
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diag(dense, d)
+    return band
 
 
 def _parity_reversed(matrix):
@@ -208,16 +255,73 @@ def test_sweep_point_consistent_with_separate_calls():
 def test_upper_band_matches_dense_upper_triangle(cutoff):
     # kd = 2N_c + 2 is the reach of the alpha hop; off the parity point the
     # hop's phase makes the upper triangle differ from its conjugate
-    spec = FluxQubitSpec(charge_cutoff=cutoff)
     kd = 2 * cutoff + 2
-    h = build_charge_hamiltonian(spec, 0.2, 0.013)
-    dense = h.toarray()
-    band = upper_band(h, spec.band_width)
-    assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
-    for d in range(kd + 1):
-        assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
-        assert not band[kd - d, :d].any()
-    assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
+    for ej in (1.0, 0.37):
+        spec = FluxQubitSpec(ej=ej, charge_cutoff=cutoff)
+        for f_eps in (0.0, 0.013):
+            band = charge_band(spec, 0.2, f_eps)
+            dense = (_kron_hamiltonian(spec, 0.2, f_eps) / ej).toarray()
+            assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
+            assert band.flags.f_contiguous
+            for d in range(kd + 1):
+                assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
+                assert not band[kd - d, :d].any()
+            assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
+
+
+def test_sparse_expansions_match_kron_assembly():
+    for spec in (FluxQubitSpec(charge_cutoff=2), FluxQubitSpec(ej=0.37, charge_cutoff=4)):
+        for f_eps in (0.0, 0.013):
+            h = build_charge_hamiltonian(spec, 0.2, f_eps)
+            dh = d_hamiltonian_d_feps(spec, 0.2, f_eps)
+            assert h.toarray().tobytes() == _kron_hamiltonian(spec, 0.2, f_eps).toarray().tobytes()
+            assert dh.toarray().tobytes() == _kron_dh(spec, 0.2, f_eps).toarray().tobytes()
+
+
+@pytest.mark.parametrize("f_alpha, f_eps", [(0.2, 0.0), (0.1, 0.013), (0.3, -0.05)])
+def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
+    # the shift from the sparse row sums, the same ARPACK call on the kron
+    # assembly, and the couplings from a sparse dH matvec: every bit agrees
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    spec, n_levels = SMALL, 4
+    h = _kron_hamiltonian(spec, f_alpha, f_eps) / spec.ej
+    diag = h.diagonal().real
+    shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    band = _pack_upper(h.toarray(), spec.band_width)
+    band[-1] -= shift
+    factor = band_cholesky(band)
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return scipy.linalg.lapack.zpbtrs(factor, x)[0]
+
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, spec.dimension)
+    vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
+                       OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
+    order = np.argsort(vals, kind="stable")
+    vals, vecs = vals[order] * spec.ej, vecs[:, order]
+    dh = _kron_dh(spec, f_alpha, f_eps)
+    ground, excited = vecs[:, 0], vecs[:, 1]
+    i0, i1 = np.real(np.vdot(ground, dh @ ground)), np.real(np.vdot(excited, dh @ excited))
+    g_perp = float(abs(np.vdot(excited, dh @ ground)))
+
+    stats = {}
+    mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
+    assert mine.tobytes() == vals.tobytes()
+    assert (character.g_perp, character.g_par) == (g_perp, abs(float(i1) - float(i0)) / 2.0)
+    assert (stats["shift"], stats["solves"]) == (shift * spec.ej, solves)
+
+
+def test_solve_path_builds_no_sparse_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", refuse)
+    vals, character = sweep_point(SMALL, 0.2, 0.013, 3)
+    assert len(vals) == 3 and character.g_perp > 0.0
 
 
 @pytest.mark.parametrize("f_eps", [0.0, -0.05, 0.031])
@@ -237,11 +341,10 @@ def test_sweep_point_matches_dense_eigh_over_bias_grid(f_alpha, f_eps):
 
 
 def test_indefinite_band_raises_numeric_error():
-    indefinite = sp.csc_array(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.5j], [0.0, -0.5j, 3.0]]))
+    # [[1, 2, 0], [2, 1, 0.5j], [0, -0.5j, 3]] in upper band storage, kd = 1
+    indefinite = np.array([[0.0, 2.0, 0.5j], [1.0, 1.0, 3.0]], dtype=np.complex128, order="F")
     with pytest.raises(NumericError):
-        band_cholesky(upper_band(indefinite, 1))
-    with pytest.raises(InvalidParameterError):  # an entry beyond the band is not dropped
-        upper_band(indefinite, 0)
+        band_cholesky(indefinite)
     with pytest.raises(NumericError):
         qubit_levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
 
