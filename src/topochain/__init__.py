@@ -26,7 +26,6 @@ from .models import (
     build_trimer,
     optimized_schedule,
     pump_schedule,
-    sample_schedule,
 )
 from .spectra import (
     EdgeStatePair,
@@ -65,9 +64,6 @@ from .effective import (
     reduction_report,
 )
 from .couplings import (
-    EffectiveCoupling,
-    ModulationSpec,
-    bessel_j,
     bessel_jn,
     effective_coupling_identical,
     effective_coupling_matched,
@@ -76,7 +72,6 @@ from .fluxcircuit import (
     FluxQubitSpec,
     QubitCharacter,
     build_charge_hamiltonian,
-    coupling_elements,
     d_hamiltonian_d_feps,
     persistent_currents,
     qubit_gap,

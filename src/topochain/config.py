@@ -585,13 +585,16 @@ def _integration(command: Optional[str], options: dict):
     min(L, 2) cells (two cells hold every row of a longer chain), each term
     at its _function_bound; a quench's at its own entries, MAX_DEVIATE *
     sigma added to those its disorder targets, once its size holds
-    (2..MAX_SITES sites); an lz path's H = [[u, g], [g, -u]] at the bounds
-    of its u and g terms."""
-    if command in ("pump", "trimer") and options.get("schedule") is not None:
-        schedule = options["schedule"]
+    (2..MAX_SITES sites).  An lz path is the schedule of the one-cell
+    Rice-Mele chain, so its H = [[u, g], [g, -u]] is bounded as a
+    schedule's, at L = 1."""
+    schedule, L, key = options.get("schedule"), options.get("L"), "schedule"
+    if command == "lz" and "path" in options:
+        schedule, L, key = options["path"].schedule, 1, "path"
+    if command in ("pump", "trimer", "lz") and schedule is not None:
         terms = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
-        bound = _row_sum_bound(schedule.kind, min(options["L"], 2), terms)
-        return schedule.total_time, f"'T' in command '{command}'.schedule", bound
+        bound = _row_sum_bound(schedule.kind, min(L, 2), terms)
+        return schedule.total_time, f"'T' in command '{command}'.{key}", bound
     if command == "quench":
         model, disorder, bound = options["model"], options["disorder"], None
         size = model and model[MODEL[model["kind"]][1]]
@@ -599,9 +602,6 @@ def _integration(command: Optional[str], options: dict):
             deviate = (MAX_DEVIATE * disorder["sigma"], disorder["targets"]) if disorder is not None else ()
             bound = _row_sum_bound(model["kind"], size, model["params"], *deviate)
         return options["t_final"], "'t_final' in command 'quench'", bound
-    if command == "lz" and "path" in options:
-        path = options["path"]
-        return path.period, "'T' in command 'lz'.path", _function_bound(path.u_fn, 1) + _function_bound(path.g_fn, 1)
     return None, None, None
 
 

@@ -3,13 +3,12 @@
 Driving qubit j at ratio alpha_j = lambda_j / omega_0j dresses the bare
 couplings with Bessel-function products: identical drive frequencies give
 the real sums P = a * sum_n (-1)^n J_n(a1) J_n(a2), frequency matching
-gives the purely imaginary i * bare * J_0 J_1 products.
+gives the purely imaginary i * bare * J_0 J_1 products.  Both return plain
+numpy values, real and complex respectively: a scalar at scalar drive
+ratios, an array of the broadcast shape at array ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,45 +37,7 @@ def bessel_jn(n_max: int, x) -> np.ndarray:
     return jv(np.arange(n_max + 1), x[..., np.newaxis])
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, any integer order."""
-    n = int(n)
-    an = abs(n)
-    value = float(bessel_jn(an, x)[an])
-    if n < 0 and an % 2:
-        value = -value
-    return value
-
-
-@dataclass(frozen=True)
-class ModulationSpec:
-    """Drive ratios alpha_j per qubit plus the bare coupling they dress."""
-
-    alphas: Sequence[float]
-    bare_coupling: float
-    scheme: str = "identical-frequencies"
-
-    def __post_init__(self):
-        if self.scheme not in ("identical-frequencies", "frequency-matched"):
-            raise InvalidParameterError(f"unknown modulation scheme {self.scheme!r}")
-        if not all(np.isfinite(a) for a in self.alphas):
-            raise InvalidParameterError("drive ratios must be finite")
-
-
-@dataclass(frozen=True)
-class EffectiveCoupling:
-    value: complex  # an array of values when the drive ratios are arrays
-    scheme: str
-
-
-def _coupling(value, scheme: str) -> EffectiveCoupling:
-    value = np.asarray(value, dtype=np.complex128)
-    return EffectiveCoupling(complex(value) if value.ndim == 0 else value, scheme)
-
-
-def effective_coupling_identical(
-    bare: float, alpha_1, alpha_2, n_max: int = DEFAULT_N_MAX
-) -> EffectiveCoupling:
+def effective_coupling_identical(bare: float, alpha_1, alpha_2, n_max: int = DEFAULT_N_MAX):
     """bare * sum_{n=-n_max}^{n_max} (-1)^n J_n(alpha_1) J_n(alpha_2).
 
     The sum is real and symmetric in the drive ratios; untruncated it is
@@ -96,17 +57,15 @@ def effective_coupling_identical(
     # a running sum adds the orders in sequence, so a grid point gets the
     # same bits as a scalar call at its drive ratios
     total = np.cumsum(terms, axis=-1, out=terms)[..., -1]
-    return _coupling(bare * total, "identical-frequencies")
+    return bare * total
 
 
-def effective_coupling_matched(bare: float, alpha_1, alpha_2, odd_bond: bool = True) -> EffectiveCoupling:
+def effective_coupling_matched(bare: float, alpha_1, alpha_2, odd_bond: bool = True):
     """Frequency-matched drive: i*bare*J_0(a1)*J_1(a2) on odd (P-form)
     bonds, i*bare*J_1(a1)*J_0(a2) on even (Q-form) bonds.  Array drive
     ratios broadcast against each other."""
     j1 = bessel_jn(1, alpha_1)
     j2 = bessel_jn(1, alpha_2)
     if odd_bond:
-        value = 1j * bare * j1[..., 0] * j2[..., 1]
-    else:
-        value = 1j * bare * j1[..., 1] * j2[..., 0]
-    return _coupling(value, "frequency-matched")
+        return 1j * bare * j1[..., 0] * j2[..., 1]
+    return 1j * bare * j1[..., 1] * j2[..., 0]

@@ -3,7 +3,9 @@
 In the topological phase the chain dynamics restricted to the two edge
 states is a Landau-Zener model H = [[u, g], [g, -u]] (plus an identity
 shift for the trimer blocks): u is the staggered potential and
-g = Xi^2 a lam^(L-1) the exponentially small edge-edge coupling.
+g = Xi^2 a lam^(L-1) the exponentially small edge-edge coupling.  That
+model is the one-cell Rice-Mele chain (on-site +-u, bond g): an LZ path is
+its schedule, evolved by ``pump`` through the chain's own H(t) evaluator.
 
 The trimer edge states of one pair share the B sublattice and so are not
 orthogonal; their blocks are the symmetric (Loewdin) orthonormalization
@@ -18,9 +20,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve
+from .dynamics import IntegratorConfig, Trajectory, evolve, pump
 from .errors import InvalidParameterError, PhaseDomainError
-from .models import ChainHamiltonian, FunctionSpec, Schedule, const, schedule_arrays
+from .models import ChainHamiltonian, FunctionSpec, Schedule, chain_arrays, const, schedule_arrays
 from .spectra import analytic_edge_states, coupling_ratio_norm_sq, eigendecompose
 from . import models
 
@@ -142,15 +144,15 @@ class PathClass(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class LZPath:
-    """A path t -> (u(t), g(t)) over [0, T], sampled, and, when built from
-    primitive function terms, evolvable without interpolation."""
+    """A path t -> (u(t), g(t)) over [0, T], sampled.  Built from function
+    terms, it keeps them as ``schedule``: the one-cell Rice-Mele chain with
+    on-site +-u and bond g.  A path only sampled (``from_schedule``) has none."""
 
     times: np.ndarray
     u: np.ndarray
     g: np.ndarray
     period: float
-    u_fn: Optional[FunctionSpec] = None
-    g_fn: Optional[FunctionSpec] = None
+    schedule: Optional[Schedule] = None
 
     def __post_init__(self):
         if self.times.size < 3:
@@ -159,30 +161,31 @@ class LZPath:
             raise InvalidParameterError("path times must increase strictly")
 
     @classmethod
-    def from_functions(cls, u_fn: FunctionSpec, g_fn: FunctionSpec, period: float, n_samples: int = 201) -> "LZPath":
+    def from_functions(cls, u: FunctionSpec, g: FunctionSpec, period: float, n_samples: int = 201) -> "LZPath":
+        schedule = Schedule("rm", period, {"u": u, "a": g, "b": const(0.0)})
         times = np.linspace(0.0, period, int(n_samples))
-        return cls(times, u_fn.value(times, period), g_fn.value(times, period), period, u_fn, g_fn)
+        return cls(times, u.value(times, period), g.value(times, period), period, schedule)
 
     @classmethod
     def arc(cls, alpha: float, period: float, n_samples: int = 201) -> "LZPath":
         """Path A: the half circle u = alpha*cos(pi t/T - pi), g = alpha*sin(pi t/T - pi)."""
-        u_fn = FunctionSpec("cos", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
-        g_fn = FunctionSpec("sin", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
-        return cls.from_functions(u_fn, g_fn, period, n_samples)
+        u = FunctionSpec("cos", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
+        g = FunctionSpec("sin", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
+        return cls.from_functions(u, g, period, n_samples)
 
     @classmethod
     def line(cls, alpha: float, period: float, n_samples: int = 201) -> "LZPath":
         """Path B: u = alpha*(2t/T - 1) straight through the critical point, g = 0."""
-        u_fn = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
-        return cls.from_functions(u_fn, const(0.0), period, n_samples)
+        u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
+        return cls.from_functions(u, const(0.0), period, n_samples)
 
     @classmethod
     def line_at_angle(cls, alpha: float, theta: float, period: float, n_samples: int = 201) -> "LZPath":
         """Path C: the path-B ramp tilted so that g = tan(theta) * u."""
-        u_fn = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
+        u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
         tan = float(np.tan(theta))  # a float product overflows to inf without a warning
-        g_fn = FunctionSpec("linear", offset=-alpha * tan, amplitude=2.0 * alpha * tan)
-        return cls.from_functions(u_fn, g_fn, period, n_samples)
+        g = FunctionSpec("linear", offset=-alpha * tan, amplitude=2.0 * alpha * tan)
+        return cls.from_functions(u, g, period, n_samples)
 
     @classmethod
     def from_schedule(cls, schedule: Schedule, L: int, n_samples: int = 201) -> "LZPath":
@@ -194,19 +197,6 @@ class LZPath:
         vals = schedule.values(times)
         g = np.array([edge_coupling(a, b, L) for a, b in zip(vals["a"], vals["b"])])
         return cls(times, vals["u"], g, schedule.period)
-
-    def hamiltonian_arrays(self, times):
-        """H(t) = [[u, g], [g, -u]] in the layout of ``models.schedule_arrays``
-        (diag[k, 2], off[k, 1]): analytic paths are resampled exactly,
-        sample-only paths are interpolated linearly between their points."""
-        if self.u_fn is not None and self.g_fn is not None:
-            return _two_level_arrays(self.u_fn.value(times, self.period), self.g_fn.value(times, self.period))
-        return _two_level_arrays(np.interp(times, self.times, self.u), np.interp(times, self.times, self.g))
-
-
-def _two_level_arrays(u, g):
-    u, g = np.asarray(u), np.asarray(g)
-    return np.stack([u, -u], axis=-1), g[..., np.newaxis]
 
 
 def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
@@ -256,9 +246,11 @@ def lz_evolve(
     cfg: IntegratorConfig = IntegratorConfig(),
     n_records: int = 201,
 ) -> Trajectory:
-    """Integrate the two-level Schroedinger equation along the path
-    (see ``LZPath.hamiltonian_arrays``)."""
-    return evolve(path.hamiltonian_arrays, psi0, path.times[0], path.times[-1], cfg, n_records)
+    """Integrate the two-level Schroedinger equation along the path: one
+    period of its schedule, pumped on the one-cell chain."""
+    if path.schedule is None:
+        raise InvalidParameterError("a path only sampled has no schedule to evolve; build it from function terms")
+    return pump(path.schedule, 1, psi0, cfg, n_records)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +294,11 @@ def compare_reduction(
     # reduce_rm raises PhaseDomainError once the window leaves the topological phase
     reduced_g = np.vectorize(lambda a, b: reduce_rm(a, b, 0.0, L).g)
 
-    def reduced_arrays(times):
+    def reduced_arrays(times):  # the one-cell chain with on-site +-u and bond g
         vals = schedule.values(times)
-        return _two_level_arrays(vals["u"], reduced_g(vals["a"], vals["b"]))
+        column = np.shape(times) + (1,)
+        p = {"u": np.reshape(vals["u"], column), "a": np.reshape(reduced_g(vals["a"], vals["b"]), column), "b": 0.0}
+        return chain_arrays("rm", 1, p, np.shape(times))
 
     reduced = evolve(reduced_arrays, np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
 

@@ -18,11 +18,14 @@ bias point by banded Cholesky (``zpbtrf``), and every shift-invert solve is
 one ``zpbtrs``.  scipy.sparse.linalg (``eigsh``) and scipy.sparse (for the
 matrices of ``build_charge_hamiltonian`` and ``d_hamiltonian_d_feps``) are
 imported by the functions that use them, so importing the package does not.
+One ``sweep_point`` gives a bias point's levels and its qubit pair's
+``QubitCharacter``; ``qubit_levels``, ``qubit_gap`` and
+``persistent_currents`` return parts of the same solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -74,13 +77,16 @@ class FluxQubitSpec:
         (k, l) -> (k+1, l+1) moves the flattened index by 2N_c + 2."""
         return 2 * int(self.charge_cutoff) + 2
 
-    def with_cutoff(self, charge_cutoff: int) -> "FluxQubitSpec":
-        return replace(self, charge_cutoff=charge_cutoff)
-
 
 @dataclass(frozen=True)
 class QubitCharacter:
-    """Gap and flux-coupling matrix elements at one bias point."""
+    """Gap and flux-coupling matrix elements at one bias point: g_perp =
+    |<e|dH/df_eps|g>| and g_par = |<+|dH/df_eps|->|, |+-> = (|e> +- |g>)/sqrt(2).
+
+    The relative eigenvector phase is gauged so the cross element is real
+    and nonnegative (the gauge in which the phase-space wavefunctions are
+    real); there <+|dH/df_eps|-> reduces to (I_1 - I_0)/2, which vanishes
+    at the optimal point by parity."""
 
     gap: float
     g_perp: float
@@ -250,18 +256,6 @@ def qubit_gap(spec: FluxQubitSpec, f_alpha: float, stats=None) -> float:
     return float(levels[1] - levels[0])
 
 
-def coupling_elements(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> QubitCharacter:
-    """|g_perp| = |<e|dH/df_eps|g>| and |g_par| = |<+|dH/df_eps|->| with
-    |+-> = (|e> +- |g>)/sqrt(2).
-
-    The relative eigenvector phase is gauged so the cross element is real
-    and nonnegative (the gauge in which the phase-space wavefunctions are
-    real); there <+|dH/df_eps|-> reduces to (I_1 - I_0)/2, which vanishes
-    at the optimal point by parity.
-    """
-    return sweep_point(spec, f_alpha, f_eps, 2)[1]
-
-
 def persistent_currents(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     """Loop currents I_0 = <g|dH/df_eps|g> and I_1 = <e|dH/df_eps|e>."""
     _, i0, i1, _ = _qubit_pair(spec, f_alpha, f_eps, 2)
@@ -270,7 +264,7 @@ def persistent_currents(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
 
 def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
     """One flux-sweep sample from a single diagonalization: the lowest
-    ``n_levels`` energies plus the coupling elements of the qubit pair.
+    ``n_levels`` energies plus the ``QubitCharacter`` of the qubit pair.
     ``stats``, if given, receives the solver record of ``_eigensystem``."""
     vals, i0, i1, g_perp = _qubit_pair(spec, f_alpha, f_eps, max(int(n_levels), 2), stats)
     character = QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps)

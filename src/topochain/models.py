@@ -293,15 +293,6 @@ def schedule_arrays(schedule: Schedule, L: int, times):
     return chain_arrays(schedule.kind, _check_cells(L), vals, shape)
 
 
-def sample_schedule(schedule: Schedule, L: int, t: float) -> ChainHamiltonian:
-    """Evaluate the schedule at time t and build the matching chain."""
-    if not 0.0 <= t <= schedule.total_time:
-        raise InvalidParameterError(
-            f"t={t} outside the schedule window [0, {schedule.total_time}]"
-        )
-    return ChainHamiltonian(*schedule_arrays(schedule, L, t))
-
-
 # Pump sequences used throughout the figures.
 
 

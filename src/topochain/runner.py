@@ -167,11 +167,11 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     x, y = a1[:, None], a2[None, :]
     scheme = opts["scheme"]
     if scheme == "identical":
-        p = effective_coupling_identical(opts["bare_a"], x, y, opts["n_max"]).value.real
-        q = effective_coupling_identical(opts["bare_b"], x, y, opts["n_max"]).value.real
+        p = effective_coupling_identical(opts["bare_a"], x, y, opts["n_max"])
+        q = effective_coupling_identical(opts["bare_b"], x, y, opts["n_max"])
     else:
-        p = effective_coupling_matched(opts["bare_a"], x, y, odd_bond=True).value.imag
-        q = effective_coupling_matched(opts["bare_b"], x, y, odd_bond=False).value.imag
+        p = effective_coupling_matched(opts["bare_a"], x, y, odd_bond=True).imag
+        q = effective_coupling_matched(opts["bare_b"], x, y, odd_bond=False).imag
     columns = [np.repeat(a1, a2.size), np.tile(a2, a1.size), p.ravel(), q.ravel()]
     files = [io.write_csv(out_dir / f"{stem}.csv", ["alpha_1", "alpha_2", "P", "Q"], columns)]
     extras = {"scheme": scheme, "value_component": "real" if scheme == "identical" else "imag"}

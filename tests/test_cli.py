@@ -730,7 +730,7 @@ def test_rk4_norm_bound_holds(cfg):
         diag, off = chain.diagonal[np.newaxis], chain.offdiagonal[np.newaxis]
     else:
         path = opts["path"]
-        diag, off = path.hamiltonian_arrays(times * path.period)
+        diag, off = schedule_arrays(path.schedule, 1, times * path.period)
     norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
     bound = _integration(parsed.command, opts)[2]
     assert norm <= bound * (1.0 + 1e-12)
@@ -1067,7 +1067,7 @@ def test_keys_a_form_does_not_read_are_named_violations(tmp_path, capsys, form, 
     assert _violations(cfg) == [f"key '{key}' in command 'lz'.path.u has no effect on a '{form}' term, got 0.5"]
     # at its default the key changes nothing and is accepted
     term[key] = topochain.config.FUNCTION.kind[key].default
-    assert _parse(cfg).options["path"].u_fn == FunctionSpec(form, offset=1.0)
+    assert _parse(cfg).options["path"].schedule.params["u"] == FunctionSpec(form, offset=1.0)
 
 
 @pytest.mark.parametrize(

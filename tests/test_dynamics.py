@@ -186,7 +186,7 @@ def test_records_shape_and_times():
     "provider, psi0, t1",
     [
         (partial(schedule_arrays, pump_schedule(40.0), 7), basis_state(14, 1), 40.0),
-        (LZPath.arc(1.0, 50.0).hamiltonian_arrays, basis_state(2, 1), 50.0),
+        (partial(schedule_arrays, LZPath.arc(1.0, 50.0).schedule, 1), basis_state(2, 1), 50.0),
     ],
     ids=["plain-pump", "lz-arc"],
 )

@@ -1,5 +1,6 @@
 """Landau-Zener reduction, path classification and reduced-model dynamics."""
 
+import json
 import warnings
 
 import mpmath
@@ -31,7 +32,8 @@ from topochain import (
     trimer_edge_states,
 )
 from topochain.effective import edge_coupling, trimer_edge_coupling, trimer_pair_elements
-from topochain.models import FunctionSpec, Schedule, const
+from topochain.config import _integration, parse_config
+from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.spectra import coupling_ratio_norm_sq
 
 
@@ -309,12 +311,44 @@ def test_lz_evolve_constant_coupling_rabi():
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - expected).max() < 1e-7
 
 
-def test_lz_evolve_interpolated_path():
-    analytic = LZPath.arc(1.0, 60.0, n_samples=4001)
-    sampled = LZPath(analytic.times, analytic.u, analytic.g, 60.0)
-    a = lz_evolve(analytic, np.array([1.0, 0.0], dtype=complex), n_records=11)
-    b = lz_evolve(sampled, np.array([1.0, 0.0], dtype=complex), n_records=11)
-    assert 1.0 - abs(np.vdot(a.final_state, b.final_state)) < 1e-5
+def test_lz_evolve_rejects_a_sampled_path():
+    path = LZPath.from_schedule(pump_schedule(100.0), 7)
+    assert path.schedule is None
+    with pytest.raises(InvalidParameterError):
+        lz_evolve(path, np.array([1.0, 0.0], dtype=complex))
+
+
+_ALPHA, _THETA, _T = 1.3, 0.4, 70.0
+_TAN = float(np.tan(_THETA))
+_LZ_PATHS = {  # (config path, u(t), g(t) written out, bound on |u| + bound on |g|)
+    "a": ({"type": "arc", "alpha": _ALPHA},
+          lambda t: _ALPHA * np.cos(np.pi * t / _T - np.pi), lambda t: _ALPHA * np.sin(np.pi * t / _T - np.pi),
+          _ALPHA + _ALPHA),
+    "b": ({"type": "line", "alpha": _ALPHA},
+          lambda t: -_ALPHA + 2.0 * _ALPHA * (t / _T), lambda t: np.zeros_like(t), _ALPHA + 0.0),
+    "c": ({"type": "line_at_angle", "alpha": _ALPHA, "theta": _THETA},
+          lambda t: -_ALPHA + 2.0 * _ALPHA * (t / _T), lambda t: -_ALPHA * _TAN + 2.0 * _ALPHA * _TAN * (t / _T),
+          _ALPHA + _ALPHA * _TAN),
+    "custom": ({"type": "custom", "u": {"form": "linear", "offset": -0.5, "amplitude": 2.25},
+                "g": {"form": "const", "offset": -0.3}},
+               lambda t: -0.5 + 2.25 * (t / _T), lambda t: np.full_like(t, -0.3), 1.75 + 0.3),
+}
+
+
+@pytest.mark.parametrize("name", list(_LZ_PATHS))
+def test_lz_path_is_the_one_cell_rice_mele_schedule(name):
+    # H(t) of an lz path comes from the chain's own evaluator at L = 1: the
+    # diagonal (u, -u) and the one bond g, bit for bit as the closed forms
+    # give them, and its ||H|| bound is the sum of the u and g term bounds
+    spec, u_of, g_of, bound = _LZ_PATHS[name]
+    path = parse_config(json.dumps({"schema": 1, "command": "lz", "path": dict(spec, T=_T)})).options["path"]
+    times = np.linspace(0.0, _T, 1000)
+    diag, off = schedule_arrays(path.schedule, 1, times)
+    u, g = u_of(times), g_of(times)
+    assert diag.tobytes() == np.stack([u, -u], axis=-1).tobytes()
+    assert off.tobytes() == g[:, np.newaxis].tobytes()
+    assert path.u.tobytes() == u_of(path.times).tobytes() and path.g.tobytes() == g_of(path.times).tobytes()
+    assert _integration("lz", {"path": path})[2] == bound
 
 
 def test_compare_reduction_deep_topological_window():

@@ -27,7 +27,6 @@ from topochain import (
     InvalidParameterError,
     NumericError,
     build_charge_hamiltonian,
-    coupling_elements,
     d_hamiltonian_d_feps,
     persistent_currents,
     qubit_gap,
@@ -177,10 +176,10 @@ def test_parity_commutes_at_optimal_point():
 
 
 def test_couplings_at_optimal_point():
-    ch = coupling_elements(SMALL, 0.2, 0.0)
+    ch = sweep_point(SMALL, 0.2, 0.0, 2)[1]
     assert ch.g_par <= 1e-8
     assert ch.g_perp > 0.1
-    samples = [coupling_elements(SMALL, 0.2, fe).g_perp for fe in (-0.01, -0.005, 0.0, 0.005, 0.01)]
+    samples = [sweep_point(SMALL, 0.2, fe, 2)[1].g_perp for fe in (-0.01, -0.005, 0.0, 0.005, 0.01)]
     assert samples[2] == max(samples)
 
 
@@ -246,7 +245,7 @@ def test_sweep_point_matches_dense_lapack_at_figure_cutoff(f_eps):
 def test_sweep_point_consistent_with_separate_calls():
     vals, character = sweep_point(SMALL, 0.2, 0.01, 4)
     assert np.allclose(vals[:2], qubit_levels(SMALL, 0.2, 0.01, 2), atol=1e-12)
-    direct = coupling_elements(SMALL, 0.2, 0.01)
+    direct = sweep_point(SMALL, 0.2, 0.01, 2)[1]
     assert character.g_perp == pytest.approx(direct.g_perp, rel=1e-9)
     assert character.g_par == pytest.approx(direct.g_par, rel=1e-9)
 

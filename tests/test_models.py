@@ -19,7 +19,6 @@ from topochain import (
     build_trimer,
     optimized_schedule,
     pump_schedule,
-    sample_schedule,
 )
 
 from topochain import models
@@ -242,10 +241,10 @@ def test_bell_schedule_start_values():
 def test_sample_schedule_dispatch_and_periodicity():
     for sch, L in ((pump_schedule(100.0, cycles=2), 7), (optimized_schedule(100.0, cycles=2), 7)):
         t = 13.7
-        h1 = sample_schedule(sch, L, t)
-        h2 = sample_schedule(sch, L, t + sch.period)
+        h1 = ChainHamiltonian(*schedule_arrays(sch, L, t))
+        h2 = ChainHamiltonian(*schedule_arrays(sch, L, t + sch.period))
         assert h1.allclose(h2, tol=1e-12)
-    h = sample_schedule(pump_schedule(100.0), 7, 0.0)
+    h = ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 0.0))
     assert h.allclose(build_ssh(7, 0.0, 1.0, 0.0), tol=1e-12)
 
 
@@ -271,16 +270,11 @@ def test_schedule_arrays_match_per_time_sampling_bitwise(schedule, L):
     diag, off = schedule_arrays(schedule, L, times)
     assert diag.shape == (times.size, SITES_PER_CELL[schedule.kind] * L)
     for k, t in enumerate(times):
-        h = sample_schedule(schedule, L, t)
+        h = ChainHamiltonian(*schedule_arrays(schedule, L, t))
         scalars = builders[schedule.kind](L, *(schedule.params[x].value(float(t), schedule.period) for x in names))
         for ref in (h, scalars):
             assert diag[k].tobytes() == ref.diagonal.tobytes()
             assert off[k].tobytes() == ref.offdiagonal.tobytes()
-
-
-def test_sample_schedule_rejects_time_outside_window():
-    with pytest.raises(InvalidParameterError):
-        sample_schedule(pump_schedule(100.0), 7, 150.0)
 
 
 def test_schedule_validates_parameter_set():

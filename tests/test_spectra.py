@@ -18,7 +18,6 @@ from topochain import (
     localization_length,
     optimized_schedule,
     pump_schedule,
-    sample_schedule,
     trimer_edge_states,
 )
 from topochain.models import SITES_PER_CELL, ChainHamiltonian, Schedule, const, schedule_arrays
@@ -82,7 +81,7 @@ def test_sign_gauge_matches_dense_solver_on_mirror_symmetric_chains():
     # magnitude; the gauge must not let the solver's rounding pick between them.
     for h in (
         build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0),
-        sample_schedule(pump_schedule(100.0), 7, 25.0),
+        ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 25.0)),
         build_rice_mele(7, 0.3, 1.0, 0.0),
     ):
         _, dense = np.linalg.eigh(h.to_dense())
