@@ -8,10 +8,11 @@ is the one -iHx kernel of BDF and RK4: a single BLAS ``zhbmv`` on the
 Hermitian upper band storage that ``hermitian_band`` builds from
 ``(diag, off)``.  ``rk4_integrate`` is the classical fourth-order
 Runge-Kutta scheme for i dpsi/dt = H(t) psi, where H(t) comes from a
-vectorized evaluator ``times -> (diag[k, n], off[k, n-1])``; its stages run
-through ``zhbmv`` and in-place ``zaxpy``.  ``cfm4_integrate`` is the
+vectorized evaluator ``times -> (diag[k, n], off[k, n-1])``; a step is
+four ``zhbmv`` and three in-place ``zaxpy``.  ``cfm4_integrate`` is the
 fourth-order commutator-free Magnus scheme on the same evaluator, each of
-its exponentials from ``tridiag_eigh``.
+its exponentials from ``tridiag_eigh``, for one state or the columns of an
+(n, k) array at once.
 """
 
 from __future__ import annotations
@@ -98,47 +99,53 @@ def rk4_integrate(h_of_times, psi0, rec_times, max_step):
         ta, tb = rec_times[r - 1], rec_times[r]
         nsub = int(substeps[r - 1])
         dt = (tb - ta) / nsub
-        half = 0.5 * dt
-        third = dt / 3.0
-        sixth = dt / 6.0
+        half = -0.5j * dt
+        full = -1j * dt
+        sixth = -1j * dt / 6.0
         grid = np.linspace(ta, tb, 2 * nsub + 1)
         for first in range(0, nsub, RK4_CHUNK):
             steps = min(RK4_CHUNK, nsub - first)
             bands = hermitian_band(*h_of_times(grid[2 * first:2 * (first + steps) + 1]))
             for s in range(0, 2 * steps, 2):
-                # apply_minus_ih inlined, each block transposed once (calling
-                # it costs 1.2 us of a 17 us loop step at n = 14, same bits);
-                # acc collects psi + dt/6 (k1 + 2 k2 + 2 k3 + k4), and each
-                # zaxpy writes into the buffer it is given as y
+                # the zhbmv of apply_minus_ih inlined, each block transposed
+                # once.  With the stage inputs u2, u3, u4 = psi + dt/2 k1,
+                # psi + dt/2 k2, psi + dt k3 (one zhbmv each, onto a copy of
+                # psi), psi + dt/6 (k1 + 2 k2 + 2 k3 + k4) is
+                # (u2 + 2 u3 + u4 - psi) / 3 + dt/6 k4; the sum is formed in
+                # u2's buffer, as zaxpy writes into the y it is given
                 start, mid, end = bands[s].T, bands[s + 1].T, bands[s + 2].T
-                k = zhbmv(1, -1j, start, psi)
-                acc = zaxpy(k, psi.copy(), a=sixth)
-                k = zhbmv(1, -1j, mid, zaxpy(k, psi.copy(), a=half))
-                zaxpy(k, acc, a=third)
-                k = zhbmv(1, -1j, mid, zaxpy(k, psi.copy(), a=half))
-                zaxpy(k, acc, a=third)
-                k = zhbmv(1, -1j, end, zaxpy(k, psi.copy(), a=dt))
-                psi = zaxpy(k, acc, a=sixth)
+                u2 = zhbmv(1, half, start, psi, beta=1.0, y=psi)
+                u3 = zhbmv(1, half, mid, u2, beta=1.0, y=psi)
+                u4 = zhbmv(1, full, mid, u3, beta=1.0, y=psi)
+                acc = zaxpy(u3, u2, a=2.0)
+                zaxpy(u4, acc)
+                zaxpy(psi, acc, a=-1.0)
+                psi = zhbmv(1, sixth, end, u4, beta=1.0 / 3.0, y=acc, overwrite_y=1)
         out[r] = psi
     return out
 
 
 def cfm4_integrate(h_of_times, psi0, rec_times, steps):
-    """Propagate ``psi0`` through H(t) by the commutator-free Magnus scheme
-    of ``CFM4_NODES`` and ``CFM4_WEIGHTS``, returning one state row per
-    entry of ``rec_times`` (the first entry must be the start time).
+    """Propagate ``psi0``, one state of shape (n,) or k states as the columns
+    of an (n, k) array, by the commutator-free Magnus scheme of
+    ``CFM4_NODES`` and ``CFM4_WEIGHTS``.  Returns one record per entry of
+    ``rec_times`` (the first entry must be the start time), each of the
+    shape of ``psi0``.
 
     Record segment r is split into ``steps[r]`` equal steps.  Each
     exponential is V exp(-i dt E) V^T psi from ``tridiag_eigh`` of its real
     tridiagonal generator, so the scheme is unitary to rounding and exact
-    for a constant H.  H(t) is evaluated at both Gauss nodes of up to
-    ``RK4_CHUNK`` steps at a time.  Where H is the same at every node of
-    such a chunk, its steps are one exponential of H over the chunk, from
-    the eigensystem of the last constant chunk if H is still the same.
+    for a constant H.  The eigensolves do not depend on the state, so the k
+    columns share them; one column gives the same bits as a single state.
+    H(t) is evaluated at both Gauss nodes of up to ``RK4_CHUNK`` steps at a
+    time.  Where H is the same at every node of such a chunk, its steps are
+    one exponential of H over the chunk, from the eigensystem of the last
+    constant chunk if H is still the same.
     """
     rec_times = np.asarray(rec_times, dtype=np.float64)
-    psi = np.array(psi0, dtype=np.complex128)
-    out = np.empty((rec_times.size, psi.size), dtype=np.complex128)
+    shape = np.shape(psi0)
+    psi = np.array(psi0, dtype=np.complex128).reshape(shape[0], -1)
+    out = np.empty((rec_times.size,) + psi.shape, dtype=np.complex128)
     out[0] = psi
     nodes = np.array(CFM4_NODES)
     weights = np.array([CFM4_WEIGHTS, CFM4_WEIGHTS[::-1]])  # generator x node
@@ -156,7 +163,7 @@ def cfm4_integrate(h_of_times, psi0, rec_times, steps):
                                             and np.array_equal(constant[1], off[0])):
                     constant = (diag[0], off[0], *tridiag_eigh(diag[0], off[0]))
                 vals, vecs = constant[2:]
-                psi = vecs @ (np.exp(-1j * (count * dt) * vals) * (vecs.T @ psi))
+                psi = vecs @ (np.exp(-1j * (count * dt) * vals)[:, np.newaxis] * (vecs.T @ psi))
                 continue
             # (count, 2 generators, n) and (count, 2, n - 1)
             gen_diag = weights @ np.reshape(diag, (count, 2, -1))
@@ -164,6 +171,6 @@ def cfm4_integrate(h_of_times, psi0, rec_times, steps):
             for s in range(count):
                 for g in (0, 1):
                     vals, vecs = tridiag_eigh(gen_diag[s, g], gen_off[s, g])
-                    psi = vecs @ (np.exp(-1j * dt * vals) * (vecs.T @ psi))
+                    psi = vecs @ (np.exp(-1j * dt * vals)[:, np.newaxis] * (vecs.T @ psi))
         out[r] = psi
-    return out
+    return out.reshape(rec_times.shape + shape)

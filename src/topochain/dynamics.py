@@ -5,10 +5,15 @@ The production integrator is the fourth-order commutator-free Magnus scheme
 1519; Alvermann & Fehske, J. Comput. Phys. 230 (2011) 5930): two exponentials
 of H at the Gauss nodes per step, each V exp(-i dt E) V^T from the one
 tridiagonal eigensolver.  It is unitary to rounding and exact for a static
-H.  Its step count follows from ``rel_tol`` by step halving: one step per
-record segment (or ``ceil(segment / max_step)``), doubled until the
+H.  Its step count follows from ``rel_tol`` by step halving on a ladder of
+one step per record segment (or ``ceil(segment / max_step)``), doubled.
+The first pass is the first rung on which every step has dt R < pi, R the
+largest Gershgorin row sum of H at the record times (inside the Magnus
+series' convergence radius), and the steps are doubled until the
 Richardson estimate max |psi_2N - psi_N| / 15 over all records is within
-``rel_tol``; the finer run is returned.
+``rel_tol``; the finer run is returned.  k initial states, the columns of
+an (n, k) array, share each step's eigensolves and one step count, set by
+the largest of their estimates; BDF and RK4 run them one after the other.
 
 Two cross-checks remain: scipy's adaptive BDF (the stiff multistep family)
 with its LU hooks bound straight to LAPACK ``getrf``/``getrs``, and
@@ -55,7 +60,9 @@ METHODS = ("magnus", "bdf", "rk4")
 # changes, a step costs two tridiagonal eigensolves and their products:
 # about 125 us at 21 sites on 2 cores (50 s at the budget), 25 us at 2 sites
 # and 0.2 s at 1000 sites.  The Bell pump (21 sites, T = 1000, rel_tol 1e-8)
-# takes 12,600 a cycle, an lz arc at the phase bound (T = 10,000) 102,200
+# takes 9,600 a cycle, an lz arc at the phase bound (T = 10,000) 102,200.
+# The config's phase bound (span ||H|| <= 20,000) keeps a first pass
+# doubled past its base rung to 2 x 20,000 / pi, about 12,700 steps
 MAGNUS_MAX_STEPS = 400_000
 
 
@@ -132,9 +139,12 @@ def transfer_fidelity(psi: np.ndarray, target: np.ndarray) -> float:
 
 def _check_normalized(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise InvalidParameterError(f"state norm {norm} is not 1 within 1e-9")
+    if psi.ndim not in (1, 2) or psi.size == 0:
+        raise InvalidParameterError(f"initial states must have shape (n,) or (n, k), got {psi.shape}")
+    for column in psi.reshape(psi.shape[0], -1).T:
+        norm = np.linalg.norm(column)
+        if abs(norm - 1.0) > 1e-9:
+            raise InvalidParameterError(f"state norm {norm} is not 1 within 1e-9")
     return psi
 
 
@@ -157,29 +167,51 @@ def _renormalize(states: np.ndarray, stats=None, rescale: bool = True) -> np.nda
     return states / norms[:, np.newaxis] if rescale else states
 
 
-def _evolve_magnus(provider, psi0, times, cfg, stats) -> np.ndarray:
-    # step halving: the scheme is 4th order, so psi_2N - psi_N is about 15
-    # times the error of psi_2N.  A non-finite estimate ends the loop too,
-    # and _renormalize reports the state
-    span = times[-1] - times[0]
+def _start_steps(provider, times, cfg) -> np.ndarray:
+    # the first rung of the halving ladder (one step per record segment, or
+    # ceil(segment / max_step), doubled) on which every step has dt R < pi,
+    # R the largest Gershgorin row sum of H at the record times: the Magnus
+    # series is only sure to converge below pi (Moan & Niesen, Found.
+    # Comput. Math. 8 (2008) 291), so the passes below that rung would be
+    # thrown away.  A non-finite R leaves the ladder where it starts, and
+    # _renormalize reports the state
     steps = np.ones(times.size - 1) if cfg.max_step is None else segment_steps(times, cfg.max_step)
-    total, states, error = 0.0, None, np.inf
+    diag, off = provider(times)
+    rows = np.abs(diag)
+    rows[..., 1:] += np.abs(off)
+    rows[..., :-1] += np.abs(off)
+    radius = rows.max()
+    segments = np.diff(times)
+    if np.isfinite(radius):
+        while steps.sum() <= MAGNUS_MAX_STEPS and not (segments / steps).max() * radius < np.pi:
+            steps = 2.0 * steps
+    return steps
+
+
+def _evolve_magnus(provider, psi0, times, cfg):
+    # step halving for the (n, k) states psi0 at once: the scheme is 4th
+    # order, so psi_2N - psi_N is about 15 times the error of psi_2N, and
+    # the largest estimate over the columns decides.  A non-finite estimate
+    # ends the loop too, and _renormalize reports the state.  Returns the
+    # (records, n, k) states, the step counts and each column's estimate
+    span = times[-1] - times[0]
+    steps = _start_steps(provider, times, cfg)
+    total, states, errors = 0.0, None, np.full(psi0.shape[1], np.inf)
     while True:
         if total + steps.sum() > MAGNUS_MAX_STEPS:
             raise IntegrationError(
                 f"Magnus step halving over t = {span:g} would pass its budget of {MAGNUS_MAX_STEPS:,} steps "
-                f"before the error estimate ({error:.2e}) reaches rel_tol {cfg.rel_tol:g}; "
+                f"before the error estimate ({errors.max():.2e}) reaches rel_tol {cfg.rel_tol:g}; "
                 "loosen rel_tol or shorten the run"
             )
         total += steps.sum()
         coarse, states = states, cfm4_integrate(provider, psi0, times, steps)
         if coarse is not None:
-            error = float(np.abs(states - coarse).max()) / 15.0
-            if not error > cfg.rel_tol:
+            errors = np.abs(states - coarse).max(axis=(0, 1)) / 15.0
+            if not errors.max() > cfg.rel_tol:
                 break
         steps = 2.0 * steps
-    stats.update(steps=int(steps.sum()), steps_total=int(total), error_estimate=error)
-    return states
+    return states, {"steps": int(steps.sum()), "steps_total": int(total)}, errors
 
 
 def solve_ivp(*args, **kwargs):
@@ -290,33 +322,48 @@ def evolve(
     t1: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     n_records: int = 201,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Integrate i dpsi/dt = H(t) psi and record uniform samples.
 
     ``h_of_times`` maps times to ``(diag, off)`` (see the module
-    docstring).  Norm drift beyond 1e-6 raises IntegrationError; smaller
-    drift is renormalized away at the record times.
+    docstring).  ``psi0`` is one state of shape (n,), or k states as the
+    columns of an (n, k) array, which give a list of k trajectories: Magnus
+    propagates the columns together, on one step count, and BDF and RK4
+    one after the other.  Norm drift beyond 1e-6 raises IntegrationError;
+    smaller drift is renormalized away at the record times (not for
+    Magnus, which only reports it).
     """
     if not t1 > t0:
         raise InvalidParameterError(f"need t1 > t0, got [{t0}, {t1}]")
     if int(n_records) < 2:
         raise InvalidParameterError("n_records must be >= 2")
     psi0 = _check_normalized(psi0)
+    columns = psi0.reshape(psi0.shape[0], -1)
     times = np.linspace(t0, t1, int(n_records))
-    stats = {"method": cfg.method}
+    runs = []
     # an overflowing state is reported once, by _renormalize's finiteness
     # check, instead of by a numpy warning from every kernel it passes
     with np.errstate(all="ignore"):
         if cfg.method == "magnus":
-            states = _evolve_magnus(h_of_times, psi0, times, cfg, stats)
-        elif cfg.method == "bdf":
-            states = _evolve_bdf(h_of_times, psi0, times, cfg, stats)
+            states, counts, errors = _evolve_magnus(h_of_times, columns, times, cfg)
+            for c, error in enumerate(errors):
+                stats = {"method": cfg.method, **counts, "error_estimate": float(error)}
+                runs.append((np.ascontiguousarray(states[..., c]), stats))
         else:
-            # RK4 stays in the lab frame, so it cross-checks BDF's frame as well
-            states = rk4_integrate(h_of_times, psi0, times, cfg.rk4_step)
-            stats.update(energy_shift=0.0, steps=int(segment_steps(times, cfg.rk4_step).sum()))
-        states = _renormalize(states, stats, rescale=cfg.method != "magnus")
-    return Trajectory(times, states, sigma_z(states), stats)
+            for psi in columns.T:
+                stats = {"method": cfg.method}
+                if cfg.method == "bdf":
+                    states = _evolve_bdf(h_of_times, psi, times, cfg, stats)
+                else:
+                    # RK4 stays in the lab frame, so it cross-checks BDF's frame as well
+                    states = rk4_integrate(h_of_times, psi, times, cfg.rk4_step)
+                    stats.update(energy_shift=0.0, steps=int(segment_steps(times, cfg.rk4_step).sum()))
+                runs.append((states, stats))
+        trajectories = []
+        for states, stats in runs:
+            states = _renormalize(states, stats, rescale=cfg.method != "magnus")
+            trajectories.append(Trajectory(times, states, sigma_z(states), stats))
+    return trajectories[0] if psi0.ndim == 1 else trajectories
 
 
 def quench(
@@ -337,8 +384,9 @@ def pump(
     psi0: np.ndarray,
     cfg: IntegratorConfig = IntegratorConfig(),
     n_records: Optional[int] = None,
-) -> Trajectory:
-    """Drive the chain through ``schedule.cycles`` pump cycles."""
+) -> Trajectory | list[Trajectory]:
+    """Drive the chain through ``schedule.cycles`` pump cycles from ``psi0``,
+    one state (n,) or the k columns of an (n, k) array (see ``evolve``)."""
     if n_records is None:
         n_records = RECORDS_PER_CYCLE * schedule.cycles + 1
     return evolve(lambda times: schedule_arrays(schedule, L, times), psi0, 0.0, schedule.total_time, cfg, n_records)

@@ -146,12 +146,14 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
     L = opts["L"]
     n = SITES_PER_CELL[schedule.kind] * L
     files, extras = [], {}
-    for sign_name in opts["signs"]:
-        sign = 1.0 if sign_name == "plus" else -1.0
-        psi0 = np.zeros(n, dtype=np.complex128)
-        psi0[0] = 1.0 / np.sqrt(2.0)
-        psi0[1] = sign / np.sqrt(2.0)
-        traj = pump(schedule, L, psi0, cfg.integrator, opts["n_records"])
+    # the signs share one propagation, each sign's state a column (an empty
+    # list of signs runs nothing)
+    signs = np.array([1.0 if sign_name == "plus" else -1.0 for sign_name in opts["signs"]])
+    psi0 = np.zeros((n, signs.size), dtype=np.complex128)
+    psi0[0] = 1.0 / np.sqrt(2.0)
+    psi0[1] = signs / np.sqrt(2.0)
+    trajectories = pump(schedule, L, psi0, cfg.integrator, opts["n_records"]) if signs.size else []
+    for sign_name, sign, traj in zip(opts["signs"], signs, trajectories):
         files.append(_trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes, blocks))
         target = np.zeros(n, dtype=np.complex128)
         target[n - 2] = 1.0 / np.sqrt(2.0)
