@@ -71,9 +71,5 @@ from .couplings import (
 from .fluxcircuit import (
     FluxQubitSpec,
     QubitCharacter,
-    build_charge_hamiltonian,
-    d_hamiltonian_d_feps,
-    persistent_currents,
-    qubit_gap,
-    qubit_levels,
+    sweep_point,
 )

@@ -48,8 +48,7 @@ def tridiag_eigh(diagonal: np.ndarray, offdiagonal: np.ndarray):
     vals, vecs, info = dstevd(d, e)
     if info != 0:
         raise NumericError(f"tridiagonal eigensolver failed: LAPACK dstevd info {info}")
-    # ascending eigenvalues, and the vectors C-ordered as before
-    return vals, np.ascontiguousarray(vecs)
+    return vals, vecs  # ascending eigenvalues
 
 
 def hermitian_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -460,7 +460,9 @@ def _pump(chk: list, cfg: dict, ctx: str, table: dict) -> dict:
         rows_key = f"'n_records' in {ctx}" if v["n_records"] else f"'cycles' in {ctx}.schedule"
         _check_size(chk, sites, f"'L' in {ctx}.schedule", rows, rows_key)
     if "signs" in v:
-        v["signs"] = tuple(v["signs"])
+        signs = v["signs"] = tuple(v["signs"])
+        if not signs or any(sign in signs[:i] for i, sign in enumerate(signs)):
+            chk.append(f"key 'signs' in {ctx} must list one or two distinct Bell signs, got {list(signs)}")
     else:
         _check_site(chk, v["initial_site"], sites, "initial_site", ctx)
     return {**chain, **v}

@@ -99,13 +99,6 @@ def _trimer_block(a: float, c: float, u: float, v: float, w: float, L: int, uppe
     return TwoLevelSystem((e_left - e_right) / (2.0 * np.sqrt(q)), (g - s * mean) / q, (mean - s * g) / q)
 
 
-def trimer_edge_coupling(a: float, c: float, v: float, L: int, upper: bool, u: float = 0.0, w: float = 0.0) -> float:
-    """Coupling g_pm of the orthonormalized edge pair; at u = w the pair's
-    in-gap splitting is 2|g_pm|.  Equals K [a +- L(2v - u - w)/4] / (1 - s^2)
-    in the notation of ``trimer_pair_elements``."""
-    return _trimer_block(a, c, u, v, w, int(L), upper).g
-
-
 def reduce_trimer(
     a: float,
     c: float,
@@ -121,7 +114,8 @@ def reduce_trimer(
     Each block is S^-1/2 [[<L|H|L>, <L|H|R>], [<L|H|R>, <R|H|R>]] S^-1/2 of
     the pair's bare elements (``trimer_pair_elements``), S = [[1, s], [s, 1]]
     its overlap matrix, so its eigenvalues are those of the chain projected
-    onto the pair.
+    onto the pair.  Its coupling g_pm = K [a +- L(2v - u - w)/4] / (1 - s^2);
+    at u = w the pair's in-gap splitting is 2|g_pm|.
     """
     if b is not None and b != a:
         raise InvalidParameterError(f"trimer reduction needs the mirror case a = b, got a={a}, b={b}")

@@ -15,12 +15,9 @@ into LAPACK upper Hermitian band storage.  The lowest levels come from
 shift-invert Lanczos (ARPACK) at a shift sigma below the Gershgorin bound,
 where H - sigma is positive definite: the shifted band is factored once per
 bias point by banded Cholesky (``zpbtrf``), and every shift-invert solve is
-one ``zpbtrs``.  scipy.sparse.linalg (``eigsh``) and scipy.sparse (for the
-matrices of ``build_charge_hamiltonian`` and ``d_hamiltonian_d_feps``) are
-imported by the functions that use them, so importing the package does not.
-One ``sweep_point`` gives a bias point's levels and its qubit pair's
-``QubitCharacter``; ``qubit_levels``, ``qubit_gap`` and
-``persistent_currents`` return parts of the same solve.
+one ``zpbtrs``.  scipy.sparse.linalg (``eigsh``) is imported by the function
+that uses it, so importing the package does not.  ``sweep_point`` is the one
+solve of a bias point: its levels and its qubit pair's ``QubitCharacter``.
 """
 
 from __future__ import annotations
@@ -86,13 +83,16 @@ class QubitCharacter:
     The relative eigenvector phase is gauged so the cross element is real
     and nonnegative (the gauge in which the phase-space wavefunctions are
     real); there <+|dH/df_eps|-> reduces to (I_1 - I_0)/2, which vanishes
-    at the optimal point by parity."""
+    at the optimal point by parity.  ``i0`` = <g|dH/df_eps|g> and ``i1`` =
+    <e|dH/df_eps|e> are the loop currents of the two states."""
 
     gap: float
     g_perp: float
     g_par: float
     f_alpha: float
     f_eps: float
+    i0: float
+    i1: float
 
 
 def _alpha_term(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
@@ -105,10 +105,10 @@ def _alpha_term(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     return spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps), starts
 
 
-def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float, unit: float | None = None) -> np.ndarray:
-    """H/unit (default unit E_J) in LAPACK upper Hermitian band storage: a
-    Fortran-ordered complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j]
-    = H[i, j]/unit`` for ``j - kd <= i <= j``, 0 where no term couples i, j."""
+def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray:
+    """H/E_J in LAPACK upper Hermitian band storage: a Fortran-ordered
+    complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = H[i, j]/E_J``
+    for ``j - kd <= i <= j``, 0 where no term couples i, j."""
     n_c, kd, dim = int(spec.charge_cutoff), spec.band_width, spec.dimension
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     k_sq = charge**2
@@ -124,19 +124,8 @@ def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float, unit: float |
     band[1, kd - 1:] = -(spec.ej * 0.5)  # -E_J cos(phi_1): (k, l) -> (k+1, l), offset D = kd - 1
     # -amp e^{-i chi} S^T, as 0 - z so that a zero part of z is stored as +0.0
     band[0, kd:] = np.where(starts[:dim - kd], 0.0 - amp * np.exp(-1j * chi), 0.0)
-    band *= 1 / (spec.ej if unit is None else unit)
+    band *= 1 / spec.ej
     return band
-
-
-def build_charge_hamiltonian(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csc_array:
-    """Hermitian charge-basis Hamiltonian at the given reduced fluxes, a
-    scipy.sparse CSC array expanded from ``charge_band``."""
-    import scipy.sparse as sp
-
-    band, kd = charge_band(spec, f_alpha, f_eps, unit=1.0), spec.band_width
-    upper = [band[kd - m, m:] for m in range(kd + 1)]  # H[j, j + m]; H[j + m, j] is its conjugate
-    offsets = [*range(kd + 1), *range(-1, -kd - 1, -1)]
-    return sp.diags_array(upper + [d.conj() for d in upper[1:]], offsets=offsets).tocsc()
 
 
 def _dh_hops(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
@@ -145,15 +134,6 @@ def _dh_hops(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     c = 1j * np.pi * amp  # d/df_eps of -amp*(e^{i chi} S + h.c.), with dchi/df_eps = -pi
     starts = starts[:spec.dimension - spec.band_width]
     return np.where(starts, c * np.exp(1j * chi), 0.0), np.where(starts, c * -np.exp(-1j * chi), 0.0)
-
-
-def d_hamiltonian_d_feps(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> sp.csr_array:
-    """Analytic dH/df_eps, a scipy.sparse CSR array; only chi = pi*(n - f_eps)
-    depends on f_eps."""
-    import scipy.sparse as sp
-
-    kd = spec.band_width
-    return sp.diags_array(_dh_hops(spec, f_alpha, f_eps), offsets=[-kd, kd], shape=(spec.dimension,) * 2).tocsr()
 
 
 def band_cholesky(band: np.ndarray) -> np.ndarray:
@@ -228,10 +208,12 @@ def solver_record(point_stats) -> dict:
     }
 
 
-def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
-    """Lowest ``n_levels`` (>= 2) energies plus the qubit pair's loop currents
-    I_0 = <g|dH/df_eps|g>, I_1 = <e|dH/df_eps|e> and |g_perp| = |<e|dH/df_eps|g>|."""
-    vals, vecs = _eigensystem(spec, f_alpha, f_eps, n_levels, stats)
+def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
+    """One flux-sweep sample from a single diagonalization: the lowest
+    ``n_levels`` (at least 2) energies plus the ``QubitCharacter`` of the
+    qubit pair.  ``stats``, if given, receives the solver record of
+    ``_eigensystem``."""
+    vals, vecs = _eigensystem(spec, f_alpha, f_eps, max(int(n_levels), 2), stats)
     ground, excited = vecs[:, 0], vecs[:, 1]
     lower, upper = _dh_hops(spec, f_alpha, f_eps)
     kd, pair, dh = spec.band_width, vecs[:, :2].T, np.zeros((2, vecs.shape[0]), dtype=np.complex128)
@@ -242,30 +224,5 @@ def _qubit_pair(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int
         rows.imag += hop.real * x.imag + hop.imag * x.real
     i0 = float(np.real(np.vdot(ground, dh[0])))
     i1 = float(np.real(np.vdot(excited, dh[1])))
-    return vals, i0, i1, float(abs(np.vdot(excited, dh[0])))
-
-
-def qubit_levels(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None) -> np.ndarray:
-    """Lowest ``n_levels`` eigenvalues, ascending; ``stats`` as in ``_eigensystem``."""
-    return _eigensystem(spec, f_alpha, f_eps, n_levels, stats)[0]
-
-
-def qubit_gap(spec: FluxQubitSpec, f_alpha: float, stats=None) -> float:
-    """Qubit frequency omega = E_1 - E_0 at the optimal point f_eps = 0."""
-    levels = qubit_levels(spec, f_alpha, 0.0, 2, stats)
-    return float(levels[1] - levels[0])
-
-
-def persistent_currents(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
-    """Loop currents I_0 = <g|dH/df_eps|g> and I_1 = <e|dH/df_eps|e>."""
-    _, i0, i1, _ = _qubit_pair(spec, f_alpha, f_eps, 2)
-    return i0, i1
-
-
-def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
-    """One flux-sweep sample from a single diagonalization: the lowest
-    ``n_levels`` energies plus the ``QubitCharacter`` of the qubit pair.
-    ``stats``, if given, receives the solver record of ``_eigensystem``."""
-    vals, i0, i1, g_perp = _qubit_pair(spec, f_alpha, f_eps, max(int(n_levels), 2), stats)
-    character = QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps)
-    return vals, character
+    g_perp = float(abs(np.vdot(excited, dh[0])))
+    return vals, QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps, i0, i1)

@@ -15,7 +15,7 @@ from .config import MODEL, ExperimentConfig, parse_config
 from .dynamics import basis_state, pump, quench, transfer_fidelity
 from .effective import LZPath, classify_path, lz_evolve, reduction_report
 from .errors import InvalidParameterError
-from .fluxcircuit import FluxQubitSpec, qubit_gap, solver_record, sweep_point
+from .fluxcircuit import FluxQubitSpec, solver_record, sweep_point
 from .models import SITES_PER_CELL, ChainHamiltonian, DisorderSpec, apply_disorder, chain_arrays
 from .couplings import effective_coupling_identical, effective_coupling_matched
 from .presets import FIGURE_IDS, PRESETS
@@ -146,13 +146,12 @@ def _run_trimer(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
     L = opts["L"]
     n = SITES_PER_CELL[schedule.kind] * L
     files, extras = [], {}
-    # the signs share one propagation, each sign's state a column (an empty
-    # list of signs runs nothing)
+    # the signs share one propagation, each sign's state a column
     signs = np.array([1.0 if sign_name == "plus" else -1.0 for sign_name in opts["signs"]])
     psi0 = np.zeros((n, signs.size), dtype=np.complex128)
     psi0[0] = 1.0 / np.sqrt(2.0)
     psi0[1] = signs / np.sqrt(2.0)
-    trajectories = pump(schedule, L, psi0, cfg.integrator, opts["n_records"]) if signs.size else []
+    trajectories = pump(schedule, L, psi0, cfg.integrator, opts["n_records"])
     for sign_name, sign, traj in zip(opts["signs"], signs, trajectories):
         files.append(_trajectory_csv(out_dir / f"{stem}_{sign_name}.csv", traj, amplitudes, blocks))
         target = np.zeros(n, dtype=np.complex128)
@@ -189,7 +188,7 @@ def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     extras = {}
     if "f_alpha_sweep" in opts:
         header = ["f_alpha", "gap"]
-        columns = [values, np.array([qubit_gap(spec, fa, stats=st) for fa, st in zip(values, point_stats)])]
+        columns = [values, np.array([sweep_point(spec, fa, 0.0, 2, st)[1].gap for fa, st in zip(values, point_stats)])]
     else:
         levels = opts["levels"]
         points = [sweep_point(spec, opts["f_alpha"], fe, levels, stats=st) for fe, st in zip(values, point_stats)]

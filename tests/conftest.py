@@ -4,6 +4,7 @@ series), never against the code paths under test."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from topochain.models import ChainHamiltonian
 
@@ -63,6 +64,46 @@ def plain_pump_cfm4(period, psi0, steps):
             vals, vecs = np.linalg.eigh(gen)
             psi = vecs @ (np.exp(-1j * dt * vals) * (vecs.T @ psi))
     return psi
+
+
+def _kron_terms(spec, f_alpha, f_eps):
+    """(diagonal, cos_phi, identity, amp, chi, S) of H = diag - E_J(cos phi_1 +
+    cos phi_2) - amp(e^{i chi} S + h.c.), with exp(i phi)|k> = |k+1> on each
+    junction and S = exp(i phi_1) exp(i phi_2)."""
+    n_c = int(spec.charge_cutoff)
+    dim = 2 * n_c + 1
+    charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
+    raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)
+    k_sq = charge**2
+    coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
+    kinetic = coef * (
+        (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
+        - 4.0 * spec.alpha * np.outer(charge, charge)
+    ).ravel()
+    f_sigma = spec.f_sigma_kappa * f_alpha
+    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
+    amp, chi = spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps)
+    diagonal = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
+    return diagonal, 0.5 * (raise_op + raise_op.T), sp.eye_array(dim), amp, chi, sp.kron(raise_op, raise_op)
+
+
+def kron_hamiltonian(spec, f_alpha, f_eps):
+    """The flux qubit's charge-basis H, a scipy.sparse CSC array assembled
+    from Kronecker products of single-junction operators."""
+    diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+    h = (
+        sp.diags_array(diagonal)
+        - spec.ej * sp.kron(cos_phi, ident)
+        - spec.ej * sp.kron(ident, cos_phi)
+        - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
+    )
+    return h.tocsc()
+
+
+def kron_dh(spec, f_alpha, f_eps):
+    """Analytic dH/df_eps of ``kron_hamiltonian``, a CSR array."""
+    _, _, _, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+    return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
 
 
 @pytest.fixture

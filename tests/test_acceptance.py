@@ -29,11 +29,9 @@ from topochain import (
     basis_state,
     bell_transfer_schedule,
     bessel_jn,
-    build_charge_hamiltonian,
     build_ssh,
     build_trimer,
     compare_reduction,
-    d_hamiltonian_d_feps,
     effective_coupling_identical,
     eigendecompose,
     localization_length,
@@ -41,19 +39,17 @@ from topochain import (
     optimized_schedule,
     path_c_frame,
     path_c_hamiltonian,
-    persistent_currents,
     pump,
     pump_schedule,
-    qubit_gap,
-    qubit_levels,
     quench,
     reduce_rm,
+    reduce_trimer,
     transfer_fidelity,
     trimer_edge_states,
 )
 
-from topochain.effective import LZPath, trimer_edge_coupling
-from topochain.fluxcircuit import sweep_point
+from topochain.effective import LZPath
+from topochain.fluxcircuit import _dh_hops, charge_band, sweep_point
 from topochain.spectra import coupling_ratio_norm_sq
 
 from conftest import dense_eigvals, plain_pump_cfm4, plain_pump_hamiltonians, random_chain
@@ -284,7 +280,7 @@ def test_criterion_10_g_plus_splitting():
     vals = dense_eigvals(build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
     upper = vals[(vals > 0.9) & (vals < 1.1)]
     exact = upper.max() - upper.min()
-    g_plus = trimer_edge_coupling(1.0, 2.0, 0.0, 8, upper=True)
+    g_plus = reduce_trimer(1.0, 2.0, 0.0, 0.0, 0.0, 8)[0].g
     rel_err = abs(2.0 * abs(g_plus) - exact) / exact
     ok = rel_err <= 0.10
     _report(10, ok, f"2|g_plus| = {2 * abs(g_plus):.5f} vs exact splitting {exact:.5f} (rel err {rel_err:.1%})")
@@ -316,16 +312,22 @@ def test_criterion_11_bessel_couplings():
 def test_criterion_12_flux_qubit_structure():
     spec = FluxQubitSpec()  # the figure parameter set, N_c = 15
     character = sweep_point(spec, 0.2, 0.0, 2)[1]
-    i0, i1 = persistent_currents(spec, 0.2, 0.0)
-    w1 = qubit_levels(spec, 0.2, 0.3, 3)
-    w2 = qubit_levels(spec, 0.2, 2.3, 3)
+    i0, i1 = character.i0, character.i1
+    w1 = sweep_point(spec, 0.2, 0.3, 3)[0]
+    w2 = sweep_point(spec, 0.2, 2.3, 3)[0]
     periodic = np.abs(w1 - w2).max()
-    gap15 = qubit_gap(spec, 0.2)
-    gap10 = qubit_gap(dataclasses.replace(spec, charge_cutoff=10), 0.2)
+    gap15 = character.gap
+    gap10 = sweep_point(dataclasses.replace(spec, charge_cutoff=10), 0.2, 0.0, 2)[1].gap
     convergence = abs(gap15 - gap10) / gap15
-    step = 1e-6
-    fd = (build_charge_hamiltonian(spec, 0.2, step) - build_charge_hamiltonian(spec, 0.2, -step)) / (2 * step)
-    deriv_err = np.abs(fd - d_hamiltonian_d_feps(spec, 0.2, 0.0)).max()
+    # the package's dH/df_eps hops against a central difference of its band:
+    # only the alpha hop, the band's top row, depends on f_eps, and the hops
+    # below the diagonal are the conjugates of those above
+    step, kd = 1e-6, spec.band_width
+    fd = (charge_band(spec, 0.2, step) - charge_band(spec, 0.2, -step)) * spec.ej / (2 * step)
+    lower, upper = _dh_hops(spec, 0.2, 0.0)
+    analytic = np.zeros_like(fd)
+    analytic[0, kd:] = upper
+    deriv_err = max(np.abs(fd - analytic).max(), np.abs(fd[0, kd:].conj() - lower).max())
     ok = (
         character.g_par <= 1e-8
         and abs(i0) <= 1e-8

@@ -381,6 +381,18 @@ def test_trimer_command_short_run(tmp_path):
     assert header == ["t"] + [f"sz_{j}" for j in range(1, 7)]
 
 
+@pytest.mark.parametrize("signs", [[], ["plus", "plus"]], ids=["empty", "repeated"])
+def test_trimer_signs_must_be_distinct_and_present(tmp_path, capsys, signs):
+    # an empty list wrote only a manifest, a repeated sign its CSV twice
+    cfg = dict(PRESETS["belltransfer"][0][1], signs=signs)
+    cfg_path = tmp_path / "trimer.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'signs'" in err and "Traceback" not in err, err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest.json"))
+
+
 def test_fluxqubit_cli_subcommand(tmp_path):
     assert (
         main(

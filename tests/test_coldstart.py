@@ -25,10 +25,17 @@ from topochain import dynamics
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(topochain.__file__).resolve().parents[1]
 HEAVY = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
-# spans the tracer still lists for a function the package deleted: H(t) comes
-# from models.schedule_arrays, which the tracer does not wrap yet.  It reports
-# them as absent, with metrics that read 0 (perfbench/README.md)
-RETIRED_SPANS = {"models.sample_schedule"}
+# (module, attribute) bindings the tracer still lists for a function the
+# package deleted: H(t) comes from models.schedule_arrays, which the tracer
+# does not wrap yet, and fluxcircuit.sweep_point is the one flux solve.  It
+# reports them as absent; a span keeps its other bindings, and a span with
+# none left reads 0 (perfbench/README.md)
+RETIRED_BINDINGS = {
+    ("topochain.models", "sample_schedule"),
+    ("topochain.fluxcircuit", "qubit_gap"),
+    ("topochain.fluxcircuit", "build_charge_hamiltonian"),
+    ("topochain.fluxcircuit", "d_hamiltonian_d_feps"),
+}
 
 
 def _fresh(code: str) -> str:
@@ -100,7 +107,7 @@ def _targets():
 @pytest.mark.parametrize("name, module_name, attr", _targets(), ids=lambda v: str(v))
 def test_every_traced_binding_exists(name, module_name, attr):
     module = importlib.import_module(module_name)
-    if name in RETIRED_SPANS:  # gone, so the tracer lists it as absent
+    if (module_name, attr) in RETIRED_BINDINGS:  # gone, so the tracer lists it as absent
         assert not hasattr(module, attr)
     elif "." in attr:  # a classmethod, e.g. LZPath.from_schedule
         cls_name, method = attr.split(".")
@@ -130,6 +137,7 @@ def test_traced_bdf_run_reports_its_counts():
         "print(json.dumps([tracer.absent, dict(tracer.note_failures), tracer.counts['bdf.nfev']]))\n"
     )
     absent, failures, nfev = json.loads(_fresh(code))
-    assert absent == [f"{name} ({module}.{attr})" for name, module, attr in _targets() if name in RETIRED_SPANS]
+    retired = [f"{name} ({module}.{attr})" for name, module, attr in _targets() if (module, attr) in RETIRED_BINDINGS]
+    assert absent == retired and len(retired) == len(RETIRED_BINDINGS)
     assert failures == {}
     assert nfev > 0

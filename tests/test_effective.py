@@ -31,7 +31,7 @@ from topochain import (
     reduction_report,
     trimer_edge_states,
 )
-from topochain.effective import edge_coupling, trimer_edge_coupling, trimer_pair_elements
+from topochain.effective import edge_coupling, trimer_pair_elements
 from topochain.config import _integration, parse_config
 from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.spectra import coupling_ratio_norm_sq
@@ -272,7 +272,6 @@ def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
         bare = np.array([pair.e_left, pair.e_right, pair.g, pair.overlap])
         assert np.abs(bare - [proj[0, 0], proj[1, 1], proj[0, 1], overlap[0, 1]]).max() <= 1e-12
         assert np.abs(block.to_chain().to_dense() - inv_sqrt @ proj @ inv_sqrt).max() <= 1e-12
-        assert trimer_edge_coupling(a, c, v, L, upper, u=u, w=w) == block.g
 
 
 def test_reduction_improves_as_lambda_shrinks():

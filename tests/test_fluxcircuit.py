@@ -5,9 +5,9 @@ in one dense-LAPACK oracle comparison here; otherwise a reduced cutoff
 keeps the contracts fast to verify, plus one independent-oracle comparison
 at N_c = 4 via a hand-rolled real-symmetric embedding diagonalized by the
 package's tridiagonal kernel (MRRR, a different algorithm from the sparse
-shift-invert Lanczos solver under test).  The band builder is checked
-against a Kronecker-product assembly of the Hamiltonian written here from
-the module docstring's conventions.
+shift-invert Lanczos solver under test).  The band builder and the
+couplings are checked against the Kronecker-product assembly of H and
+dH/df_eps in conftest.py, written from the module docstring's conventions.
 """
 
 import math
@@ -22,57 +22,13 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import topochain
-from topochain import (
-    FluxQubitSpec,
-    InvalidParameterError,
-    NumericError,
-    build_charge_hamiltonian,
-    d_hamiltonian_d_feps,
-    persistent_currents,
-    qubit_gap,
-    qubit_levels,
-)
+from topochain import FluxQubitSpec, InvalidParameterError, NumericError, sweep_point
 from topochain._kernels import tridiag_eigh
-from topochain.fluxcircuit import band_cholesky, charge_band, sweep_point
+from topochain.fluxcircuit import _dh_hops, band_cholesky, charge_band
+
+from conftest import kron_dh, kron_hamiltonian
 
 SMALL = FluxQubitSpec(charge_cutoff=6)
-
-
-def _kron_terms(spec, f_alpha, f_eps):
-    """(diagonal, cos_phi, identity, amp, chi, S) of H = diag - E_J(cos phi_1 +
-    cos phi_2) - amp(e^{i chi} S + h.c.), with exp(i phi)|k> = |k+1> on each
-    junction and S = exp(i phi_1) exp(i phi_2)."""
-    n_c = int(spec.charge_cutoff)
-    dim = 2 * n_c + 1
-    charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
-    raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)
-    k_sq = charge**2
-    coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
-    kinetic = coef * (
-        (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
-        - 4.0 * spec.alpha * np.outer(charge, charge)
-    ).ravel()
-    f_sigma = spec.f_sigma_kappa * f_alpha
-    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
-    amp, chi = spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps)
-    diagonal = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
-    return diagonal, 0.5 * (raise_op + raise_op.T), sp.eye_array(dim), amp, chi, sp.kron(raise_op, raise_op)
-
-
-def _kron_hamiltonian(spec, f_alpha, f_eps):
-    diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
-    h = (
-        sp.diags_array(diagonal)
-        - spec.ej * sp.kron(cos_phi, ident)
-        - spec.ej * sp.kron(ident, cos_phi)
-        - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
-    )
-    return h.tocsc()
-
-
-def _kron_dh(spec, f_alpha, f_eps):
-    _, _, _, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
-    return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
 
 
 def _pack_upper(dense, kd):
@@ -83,9 +39,20 @@ def _pack_upper(dense, kd):
     return band
 
 
+def _unpack_upper(band):
+    """The Hermitian matrix whose upper band storage is ``band``."""
+    kd = band.shape[0] - 1
+    upper = sum(np.diag(band[kd - d, d:], d) for d in range(kd + 1))
+    return upper + np.triu(upper, 1).conj().T
+
+
+def _levels(spec, f_alpha, f_eps, n_levels, stats=None):
+    return sweep_point(spec, f_alpha, f_eps, n_levels, stats)[0]
+
+
 def _parity_reversed(matrix):
     # the (k, l) -> (-k, -l) parity operator reverses the flattened index
-    return matrix.toarray()[::-1, ::-1]
+    return matrix[::-1, ::-1]
 
 
 def _householder_tridiagonalize(a):
@@ -125,9 +92,10 @@ def _hermitian_eigvals_oracle(h):
 
 
 def test_hamiltonian_dimension_and_hermiticity():
-    h = build_charge_hamiltonian(SMALL, 0.2, 0.013)
-    assert h.shape == (13 * 13, 13 * 13)
-    assert np.abs(h - h.conj().T).max() <= 1e-15
+    # upper band storage holds a Hermitian matrix when its diagonal is real
+    band = charge_band(SMALL, 0.2, 0.013)
+    assert band.shape == (SMALL.band_width + 1, 13 * 13)
+    assert not band[-1].imag.any()
     full = FluxQubitSpec()
     assert full.dimension == 961
 
@@ -139,13 +107,13 @@ def test_charging_limit_spectrum():
     # manifold is 6-fold at (8/3)E_C there and 4-fold only for a < 0.5.
     ec = 0.03
     spec = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / ec, charge_cutoff=4)
-    levels = qubit_levels(spec, 0.2, 0.0, 8)
+    levels = _levels(spec, 0.2, 0.0, 8)
     assert abs(levels[0]) < 1e-9
     assert np.allclose(levels[1:7], (8.0 / 3.0) * ec, atol=1e-9)
     assert levels[7] > levels[6] + 1e-6
 
     spec4 = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / ec, alpha=0.4, charge_cutoff=4)
-    levels4 = qubit_levels(spec4, 0.2, 0.0, 6)
+    levels4 = _levels(spec4, 0.2, 0.0, 6)
     quartet = 4.0 * ec * (1.0 + 2.0 * 0.4) / (1.0 + 4.0 * 0.4)
     assert np.allclose(levels4[1:5], quartet, atol=1e-9)
     assert levels4[5] > levels4[4] + 1e-6
@@ -157,21 +125,21 @@ def test_spec_validation():
     with pytest.raises(InvalidParameterError):
         FluxQubitSpec(charge_cutoff=0)
     with pytest.raises(InvalidParameterError):
-        qubit_levels(SMALL, 0.2, 0.0, SMALL.dimension + 1)
+        _levels(SMALL, 0.2, 0.0, SMALL.dimension + 1)
     with pytest.raises(InvalidParameterError):
-        qubit_levels(SMALL, 0.2, 0.0, SMALL.dimension - 1)
+        _levels(SMALL, 0.2, 0.0, SMALL.dimension - 1)
 
 
 def test_spectrum_periodic_in_f_eps():
-    w1 = qubit_levels(SMALL, 0.2, 0.41, 4)
-    w2 = qubit_levels(SMALL, 0.2, 2.41, 4)
+    w1 = _levels(SMALL, 0.2, 0.41, 4)
+    w2 = _levels(SMALL, 0.2, 2.41, 4)
     assert np.abs(w1 - w2).max() <= 1e-10
 
 
 def test_parity_commutes_at_optimal_point():
-    h = build_charge_hamiltonian(SMALL, 0.2, 0.0)
+    h = _unpack_upper(charge_band(SMALL, 0.2, 0.0))
     assert np.abs(_parity_reversed(h) - h).max() <= 1e-12
-    h_biased = build_charge_hamiltonian(SMALL, 0.2, 0.2)
+    h_biased = _unpack_upper(charge_band(SMALL, 0.2, 0.2))
     assert np.abs(_parity_reversed(h_biased) - h_biased).max() > 1e-6
 
 
@@ -184,31 +152,53 @@ def test_couplings_at_optimal_point():
 
 
 def test_derivative_matches_finite_difference():
-    step = 1e-6
+    # only the alpha hop, the band's top row, depends on f_eps; the hops
+    # below the diagonal are the conjugates of those above
+    step, kd = 1e-6, SMALL.band_width
     for f_eps in (0.0, 0.07):
-        plus = build_charge_hamiltonian(SMALL, 0.2, f_eps + step)
-        minus = build_charge_hamiltonian(SMALL, 0.2, f_eps - step)
-        fd = (plus - minus) / (2.0 * step)
-        analytic = d_hamiltonian_d_feps(SMALL, 0.2, f_eps)
+        plus, minus = charge_band(SMALL, 0.2, f_eps + step), charge_band(SMALL, 0.2, f_eps - step)
+        fd = (plus - minus) * SMALL.ej / (2.0 * step)
+        lower, upper = _dh_hops(SMALL, 0.2, f_eps)
+        analytic = np.zeros_like(fd)
+        analytic[0, kd:] = upper
         assert np.abs(fd - analytic).max() <= 1e-6
+        assert np.abs(fd[0, kd:].conj() - lower).max() <= 1e-6
+
+
+def _currents(spec, f_alpha, f_eps):
+    character = sweep_point(spec, f_alpha, f_eps, 2)[1]
+    return character.i0, character.i1
 
 
 def test_persistent_currents():
-    i0, i1 = persistent_currents(SMALL, 0.2, 0.0)
+    i0, i1 = _currents(SMALL, 0.2, 0.0)
     assert abs(i0) <= 1e-8 and abs(i1) <= 1e-8
-    i0p, _ = persistent_currents(SMALL, 0.2, 0.004)
-    i0m, _ = persistent_currents(SMALL, 0.2, -0.004)
+    i0p, _ = _currents(SMALL, 0.2, 0.004)
+    i0m, _ = _currents(SMALL, 0.2, -0.004)
     assert abs(i0p + i0m) <= 1e-8
     spec0 = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / 0.03, charge_cutoff=4)
-    assert persistent_currents(spec0, 0.2, 0.1) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert _currents(spec0, 0.2, 0.1) == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("f_eps", [0.013, 0.031])
+def test_currents_are_the_level_slopes(f_eps):
+    # Hellmann-Feynman: <n|dH/df_eps|n> = dE_n/df_eps, here against a central
+    # difference of the levels.  At h = 1e-5 the difference's own error is
+    # up to 3.9e-8 of the current (measured); at f_eps = -0.05, where I_1 is
+    # near 5e-3, it grows to 1e-5, so that point is left out
+    step = 1e-5
+    character = sweep_point(SMALL, 0.2, f_eps, 2)[1]
+    slopes = (_levels(SMALL, 0.2, f_eps + step, 2) - _levels(SMALL, 0.2, f_eps - step, 2)) / (2.0 * step)
+    currents = np.array([character.i0, character.i1])
+    assert np.abs(slopes - currents).max() <= 1e-7 * np.abs(currents).min()
 
 
 def test_gap_tunable_and_continuous():
     f_alphas = np.linspace(0.0, 0.3, 7)
-    gaps = np.array([qubit_gap(SMALL, fa) for fa in f_alphas])
+    gaps = np.array([sweep_point(SMALL, fa, 0.0, 2)[1].gap for fa in f_alphas])
     assert gaps.min() >= 0.0
     assert (gaps.max() - gaps.min()) / gaps.max() > 0.01
-    fine = np.array([qubit_gap(SMALL, fa) for fa in (0.2, 0.201, 0.202)])
+    fine = np.array([sweep_point(SMALL, fa, 0.0, 2)[1].gap for fa in (0.2, 0.201, 0.202)])
     slope = abs(fine[2] - fine[0]) / 0.002
     assert abs(fine[1] - fine[0]) <= 10.0 * max(slope, 1e-6) * 1e-3
 
@@ -217,8 +207,8 @@ def test_small_cutoff_matches_independent_oracle():
     spec = FluxQubitSpec(charge_cutoff=4)
     n_levels = spec.dimension - 2  # the most the shift-invert solver returns
     for f_eps in (0.0, 0.31):
-        h = build_charge_hamiltonian(spec, 0.2, f_eps).toarray()
-        mine = qubit_levels(spec, 0.2, f_eps, n_levels)
+        h = kron_hamiltonian(spec, 0.2, f_eps).toarray()
+        mine = _levels(spec, 0.2, f_eps, n_levels)
         oracle = _hermitian_eigvals_oracle(h)[:n_levels]
         assert np.abs(mine - oracle).max() <= 1e-10
 
@@ -229,8 +219,8 @@ def test_sweep_point_matches_dense_lapack_at_figure_cutoff(f_eps):
     spec = FluxQubitSpec()
     n_levels = 5
     vals, character = sweep_point(spec, 0.2, f_eps, n_levels)
-    dense_vals, dense_vecs = scipy.linalg.eigh(build_charge_hamiltonian(spec, 0.2, f_eps).toarray())
-    dh = d_hamiltonian_d_feps(spec, 0.2, f_eps).toarray()
+    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(spec, 0.2, f_eps).toarray())
+    dh = kron_dh(spec, 0.2, f_eps).toarray()
     ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
     g_perp = abs(np.vdot(excited, dh @ ground))
     g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
@@ -244,8 +234,8 @@ def test_sweep_point_matches_dense_lapack_at_figure_cutoff(f_eps):
 
 def test_sweep_point_consistent_with_separate_calls():
     vals, character = sweep_point(SMALL, 0.2, 0.01, 4)
-    assert np.allclose(vals[:2], qubit_levels(SMALL, 0.2, 0.01, 2), atol=1e-12)
-    direct = sweep_point(SMALL, 0.2, 0.01, 2)[1]
+    direct_vals, direct = sweep_point(SMALL, 0.2, 0.01, 2)
+    assert np.allclose(vals[:2], direct_vals, atol=1e-12)
     assert character.g_perp == pytest.approx(direct.g_perp, rel=1e-9)
     assert character.g_par == pytest.approx(direct.g_par, rel=1e-9)
 
@@ -259,22 +249,13 @@ def test_upper_band_matches_dense_upper_triangle(cutoff):
         spec = FluxQubitSpec(ej=ej, charge_cutoff=cutoff)
         for f_eps in (0.0, 0.013):
             band = charge_band(spec, 0.2, f_eps)
-            dense = (_kron_hamiltonian(spec, 0.2, f_eps) / ej).toarray()
+            dense = (kron_hamiltonian(spec, 0.2, f_eps) / ej).toarray()
             assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
             assert band.flags.f_contiguous
             for d in range(kd + 1):
                 assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
                 assert not band[kd - d, :d].any()
             assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
-
-
-def test_sparse_expansions_match_kron_assembly():
-    for spec in (FluxQubitSpec(charge_cutoff=2), FluxQubitSpec(ej=0.37, charge_cutoff=4)):
-        for f_eps in (0.0, 0.013):
-            h = build_charge_hamiltonian(spec, 0.2, f_eps)
-            dh = d_hamiltonian_d_feps(spec, 0.2, f_eps)
-            assert h.toarray().tobytes() == _kron_hamiltonian(spec, 0.2, f_eps).toarray().tobytes()
-            assert dh.toarray().tobytes() == _kron_dh(spec, 0.2, f_eps).toarray().tobytes()
 
 
 @pytest.mark.parametrize("f_alpha, f_eps", [(0.2, 0.0), (0.1, 0.013), (0.3, -0.05)])
@@ -284,7 +265,7 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     spec, n_levels = SMALL, 4
-    h = _kron_hamiltonian(spec, f_alpha, f_eps) / spec.ej
+    h = kron_hamiltonian(spec, f_alpha, f_eps) / spec.ej
     diag = h.diagonal().real
     shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
     band = _pack_upper(h.toarray(), spec.band_width)
@@ -302,7 +283,7 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
                        OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order] * spec.ej, vecs[:, order]
-    dh = _kron_dh(spec, f_alpha, f_eps)
+    dh = kron_dh(spec, f_alpha, f_eps)
     ground, excited = vecs[:, 0], vecs[:, 1]
     i0, i1 = np.real(np.vdot(ground, dh @ ground)), np.real(np.vdot(excited, dh @ excited))
     g_perp = float(abs(np.vdot(excited, dh @ ground)))
@@ -311,6 +292,7 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
     assert mine.tobytes() == vals.tobytes()
     assert (character.g_perp, character.g_par) == (g_perp, abs(float(i1) - float(i0)) / 2.0)
+    assert (character.i0, character.i1) == (float(i0), float(i1))
     assert (stats["shift"], stats["solves"]) == (shift * spec.ej, solves)
 
 
@@ -329,8 +311,8 @@ def test_sweep_point_matches_dense_eigh_over_bias_grid(f_alpha, f_eps):
     spec = FluxQubitSpec()
     n_levels = 5
     vals, character = sweep_point(spec, f_alpha, f_eps, n_levels)
-    dense_vals, dense_vecs = scipy.linalg.eigh(build_charge_hamiltonian(spec, f_alpha, f_eps).toarray())
-    dh = d_hamiltonian_d_feps(spec, f_alpha, f_eps).toarray()
+    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(spec, f_alpha, f_eps).toarray())
+    dh = kron_dh(spec, f_alpha, f_eps).toarray()
     ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
     g_perp = abs(np.vdot(excited, dh @ ground))
     g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
@@ -345,7 +327,7 @@ def test_indefinite_band_raises_numeric_error():
     with pytest.raises(NumericError):
         band_cholesky(indefinite)
     with pytest.raises(NumericError):
-        qubit_levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
+        _levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
 
 
 @pytest.mark.parametrize("ej, ej_over_ec", [(1e100, 50.0), (1e-4, 1.0)], ids=["large", "small"])
@@ -354,8 +336,8 @@ def test_levels_scale_with_the_circuit_energy(ej, ej_over_ec):
     # the solver's work does not change; an absolute shift margin gave
     # levels 8e-4 off with 21 solves at ej 1e100, and 203 solves at 1e-4
     unit_stats, stats = {}, {}
-    unit = qubit_levels(FluxQubitSpec(ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, unit_stats)
-    levels = qubit_levels(FluxQubitSpec(ej=ej, ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, stats)
+    unit = _levels(FluxQubitSpec(ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, unit_stats)
+    levels = _levels(FluxQubitSpec(ej=ej, ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, stats)
     assert np.abs(levels / ej - unit).max() <= 1e-13 * np.abs(unit).max()
     assert stats["solves"] == unit_stats["solves"]
     assert stats["shift"] / ej == pytest.approx(unit_stats["shift"], rel=1e-14)
@@ -365,7 +347,7 @@ def test_sweep_point_reports_its_solver_stats():
     stats = {}
     sweep_point(SMALL, 0.2, 0.01, 3, stats=stats)
     assert stats["dimension"] == 169 and stats["band_width"] == 14
-    assert stats["shift"] < qubit_levels(SMALL, 0.2, 0.01, 1)[0]
+    assert stats["shift"] < _levels(SMALL, 0.2, 0.01, 2)[0]
     assert stats["solves"] > 0
 
 
