@@ -36,17 +36,17 @@ from .models import (
 
 SCHEMA_VERSION = 1
 
-# one flux-qubit point costs 1-2 s at both limits (20 levels of a
+# one flux-qubit point costs 0.35-0.57 s at both limits (20 levels of a
 # 101^2-state charge basis); the solver also needs levels <= dimension - 2
 FLUX_MAX_LEVELS = 20
 FLUX_MAX_CHARGE_CUTOFF = 50
 
-# circuit energies ej and E_C = ej / ej_over_ec: the solver shifts H to 1.0
-# below its Gershgorin bound (about 2e4 E_C), a step rounding loses above
-# 1e12.  Measured at charge_cutoff 50, 20 levels, one thread: a point costs
-# 0.8 s at the defaults, 1.3-8.9 s at the corners of these bounds and 108 s
-# at ej = E_C = 1e-4; at ej = E_C = 1e25 the levels are 13% off the scaled
-# ones (3e-15 at 1e20), and ej 1e300 over ej_over_ec 1e-300 overflows H
+# circuit energies ej and E_C = ej / ej_over_ec: H is solved in units of E_J,
+# so the levels scale with ej (2.2e-15 off at ej = E_C = 1e25), and ej 1e300
+# over ej_over_ec 1e-300 overflows H.  Measured at charge_cutoff 50, 20
+# levels, one thread, three bias points: a point costs 0.35-0.57 s at the
+# defaults, 0.41-1.69 s at the corners of these bounds and 0.90-1.51 s at
+# ej = E_C = 1e-4, with one factorization and 90-305 shift-invert solves
 FLUX_MIN_EJ = 1e-2
 FLUX_MIN_EC = 1e-4
 FLUX_MAX_ENERGY = 1e12

@@ -12,11 +12,13 @@ half-bandwidth kd = 2N_c+2, with four nonzero diagonals in its upper
 triangle: the charging energy, the l hop at offset 1, the k hop at offset
 2N_c+1 and the alpha hop at offset kd.  ``charge_band`` writes H/E_J straight
 into LAPACK upper Hermitian band storage.  The lowest levels come from
-shift-invert Lanczos (ARPACK) at a shift sigma below the Gershgorin bound,
-where H - sigma is positive definite: the shifted band is factored once per
-bias point by banded Cholesky (``zpbtrf``), and every shift-invert solve is
-one ``zpbtrs``.  scipy.sparse.linalg (``eigsh``) is imported by the function
-that uses it, so importing the package does not.  ``sweep_point`` is the one
+shift-invert Lanczos (ARPACK) at sigma = theta - 0.1 E_J, where theta >=
+lambda_0 is the lowest Ritz value of 12 plain Lanczos steps on the band.  The
+shifted band is factored in place by banded Cholesky (``zpbtrf``), which
+succeeds only if sigma < lambda_0, else the margin grows 4x down to one E_J
+below the Gershgorin bound; each shift-invert solve is one ``zpbtrs``.
+scipy.sparse.linalg (``eigsh``) is imported by the function that uses it,
+so importing the package does not.  ``sweep_point`` is the one
 solve of a bias point: its levels and its qubit pair's ``QubitCharacter``.
 """
 
@@ -25,11 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dznrm2, zdotc, zhbmv
+from scipy.linalg.lapack import zpbtrf, zpbtrs
 
+from ._kernels import tridiag_eigh
 from .errors import InvalidParameterError, NumericError
 
-_PBTRF, _PBTRS = get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.complex128)
+RITZ_STEPS, RITZ_MARGIN = 12, 0.1  # Lanczos steps to theta >= lambda_0; shift margin below it, in E_J
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,9 @@ def _dh_hops(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
 
 
 def band_cholesky(band: np.ndarray) -> np.ndarray:
-    """Upper Cholesky factor, in the same band storage, of the Hermitian
-    positive definite matrix held by ``band`` (``zpbtrf``)."""
-    factor, info = _PBTRF(band)
+    """Upper Cholesky factor, in place of ``band``, of the Hermitian positive
+    definite matrix held in that band storage (``zpbtrf``)."""
+    factor, info = zpbtrf(band, overwrite_ab=1)
     if info != 0:
         raise NumericError(f"banded Cholesky failed (zpbtrf info {info}): the shifted charge Hamiltonian "
                            "is not positive definite")
@@ -147,37 +151,55 @@ def band_cholesky(band: np.ndarray) -> np.ndarray:
 
 
 def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
-    """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos.
-
-    ``stats``, if given, receives the dimension, band width, shift and the
-    number of shift-invert solves."""
+    """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos.  ``stats``,
+    if given, receives the dimension, band width, shift, E_0 minus the shift, and
+    the numbers of factorizations and shift-invert solves."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    n_levels = int(n_levels)
-    dim = spec.dimension
+    n_levels, dim = int(n_levels), spec.dimension
     if not 1 <= n_levels <= dim - 2:
         raise InvalidParameterError(f"n_levels must be in 1..{dim - 2} at dimension {dim}, got {n_levels}")
-    # solved in units of E_J, so that the problem, and the solver's work, is
-    # the same at every ej: the shift's margin below the Gershgorin bound is
-    # one E_J, and ARPACK's convergence test, which has an absolute floor of
-    # eps**(2/3), sees Ritz values of order 1
+    # in units of E_J, so that the solver's work is the same at every ej and ARPACK's
+    # convergence test, which has an absolute floor of eps**(2/3), sees levels of order 1
     band = charge_band(spec, f_alpha, f_eps)
     kd, magnitude, rows = spec.band_width, np.abs(band), np.zeros(dim)
     # Gershgorin: each row of |H| summed in ascending j, then the diagonal taken out
     for off in range(-kd, kd + 1):  # |H[i, i + off]|, stored at column max(i, i + off)
         rows[:dim - max(off, 0)] += magnitude[kd - abs(off), max(off, 0):]
-    diag = band[kd].real
-    shift = float(np.min(diag - (rows - np.abs(diag)))) - 1.0
-    if not np.isfinite(shift):  # any inf or NaN entry of H reaches the Gershgorin bound
+    diag = band[kd].real.copy()
+    floor = float(np.min(diag - (rows - np.abs(diag)))) - 1.0
+    if not np.isfinite(floor):  # any inf or NaN entry of H reaches the Gershgorin bound
         raise NumericError("the charge Hamiltonian has non-finite entries")
-    band[kd] -= shift
-    factor = band_cholesky(band)
+    # Lanczos from the lowest charging state, by scipy's BLAS alone: numpy's @
+    # (and vdot past 10^4 entries) wakes numpy's own thread pool, which then slows ARPACK
+    x, prev, alphas, betas = (np.arange(dim) == np.argmin(diag)) + 0j, 0.0, [], [0.0]
+    for _ in range(RITZ_STEPS):
+        w = zhbmv(kd, 1.0, band, x)
+        alphas.append(zdotc(x, w).real)
+        w -= alphas[-1] * x + betas[-1] * prev
+        betas.append(dznrm2(w))
+        if betas[-1] <= 1e-8:  # the Krylov space is invariant
+            break
+        x, prev = w / betas[-1], x
+    theta = float(tridiag_eigh(alphas, betas[1:len(alphas)])[0][0])
+    # H - shift factors only if shift < lambda_0 (Sylvester): the margin below
+    # theta grows 4x per failure, and the Gershgorin floor cannot fail
+    shifts = [max(theta - RITZ_MARGIN * 4.0**k, floor) for k in range(4)] + [floor]
+    for factorizations, shift in enumerate(shifts, 1):
+        band[kd] = diag - shift
+        try:
+            factor = band_cholesky(band)
+            break
+        except NumericError:
+            if shift == floor:
+                raise
+            band = charge_band(spec, f_alpha, f_eps)  # the failed zpbtrf overwrote it
     solves = 0
 
     def solve(x):
         nonlocal solves
         solves += 1
-        return _PBTRS(factor, x)[0]
+        return zpbtrs(factor, x)[0]
 
     # a fixed generic start vector keeps repeat solves bit-identical and has
     # weight in both parity sectors of the f_eps = 0 point; in shift-invert
@@ -186,25 +208,27 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     inverse = LinearOperator((dim, dim), matvec=solve, dtype=np.complex128)
     vals, vecs = eigsh(inverse, k=n_levels, sigma=shift, which="LM", v0=start, OPinv=inverse)
     if stats is not None:
-        stats.update(dimension=dim, band_width=kd, shift=shift * spec.ej, solves=solves)
+        stats.update(dimension=dim, band_width=kd, shift=shift * spec.ej, solves=solves,
+                     factorizations=factorizations, ground_minus_shift=float(vals.min() - shift) * spec.ej)
     order = np.argsort(vals, kind="stable")
     return vals[order] * spec.ej, vecs[:, order]
 
 
 def solver_record(point_stats) -> dict:
     """Manifest summary of the ``stats`` of every point of one sweep."""
-    shifts = [p["shift"] for p in point_stats]
-    solves = [p["solves"] for p in point_stats]
-    first = point_stats[0]
+    column = {key: [p[key] for p in point_stats] for key in point_stats[0]}
     return {
-        "dimension": first["dimension"],
-        "band_width": first["band_width"],
+        "dimension": column["dimension"][0],
+        "band_width": column["band_width"][0],
         "factorization": "lapack zpbtrf/zpbtrs",
         "points": len(point_stats),
-        "shift_min": min(shifts),
-        "shift_max": max(shifts),
-        "solves_total": sum(solves),
-        "solves_max_per_point": max(solves),
+        "shift_min": min(column["shift"]),
+        "shift_max": max(column["shift"]),
+        "ground_minus_shift_min": min(column["ground_minus_shift"]),
+        "ground_minus_shift_max": max(column["ground_minus_shift"]),
+        "factorizations_total": sum(column["factorizations"]),
+        "solves_total": sum(column["solves"]),
+        "solves_max_per_point": max(column["solves"]),
     }
 
 

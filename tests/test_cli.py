@@ -225,7 +225,10 @@ def test_fluxqubit_manifest_records_the_solver(tmp_path):
         solver = json.loads((tmp_path / f"{cfg['output']}.manifest.json").read_text())["solver"]
         assert solver["dimension"] == 81 and solver["band_width"] == 10
         assert solver["factorization"] == "lapack zpbtrf/zpbtrs" and solver["points"] == points
-        assert solver["shift_min"] <= solver["shift_max"] < 0.0
+        # every point's shift is below its E_0, and one factorization serves each point
+        assert solver["shift_min"] <= solver["shift_max"]
+        assert 0.0 < solver["ground_minus_shift_min"] <= solver["ground_minus_shift_max"]
+        assert solver["factorizations_total"] == points
         assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= points * solver["solves_max_per_point"]
 
 

@@ -260,14 +260,18 @@ def test_upper_band_matches_dense_upper_triangle(cutoff):
 
 @pytest.mark.parametrize("f_alpha, f_eps", [(0.2, 0.0), (0.1, 0.013), (0.3, -0.05)])
 def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
-    # the shift from the sparse row sums, the same ARPACK call on the kron
-    # assembly, and the couplings from a sparse dH matvec: every bit agrees
+    # the production's shift, the same ARPACK call on the kron assembly, and
+    # the couplings from a sparse dH matvec: every bit agrees; the shift lies
+    # between the Gershgorin shift from the sparse row sums and E_0
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     spec, n_levels = SMALL, 4
+    stats = {}
+    mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
     h = kron_hamiltonian(spec, f_alpha, f_eps) / spec.ej
     diag = h.diagonal().real
-    shift = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    gershgorin = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    shift = stats["shift"] / spec.ej
     band = _pack_upper(h.toarray(), spec.band_width)
     band[-1] -= shift
     factor = band_cholesky(band)
@@ -288,8 +292,7 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     i0, i1 = np.real(np.vdot(ground, dh @ ground)), np.real(np.vdot(excited, dh @ excited))
     g_perp = float(abs(np.vdot(excited, dh @ ground)))
 
-    stats = {}
-    mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
+    assert gershgorin <= shift < vals[0] / spec.ej
     assert mine.tobytes() == vals.tobytes()
     assert (character.g_perp, character.g_par) == (g_perp, abs(float(i1) - float(i0)) / 2.0)
     assert (character.i0, character.i1) == (float(i0), float(i1))
@@ -341,6 +344,32 @@ def test_levels_scale_with_the_circuit_energy(ej, ej_over_ec):
     assert np.abs(levels / ej - unit).max() <= 1e-13 * np.abs(unit).max()
     assert stats["solves"] == unit_stats["solves"]
     assert stats["shift"] / ej == pytest.approx(unit_stats["shift"], rel=1e-14)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_small_bases_match_dense_eigh_through_lanczos_breakdown(cutoff):
+    # the 12 Lanczos steps of the shift estimate run out of Krylov space and
+    # stop early at dimension 9, and at 25 on the f_eps = 0 parity sector
+    spec = FluxQubitSpec(charge_cutoff=cutoff)
+    for f_eps in (0.0, 0.013):
+        dense = scipy.linalg.eigvalsh(kron_hamiltonian(spec, 0.2, f_eps).toarray())
+        for n_levels in (2, spec.dimension - 2):
+            stats = {}
+            with np.errstate(divide="raise", invalid="raise"):
+                vals = _levels(spec, 0.2, f_eps, n_levels, stats)
+            assert np.abs(vals - dense[:n_levels]).max() <= 1e-12
+            assert stats["factorizations"] == 1 and 0.0 < stats["ground_minus_shift"]
+
+
+def test_failed_factorization_widens_the_shift_margin(monkeypatch):
+    # with no margin the shift is the Ritz value itself, above E_0, so the
+    # first zpbtrf fails; the retries end below E_0 with the same levels
+    reference, stats = _levels(SMALL, 0.2, 0.013, 4), {}
+    monkeypatch.setattr(topochain.fluxcircuit, "RITZ_MARGIN", 0.0)
+    vals = _levels(SMALL, 0.2, 0.013, 4, stats)
+    assert stats["factorizations"] > 1
+    assert stats["shift"] < vals[0]
+    assert np.abs(vals - reference).max() <= 1e-12
 
 
 def test_sweep_point_reports_its_solver_stats():
