@@ -52,15 +52,11 @@ from .dynamics import (
 from .effective import (
     LZPath,
     PathClass,
-    TwoLevelSystem,
     classify_path,
     compare_reduction,
-    lz_eigen,
     lz_evolve,
     path_c_frame,
     path_c_hamiltonian,
-    reduce_rm,
-    reduce_trimer,
     reduction_report,
 )
 from .couplings import (

@@ -1,52 +1,36 @@
 """Two-level reduction of the chain in its edge-state subspace.
 
 In the topological phase the chain dynamics restricted to the two edge
-states is a Landau-Zener model H = [[u, g], [g, -u]] (plus an identity
-shift for the trimer blocks): u is the staggered potential and
-g = Xi^2 a lam^(L-1) the exponentially small edge-edge coupling.  That
-model is the one-cell Rice-Mele chain (on-site +-u, bond g): an LZ path is
-its schedule, evolved by ``pump`` through the chain's own H(t) evaluator.
+states is a Landau-Zener model H = [[u, g], [g, -u]]: u is the staggered
+potential and g = Xi^2 a lam^(L-1) the exponentially small edge-edge
+coupling.  That is the one-cell Rice-Mele chain (on-site +-u, bond g), which
+``reduced_arrays`` lays out like a chain, so a schedule's reduced H(t) comes
+from the chain's own evaluator, ``schedule_arrays(..., reduced_arrays)``;
+an LZ path is a one-cell schedule, evolved by ``pump``.
 
 The trimer edge states of one pair share the B sublattice and so are not
 orthogonal; their blocks are the symmetric (Loewdin) orthonormalization
-S^-1/2 H S^-1/2 of the pair, whose splitting is the pair's in-gap splitting.
+S^-1/2 H S^-1/2 of the pair, whose splitting is the pair's in-gap splitting,
+laid out together as a 4-site chain with a zero bond at the join.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, Trajectory, evolve, pump
 from .errors import InvalidParameterError, PhaseDomainError
-from .models import ChainHamiltonian, FunctionSpec, Schedule, chain_arrays, const, schedule_arrays
+from .models import FunctionSpec, Schedule, chain_arrays, const, schedule_arrays
 from .spectra import analytic_edge_states, coupling_ratio_norm_sq, eigendecompose
 from . import models
 
 
-@dataclass(frozen=True)
-class TwoLevelSystem:
-    """H = offset*I + [[u, g], [g, -u]]; eigenvalues offset -+ sqrt(u^2+g^2)."""
-
-    u: float
-    g: float
-    offset: float = 0.0
-
-    def to_chain(self) -> ChainHamiltonian:
-        return ChainHamiltonian([self.offset + self.u, self.offset - self.u], [self.g])
-
-
-def lz_eigen(sys: TwoLevelSystem) -> Tuple[float, float]:
-    """(E_minus, E_plus), ascending; elementwise when u and g are arrays."""
-    r = np.hypot(sys.u, sys.g)
-    return (sys.offset - r, sys.offset + r)
-
-
-def edge_coupling(a: float, b: float, L: int) -> float:
-    """Xi^2 * a * lam^(L-1) with lam = -a/b.
+def edge_coupling(a, b, L: int):
+    """Xi^2 * a * lam^(L-1) with lam = -a/b, elementwise when a or b is an array.
 
     No phase-domain guard: outside |a| < |b| this is the analytic
     continuation used to draw closed pump paths through the trivial region.
@@ -54,17 +38,13 @@ def edge_coupling(a: float, b: float, L: int) -> float:
     the same closed form, which stays finite where lam^(L-1) overflows and
     gives g = 0 at b = 0 (L >= 2); a = b = 0 gives g = 0.
     """
-    if not (a or b):
-        return 0.0
-    ratio = -b / a if abs(a) > abs(b) else -a / b
-    return coupling_ratio_norm_sq(ratio, int(L)) * a * ratio ** (int(L) - 1)
-
-
-def reduce_rm(a: float, b: float, u: float, L: int) -> TwoLevelSystem:
-    """Project the Rice-Mele chain onto its two edge states."""
-    if abs(a) >= abs(b):
-        raise PhaseDomainError(f"reduction needs |a| < |b|, got a={a}, b={b}")
-    return TwoLevelSystem(u=u, g=edge_coupling(a, b, L), offset=0.0)
+    L = int(L)
+    # both ratios are formed and one is selected: the other may divide by
+    # zero or overflow, and a = b = 0 makes both 0/0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.where(np.abs(a) > np.abs(b), np.divide(-b, a), np.divide(-a, b))[()]
+        g = coupling_ratio_norm_sq(ratio, L) * a * ratio ** (L - 1)
+        return np.where((a == 0) & (b == 0), 0.0, g)[()]
 
 
 class TrimerPair(NamedTuple):
@@ -78,7 +58,7 @@ class TrimerPair(NamedTuple):
 
 def trimer_pair_elements(a: float, c: float, u: float, v: float, w: float, L: int, upper: bool) -> TrimerPair:
     """Bare elements of the upper (+) or lower (-) edge pair, lam = a/c and
-    K = Xi^2 (-+lam)^(L-1) / 2:
+    K = Xi^2 (-+lam)^(L-1) / 2, elementwise when the parameters are arrays:
 
     <L|H|L> = (u+v)/2 +- a, <R|H|R> = (v+w)/2 +- a,
     <L|H|R> = K [L(a +- v) + a], <L|R> = +-L K.
@@ -89,40 +69,44 @@ def trimer_pair_elements(a: float, c: float, u: float, v: float, w: float, L: in
     return TrimerPair((u + v) / 2.0 + pm * a, (v + w) / 2.0 + pm * a, k * (L * (a + pm * v) + a), pm * L * k)
 
 
-def _trimer_block(a: float, c: float, u: float, v: float, w: float, L: int, upper: bool) -> TwoLevelSystem:
-    """S^-1/2 [[e_L, g], [g, e_R]] S^-1/2 with S = [[1, s], [s, 1]]: with
-    mean e = (e_L + e_R)/2 the block has detuning (e_L - e_R)/(2 sqrt(1 - s^2)),
-    coupling (g - s e)/(1 - s^2) and offset (e - s g)/(1 - s^2)."""
-    e_left, e_right, g, s = trimer_pair_elements(a, c, u, v, w, L, upper)
-    mean = (e_left + e_right) / 2.0
-    q = 1.0 - s * s
-    return TwoLevelSystem((e_left - e_right) / (2.0 * np.sqrt(q)), (g - s * mean) / q, (mean - s * g) / q)
+def reduced_arrays(kind: str, L: int, p: Mapping, shape: tuple = ()):
+    """Diagonal and bonds of the chain reduced to its edge states, with the
+    signature and column convention of ``models.chain_arrays``.
 
+    ``rm``: the one-cell chain with on-site +-u and bond g =
+    ``edge_coupling(a, b, L)``.  Mirror ``trimer`` (a = b): the upper (+)
+    and lower (-) pairs' blocks as a 4-site chain, sites [e+ + d+, e+ - d+,
+    e- + d-, e- - d-] and bonds [g+, 0, g-].  A block is the Loewdin form
+    S^-1/2 [[e_L, g], [g, e_R]] S^-1/2 of the pair's bare elements
+    (``trimer_pair_elements``), S = [[1, s], [s, 1]], so its levels are the
+    chain's projected onto the pair: with e = (e_L + e_R)/2, offset
+    (e - s g)/(1 - s^2), detuning (e_L - e_R)/(2 sqrt(1 - s^2)) and coupling
+    (g - s e)/(1 - s^2) = K [a +- L(2v - u - w)/4] / (1 - s^2); at u = w the
+    pair's in-gap splitting is 2|g+-|.
 
-def reduce_trimer(
-    a: float,
-    c: float,
-    u: float,
-    v: float,
-    w: float,
-    L: int,
-    b: Optional[float] = None,
-) -> Tuple[TwoLevelSystem, TwoLevelSystem]:
-    """Two-level blocks (H_plus, H_minus) of the mirror-symmetric trimer
-    chain in its upper/lower edge-state pairs.
-
-    Each block is S^-1/2 [[<L|H|L>, <L|H|R>], [<L|H|R>, <R|H|R>]] S^-1/2 of
-    the pair's bare elements (``trimer_pair_elements``), S = [[1, s], [s, 1]]
-    its overlap matrix, so its eigenvalues are those of the chain projected
-    onto the pair.  Its coupling g_pm = K [a +- L(2v - u - w)/4] / (1 - s^2);
-    at u = w the pair's in-gap splitting is 2|g_pm|.
+    |a| >= |b| (rm) or |a| >= |c| (trimer) at any point raises
+    PhaseDomainError: outside the topological phase there are no edge
+    states to project on.
     """
-    if b is not None and b != a:
-        raise InvalidParameterError(f"trimer reduction needs the mirror case a = b, got a={a}, b={b}")
-    if abs(a) >= abs(c):
-        raise PhaseDomainError(f"trimer reduction needs |a| < |c|, got a={a}, c={c}")
+    if kind not in ("rm", "trimer") or (kind == "trimer" and np.any(p["a"] != p["b"])):
+        raise InvalidParameterError(f"reduction needs a Rice-Mele or a mirror (a = b) trimer chain, got {kind!r}")
+    strong = "b" if kind == "rm" else "c"  # the bond that |a| must stay below
+    bad = np.abs(p["a"]) >= np.abs(p[strong])
+    if np.any(bad):
+        a, s = (np.broadcast_to(p[name], bad.shape).flat[np.argmax(bad)] for name in ("a", strong))
+        raise PhaseDomainError(f"reduction needs |a| < |{strong}|, got a={a}, {strong}={s}")
     L = int(L)
-    return _trimer_block(a, c, u, v, w, L, upper=True), _trimer_block(a, c, u, v, w, L, upper=False)
+    if kind == "rm":
+        return chain_arrays("rm", 1, {"u": p["u"], "a": edge_coupling(p["a"], p["b"], L), "b": 0.0}, shape)
+    diag, off = np.empty(shape + (4,)), np.zeros(shape + (3,))
+    for i, upper in enumerate((True, False)):
+        e_left, e_right, g, s = trimer_pair_elements(p["a"], p["c"], p["u"], p["v"], p["w"], L, upper)
+        mean, q = (e_left + e_right) / 2.0, 1.0 - s * s
+        detuning, offset = (e_left - e_right) / (2.0 * np.sqrt(q)), (mean - s * g) / q
+        diag[..., 2 * i:2 * i + 1] = offset + detuning
+        diag[..., 2 * i + 1:2 * i + 2] = offset - detuning
+        off[..., 2 * i:2 * i + 1] = (g - s * mean) / q
+    return diag, off
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +168,14 @@ class LZPath:
     @classmethod
     def from_schedule(cls, schedule: Schedule, L: int, n_samples: int = 201) -> "LZPath":
         """The (u, g) trace a Rice-Mele pump schedule induces via the
-        reduction, continued analytically through the trivial region."""
+        reduction, with g from one array call of ``edge_coupling``: continued
+        analytically through the trivial region, which the plain pump crosses
+        and where ``reduced_arrays`` raises."""
         if schedule.kind != "rm":
             raise InvalidParameterError("path extraction needs a Rice-Mele schedule")
         times = np.linspace(0.0, schedule.period, int(n_samples))
         vals = schedule.values(times)
-        g = np.array([edge_coupling(a, b, L) for a, b in zip(vals["a"], vals["b"])])
-        return cls(times, vals["u"], g, schedule.period)
+        return cls(times, vals["u"], edge_coupling(vals["a"], vals["b"], L), schedule.period)
 
 
 def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
@@ -283,18 +268,10 @@ def compare_reduction(
     pair0 = analytic_edge_states(vals0["a"], vals0["b"], L)
     psi0 = pair0.left.astype(np.complex128)
 
+    # first, as reduced_arrays raises PhaseDomainError where the window leaves the topological phase
+    reduced = evolve(lambda times: schedule_arrays(schedule, L, times, reduced_arrays),
+                     np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
     full = evolve(lambda times: schedule_arrays(schedule, L, times), psi0, t0, t1, cfg, n_records)
-
-    # reduce_rm raises PhaseDomainError once the window leaves the topological phase
-    reduced_g = np.vectorize(lambda a, b: reduce_rm(a, b, 0.0, L).g)
-
-    def reduced_arrays(times):  # the one-cell chain with on-site +-u and bond g
-        vals = schedule.values(times)
-        column = np.shape(times) + (1,)
-        p = {"u": np.reshape(vals["u"], column), "a": np.reshape(reduced_g(vals["a"], vals["b"]), column), "b": 0.0}
-        return chain_arrays("rm", 1, p, np.shape(times))
-
-    reduced = evolve(reduced_arrays, np.array([1.0, 0.0], dtype=np.complex128), t0, t1, cfg, n_records)
 
     pop_full = np.empty((full.times.size, 2))
     for i, t in enumerate(full.times):
@@ -310,18 +287,18 @@ def compare_reduction(
 def reduction_report(a: float, b: float, u: float, L: int) -> dict:
     """Closed-form reduction next to the exact mid-gap splitting of the
     matching Rice-Mele chain; ``rel_err`` compares 2*sqrt(u^2+g^2) with it."""
-    sys = reduce_rm(a, b, u, L)
+    diag, off = reduced_arrays("rm", L, {"a": a, "b": b, "u": u})
     spectrum = eigendecompose(models.build_rice_mele(L, a, b, u))
     order = np.argsort(np.abs(spectrum.eigenvalues))
     pair = np.sort(spectrum.eigenvalues[order[:2]])
     exact_splitting = float(pair[1] - pair[0])
-    model_splitting = 2.0 * float(np.hypot(sys.u, sys.g))
+    model_splitting = 2.0 * float(np.hypot(diag[0], off[0]))
     rel_err = abs(model_splitting - exact_splitting) / exact_splitting if exact_splitting else np.inf
     lam = -a / b
     return {
         "u": float(u),
-        "g": sys.g,
-        "offset": sys.offset,
+        "g": off[0],
+        "offset": (diag[0] + diag[1]) / 2.0,
         "lambda": lam,
         "xi_norm_sq": coupling_ratio_norm_sq(lam, int(L)),
         "exact_splitting": exact_splitting,

@@ -246,7 +246,7 @@ def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int
     for hop, rows, x in ((lower, dh[:, kd:], pair[:, :-kd]), (upper, dh[:, :-kd], pair[:, kd:])):
         rows.real += hop.real * x.real - hop.imag * x.imag
         rows.imag += hop.real * x.imag + hop.imag * x.real
-    i0 = float(np.real(np.vdot(ground, dh[0])))
-    i1 = float(np.real(np.vdot(excited, dh[1])))
-    g_perp = float(abs(np.vdot(excited, dh[0])))
+    i0 = float(zdotc(ground, dh[0]).real)  # scipy's BLAS, not numpy's pool (see _eigensystem)
+    i1 = float(zdotc(excited, dh[1]).real)
+    g_perp = float(abs(zdotc(excited, dh[0])))
     return vals, QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps, i0, i1)

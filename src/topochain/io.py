@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from .dynamics import Trajectory
-from .effective import LZPath, lz_eigen, TwoLevelSystem
+from .effective import LZPath
 from .spectra import SpectrumTrace
 
 BLOCK_CELLS = 2048  # cells formatted and written at a time, in whole rows
@@ -112,5 +112,5 @@ def states_csv(path: Path, levels: Sequence[int], vectors: np.ndarray) -> Path:
 
 
 def lz_path_csv(path: Path, lz_path: LZPath) -> Path:
-    e_minus, e_plus = lz_eigen(TwoLevelSystem(lz_path.u, lz_path.g))
-    return write_csv(path, ["t", "u", "g", "E_minus", "E_plus"], [lz_path.times, lz_path.u, lz_path.g, e_minus, e_plus])
+    r = np.hypot(lz_path.u, lz_path.g)  # the levels of [[u, g], [g, -u]] are -+r; 0.0 - r is +0.0, not -0.0, at r = 0
+    return write_csv(path, ["t", "u", "g", "E_minus", "E_plus"], [lz_path.times, lz_path.u, lz_path.g, 0.0 - r, r])

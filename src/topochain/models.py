@@ -283,14 +283,16 @@ class Schedule:
         return {"kind": self.kind, "L": L, "T": self.period, "cycles": self.cycles, "params": params}
 
 
-def schedule_arrays(schedule: Schedule, L: int, times):
+def schedule_arrays(schedule: Schedule, L: int, times, layout=chain_arrays):
     """H(t) of the schedule on the chain of L cells: (diag[k, n], off[k, n-1])
-    for a 1-D array of k times, (diag[n], off[n-1]) for a single time."""
+    for a 1-D array of k times, (diag[n], off[n-1]) for a single time.
+    ``layout`` is ``chain_arrays``, the full chain, or a function of the same
+    signature: ``effective.reduced_arrays`` gives the reduced H(t)."""
     vals = schedule.values(times)
     shape = np.shape(times)
     if shape:
         vals = {name: v[..., np.newaxis] for name, v in vals.items()}
-    return chain_arrays(schedule.kind, _check_cells(L), vals, shape)
+    return layout(schedule.kind, _check_cells(L), vals, shape)
 
 
 # Pump sequences used throughout the figures.

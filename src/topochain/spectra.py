@@ -107,12 +107,12 @@ def instantaneous_spectrum(schedule: Schedule, L: int, n_times: int) -> Spectrum
 # ---------------------------------------------------------------------------
 
 
-def coupling_ratio_norm_sq(lam: float, L: int) -> float:
-    """Xi^2 = (1 - lam^2) / (1 - lam^(2L)), continued to 1/L at |lam| = 1."""
-    lam2 = lam * lam
-    if lam2 == 1.0:
-        return 1.0 / L
-    return (1.0 - lam2) / (1.0 - lam2**L)
+def coupling_ratio_norm_sq(lam, L: int):
+    """Xi^2 = (1 - lam^2) / (1 - lam^(2L)), continued to 1/L at |lam| = 1;
+    elementwise when ``lam`` is an array, a numpy scalar when it is one."""
+    lam2 = np.multiply(lam, lam)  # numpy division rules, but a scalar stays a scalar, powered by scalar pow
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at |lam| = 1, not selected
+        return np.where(lam2 == 1.0, 1.0 / L, (1.0 - lam2) / (1.0 - lam2**L))[()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -888,6 +888,18 @@ def test_overflow_prints_one_stderr_line(tmp_path, method):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+def test_lz_figures_raise_no_warning(tmp_path):
+    # a fresh interpreter with warnings as errors: the edge coupling forms
+    # both of its ratios on arrays and selects one, and the unselected -b/a
+    # divides by zero where the lz2 pump path has a = 0 (t = 0 and t = T)
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    code = "import sys; from topochain.cli import main; sys.exit(main(['reproduce', 'lz1', 'lz2', '--out', OUT]))"
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code.replace("OUT", repr(str(tmp_path)))],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert (tmp_path / "lz2_pump_path_schedule_path.csv").is_file()
+
+
 _HUGE_RANGE = {"start": -1.7e308, "stop": 1.7e308}
 
 

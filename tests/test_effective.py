@@ -8,30 +8,30 @@ import numpy as np
 import pytest
 
 from topochain import (
+    ChainHamiltonian,
     IntegratorConfig,
     InvalidParameterError,
     LZPath,
     PathClass,
     PhaseDomainError,
-    TwoLevelSystem,
+    bell_transfer_schedule,
     build_rice_mele,
     build_ssh,
     build_trimer,
     classify_path,
     compare_reduction,
     eigendecompose,
-    lz_eigen,
+    io,
     lz_evolve,
     optimized_schedule,
     path_c_frame,
     path_c_hamiltonian,
     pump_schedule,
-    reduce_rm,
-    reduce_trimer,
     reduction_report,
     trimer_edge_states,
 )
-from topochain.effective import edge_coupling, trimer_pair_elements
+from topochain._kernels import tridiag_eigh
+from topochain.effective import edge_coupling, reduced_arrays, trimer_pair_elements
 from topochain.config import _integration, parse_config
 from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.spectra import coupling_ratio_norm_sq
@@ -43,23 +43,31 @@ def _midgap_splitting(h):
     return float(pair.max() - pair.min())
 
 
+def _rm(a, b, u, L):
+    return reduced_arrays("rm", L, {"a": a, "b": b, "u": u})
+
+
 def test_reduce_rm_values():
-    assert reduce_rm(0.0, 1.0, 0.3, 5).g == 0.0
-    sys = reduce_rm(0.1, 1.0, 0.0, 7)
-    assert sys.g == pytest.approx(9.9e-8, rel=1e-10)
-    assert sys.offset == 0.0
+    diag, off = _rm(0.0, 1.0, 0.3, 5)
+    assert diag.tolist() == [0.3, -0.3] and off.tolist() == [0.0]
+    diag, off = _rm(0.1, 1.0, 0.0, 7)
+    assert off[0] == pytest.approx(9.9e-8, rel=1e-10)
+    assert diag[0] + diag[1] == 0.0  # no offset
 
 
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5])
 def test_reduce_rm_matches_exact_half_splitting(a):
-    sys = reduce_rm(a, 1.0, 0.0, 7)
+    g = _rm(a, 1.0, 0.0, 7)[1][0]
     half = _midgap_splitting(build_ssh(7, a, 1.0)) / 2.0
-    assert abs(abs(sys.g) - half) / abs(sys.g) <= 0.05
+    assert abs(abs(g) - half) / abs(g) <= 0.05
 
 
 def test_reduce_rm_rejects_trivial_phase():
-    with pytest.raises(PhaseDomainError):
-        reduce_rm(1.0, 1.0, 0.0, 7)
+    with pytest.raises(PhaseDomainError, match="a=1.0, b=1.0"):
+        _rm(1.0, 1.0, 0.0, 7)
+    # one point outside the phase is enough; the message names the first
+    with pytest.raises(PhaseDomainError, match="a=-1.5, b=1.0"):
+        _rm(np.array([[0.2], [-1.5], [2.0]]), 1.0, np.zeros((3, 1)), 7)
 
 
 def test_g_parity_closed_form(rng):
@@ -96,6 +104,7 @@ def test_edge_coupling_through_the_trivial_region():
     rng = np.random.default_rng(11)
     checked = 0
     for L in (1, 2, 3, 7, 50, 200):
+        samples = []
         for a, b in rng.uniform(-10, 10, (300, 2)) * 10.0 ** rng.uniform(-3, 3, (300, 1)):
             a, b = np.float64(a), np.float64(b)  # as LZPath.from_schedule passes them
             if not abs(a) > abs(b):
@@ -111,6 +120,15 @@ def test_edge_coupling_through_the_trivial_region():
             if np.isfinite(old) and abs(old - exact) <= tol * abs(exact):
                 assert abs(g - old) <= 2.0 * tol * abs(old)
                 checked += 1
+            samples.append((a, b, g, exact, tol))
+        # the same samples as one array (as LZPath.from_schedule passes them): within
+        # the same bound of mpmath, and of the scalar call to twice that
+        a, b, g, exact, tol = map(np.array, zip(*samples))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g_array = edge_coupling(a, b, L)
+        assert np.all(np.abs(g_array - exact) <= tol * np.abs(exact) + 1e-290), L
+        assert np.all(np.abs(g_array - g) <= 2.0 * tol * np.abs(g) + 1e-290), L
     assert checked > 500
 
 
@@ -122,35 +140,45 @@ def test_edge_coupling_at_zero_bonds():
             assert edge_coupling(np.float64(0.0), np.float64(0.0), L) == 0.0
         assert edge_coupling(np.float64(0.7), np.float64(0.0), 1) == 0.7  # lam^0 = 1 in either form
         assert edge_coupling(np.float64(10.0), np.float64(0.1), 200) == pytest.approx(0.0, abs=1e-300)
+        # as one array, whose unselected ratios divide by zero and overflow
+        a, b = np.array([0.7, 0.0, 1e300, 0.0]), np.array([0.0, 0.0, 1e-300, 0.5])
+        assert edge_coupling(a, b, 7).tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert edge_coupling(a, b, 1)[:2].tolist() == [0.7, 0.0]
 
 
-def test_lz_eigen_examples():
-    assert lz_eigen(TwoLevelSystem(0.0, 0.0)) == (0.0, 0.0)
-    assert lz_eigen(TwoLevelSystem(3.0, 4.0)) == (-5.0, 5.0)
-    e_minus, e_plus = lz_eigen(TwoLevelSystem(1.0, 1.0, offset=2.0))
-    assert (e_minus, e_plus) == pytest.approx((2.0 - np.sqrt(2.0), 2.0 + np.sqrt(2.0)))
+def _path_levels(tmp_path, u, g):
+    # the E_minus, E_plus columns io.lz_path_csv writes for a path through (u, g)
+    path = LZPath(np.arange(float(len(u))), np.asarray(u, dtype=float), np.asarray(g, dtype=float), float(len(u)))
+    rows = io.lz_path_csv(tmp_path / "lz.csv", path).read_text().splitlines()[1:]
+    return [row.split(",")[3:] for row in rows]
 
 
-def test_lz_eigen_matches_dense_2x2(rng):
-    for _ in range(30):
-        u, g, off = rng.normal(size=3)
-        sys = TwoLevelSystem(u, g, off)
-        dense = np.array([[off + u, g], [g, off - u]])
-        assert np.allclose(lz_eigen(sys), np.linalg.eigvalsh(dense), atol=1e-12)
+def test_lz_eigen_examples(tmp_path):
+    # -+sqrt(u^2 + g^2), with E_minus = +0.0 (not -0.0) at the critical point
+    assert _path_levels(tmp_path, [0.0, 3.0, -1.0], [0.0, 4.0, 1.0]) == [
+        ["0.0", "0.0"], ["-5.0", "5.0"], [str(-np.sqrt(2.0)), str(np.sqrt(2.0))]]
+
+
+def test_lz_eigen_matches_dense_2x2(rng, tmp_path):
+    u, g = rng.normal(size=(2, 30))
+    levels = np.array(_path_levels(tmp_path, u, g), dtype=float)
+    dense = np.linalg.eigvalsh(np.stack([np.stack([u, g], -1), np.stack([g, -u], -1)], -2))
+    assert np.abs(levels - dense).max() <= 1e-12
 
 
 def test_lz_eigen_tracks_midgap_branches_in_regime():
     # compare against the instantaneous mid-gap energies where lam^L <= 1e-4
     period = 100.0
     sch = pump_schedule(period)
-    for t in (0.02 * period, 0.05 * period, 0.1 * period):
+    times = np.array([0.02, 0.05, 0.1]) * period
+    diag, off = schedule_arrays(sch, 7, times, reduced_arrays)
+    for i, t in enumerate(times):
         vals = sch.values(t)
         if abs(vals["a"]) ** 7 > 1e-4:
             continue
-        sys = reduce_rm(vals["a"], vals["b"], vals["u"], 7)
         chain = eigendecompose(build_rice_mele(7, vals["a"], vals["b"], vals["u"]))
         pair = np.sort(chain.eigenvalues[np.argsort(np.abs(chain.eigenvalues))[:2]])
-        model = lz_eigen(sys)
+        model = tridiag_eigh(diag[i], off[i])[0]
         for got, want in zip(model, pair):
             assert abs(got - want) / max(abs(want), 1e-12) <= 0.05
 
@@ -207,29 +235,34 @@ def test_path_c_frame_diagonalizes(theta):
 # -- trimer reduction -----------------------------------------------------------
 
 
+def _trimer(a, c, u, v, w, L, b=None):
+    return reduced_arrays("trimer", L, {"a": a, "b": a if b is None else b, "c": c, "u": u, "v": v, "w": w})
+
+
 def test_reduce_trimer_decoupled_and_values():
-    h_plus, h_minus = reduce_trimer(0.0, 1.0, 1.0, 2.0, 0.0, 4)
-    assert h_plus.g == 0.0 and h_minus.g == 0.0
-    h_plus, h_minus = reduce_trimer(0.1, 1.0, 2.0, 2.0, 0.0, 7)
+    assert _trimer(0.0, 1.0, 1.0, 2.0, 0.0, 4)[1].tolist() == [0.0, 0.0, 0.0]
+    diag, off = _trimer(0.1, 1.0, 2.0, 2.0, 0.0, 7)
     # the dense Loewdin projection S^-1/2 (B^T H B) S^-1/2 of the analytic
     # pair gives 1.7820e-6
-    assert h_plus.g == pytest.approx(1.782e-6, rel=1e-3)
-    assert h_plus.offset == pytest.approx(0.5 + 0.1 + 1.0)
-    assert h_minus.offset == pytest.approx(0.5 - 0.1 + 1.0)
-    assert h_plus.u == pytest.approx(0.5)
+    assert off[0] == pytest.approx(1.782e-6, rel=1e-3)
+    assert (diag[0] + diag[1]) / 2.0 == pytest.approx(0.5 + 0.1 + 1.0)  # the blocks' offsets
+    assert (diag[2] + diag[3]) / 2.0 == pytest.approx(0.5 - 0.1 + 1.0)
+    assert (diag[0] - diag[1]) / 2.0 == pytest.approx(0.5)  # the upper block's detuning
 
 
 def test_reduce_trimer_guards():
     with pytest.raises(InvalidParameterError):
-        reduce_trimer(0.1, 1.0, 0.0, 0.0, 0.0, 4, b=0.2)
+        _trimer(0.1, 1.0, 0.0, 0.0, 0.0, 4, b=0.2)
     with pytest.raises(PhaseDomainError):
-        reduce_trimer(1.5, 1.0, 0.0, 0.0, 0.0, 4)
+        _trimer(1.5, 1.0, 0.0, 0.0, 0.0, 4)
+    with pytest.raises(InvalidParameterError):
+        reduced_arrays("ssh", 4, {"a": 0.1, "b": 1.0})
 
 
 def test_reduce_trimer_degenerate_diagonal_splitting():
-    h_plus, _ = reduce_trimer(0.2, 1.0, 0.7, 0.4, 0.7, 6)
-    e_minus, e_plus = lz_eigen(h_plus)
-    assert e_plus - e_minus == pytest.approx(2.0 * abs(h_plus.g), rel=1e-12)
+    diag, off = _trimer(0.2, 1.0, 0.7, 0.4, 0.7, 6)
+    e_minus, e_plus = tridiag_eigh(diag[:2], off[:1])[0]
+    assert e_plus - e_minus == pytest.approx(2.0 * abs(off[0]), rel=1e-12)
 
 
 def test_trimer_exact_splitting_includes_overlap_correction():
@@ -257,12 +290,15 @@ def test_trimer_exact_splitting_includes_overlap_correction():
     [(0.5, 1.0, 0.0, 0.3, 0.0, 6), (0.5, 1.0, 0.1, 0.3, -0.2, 6), (0.3, 1.0, 0.5, -0.4, 0.1, 5), (0.7, 1.2, -0.3, 0.2, 0.6, 4)],
 )
 def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
-    # dense oracle: S^-1/2 (B^T H B) S^-1/2 with B the analytic pair, S = B^T B
+    # dense oracle: S^-1/2 (B^T H B) S^-1/2 with B the analytic pair, S = B^T B;
+    # the blocks are rows 0-1 and 2-3 of the reduced 4-site chain
     st = trimer_edge_states(a, c, L)
     h = build_trimer(L, a, a, c, u, v, w).to_dense()
-    blocks = reduce_trimer(a, c, u, v, w, L)
-    for upper, block, basis in zip(
-        (True, False), blocks, ([st.left_plus, st.right_plus], [st.left_minus, st.right_minus])
+    reduced = ChainHamiltonian(*_trimer(a, c, u, v, w, L))
+    assert reduced.offdiagonal[1] == 0.0
+    blocks, levels = reduced.to_dense(), []
+    for rows, upper, basis in zip(
+        (slice(0, 2), slice(2, 4)), (True, False), ([st.left_plus, st.right_plus], [st.left_minus, st.right_minus])
     ):
         basis = np.column_stack(basis)
         proj, overlap = basis.T @ h @ basis, basis.T @ basis
@@ -271,7 +307,40 @@ def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
         pair = trimer_pair_elements(a, c, u, v, w, L, upper)
         bare = np.array([pair.e_left, pair.e_right, pair.g, pair.overlap])
         assert np.abs(bare - [proj[0, 0], proj[1, 1], proj[0, 1], overlap[0, 1]]).max() <= 1e-12
-        assert np.abs(block.to_chain().to_dense() - inv_sqrt @ proj @ inv_sqrt).max() <= 1e-12
+        assert np.abs(blocks[rows, rows] - inv_sqrt @ proj @ inv_sqrt).max() <= 1e-12
+        # the block's levels solve det(H - E S) = 0, a quadratic in E
+        e_left, e_right, g, s = pair
+        levels += list(np.roots([1.0 - s * s, 2.0 * g * s - e_left - e_right, e_left * e_right - g * g]))
+    # the 4-site chain's levels are both blocks' levels
+    assert np.abs(tridiag_eigh(reduced.diagonal, reduced.offdiagonal)[0] - np.sort(levels)).max() <= 1e-12
+
+
+def test_bell_schedule_reduces_only_near_the_cycle_ends():
+    # a = 1 - 0.9 cos(2 pi t/T) stays below c = 1 only for t/T in [0, 1/4) and (3/4, 1]
+    sch = bell_transfer_schedule(1000.0)
+    diag, off = schedule_arrays(sch, 7, 1000.0 * np.array([0.1, 0.2, 0.8, 0.9]), reduced_arrays)
+    assert diag.shape == (4, 4) and np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+    assert np.all(off[:, 1] == 0.0) and np.all(off[:, [0, 2]] != 0.0)
+    for inside in (0.3, 0.5, 0.7):
+        with pytest.raises(PhaseDomainError):
+            schedule_arrays(sch, 7, 1000.0 * np.array([0.1, inside, 0.9]), reduced_arrays)
+
+
+@pytest.mark.parametrize("schedule, fractions", [
+    (optimized_schedule(100.0), np.linspace(0.0, 0.4, 41)),
+    (bell_transfer_schedule(1000.0), np.r_[np.linspace(0.0, 0.2, 21), np.linspace(0.8, 1.0, 21)]),
+], ids=["rm", "trimer"])
+def test_reduced_arrays_at_k_times_match_k_single_times(schedule, fractions):
+    # numpy's array power and its scalar power may round apart by an ulp, so
+    # one call at k times matches k calls within edge_coupling's bound
+    L, times = 7, schedule.period * fractions
+    diag, off = schedule_arrays(schedule, L, times, reduced_arrays)
+    vals = schedule.values(times)
+    lam = np.abs(vals["a"] / vals["b" if schedule.kind == "rm" else "c"]).max()
+    tol = 4.0 * (L + 1.0 / (1.0 - lam**2)) * np.finfo(float).eps
+    for i, t in enumerate(times):
+        d, o = schedule_arrays(schedule, L, t, reduced_arrays)
+        assert np.all(np.abs(diag[i] - d) <= tol * np.abs(d)) and np.all(np.abs(off[i] - o) <= tol * np.abs(o))
 
 
 def test_reduction_improves_as_lambda_shrinks():
@@ -353,6 +422,14 @@ def test_lz_path_is_the_one_cell_rice_mele_schedule(name):
 def test_compare_reduction_deep_topological_window():
     report = compare_reduction(optimized_schedule(100.0), 7, window=(0.0, 0.1))
     assert report.max_deviation <= 0.05
+
+
+def test_compare_reduction_raises_where_the_window_leaves_the_phase():
+    # the plain pump's a = 1 - cos(2 pi t/T) reaches b = 1 at t = T/4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PhaseDomainError):
+            compare_reduction(pump_schedule(100.0), 7, window=(0.0, 0.5))
 
 
 def test_compare_reduction_decoupled_schedule():
