@@ -259,9 +259,11 @@ SPECTRUM_TRACE = {
     "schedule": _schedule(MODEL_KINDS),
     "n_times": Key("int", 201, bounds=(Bound(">=", 2, got=False),), feeds="rows"),
 }
-SPECTRUM_STATIC = {
+# a static model's spectrum: one diagonalization, whose states it may
+# export, or a sweep of one parameter, which exports none
+SPECTRUM_STATIC = {"export_states": Key("levels")}
+SPECTRUM_SWEEP = {
     "sweep": Key({"param": Key("str", required=True), **_range(2).kind}, hint=" {param, start, stop, points}"),
-    "export_states": Key("levels"),
 }
 
 PUMP = {"schedule": _schedule(MODEL_KINDS), "initial_site": Key("int", 1), "n_records": _RECORDS}
@@ -308,6 +310,9 @@ LZ = {
     "reduce": Key({"a": _REDUCE_NUMBER, "b": _REDUCE_NUMBER, "u": Key("number", 0.0, bounds=(_MAGNITUDE,)),
                    "L": _CELLS}),
 }
+# the lz keys a run reads only beside one of the parts named: the path's
+# integration, and the classification of the path or the induced one
+LZ_READ_WITH = {"initial_state": ("path",), "n_records": ("path",), "classify_tol": ("path", "from_schedule")}
 
 TRIMER = {
     "schedule": _schedule(("trimer",)),
@@ -333,12 +338,13 @@ FLUX = {
         **dict.fromkeys(("n_total", "n_diff"), _INT),
         "charge_cutoff": Key("int", bounds=(Bound("in", (1, FLUX_MAX_CHARGE_CUTOFF)),), feeds="flux cost"),
     }),
-    "levels": Key("int", 5, feeds="flux cost"),
 }
-# the level sweep at one f_alpha, or the gap sweep over f_alpha
+# the level sweep at one f_alpha, or the gap sweep over f_alpha (two
+# levels a point); a run reads only its own sweep's keys
 FLUX_LEVELS = {
     "f_alpha": _REQUIRED_NUMBER,
     "f_eps_range": _range(1, default={"start": -0.05, "stop": 0.05, "points": 41}),
+    "levels": Key("int", 5, feeds="flux cost"),
 }
 FLUX_GAP = {"f_alpha_sweep": _range(2, required=True)}
 
@@ -434,14 +440,15 @@ def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[
     return len(chk) == count
 
 
-def _model(chk: list, cfg: dict, ctx: str, table: dict):
+def _model(chk: list, cfg: dict, ctx: str, table: dict, where=None):
     """The flat static-model keys (kind, the kind's parameters, L or n_sites;
     the other kinds' keys are unknown), then the command's ``table``.
-    Returns the model, its sites, the key that sizes it and the values."""
+    Returns the model, its sites, the key that sizes it and the values;
+    ``where`` replaces ``ctx`` in the unknown- and missing-key messages."""
     kind = cfg.get("kind")
     params, size = MODEL[kind] if isinstance(kind, str) and kind in MODEL else ({}, None)
     allowed = _COMMON + tuple(table) + tuple(params) + ((size,) if size else tuple(MODEL_SIZE))
-    kind = _walk(chk, cfg, {"kind": MODEL_KIND}, ctx, allowed)[0]["kind"]
+    kind = _walk(chk, cfg, {"kind": MODEL_KIND}, ctx, allowed, where)[0]["kind"]
     model = None
     if kind is not None:
         model = {"kind": kind, "params": _walk(chk, cfg, params, f"{ctx} (kind '{kind}')", extra=None)[0]}
@@ -474,16 +481,18 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         chain = v.pop("schedule") or _NO_CHAIN
         _check_size(chk, _chain_sites(chain), f"'L' in {ctx}.schedule", v["n_times"], f"'n_times' in {ctx}")
         return {"mode": "trace", **chain, **v}
-    model, sites, sites_key, v = _model(chk, cfg, ctx, SPECTRUM_STATIC)
-    options = {"mode": "sweep" if "sweep" in cfg else "static", "model": model}
-    sweep = v["sweep"]
+    mode = "sweep" if "sweep" in cfg else "static"
+    table, where = (SPECTRUM_SWEEP, f"{ctx} with 'sweep'") if mode == "sweep" else (SPECTRUM_STATIC, ctx)
+    model, sites, sites_key, v = _model(chk, cfg, ctx, table, where)
+    options = {"mode": mode, "model": model}
+    sweep = v.get("sweep")
     if sweep is not None:
         name = options["sweep_param"] = sweep.pop("param")
         options["sweep"] = sweep
         if model is not None and name is not None and name not in model["params"]:
             chk.append(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
     _check_size(chk, sites, sites_key, sweep and sweep["points"], f"'points' in {ctx}.sweep")
-    levels = v["export_states"]
+    levels = v.get("export_states")
     if "export_states" in cfg:
         options["export_states"] = levels
     bad = [j for j in levels if not 1 <= j <= sites] if isinstance(levels, list) and sites is not None else []
@@ -506,6 +515,8 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     path, chain, reduce = (options.pop(name) for name in ("path", "from_schedule", "reduce"))
     if not any(key in cfg for key in ("path", "from_schedule", "reduce")):
         chk.append(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
+    chk += [f"key '{name}' in {ctx} is read only with {' or '.join(map(repr, parts))}"
+            for name, parts in LZ_READ_WITH.items() if name in cfg and not any(part in cfg for part in parts)]
     if path is not None:
         path, usable = path
         # 2 sites: only rows (records, path samples) can exceed
@@ -530,18 +541,18 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
 
 
 def _fluxqubit(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
-    v = _walk(chk, cfg, FLUX, ctx, _COMMON + tuple(FLUX_LEVELS) + tuple(FLUX_GAP))[0]
-    spec = {name: value for name, value in (v["spec"] or {}).items() if value is not None}
+    table, where = (FLUX_GAP, f"{ctx} with 'f_alpha_sweep'") if "f_alpha_sweep" in cfg else (FLUX_LEVELS, ctx)
+    v = _walk(chk, cfg, {**FLUX, **table}, ctx, _COMMON, where)[0]
+    spec = {name: value for name, value in (v.pop("spec") or {}).items() if value is not None}
     ej, ratio = spec.get("ej", FluxQubitSpec.ej), spec.get("ej_over_ec", FluxQubitSpec.ej_over_ec)
     if ej > 0 and ratio > 0 and not FLUX_MIN_EC <= ej / ratio <= FLUX_MAX_ENERGY:
         chk.append(f"key 'ej_over_ec' in {ctx}.spec gives E_C = ej / ej_over_ec = {ej / ratio:g}, "
                    f"outside {FLUX_MIN_EC:g}..{FLUX_MAX_ENERGY:g}")
     cutoff = spec.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
     max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
-    if v["levels"] is not None:
+    if v.get("levels") is not None:
         _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
-    sweep = _walk(chk, cfg, FLUX_GAP if "f_alpha_sweep" in cfg else FLUX_LEVELS, ctx, extra=None)[0]
-    return {"spec_kwargs": spec, "levels": v["levels"], **sweep}
+    return {"spec_kwargs": spec, **v}
 
 
 _COMMON = tuple(CONFIG)

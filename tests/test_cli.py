@@ -232,25 +232,6 @@ def test_fluxqubit_manifest_records_the_solver(tmp_path):
         assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= points * solver["solves_max_per_point"]
 
 
-def test_couplings_subcommand(tmp_path):
-    assert (
-        main(
-            [
-                "couplings",
-                "--alpha1", "0", "1", "3",
-                "--alpha2", "0", "1", "3",
-                "--out", str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    with open(tmp_path / "couplings.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 9
-    assert set(rows[0]) == {"alpha_1", "alpha_2", "P", "Q"}
-    assert float(rows[0]["P"]) == 1.0  # zero drive keeps the bare coupling
-
-
 def test_lz_reduce_writes_json_report(tmp_path):
     cfg = {"schema": 1, "command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}}
     cfg_path = tmp_path / "lz.json"
@@ -396,26 +377,6 @@ def test_trimer_signs_must_be_distinct_and_present(tmp_path, capsys, signs):
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest.json"))
 
 
-def test_fluxqubit_cli_subcommand(tmp_path):
-    assert (
-        main(
-            [
-                "fluxqubit",
-                "--f-alpha", "0.2",
-                "--f-eps-range", "-0.002", "0.002",
-                "--sweep-points", "3",
-                "--levels", "2",
-                "--charge-cutoff", "3",
-                "--out", str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    with open(tmp_path / "fluxqubit.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 and "E_1" in rows[0]
-
-
 def _rejected(tmp_path, capsys, text, key):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -442,6 +403,57 @@ def _rejected(tmp_path, capsys, text, key):
 def test_fluxqubit_solver_bounds_are_named_violations(tmp_path, capsys, levels, spec, key):
     cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": levels, "spec": spec}
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
+
+
+_GAP_SWEEP = {"command": "fluxqubit", "f_alpha_sweep": {"start": 0.0, "stop": 0.3, "points": 4}}
+_A_SWEEP = {"command": "spectrum", "kind": "ssh", "L": 7, "a": 0.0, "b": 1.0,
+            "sweep": {"param": "a", "start": 0.0, "stop": 2.0, "points": 5}}
+_INDUCED_PATH = {"command": "lz", "from_schedule": PRESETS["lz2"][0][1]["from_schedule"]}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(_GAP_SWEEP, levels=7), "levels"),
+        (dict(_GAP_SWEEP, f_alpha=0.2), "f_alpha"),
+        (dict(_GAP_SWEEP, f_eps_range={"start": -0.05, "stop": 0.05, "points": 41}), "f_eps_range"),
+        (dict(_A_SWEEP, export_states="edge"), "export_states"),
+        ({"command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}, "classify_tol": 1e-3}, "classify_tol"),
+        (dict(_INDUCED_PATH, initial_state="R"), "initial_state"),
+        (dict(_INDUCED_PATH, n_records=51), "n_records"),
+    ],
+    ids=["gap-levels", "gap-f_alpha", "gap-f_eps_range", "sweep-export_states", "reduce-classify_tol",
+         "from_schedule-initial_state", "from_schedule-n_records"],
+)
+def test_keys_the_run_never_reads_are_named_violations(tmp_path, capsys, cfg, key):
+    # no run reads these keys: the gap sweep solves two levels a point at
+    # f_eps = 0, a sweep exports no states, and an lz run reads them only
+    # beside the path it integrates or classifies
+    _parse(dict({k: v for k, v in cfg.items() if k != key}, schema=1))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg, schema=1)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    violations = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+    assert len(violations) == 1 and f"'{key}'" in violations[0], violations
+    assert not (tmp_path / "out").exists()
+
+
+def test_classify_tol_is_read_beside_an_induced_path():
+    assert _parse(dict(_INDUCED_PATH, schema=1, classify_tol=1e-3)).options["classify_tol"] == 1e-3
+
+
+@pytest.mark.parametrize("subcommand", ["couplings", "fluxqubit"])
+def test_flag_front_ends_are_gone(tmp_path, capsys, subcommand):
+    # every command is a config, reached through run --config
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{subcommand}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{run,reproduce}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -843,12 +855,6 @@ def test_non_finite_numbers_are_named_violations(tmp_path, capsys, text, key):
     _rejected(tmp_path, capsys, text, key)
 
 
-def test_non_finite_cli_flag_is_a_named_violation(tmp_path, capsys):
-    assert main(["fluxqubit", "--f-alpha", "nan", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "'f_alpha'" in err and "finite" in err and "Traceback" not in err
-
-
 def test_non_finite_state_fails_the_run(tmp_path, capsys, monkeypatch):
     # H entries of 1e200 overflow the RK4 stages to inf and then NaN.  The
     # config's RK4 stability bound rejects this H; lifting it reaches the
@@ -1136,7 +1142,11 @@ def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch, exc, line
         raise exc
 
     monkeypatch.setattr(topochain.cli, "run", fail)
-    assert main(["couplings", "--out", str(tmp_path)]) == 1
+    cfg = {"schema": 1, "command": "couplings", "alpha1": {"start": 0.0, "stop": 2.0, "points": 21},
+           "alpha2": {"start": 0.0, "stop": 2.0, "points": 21}}
+    cfg_path = tmp_path / "couplings.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [line]
 
 

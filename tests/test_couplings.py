@@ -1,6 +1,7 @@
 """Bessel evaluation and modulated effective couplings."""
 
 import csv
+import json
 
 import mpmath
 import numpy as np
@@ -131,18 +132,19 @@ def test_coupling_magnitude_bounded_by_bare(rng):
 
 def _couplings_csv(tmp_path, scheme, run):
     out = tmp_path / f"{scheme}-{run}"
-    args = ["couplings", "--scheme", scheme, "--bare-a", "0.8", "--bare-b", "1.3",
-            "--alpha1", "-45", "2.5", "7", "--alpha2", "-1.2", "0.6", "5",
-            "--n-max", "60", "--out", str(out)]
-    assert main(args) == 0
+    cfg = {"schema": 1, "command": "couplings", "scheme": scheme, "bare_a": 0.8, "bare_b": 1.3,
+           "alpha1": {"start": -45.0, "stop": 2.5, "points": 7}, "alpha2": {"start": -1.2, "stop": 0.6, "points": 5},
+           "n_max": 60}
+    cfg_path = tmp_path / "couplings.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     return (out / "couplings.csv").read_bytes()
 
 
 @pytest.mark.parametrize("scheme", ["identical", "matched"])
-def test_couplings_grid_with_negative_drives_matches_mpmath(tmp_path, capsys, scheme):
+def test_couplings_grid_with_negative_drives_matches_mpmath(tmp_path, scheme):
     text = _couplings_csv(tmp_path, scheme, 1)
     assert _couplings_csv(tmp_path, scheme, 2) == text
-    capsys.readouterr()
     rows = list(csv.DictReader(text.decode().splitlines()))
     assert len(rows) == 35
     orders = range(-60, 61)

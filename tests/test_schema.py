@@ -3,12 +3,15 @@ table, the presets against the model schedules, and the README's config
 section against the table."""
 
 import copy
+import importlib.util
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +27,7 @@ _MODEL_KEYS = {"kind": config.MODEL_KIND, **config.MODEL_SIZE,
                **{name: key for params, _ in config.MODEL.values() for name, key in params.items()}}
 # every key a command's top level may hold, whatever its mode or model kind
 COMMAND_KEYS = {
-    "spectrum": {**config.SPECTRUM_TRACE, **config.SPECTRUM_STATIC, **_MODEL_KEYS},
+    "spectrum": {**config.SPECTRUM_TRACE, **config.SPECTRUM_STATIC, **config.SPECTRUM_SWEEP, **_MODEL_KEYS},
     "pump": config.PUMP,
     "quench": {**config.QUENCH, **_MODEL_KEYS},
     "lz": config.LZ,
@@ -242,6 +245,29 @@ def _paths(obj, path=()):
         yield path + (name,)
         if isinstance(value, dict):
             yield from _paths(value, path + (name,))
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file: the benchmark's job configs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_every_preset_and_benchmark_config_parses(seed):
+    # a key the schema rejects must never be one a figure or a benchmark
+    # job relies on
+    workloads = _workloads()
+    jobs = {f"{workload}/{job.name}": job.config for workload in workloads.WORKLOADS
+            for job in workloads.jobs_for(workload, seed)}
+    for name, cfg in {**PRESET_CONFIGS, **jobs}.items():
+        try:
+            parse_config(json.dumps(cfg))
+        except SchemaError as exc:
+            raise AssertionError(f"{name}: {exc.violations}") from None
 
 
 def test_presets_run_the_model_schedules():
