@@ -243,6 +243,9 @@ CONFIG = {
         "method": Key("str", IntegratorConfig.method, choices=METHODS),
     }, IntegratorConfig(), build=lambda chk, ctx, v, ok: IntegratorConfig(**v) if ok else None),
 }
+# the tolerances a method does not read: RK4 takes fixed steps, and Magnus
+# halves its steps until the Richardson estimate is within rel_tol
+_UNREAD_TOLERANCES = {"rk4": ("rel_tol", "abs_tol"), "magnus": ("abs_tol",)}
 
 # flat static-model keys of each kind: its parameters (omega is optional in
 # an ssh chain) and the key that sizes the chain
@@ -555,6 +558,13 @@ def _fluxqubit(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     return {"spec_kwargs": spec, **v}
 
 
+def _couplings(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+    v = _walk(chk, cfg, COUPLINGS, ctx, _COMMON)[0]
+    if "n_max" in cfg and v["scheme"] == "matched":  # J0 J1 is a closed form, no series to cut
+        chk.append(f"key 'n_max' in {ctx} is read only by the 'identical' scheme")
+    return v
+
+
 _COMMON = tuple(CONFIG)
 _NO_CHAIN = {"schedule": None, "L": None}
 COMMANDS = {  # the parser of each command's options
@@ -563,7 +573,7 @@ COMMANDS = {  # the parser of each command's options
     "quench": _quench,
     "lz": _lz,
     "trimer": lambda chk, cfg, ctx, seed: _pump(chk, cfg, ctx, TRIMER),
-    "couplings": lambda chk, cfg, ctx, seed: _walk(chk, cfg, COUPLINGS, ctx, _COMMON)[0],
+    "couplings": _couplings,
     "fluxqubit": _fluxqubit,
 }
 
@@ -667,8 +677,8 @@ def parse_config(text: str) -> ExperimentConfig:
         chk.append(f"unknown command {command!r}; expected one of {list(COMMANDS)}")
         raise SchemaError(chk)
     integrator = top["integrator"] or IntegratorConfig()
-    given = cfg.get("integrator")
-    if command == "pump" and not (isinstance(given, dict) and "method" in given):
+    given = cfg.get("integrator") if isinstance(cfg.get("integrator"), dict) else {}
+    if command == "pump" and "method" not in given:
         # `pump` alone keeps BDF as its default: perfbench/oracles.py pins the
         # `pumping` fidelity to BDF's 0.5290788742 within 1e-6, and the
         # converged value, 0.52907785017 (Magnus, RK4 at dt 0.002, tight
@@ -678,6 +688,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if command is not None:
         options = COMMANDS[command](chk, cfg, f"command '{command}'", top["seed"])
         _check_integration(chk, integrator, *_integration(command, options))
+    integrates = command in ("pump", "quench", "trimer") or command == "lz" and "path" in cfg
+    if "integrator" in cfg and command is not None and not integrates:
+        chk.append(f"key 'integrator' in config is read only by a run that integrates: pump, quench, trimer, "
+                   f"or lz with 'path'; command '{command}' integrates nothing")
+    else:  # the method as given, so that a violation elsewhere in the block does not hide it
+        method = given.get("method", integrator.method)
+        unread = _UNREAD_TOLERANCES.get(method, ()) if method in METHODS else ()
+        chk += [f"key '{name}' in config.integrator is not read by method '{method}'" for name in unread if name in given]
     if chk:
         raise SchemaError(chk)
     return ExperimentConfig(command, top["seed"], top["output"], integrator, options, cfg)

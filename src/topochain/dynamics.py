@@ -6,7 +6,7 @@ The production integrator is the fourth-order commutator-free Magnus scheme
 of H at the Gauss nodes per step, each V exp(-i dt E) V^T from the one
 tridiagonal eigensolver.  It is unitary to rounding and exact for a static
 H.  Its step count follows from ``rel_tol`` by step halving on a ladder of
-one step per record segment (or ``ceil(segment / max_step)``), doubled.
+one step per record segment (or ``segment_steps`` of ``max_step``), doubled.
 The first pass is the first rung on which every step has dt R < pi, R the
 largest Gershgorin row sum of H at the record times (inside the Magnus
 series' convergence radius), and the steps are doubled until the
@@ -169,7 +169,7 @@ def _renormalize(states: np.ndarray, stats=None, rescale: bool = True) -> np.nda
 
 def _start_steps(provider, times, cfg) -> np.ndarray:
     # the first rung of the halving ladder (one step per record segment, or
-    # ceil(segment / max_step), doubled) on which every step has dt R < pi,
+    # segment_steps of max_step, doubled) on which every step has dt R < pi,
     # R the largest Gershgorin row sum of H at the record times: the Magnus
     # series is only sure to converge below pi (Moan & Niesen, Found.
     # Comput. Math. 8 (2008) 291), so the passes below that rung would be

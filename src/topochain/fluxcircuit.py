@@ -20,6 +20,12 @@ below the Gershgorin bound; each shift-invert solve is one ``zpbtrs``.
 scipy.sparse.linalg (``eigsh``) is imported by the function that uses it,
 so importing the package does not.  ``sweep_point`` is the one
 solve of a bias point: its levels and its qubit pair's ``QubitCharacter``.
+
+f_eps enters H only through e^{i chi}, and n is an integer, so for every
+integer m, H(2m - f_eps) is the complex conjugate of H(f_eps): the levels
+are the same, each eigenvector is conjugated, and dH/df_eps turns into
+minus its conjugate.  So the gap, g_perp and g_par at 2m - f_eps equal
+those at f_eps, and I_0 and I_1 change sign.
 """
 
 from __future__ import annotations
@@ -214,14 +220,16 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     return vals[order] * spec.ej, vecs[:, order]
 
 
-def solver_record(point_stats) -> dict:
-    """Manifest summary of the ``stats`` of every point of one sweep."""
+def solver_record(point_stats, mirrored: int) -> dict:
+    """Manifest summary of the ``stats`` of every solved point of one sweep,
+    whose ``mirrored`` other rows were copied from mirror partners."""
     column = {key: [p[key] for p in point_stats] for key in point_stats[0]}
     return {
         "dimension": column["dimension"][0],
         "band_width": column["band_width"][0],
         "factorization": "lapack zpbtrf/zpbtrs",
-        "points": len(point_stats),
+        "points": len(point_stats) + mirrored,
+        "mirrored_points": mirrored,
         "shift_min": min(column["shift"]),
         "shift_max": max(column["shift"]),
         "ground_minus_shift_min": min(column["ground_minus_shift"]),

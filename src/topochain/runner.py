@@ -184,19 +184,28 @@ def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
     spec = FluxQubitSpec(**opts["spec_kwargs"])
     rng = opts.get("f_alpha_sweep") or opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
-    point_stats = [{} for _ in values]
-    extras = {}
+    extras, mirrored = {}, 0
     if "f_alpha_sweep" in opts:
+        point_stats = [{} for _ in values]
         header = ["f_alpha", "gap"]
         columns = [values, np.array([sweep_point(spec, fa, 0.0, 2, st)[1].gap for fa, st in zip(values, point_stats)])]
     else:
+        # a range centred on an integer m has the levels, g_perp and g_par of
+        # f_eps at 2m - f_eps (see fluxcircuit): the rows below the centre are
+        # laid out as the mirrors of those above it and copied from them
+        centre = (rng["start"] + rng["stop"]) / 2
+        mirrored = values.size // 2 if centre.is_integer() else 0
+        values[:mirrored] = 2 * centre - values[::-1][:mirrored]
+        point_stats = [{} for _ in values[mirrored:]]
         levels = opts["levels"]
-        points = [sweep_point(spec, opts["f_alpha"], fe, levels, stats=st) for fe, st in zip(values, point_stats)]
+        solved = [sweep_point(spec, opts["f_alpha"], fe, levels, stats=st)
+                  for fe, st in zip(values[mirrored:], point_stats)]
+        points = solved[::-1][:mirrored] + solved
         header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]
         table = np.array([[*vals[:levels], character.g_perp, character.g_par] for vals, character in points])
         columns = [values, *table.T]
         extras["gap_at_first_point"] = float(points[0][1].gap)
-    blocks["solver"] = solver_record(point_stats)
+    blocks["solver"] = solver_record(point_stats, mirrored)
     return [io.write_csv(out_dir / f"{stem}.csv", header, columns)], extras
 
 

@@ -85,16 +85,17 @@ def test_integrator_overrides():
     cfg = _parse(
         {
             "schema": 1,
-            "command": "spectrum",
+            "command": "quench",
             "kind": "ssh",
             "L": 2,
             "a": 0.1,
             "b": 1,
-            "integrator": {"rel_tol": 1e-9, "method": "rk4", "max_step": 0.002},
+            "t_final": 1.0,
+            "integrator": {"rel_tol": 1e-9, "method": "bdf", "max_step": 0.002},
         }
     )
     assert cfg.integrator.rel_tol == 1e-9
-    assert cfg.integrator.method == "rk4"
+    assert cfg.integrator.method == "bdf"
 
 
 def test_presets_round_trip_unchanged():
@@ -225,11 +226,15 @@ def test_fluxqubit_manifest_records_the_solver(tmp_path):
         solver = json.loads((tmp_path / f"{cfg['output']}.manifest.json").read_text())["solver"]
         assert solver["dimension"] == 81 and solver["band_width"] == 10
         assert solver["factorization"] == "lapack zpbtrf/zpbtrs" and solver["points"] == points
-        # every point's shift is below its E_0, and one factorization serves each point
+        # the level range is centred on 0, so its first row mirrors its last
+        # and is not solved; the gap sweep solves every point
+        assert solver["mirrored_points"] == (1 if cfg is levels else 0)
+        solved = points - solver["mirrored_points"]
+        # every solved point's shift is below its E_0, and one factorization serves each point
         assert solver["shift_min"] <= solver["shift_max"]
         assert 0.0 < solver["ground_minus_shift_min"] <= solver["ground_minus_shift_max"]
-        assert solver["factorizations_total"] == points
-        assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= points * solver["solves_max_per_point"]
+        assert solver["factorizations_total"] == solved
+        assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= solved * solver["solves_max_per_point"]
 
 
 def test_lz_reduce_writes_json_report(tmp_path):
@@ -409,6 +414,18 @@ _GAP_SWEEP = {"command": "fluxqubit", "f_alpha_sweep": {"start": 0.0, "stop": 0.
 _A_SWEEP = {"command": "spectrum", "kind": "ssh", "L": 7, "a": 0.0, "b": 1.0,
             "sweep": {"param": "a", "start": 0.0, "stop": 2.0, "points": 5}}
 _INDUCED_PATH = {"command": "lz", "from_schedule": PRESETS["lz2"][0][1]["from_schedule"]}
+_REDUCE = {"command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}}
+_GRID = {"start": 0.0, "stop": 1.0, "points": 3}
+_MATCHED = {"command": "couplings", "scheme": "matched", "alpha1": _GRID, "alpha2": _GRID}
+_SMALL_QUENCH = {"command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
+
+
+def _without(cfg: dict, key: str) -> dict:
+    """``cfg`` less the key at the dotted path ``key``."""
+    head, _, rest = key.partition(".")
+    if rest:
+        return dict(cfg, **{head: _without(cfg[head], rest)})
+    return {k: v for k, v in cfg.items() if k != head}
 
 
 @pytest.mark.parametrize(
@@ -418,24 +435,57 @@ _INDUCED_PATH = {"command": "lz", "from_schedule": PRESETS["lz2"][0][1]["from_sc
         (dict(_GAP_SWEEP, f_alpha=0.2), "f_alpha"),
         (dict(_GAP_SWEEP, f_eps_range={"start": -0.05, "stop": 0.05, "points": 41}), "f_eps_range"),
         (dict(_A_SWEEP, export_states="edge"), "export_states"),
-        ({"command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}, "classify_tol": 1e-3}, "classify_tol"),
+        (dict(_REDUCE, classify_tol=1e-3), "classify_tol"),
         (dict(_INDUCED_PATH, initial_state="R"), "initial_state"),
         (dict(_INDUCED_PATH, n_records=51), "n_records"),
+        ({"command": "spectrum", "kind": "ssh", "L": 2, "a": 0.1, "b": 1,
+          "integrator": {"method": "rk4", "max_step": 0.5}}, "integrator"),
+        (dict(_A_SWEEP, integrator={"rel_tol": 1e-6}), "integrator"),
+        (dict(_MATCHED, integrator={"method": "bdf"}), "integrator"),
+        (dict(_GAP_SWEEP, integrator={"method": "magnus"}), "integrator"),
+        (dict(_REDUCE, integrator={"method": "rk4"}), "integrator"),
+        (dict(_INDUCED_PATH, integrator={}), "integrator"),
+        (dict(_SMALL_QUENCH, integrator={"method": "rk4", "rel_tol": 1e-2}), "integrator.rel_tol"),
+        (dict(_SMALL_QUENCH, integrator={"method": "rk4", "abs_tol": 1e-3}), "integrator.abs_tol"),
+        (dict(_SMALL_QUENCH, integrator={"abs_tol": 1e-3}), "integrator.abs_tol"),
+        ({"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0},
+          "integrator": {"method": "magnus", "abs_tol": 1e-3}}, "integrator.abs_tol"),
+        (dict(_MATCHED, n_max=3), "n_max"),
     ],
     ids=["gap-levels", "gap-f_alpha", "gap-f_eps_range", "sweep-export_states", "reduce-classify_tol",
-         "from_schedule-initial_state", "from_schedule-n_records"],
+         "from_schedule-initial_state", "from_schedule-n_records", "spectrum-integrator", "sweep-integrator",
+         "couplings-integrator", "fluxqubit-integrator", "reduce-integrator", "from_schedule-integrator",
+         "rk4-rel_tol", "rk4-abs_tol", "magnus-abs_tol", "lz-path-magnus-abs_tol", "matched-n_max"],
 )
 def test_keys_the_run_never_reads_are_named_violations(tmp_path, capsys, cfg, key):
     # no run reads these keys: the gap sweep solves two levels a point at
-    # f_eps = 0, a sweep exports no states, and an lz run reads them only
-    # beside the path it integrates or classifies
-    _parse(dict({k: v for k, v in cfg.items() if k != key}, schema=1))
+    # f_eps = 0, a sweep exports no states, an lz run reads them only
+    # beside the path it integrates or classifies, only a run that
+    # integrates reads an integrator, RK4 reads no tolerance and Magnus no
+    # abs_tol, and the matched couplings J0 J1 have no series to cut
+    _parse(dict(_without(cfg, key), schema=1))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(cfg, schema=1)))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     violations = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
-    assert len(violations) == 1 and f"'{key}'" in violations[0], violations
+    name = key.rpartition(".")[2]
+    assert len(violations) == 1 and f"'{name}'" in violations[0], violations
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(_SMALL_QUENCH, integrator={"method": "bdf", "rel_tol": 1e-6, "abs_tol": 1e-8}),
+        {"command": "pump", "schedule": PRESETS["pumping"][0][1]["schedule"],
+         "integrator": {"rel_tol": 1e-6, "abs_tol": 1e-8}},
+    ],
+    ids=["bdf", "pump-default"],
+)
+def test_bdf_reads_both_tolerances(cfg):
+    # pump without a method resolves to BDF
+    integrator = _parse(dict(cfg, schema=1)).integrator
+    assert (integrator.method, integrator.rel_tol, integrator.abs_tol) == ("bdf", 1e-6, 1e-8)
 
 
 def test_classify_tol_is_read_beside_an_induced_path():
@@ -1124,7 +1174,7 @@ def test_integrator_bounds_are_named_violations(tmp_path, capsys, integrator, ke
 
 
 def test_integrator_violations_are_all_reported():
-    messages = _violations(dict(_TINY_QUENCH, integrator={"abs_tol": 0, "max_step": -1}))
+    messages = _violations(dict(_TINY_QUENCH, integrator={"method": "bdf", "abs_tol": 0, "max_step": -1}))
     assert messages == ["key 'abs_tol' in config.integrator must be > 0",
                         "key 'max_step' in config.integrator must be > 0"]
 

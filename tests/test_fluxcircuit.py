@@ -10,6 +10,7 @@ couplings are checked against the Kronecker-product assembly of H and
 dH/df_eps in conftest.py, written from the module docstring's conventions.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -24,7 +25,10 @@ import scipy.sparse as sp
 import topochain
 from topochain import FluxQubitSpec, InvalidParameterError, NumericError, sweep_point
 from topochain._kernels import tridiag_eigh
+from topochain.config import parse_config
 from topochain.fluxcircuit import _dh_hops, band_cholesky, charge_band
+from topochain.io import write_csv
+from topochain.runner import run
 
 from conftest import kron_dh, kron_hamiltonian
 
@@ -134,6 +138,63 @@ def test_spectrum_periodic_in_f_eps():
     w1 = _levels(SMALL, 0.2, 0.41, 4)
     w2 = _levels(SMALL, 0.2, 2.41, 4)
     assert np.abs(w1 - w2).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n_diff, m", [(1, 0), (1, 1), (2, 1), (2, -3)])
+def test_mirror_bias_conjugates_h(n_diff, m):
+    # H(2m - f_eps) = conj H(f_eps): the levels, gap and couplings carry over,
+    # and the loop currents change sign
+    spec, f_eps = FluxQubitSpec(n_diff=n_diff, charge_cutoff=4), 0.013
+    mirror = 2 * m - f_eps
+    assert np.abs(charge_band(spec, 0.2, mirror) - charge_band(spec, 0.2, f_eps).conj()).max() <= 1e-14
+    (vals, ch), (mirror_vals, mirror_ch) = (sweep_point(spec, 0.2, fe, 3) for fe in (f_eps, mirror))
+    assert np.abs(vals - mirror_vals).max() <= 1e-12
+    assert abs(ch.g_perp - mirror_ch.g_perp) <= 1e-10 and abs(ch.g_par - mirror_ch.g_par) <= 1e-10
+    assert abs(ch.i0 + mirror_ch.i0) <= 1e-10 and abs(ch.i1 + mirror_ch.i1) <= 1e-10
+
+
+def _level_sweep(tmp_path, f_eps_range, n_diff):
+    spec = {"charge_cutoff": 4, "n_diff": n_diff}
+    cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 3, "f_eps_range": f_eps_range,
+           "spec": spec}
+    result = run(parse_config(json.dumps(cfg)), tmp_path)
+    solver = json.loads(result.manifest.read_text())["solver"]
+    return result.files[0], FluxQubitSpec(**spec), solver
+
+
+@pytest.mark.parametrize("start, stop, points, n_diff", [
+    (-0.05, 0.05, 7, 1), (-0.05, 0.05, 6, 1), (0.95, 1.05, 5, 2), (0.95, 1.05, 4, 2), (-0.05, 0.05, 1, 1),
+], ids=["odd", "even", "n_diff-2-odd", "n_diff-2-even", "one-point"])
+def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop, points, n_diff):
+    path, spec, solver = _level_sweep(tmp_path, {"start": start, "stop": stop, "points": points}, n_diff)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    half, centre = points // 2, round((start + stop) / 2)
+    assert solver["points"] == points and solver["mirrored_points"] == half
+    assert solver["factorizations_total"] == points - half
+    # each row below the centre is the exact mirror of its partner, within
+    # a few ulp of np.linspace, and equals the partner's solved row
+    f_eps = rows[:, 0]
+    assert np.array_equal(f_eps[:half], 2 * centre - f_eps[::-1][:half])
+    assert np.array_equal(f_eps[half:], np.linspace(start, stop, points)[half:])
+    assert np.abs(f_eps - np.linspace(start, stop, points)).max() <= 4 * np.spacing(max(abs(start), abs(stop)))
+    assert np.array_equal(rows[:half, 1:], rows[::-1][:half, 1:])
+    for row in rows:  # and a direct solve at that row's f_eps
+        vals, character = sweep_point(spec, 0.2, row[0], 3)
+        assert np.abs(row[1:4] - vals[:3]).max() <= 1e-12
+        assert np.abs(row[4:] - [character.g_perp, character.g_par]).max() <= 1e-10
+
+
+def test_level_sweep_off_an_integer_centre_solves_every_point(tmp_path):
+    # byte-identical to one direct solve per np.linspace point
+    f_eps_range = {"start": -0.05, "stop": 0.031, "points": 5}
+    path, spec, solver = _level_sweep(tmp_path / "run", f_eps_range, 1)
+    assert solver["mirrored_points"] == 0 and solver["factorizations_total"] == 5
+    values = np.linspace(-0.05, 0.031, 5)
+    points = [sweep_point(spec, 0.2, fe, 3) for fe in values]
+    table = np.array([[*vals[:3], character.g_perp, character.g_par] for vals, character in points])
+    reference = write_csv(tmp_path / "reference.csv", ["f_eps", "E_0", "E_1", "E_2", "g_perp", "g_par"],
+                          [values, *table.T])
+    assert path.read_bytes() == reference.read_bytes()
 
 
 def test_parity_commutes_at_optimal_point():

@@ -69,6 +69,19 @@ def test_rk4_chunks_give_the_same_bits(monkeypatch):
     assert np.array_equal(whole, chunked)
 
 
+@pytest.mark.parametrize("max_step, per_segment", [(0.002, 25), (0.01, 5)])
+def test_segment_steps_count_whole_multiples_exactly(max_step, per_segment):
+    # the 2001 records of the RK4 cross-checks: each segment is 0.05 to
+    # within an ulp of 100, so a bare ceil read 25.000000000000004 steps of
+    # 0.002 as 26 in 808 of the 2000 segments (50,808 steps, not 50,000)
+    counts = K.segment_steps(np.linspace(0.0, 100.0, 2001), max_step)
+    assert np.all(counts == per_segment) and counts.sum() == 2000 * per_segment
+    # past the slack a segment takes one step more, none longer than the bound
+    segment = per_segment * max_step * (1.0 + 2.0 * K.STEP_SLACK)
+    assert K.segment_steps([0.0, segment], max_step)[0] == per_segment + 1
+    assert K.segment_steps([0.0, 0.5 * max_step], max_step)[0] == 1
+
+
 def _rk4_fourteen_calls(h_of_times, psi0, rec_times, max_step):
     # the RK4 step as four zhbmv, seven zaxpy and three copies, one stage
     # after the other: k_i from zhbmv, acc = psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)
