@@ -12,10 +12,15 @@ vectorized evaluator ``times -> (diag[k, n], off[k, n-1])``; a step is
 four ``zhbmv`` and three in-place ``zaxpy``.  ``cfm4_integrate`` is the
 fourth-order commutator-free Magnus scheme on the same evaluator, each of
 its exponentials from ``tridiag_eigh``, for one state or the columns of an
-(n, k) array at once.
+(n, k) array at once.  ``one_blas_thread`` holds every OpenBLAS library
+loaded into the process at one thread for the length of a run.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.linalg.blas import zaxpy, zhbmv
@@ -41,6 +46,13 @@ _ROOT3 = 3.0**0.5
 CFM4_NODES = (0.5 - _ROOT3 / 6.0, 0.5 + _ROOT3 / 6.0)
 CFM4_WEIGHTS = (0.25 + _ROOT3 / 6.0, 0.25 - _ROOT3 / 6.0)
 
+# OpenBLAS's C thread-count calls as (setter, getter) names: the numpy and
+# scipy wheels prefix them with scipy_, and numpy's 64-bit-integer build
+# also suffixes them with 64_ (the names ending in _64_ are the Fortran
+# calls, which take a pointer)
+OPENBLAS_THREAD_CALLS = tuple((f"{pre}openblas_set_num_threads{suf}", f"{pre}openblas_get_num_threads{suf}")
+                              for pre in ("scipy_", "") for suf in ("64_", ""))
+
 
 def tridiag_eigh(diagonal: np.ndarray, offdiagonal: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
@@ -55,6 +67,59 @@ def tridiag_eigh(diagonal: np.ndarray, offdiagonal: np.ndarray):
     if info != 0:
         raise NumericError(f"tridiagonal eigensolver failed: LAPACK dstevd info {info}")
     return vals, vecs  # ascending eigenvalues
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(file name, getter, setter) of each OpenBLAS library mapped into this
+    process, found by its path in /proc/self/maps, that exports a pair of
+    ``OPENBLAS_THREAD_CALLS``.  Found once: numpy's and scipy's copies are
+    both loaded by the time this module is, as it imports scipy.linalg."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no /proc on this platform: nothing to pin
+        return ()
+    controls = []
+    for path in dict.fromkeys(f[5].strip() for f in fields if len(f) == 6):
+        name = os.path.basename(path)
+        if "openblas" not in name.lower() or not os.path.isfile(path):
+            continue
+        library = ctypes.CDLL(path)  # the loaded copy: dlopen of a mapped path adds no second one
+        for set_name, get_name in OPENBLAS_THREAD_CALLS:
+            setter, getter = getattr(library, set_name, None), getattr(library, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((name, getter, setter))
+                break
+    return tuple(sorted(controls, key=lambda control: control[0]))
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold every OpenBLAS library of the process at one thread inside the
+    ``with`` block, and give each its previous count back on leaving it,
+    also when the block raises.
+
+    At one thread each BLAS call sums in one fixed order, so the bits of a
+    run do not follow the machine's core count or ``OPENBLAS_NUM_THREADS``;
+    and the small banded and level-2 calls of the solvers run faster than
+    split over threads.  Yields the manifest record of the pin: the file
+    names of the pinned libraries and the thread count, ``None`` where no
+    library exports a setter and the libraries keep their own counts.
+    """
+    controls = _openblas_thread_controls()
+    previous = [getter() for _, getter, _ in controls]
+    for _, _, setter in controls:
+        setter(1)
+    try:
+        yield {"libraries": [name for name, _, _ in controls], "threads": 1 if controls else None}
+    finally:
+        for (_, _, setter), count in zip(controls, previous):
+            setter(count)
 
 
 def hermitian_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -176,8 +176,8 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     floor = float(np.min(diag - (rows - np.abs(diag)))) - 1.0
     if not np.isfinite(floor):  # any inf or NaN entry of H reaches the Gershgorin bound
         raise NumericError("the charge Hamiltonian has non-finite entries")
-    # Lanczos from the lowest charging state, by scipy's BLAS alone: numpy's @
-    # (and vdot past 10^4 entries) wakes numpy's own thread pool, which then slows ARPACK
+    # Lanczos from the lowest charging state, by scipy's BLAS alone: the shift,
+    # and with it every output bit, follows the sum order of zdotc and dznrm2
     x, prev, alphas, betas = (np.arange(dim) == np.argmin(diag)) + 0j, 0.0, [], [0.0]
     for _ in range(RITZ_STEPS):
         w = zhbmv(kd, 1.0, band, x)
@@ -254,7 +254,7 @@ def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int
     for hop, rows, x in ((lower, dh[:, kd:], pair[:, :-kd]), (upper, dh[:, :-kd], pair[:, kd:])):
         rows.real += hop.real * x.real - hop.imag * x.imag
         rows.imag += hop.real * x.imag + hop.imag * x.real
-    i0 = float(zdotc(ground, dh[0]).real)  # scipy's BLAS, not numpy's pool (see _eigensystem)
+    i0 = float(zdotc(ground, dh[0]).real)  # scipy's BLAS: the CSV bits follow zdotc's sum order
     i1 = float(zdotc(excited, dh[1]).real)
     g_perp = float(abs(zdotc(excited, dh[0])))
     return vals, QubitCharacter(float(vals[1] - vals[0]), g_perp, abs(i1 - i0) / 2.0, f_alpha, f_eps, i0, i1)

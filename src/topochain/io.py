@@ -71,12 +71,14 @@ def write_json(path: Path, payload: dict) -> Path:
 VERSIONS = {"python": "{}.{}.{}".format(*sys.version_info[:3]), "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float,
+def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Path], wall_time: float, blas: dict,
                    extras=None, blocks=None) -> Path:
-    """``blocks`` holds further top-level records of what ran: ``integrator``
-    maps each trajectory CSV's name to its ``Trajectory.integration`` record,
-    and ``solver`` summarizes the flux-qubit eigensolves."""
-    payload = {"tool": "topochain", "version": version, "versions": VERSIONS, "config": config,
+    """``blas`` is the record of ``_kernels.one_blas_thread``: the pinned
+    OpenBLAS libraries and the thread count the run used.  ``blocks`` holds
+    further top-level records of what ran: ``integrator`` maps each
+    trajectory CSV's name to its ``Trajectory.integration`` record, and
+    ``solver`` summarizes the flux-qubit eigensolves."""
+    payload = {"tool": "topochain", "version": version, "versions": VERSIONS, "blas": blas, "config": config,
                "wall_time_s": wall_time, "outputs": {Path(p).name: file_sha256(p) for p in outputs}}
     if extras:
         payload["extras"] = extras

@@ -11,6 +11,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__, io
+from ._kernels import one_blas_thread
 from .config import MODEL, ExperimentConfig, parse_config
 from .dynamics import basis_state, pump, quench, transfer_fidelity
 from .effective import LZPath, classify_path, lz_evolve, reduction_report
@@ -226,11 +227,13 @@ def run(cfg: ExperimentConfig, out_dir, amplitudes: bool = False, stem=None) -> 
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = stem or cfg.output or cfg.command
     blocks = {}  # top-level manifest records beside the extras: "integrator", "solver"
-    start = time.perf_counter()
-    files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, amplitudes, blocks)
-    wall = time.perf_counter() - start
-    manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, extras,
-                                 blocks)
+    # at one BLAS thread the bits do not follow the thread count (see one_blas_thread)
+    with one_blas_thread() as blas:
+        start = time.perf_counter()
+        files, extras = _RUNNERS[cfg.command](cfg, out_dir, stem, amplitudes, blocks)
+        wall = time.perf_counter() - start
+    manifest = io.write_manifest(out_dir / f"{stem}.manifest.json", __version__, cfg.raw, files, wall, blas,
+                                 extras, blocks)
     return RunResult(files, manifest, extras)
 
 

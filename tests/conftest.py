@@ -2,11 +2,32 @@
 independent routes (dense LAPACK diagonalization, closed forms, power
 series), never against the code paths under test."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import topochain
 from topochain.models import ChainHamiltonian
+
+
+def run_at_blas_threads(cfg: dict, out: Path, threads: int) -> Path:
+    """``topochain run`` on ``cfg`` in a fresh interpreter whose OpenBLAS
+    libraries start at ``threads`` threads; returns the output directory."""
+    out.mkdir(parents=True)
+    cfg_path = out / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS=str(threads))
+    proc = subprocess.run([sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return out
 
 
 def dense_eigh(h: ChainHamiltonian):

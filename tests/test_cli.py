@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
+import topochain._kernels
 import topochain.cli
 import topochain.config
 import topochain.dynamics
@@ -25,14 +26,17 @@ from topochain import (
     build_ssh,
     build_trimer,
 )
+from topochain._kernels import _openblas_thread_controls
 from topochain.cli import main
 from topochain.config import _integration, parse_config
 from topochain.dynamics import MAGNUS_MAX_STEPS
-from topochain.errors import SchemaError
+from topochain.errors import IntegrationError, SchemaError
 from topochain.io import file_sha256
 from topochain.models import FunctionSpec, schedule_arrays
 from topochain.presets import PRESETS
 from topochain.runner import _build_model
+
+from conftest import run_at_blas_threads
 
 
 def _parse(cfg_dict):
@@ -141,6 +145,58 @@ def test_manifest_records_the_library_versions(tmp_path):
     manifest = json.loads((tmp_path / "quench.manifest.json").read_text())
     assert manifest["versions"] == {"python": "{}.{}.{}".format(*sys.version_info[:3]),
                                     "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _blas_threads(controls):
+    return [getter() for _, getter, _ in controls]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_a_run_holds_blas_at_one_thread(tmp_path, monkeypatch, fails):
+    # each OpenBLAS library reads one thread inside the run, and its own
+    # count again after it, also after a run that raises
+    controls = _openblas_thread_controls()
+    assert controls, "no OpenBLAS library with a thread setter is loaded"
+    spectrum, seen = topochain.runner._RUNNERS["spectrum"], []
+
+    def spying(*args):
+        seen.append(_blas_threads(controls))
+        if fails:
+            raise IntegrationError("the state became non-finite")
+        return spectrum(*args)
+
+    monkeypatch.setitem(topochain.runner._RUNNERS, "spectrum", spying)
+    cfg = _parse({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1})
+    original = _blas_threads(controls)
+    for _, _, setter in controls:  # a count other than 1, so that its return shows
+        setter(2)
+    try:
+        if fails:
+            with pytest.raises(IntegrationError):
+                topochain.runner.run(cfg, tmp_path)
+        else:
+            manifest = json.loads(topochain.runner.run(cfg, tmp_path).manifest.read_text())
+            assert manifest["blas"] == {"libraries": [name for name, _, _ in controls], "threads": 1}
+        assert seen == [[1] * len(controls)]
+        assert _blas_threads(controls) == [2] * len(controls)
+    finally:
+        for (_, _, setter), count in zip(controls, original):
+            setter(count)
+
+
+def test_manifest_records_a_run_with_no_blas_setter(tmp_path, monkeypatch):
+    monkeypatch.setattr(topochain._kernels, "_openblas_thread_controls", lambda: ())
+    cfg = _parse({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1})
+    manifest = json.loads(topochain.runner.run(cfg, tmp_path).manifest.read_text())
+    assert manifest["blas"] == {"libraries": [], "threads": None}
+
+
+def test_pump_csv_across_blas_thread_counts(tmp_path):
+    # fresh interpreters: BDF's Newton solve (scipy's OpenBLAS zgetrs) would
+    # round in the order of the thread split; a run holds one thread
+    cfg = dict(PRESETS["optimization"])["optimization_pump"]
+    one, two = (run_at_blas_threads(cfg, tmp_path / f"threads{t}", t) / "pump.csv" for t in (1, 2))
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_seed_override_changes_disorder(tmp_path):

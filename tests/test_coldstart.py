@@ -59,6 +59,13 @@ def test_cli_import_loads_no_heavy_scipy_subpackage():
     assert literal == computed
 
 
+def test_cli_import_finds_no_blas_library():
+    # the BLAS libraries' thread calls are looked up at the first run, not at import
+    code = ("import topochain.cli\n"
+            "print(topochain._kernels._openblas_thread_controls.cache_info().misses)\n")
+    assert _fresh(code).strip() == "0"
+
+
 def test_magnus_runs_load_no_scipy_integrate(tmp_path):
     # a tiny quench, lz and trimer run in one fresh interpreter, each with
     # the default integrator; only BDF loads scipy.integrate and, through

@@ -12,10 +12,6 @@ dH/df_eps in conftest.py, written from the module docstring's conventions.
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,13 +20,13 @@ import scipy.sparse as sp
 
 import topochain
 from topochain import FluxQubitSpec, InvalidParameterError, NumericError, sweep_point
-from topochain._kernels import tridiag_eigh
+from topochain._kernels import one_blas_thread, tridiag_eigh
 from topochain.config import parse_config
 from topochain.fluxcircuit import _dh_hops, band_cholesky, charge_band
 from topochain.io import write_csv
 from topochain.runner import run
 
-from conftest import kron_dh, kron_hamiltonian
+from conftest import kron_dh, kron_hamiltonian, run_at_blas_threads
 
 SMALL = FluxQubitSpec(charge_cutoff=6)
 
@@ -185,12 +181,14 @@ def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop,
 
 
 def test_level_sweep_off_an_integer_centre_solves_every_point(tmp_path):
-    # byte-identical to one direct solve per np.linspace point
+    # byte-identical to one direct solve per np.linspace point, at the one
+    # BLAS thread a run holds
     f_eps_range = {"start": -0.05, "stop": 0.031, "points": 5}
     path, spec, solver = _level_sweep(tmp_path / "run", f_eps_range, 1)
     assert solver["mirrored_points"] == 0 and solver["factorizations_total"] == 5
     values = np.linspace(-0.05, 0.031, 5)
-    points = [sweep_point(spec, 0.2, fe, 3) for fe in values]
+    with one_blas_thread():
+        points = [sweep_point(spec, 0.2, fe, 3) for fe in values]
     table = np.array([[*vals[:3], character.g_perp, character.g_par] for vals, character in points])
     reference = write_csv(tmp_path / "reference.csv", ["f_eps", "E_0", "E_1", "E_2", "g_perp", "g_par"],
                           [values, *table.T])
@@ -441,24 +439,14 @@ def test_sweep_point_reports_its_solver_stats():
     assert stats["solves"] > 0
 
 
-def _fluxqubit_csv(tmp_path, threads, run):
-    cfg_path = tmp_path / "flux.json"
-    cfg_path.write_text('{"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 5, '
-                        '"f_eps_range": {"start": -0.05, "stop": 0.031, "points": 5}}')
-    out = tmp_path / f"threads{threads}-{run}"
-    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]),
-               OPENBLAS_NUM_THREADS=str(threads))
-    proc = subprocess.run([sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return out / "fluxqubit.csv"
-
-
 def test_fluxqubit_csv_across_blas_thread_counts(tmp_path):
-    # fresh interpreters: repeat runs at one BLAS thread count are
-    # byte-identical.  Across thread counts only ARPACK's reorthogonalization
-    # (a BLAS zgemv whose sum order follows the thread split) moves the bits
-    one, two, again = (_fluxqubit_csv(tmp_path, t, r) for t, r in ((1, 0), (2, 0), (2, 1)))
-    assert two.read_bytes() == again.read_bytes()
-    a, b = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (one, two))
-    assert a.shape == (5, 8) and np.abs(a - b).max() <= 1e-12
+    # fresh interpreters: a run holds OpenBLAS at one thread, so ARPACK's
+    # reorthogonalization (a BLAS zgemv whose sum order would follow the
+    # thread split) gives the same bits whatever thread count the process
+    # starts with
+    cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 5,
+           "f_eps_range": {"start": -0.05, "stop": 0.031, "points": 5}}
+    one, two, again = (run_at_blas_threads(cfg, tmp_path / f"threads{t}-{r}", t) / "fluxqubit.csv"
+                       for t, r in ((1, 0), (2, 0), (2, 1)))
+    assert one.read_bytes() == two.read_bytes() == again.read_bytes()
+    assert np.loadtxt(one, delimiter=",", skiprows=1).shape == (5, 8)
