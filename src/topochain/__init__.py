@@ -1,5 +1,5 @@
 """topochain: topological edge-state storage and adiabatic transfer in
-1D qubit chains (SSH, Rice-Mele, trimer Rice-Mele, AAH), with the
+1D qubit chains (SSH, Rice-Mele, trimer Rice-Mele), with the
 effective Landau-Zener reduction and flux-qubit circuit quantization."""
 
 __version__ = "0.1.0"
@@ -20,7 +20,6 @@ from .models import (
     Schedule,
     apply_disorder,
     bell_transfer_schedule,
-    build_aah,
     build_rice_mele,
     build_ssh,
     build_trimer,
@@ -57,7 +56,6 @@ from .effective import (
     lz_evolve,
     path_c_frame,
     path_c_hamiltonian,
-    reduction_report,
 )
 from .couplings import (
     bessel_jn,

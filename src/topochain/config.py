@@ -247,16 +247,14 @@ CONFIG = {
 # halves its steps until the Richardson estimate is within rel_tol
 _UNREAD_TOLERANCES = {"rk4": ("rel_tol", "abs_tol"), "magnus": ("abs_tol",)}
 
-# flat static-model keys of each kind: its parameters (omega is optional in
-# an ssh chain) and the key that sizes the chain
+# flat static-model parameters of each kind (omega is optional in an ssh
+# chain); every kind is sized by its cells, L
 MODEL = {
-    "ssh": ({"a": _PARAM, "b": _PARAM, "omega": _TERM}, "L"),
-    "rm": ({"a": _PARAM, "b": _PARAM, "u": _PARAM}, "L"),
-    "trimer": (dict.fromkeys(("a", "b", "c", "u", "v", "w"), _PARAM), "L"),
-    "aah": (dict.fromkeys(("omega", "alpha", "phase", "hop"), _PARAM), "n_sites"),
+    "ssh": {"a": _PARAM, "b": _PARAM, "omega": _TERM},
+    "rm": {"a": _PARAM, "b": _PARAM, "u": _PARAM},
+    "trimer": dict.fromkeys(("a", "b", "c", "u", "v", "w"), _PARAM),
 }
-MODEL_KIND = Key("str", required=True, choices=tuple(MODEL))
-MODEL_SIZE = {"L": _CELLS, "n_sites": Key("int", required=True, bounds=(Bound(">=", 2),), feeds="sites")}
+MODEL_KIND = Key("str", required=True, choices=MODEL_KINDS)
 
 SPECTRUM_TRACE = {
     "schedule": _schedule(MODEL_KINDS),
@@ -303,19 +301,16 @@ _LZ_PATHS = {  # the constructor of each type: its keys, then T and n_samples
     "line_at_angle": LZPath.line_at_angle,
     "custom": LZPath.from_functions,
 }
-_REDUCE_NUMBER = Key("number", required=True, bounds=(_MAGNITUDE,))
 LZ = {
     "initial_state": Key("str", "L", choices=("L", "R")),
     "n_records": QUENCH["n_records"],
     "classify_tol": Key("number", bounds=(_POSITIVE,)),
     "path": LZ_PATH,
     "from_schedule": _schedule(("rm",), required=False),
-    "reduce": Key({"a": _REDUCE_NUMBER, "b": _REDUCE_NUMBER, "u": Key("number", 0.0, bounds=(_MAGNITUDE,)),
-                   "L": _CELLS}),
 }
 # the lz keys a run reads only beside one of the parts named: the path's
-# integration, and the classification of the path or the induced one
-LZ_READ_WITH = {"initial_state": ("path",), "n_records": ("path",), "classify_tol": ("path", "from_schedule")}
+# integration
+LZ_READ_WITH = {"initial_state": ("path",), "n_records": ("path",)}
 
 TRIMER = {
     "schedule": _schedule(("trimer",)),
@@ -415,7 +410,7 @@ def _check_bound(chk: list, name: str, ctx: str, value, bound: Bound) -> bool:
 
 
 def _sites(kind: Optional[str], count: Optional[int]) -> Optional[int]:
-    """Sites of a chain of ``count`` cells, or of ``count`` sites (aah)."""
+    """Sites of a chain of ``count`` cells."""
     return None if kind is None or count is None else SITES_PER_CELL[kind] * count
 
 
@@ -444,20 +439,20 @@ def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[
 
 
 def _model(chk: list, cfg: dict, ctx: str, table: dict, where=None):
-    """The flat static-model keys (kind, the kind's parameters, L or n_sites;
-    the other kinds' keys are unknown), then the command's ``table``.
-    Returns the model, its sites, the key that sizes it and the values;
-    ``where`` replaces ``ctx`` in the unknown- and missing-key messages."""
+    """The flat static-model keys (kind, the kind's parameters, L; the other
+    kinds' keys are unknown), then the command's ``table``.  Returns the
+    model, its sites and the values; ``where`` replaces ``ctx`` in the
+    unknown- and missing-key messages."""
     kind = cfg.get("kind")
-    params, size = MODEL[kind] if isinstance(kind, str) and kind in MODEL else ({}, None)
-    allowed = _COMMON + tuple(table) + tuple(params) + ((size,) if size else tuple(MODEL_SIZE))
+    params = MODEL[kind] if isinstance(kind, str) and kind in MODEL else {}
+    allowed = _COMMON + tuple(table) + tuple(params) + ("L",)
     kind = _walk(chk, cfg, {"kind": MODEL_KIND}, ctx, allowed, where)[0]["kind"]
     model = None
     if kind is not None:
-        model = {"kind": kind, "params": _walk(chk, cfg, params, f"{ctx} (kind '{kind}')", extra=None)[0]}
-        model[size] = _take(chk, cfg, size, MODEL_SIZE[size], ctx, ctx)[0]
-    sites = _sites(kind, model and model[size])
-    return model, sites, f"'{size}' in {ctx}", _walk(chk, cfg, table, ctx, extra=None)[0]
+        model = {"kind": kind, "params": _walk(chk, cfg, params, f"{ctx} (kind '{kind}')", extra=None)[0],
+                 "L": _take(chk, cfg, "L", _CELLS, ctx, ctx)[0]}
+    sites = _sites(kind, model and model["L"])
+    return model, sites, _walk(chk, cfg, table, ctx, extra=None)[0]
 
 
 def _pump(chk: list, cfg: dict, ctx: str, table: dict) -> dict:
@@ -486,7 +481,7 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         return {"mode": "trace", **chain, **v}
     mode = "sweep" if "sweep" in cfg else "static"
     table, where = (SPECTRUM_SWEEP, f"{ctx} with 'sweep'") if mode == "sweep" else (SPECTRUM_STATIC, ctx)
-    model, sites, sites_key, v = _model(chk, cfg, ctx, table, where)
+    model, sites, v = _model(chk, cfg, ctx, table, where)
     options = {"mode": mode, "model": model}
     sweep = v.get("sweep")
     if sweep is not None:
@@ -494,7 +489,7 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         options["sweep"] = sweep
         if model is not None and name is not None and name not in model["params"]:
             chk.append(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
-    _check_size(chk, sites, sites_key, sweep and sweep["points"], f"'points' in {ctx}.sweep")
+    _check_size(chk, sites, f"'L' in {ctx}", sweep and sweep["points"], f"'points' in {ctx}.sweep")
     levels = v.get("export_states")
     if "export_states" in cfg:
         options["export_states"] = levels
@@ -505,9 +500,9 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
 
 
 def _quench(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
-    model, sites, sites_key, v = _model(chk, cfg, ctx, QUENCH)
+    model, sites, v = _model(chk, cfg, ctx, QUENCH)
     _check_site(chk, v["flip_site"], sites, "flip_site", ctx)
-    _check_size(chk, sites, sites_key, v["n_records"], f"'n_records' in {ctx}")
+    _check_size(chk, sites, f"'L' in {ctx}", v["n_records"], f"'n_records' in {ctx}")
     if v["disorder"] is not None and v["disorder"]["seed"] is None:
         v["disorder"]["seed"] = seed
     return {"model": model, **v}
@@ -515,9 +510,9 @@ def _quench(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
 
 def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     options = _walk(chk, cfg, LZ, ctx, _COMMON)[0]
-    path, chain, reduce = (options.pop(name) for name in ("path", "from_schedule", "reduce"))
-    if not any(key in cfg for key in ("path", "from_schedule", "reduce")):
-        chk.append(f"{ctx} needs one of 'path', 'from_schedule' or 'reduce'")
+    path, chain = options.pop("path"), options.pop("from_schedule")
+    if "path" not in cfg and "from_schedule" not in cfg:
+        chk.append(f"{ctx} needs one of 'path' or 'from_schedule'")
     chk += [f"key '{name}' in {ctx} is read only with {' or '.join(map(repr, parts))}"
             for name, parts in LZ_READ_WITH.items() if name in cfg and not any(part in cfg for part in parts)]
     if path is not None:
@@ -533,13 +528,6 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
                 chk.append(f"key 'theta' in {ctx}.path makes g = tan(theta) * u non-finite ({exc})")
     if "from_schedule" in cfg:
         options["from_schedule"] = chain or _NO_CHAIN
-    if reduce is not None:
-        options["reduce"] = reduce
-        _check_size(chk, _sites("rm", reduce["L"]), f"'L' in {ctx}.reduce")
-        a, b = reduce["a"], reduce["b"]
-        if a is not None and b is not None and not abs(a) < abs(b):
-            chk.append(f"keys 'a' and 'b' in {ctx}.reduce must have |a| < |b|, the topological phase the reduction "
-                       f"needs, got a={a}, b={b}")
     return options
 
 
@@ -620,10 +608,10 @@ def _integration(command: Optional[str], options: dict):
         return schedule.total_time, f"'T' in command '{command}'.{key}", bound
     if command == "quench":
         model, disorder, bound = options["model"], options["disorder"], None
-        size = model and model[MODEL[model["kind"]][1]]
-        if size is not None and 2 <= _sites(model["kind"], size) <= MAX_SITES:  # a size out of bounds is not laid out
+        L = model and model["L"]
+        if L is not None and 2 <= _sites(model["kind"], L) <= MAX_SITES:  # a size out of bounds is not laid out
             deviate = (MAX_DEVIATE * disorder["sigma"], disorder["targets"]) if disorder is not None else ()
-            bound = _row_sum_bound(model["kind"], size, model["params"], *deviate)
+            bound = _row_sum_bound(model["kind"], L, model["params"], *deviate)
         return options["t_final"], "'t_final' in command 'quench'", bound
     return None, None, None
 

@@ -25,8 +25,7 @@ import numpy as np
 from .dynamics import IntegratorConfig, Trajectory, evolve, pump
 from .errors import InvalidParameterError, PhaseDomainError
 from .models import FunctionSpec, Schedule, chain_arrays, const, schedule_arrays
-from .spectra import analytic_edge_states, coupling_ratio_norm_sq, eigendecompose
-from . import models
+from .spectra import analytic_edge_states, coupling_ratio_norm_sq
 
 
 def edge_coupling(a, b, L: int):
@@ -283,24 +282,3 @@ def compare_reduction(
     dev = float(np.abs(pop_full - pop_reduced).max())
     return ReductionComparison(full.times, pop_full, pop_reduced, dev)
 
-
-def reduction_report(a: float, b: float, u: float, L: int) -> dict:
-    """Closed-form reduction next to the exact mid-gap splitting of the
-    matching Rice-Mele chain; ``rel_err`` compares 2*sqrt(u^2+g^2) with it."""
-    diag, off = reduced_arrays("rm", L, {"a": a, "b": b, "u": u})
-    spectrum = eigendecompose(models.build_rice_mele(L, a, b, u))
-    order = np.argsort(np.abs(spectrum.eigenvalues))
-    pair = np.sort(spectrum.eigenvalues[order[:2]])
-    exact_splitting = float(pair[1] - pair[0])
-    model_splitting = 2.0 * float(np.hypot(diag[0], off[0]))
-    rel_err = abs(model_splitting - exact_splitting) / exact_splitting if exact_splitting else np.inf
-    lam = -a / b
-    return {
-        "u": float(u),
-        "g": off[0],
-        "offset": (diag[0] + diag[1]) / 2.0,
-        "lambda": lam,
-        "xi_norm_sq": coupling_ratio_norm_sq(lam, int(L)),
-        "exact_splitting": exact_splitting,
-        "rel_err": rel_err,
-    }

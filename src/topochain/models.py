@@ -17,7 +17,7 @@ from .errors import InvalidDimensionError, InvalidParameterError, NumericError
 
 MODEL_KINDS = ("ssh", "rm", "trimer")
 SCHEDULE_PARAMS = {"ssh": ("a", "b"), "rm": ("a", "b", "u"), "trimer": ("a", "b", "c", "u", "v", "w")}
-SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3, "aah": 1}
+SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3}
 
 FUNCTION_FORMS = ("const", "sin", "cos", "linear")
 
@@ -73,8 +73,7 @@ def _check_cells(L: int) -> int:
 
 
 def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
-    """Diagonal and bonds of a chain of ``size`` cells (sites, for aah) from
-    its parameters.
+    """Diagonal and bonds of a chain of ``size`` cells from its parameters.
 
     This is the one layout of every chain kind: the builders pass scalars,
     the schedule evaluator and the sweeps pass scalars or arrays of shape
@@ -83,11 +82,6 @@ def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
     n = SITES_PER_CELL[kind] * size
     diag = np.empty(shape + (n,))
     off = np.empty(shape + (n - 1,))
-    if kind == "aah":
-        j = np.arange(1, n + 1, dtype=np.float64)
-        diag[...] = p["omega"] * np.cos(2.0 * np.pi * j * p["alpha"] + p["phase"])
-        off[...] = p["hop"]
-        return diag, off
     if kind == "trimer":
         for i, (site, bond) in enumerate((("u", "a"), ("v", "b"), ("w", "c"))):
             diag[..., i::3] = p[site]
@@ -118,16 +112,6 @@ def build_trimer(L: int, a: float, b: float, c: float, u: float, v: float, w: fl
     final c bond absent, on-site energies repeat (u,v,w)."""
     p = {"a": a, "b": b, "c": c, "u": u, "v": v, "w": w}
     return ChainHamiltonian(*chain_arrays("trimer", _check_cells(L), p))
-
-
-def build_aah(n_sites: int, omega: float, alpha: float, phase: float, hop: float) -> ChainHamiltonian:
-    """Aubry-Andre-Harper chain: diagonal omega*cos(2*pi*j*alpha + phase)
-    with 1-based site index j, uniform hopping (the a = b case)."""
-    n_sites = int(n_sites)
-    if n_sites < 2:
-        raise InvalidDimensionError(f"AAH chain needs >= 2 sites, got {n_sites}")
-    p = {"omega": omega, "alpha": alpha, "phase": phase, "hop": hop}
-    return ChainHamiltonian(*chain_arrays("aah", n_sites, p))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import __version__, io
 from ._kernels import one_blas_thread
-from .config import MODEL, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .dynamics import basis_state, pump, quench, transfer_fidelity
-from .effective import LZPath, classify_path, lz_evolve, reduction_report
+from .effective import LZPath, classify_path, lz_evolve
 from .errors import InvalidParameterError
 from .fluxcircuit import FluxQubitSpec, solver_record, sweep_point
 from .models import SITES_PER_CELL, ChainHamiltonian, DisorderSpec, apply_disorder, chain_arrays
@@ -27,8 +27,6 @@ from .spectra import (
     instantaneous_spectrum,
     trace_from_hamiltonians,
 )
-
-_EDGE_SITES = dict(SITES_PER_CELL, aah=2)
 
 
 @dataclass
@@ -46,8 +44,7 @@ def _trajectory_csv(path: Path, traj, amplitudes: bool, blocks: dict) -> Path:
 def _build_model(model: dict, swept: Optional[dict] = None, shape: tuple = ()):
     """(diag, off) of the config's static model, the ``swept`` parameters
     replaced by columns of shape ``shape + (1,)``."""
-    size = model[MODEL[model["kind"]][1]]
-    return chain_arrays(model["kind"], size, {**model["params"], **(swept or {})}, shape)
+    return chain_arrays(model["kind"], model["L"], {**model["params"], **(swept or {})}, shape)
 
 
 def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
@@ -59,7 +56,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
         return files, extras
 
     model = opts["model"]
-    n_edge = _EDGE_SITES[model["kind"]]
+    n_edge = SITES_PER_CELL[model["kind"]]
     if opts["mode"] == "sweep":
         sweep = opts["sweep"]
         name = opts["sweep_param"]
@@ -116,15 +113,10 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
     opts = cfg.options
     files, extras = [], {}
     tol = opts.get("classify_tol")
-    # the integration and the reduction run before the first file is
-    # written, so a run that fails in either leaves no file
     if "path" in opts:
+        # integrated before the first file is written, so a failed integration leaves no file
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
         traj = lz_evolve(opts["path"], psi0, cfg.integrator, opts["n_records"])
-    if "reduce" in opts:
-        r = opts["reduce"]
-        report = reduction_report(r["a"], r["b"], r["u"], r["L"])
-    if "path" in opts:
         files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", opts["path"]))
         extras["path_class"] = classify_path(opts["path"], tol).value
         files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks))
@@ -135,9 +127,6 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
         path = LZPath.from_schedule(fs["schedule"], fs["L"])
         files.append(io.lz_path_csv(out_dir / f"{stem}_schedule_path.csv", path))
         extras["schedule_path_class"] = classify_path(path, tol).value
-    if "reduce" in opts:
-        files.append(io.write_json(out_dir / f"{stem}_reduction.json", report))
-        extras["reduction_rel_err"] = report["rel_err"]
     return files, extras
 
 

@@ -21,7 +21,6 @@ from topochain import (
     ChainHamiltonian,
     DisorderSpec,
     apply_disorder,
-    build_aah,
     build_rice_mele,
     build_ssh,
     build_trimer,
@@ -293,16 +292,6 @@ def test_fluxqubit_manifest_records_the_solver(tmp_path):
         assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= solved * solver["solves_max_per_point"]
 
 
-def test_lz_reduce_writes_json_report(tmp_path):
-    cfg = {"schema": 1, "command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}}
-    cfg_path = tmp_path / "lz.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "lz_reduction.json").read_text())
-    assert report["rel_err"] <= 0.05
-    assert report["lambda"] == -0.3
-
-
 def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 7, "a": 0.1, "b": 1, "u": 1}))
@@ -348,26 +337,6 @@ def test_rk4_method_via_config(tmp_path):
     rows_bdf = np.genfromtxt(out2 / "pump.csv", delimiter=",", names=True)
     for j in range(1, 5):
         assert np.abs(rows_rk4[f"sz_{j}"] - rows_bdf[f"sz_{j}"]).max() < 1e-7
-
-
-def test_aah_spectrum_config(tmp_path):
-    cfg = {
-        "schema": 1,
-        "command": "spectrum",
-        "kind": "aah",
-        "n_sites": 13,
-        "omega": 1.0,
-        "alpha": 0.6180339887498949,
-        "phase": 0.0,
-        "hop": 1.0,
-    }
-    cfg_path = tmp_path / "aah.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "spectrum.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 13
-    assert rows[0]["level"] == "1"
 
 
 def test_spectrum_trace_mode(tmp_path):
@@ -470,7 +439,6 @@ _GAP_SWEEP = {"command": "fluxqubit", "f_alpha_sweep": {"start": 0.0, "stop": 0.
 _A_SWEEP = {"command": "spectrum", "kind": "ssh", "L": 7, "a": 0.0, "b": 1.0,
             "sweep": {"param": "a", "start": 0.0, "stop": 2.0, "points": 5}}
 _INDUCED_PATH = {"command": "lz", "from_schedule": PRESETS["lz2"][0][1]["from_schedule"]}
-_REDUCE = {"command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}}
 _GRID = {"start": 0.0, "stop": 1.0, "points": 3}
 _MATCHED = {"command": "couplings", "scheme": "matched", "alpha1": _GRID, "alpha2": _GRID}
 _SMALL_QUENCH = {"command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
@@ -491,7 +459,6 @@ def _without(cfg: dict, key: str) -> dict:
         (dict(_GAP_SWEEP, f_alpha=0.2), "f_alpha"),
         (dict(_GAP_SWEEP, f_eps_range={"start": -0.05, "stop": 0.05, "points": 41}), "f_eps_range"),
         (dict(_A_SWEEP, export_states="edge"), "export_states"),
-        (dict(_REDUCE, classify_tol=1e-3), "classify_tol"),
         (dict(_INDUCED_PATH, initial_state="R"), "initial_state"),
         (dict(_INDUCED_PATH, n_records=51), "n_records"),
         ({"command": "spectrum", "kind": "ssh", "L": 2, "a": 0.1, "b": 1,
@@ -499,7 +466,6 @@ def _without(cfg: dict, key: str) -> dict:
         (dict(_A_SWEEP, integrator={"rel_tol": 1e-6}), "integrator"),
         (dict(_MATCHED, integrator={"method": "bdf"}), "integrator"),
         (dict(_GAP_SWEEP, integrator={"method": "magnus"}), "integrator"),
-        (dict(_REDUCE, integrator={"method": "rk4"}), "integrator"),
         (dict(_INDUCED_PATH, integrator={}), "integrator"),
         (dict(_SMALL_QUENCH, integrator={"method": "rk4", "rel_tol": 1e-2}), "integrator.rel_tol"),
         (dict(_SMALL_QUENCH, integrator={"method": "rk4", "abs_tol": 1e-3}), "integrator.abs_tol"),
@@ -508,15 +474,15 @@ def _without(cfg: dict, key: str) -> dict:
           "integrator": {"method": "magnus", "abs_tol": 1e-3}}, "integrator.abs_tol"),
         (dict(_MATCHED, n_max=3), "n_max"),
     ],
-    ids=["gap-levels", "gap-f_alpha", "gap-f_eps_range", "sweep-export_states", "reduce-classify_tol",
+    ids=["gap-levels", "gap-f_alpha", "gap-f_eps_range", "sweep-export_states",
          "from_schedule-initial_state", "from_schedule-n_records", "spectrum-integrator", "sweep-integrator",
-         "couplings-integrator", "fluxqubit-integrator", "reduce-integrator", "from_schedule-integrator",
+         "couplings-integrator", "fluxqubit-integrator", "from_schedule-integrator",
          "rk4-rel_tol", "rk4-abs_tol", "magnus-abs_tol", "lz-path-magnus-abs_tol", "matched-n_max"],
 )
 def test_keys_the_run_never_reads_are_named_violations(tmp_path, capsys, cfg, key):
     # no run reads these keys: the gap sweep solves two levels a point at
     # f_eps = 0, a sweep exports no states, an lz run reads them only
-    # beside the path it integrates or classifies, only a run that
+    # beside the path it integrates, only a run that
     # integrates reads an integrator, RK4 reads no tolerance and Magnus no
     # abs_tol, and the matched couplings J0 J1 have no series to cut
     _parse(dict(_without(cfg, key), schema=1))
@@ -562,6 +528,31 @@ def test_flag_front_ends_are_gone(tmp_path, capsys, subcommand):
     assert "{run,reproduce}" in capsys.readouterr().out
 
 
+_AAH_PARAMS = {"n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4, "hop": -0.8}
+_REDUCE = {"a": 0.3, "b": 1.0, "L": 7}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"command": "spectrum", "kind": "aah", **_AAH_PARAMS}, "kind"),
+        ({"command": "quench", "kind": "aah", **_AAH_PARAMS, "t_final": 1.0}, "kind"),
+        ({"command": "lz", "reduce": _REDUCE}, "reduce"),
+        ({"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "reduce": _REDUCE}, "reduce"),
+    ],
+    ids=["spectrum-aah", "quench-aah", "lz-reduce", "lz-path-reduce"],
+)
+def test_retired_config_surface_is_named_violations(tmp_path, capsys, cfg, key):
+    # the Aubry-Andre-Harper chain kind and the lz reduction report are
+    # gone: a config that asks for either is rejected by name, and nothing runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(cfg, schema=1)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "override, key",
     [
@@ -589,29 +580,24 @@ _TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.
     "cfg, key",
     [
         ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 0, "a": 0.1, "b": 1}, "L"),
-        ({"schema": 1, "command": "spectrum", "kind": "aah", "n_sites": 1, "omega": 1.0, "alpha": 0.3,
-          "phase": 0.0, "hop": 1.0}, "n_sites"),
         (dict(_TINY_QUENCH, n_records=1), "n_records"),
         ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "n_records": 1}, "n_records"),
         (dict(_TINY_QUENCH, flip_site=9), "flip_site"),
         ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "initial_site": 0}, "initial_site"),
-        ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 0}}, "L"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 2}}, "n_samples"),
         ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [99]},
          "export_states"),
-        ({"schema": 1, "command": "spectrum", "kind": "aah", "n_sites": 5, "omega": 1.0, "alpha": 0.3,
-          "phase": 0.0, "hop": 1.0, "export_states": [1, 0]}, "export_states"),
+        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [1, 0]},
+         "export_states"),
     ],
-    ids=["L-0", "aah-n_sites-1", "quench-n_records-1", "pump-n_records-1", "flip_site-9",
-         "initial_site-0", "reduce-L-0", "lz-n_samples-2", "export_states-99", "export_states-0"],
+    ids=["L-0", "quench-n_records-1", "pump-n_records-1", "flip_site-9", "initial_site-0", "lz-n_samples-2",
+         "export_states-99", "export_states-0"],
 )
 def test_sizes_and_sites_are_named_violations(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
 _SSH_SPECTRUM = {"schema": 1, "command": "spectrum", "kind": "ssh", "a": 0.1, "b": 1}
-_AAH_SPECTRUM = {"schema": 1, "command": "spectrum", "kind": "aah", "omega": 1.0, "alpha": 0.3, "phase": 0.0,
-                 "hop": 1.0}
 _TRACE = {"schema": 1, "command": "spectrum", "n_times": 201}
 _SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
 
@@ -620,7 +606,6 @@ _SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
     "cfg, key",
     [
         (dict(_SSH_SPECTRUM, L=100000000), "L"),
-        (dict(_AAH_SPECTRUM, n_sites=1001), "n_sites"),
         (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=501)), "L"),
         (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=100), n_times=1001), "n_times"),
         (dict(_SSH_SPECTRUM, L=100, sweep=dict(_SWEEP, points=1001)), "points"),
@@ -629,7 +614,6 @@ _SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
         ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "n_records": 50001}, "n_records"),
         ({"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, cycles=250)}, "cycles"),
         ({"schema": 1, "command": "trimer", "schedule": dict(PRESETS["belltransfer"][0][1]["schedule"], L=334)}, "L"),
-        ({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 501}}, "L"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100001},
          "n_records"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 100001}},
@@ -637,9 +621,8 @@ _SWEEP = {"param": "a", "start": 0.0, "stop": 2.0}
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 1000000000}},
          "n_samples"),
     ],
-    ids=["spectrum-L", "aah-n_sites", "trace-L", "trace-n_times", "sweep-points", "quench-L", "quench-n_records",
-         "pump-n_records", "pump-cycles", "trimer-L", "reduce-L", "lz-n_records", "lz-n_samples",
-         "lz-n_samples-1e9"],
+    ids=["spectrum-L", "trace-L", "trace-n_times", "sweep-points", "quench-L", "quench-n_records",
+         "pump-n_records", "pump-cycles", "trimer-L", "lz-n_records", "lz-n_samples", "lz-n_samples-1e9"],
 )
 def test_size_bounds_are_named_violations(tmp_path, capsys, cfg, key):
     # parsed only: a config over a bound is rejected before anything runs
@@ -649,12 +632,10 @@ def test_size_bounds_are_named_violations(tmp_path, capsys, cfg, key):
 def test_size_bounds_admit_their_limits():
     # 1000 sites, and 200,000 rows x sites, exactly
     _parse(dict(_SSH_SPECTRUM, L=500))
-    _parse(dict(_AAH_SPECTRUM, n_sites=1000))
     _parse(dict(_TRACE, schedule=dict(_TINY_SCHEDULE, L=100), n_times=1000))
     _parse(dict(_SSH_SPECTRUM, L=500, sweep=dict(_SWEEP, points=200)))
     _parse(dict(_TINY_QUENCH, n_records=50000))
     _parse({"schema": 1, "command": "pump", "schedule": dict(_TINY_SCHEDULE, cycles=249)})
-    _parse({"schema": 1, "command": "lz", "reduce": {"a": 0.1, "b": 1.0, "L": 500}})
     _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "n_records": 100000})
     _parse({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 100000}})
 
@@ -814,18 +795,6 @@ def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "lz_path.csv").exists()
 
 
-def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
-    # a reduction outside |a| < |b| is a named violation, and nothing is run
-    cfg = {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0},
-           "reduce": {"a": 2.0, "b": 1.0, "L": 3}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert ("keys 'a' and 'b' in command 'lz'.reduce must have |a| < |b|, the topological phase the reduction "
-            "needs, got a=2.0, b=1.0") in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -834,8 +803,6 @@ def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
         dict(_BELL, schedule=dict(_BELL["schedule"], cycles=2)),
         {"schema": 1, "command": "pump", "schedule": _RAMP_SCHEDULE},
         dict(PRESETS["trivial"][1][1], disorder={"sigma": 0.3}, omega=-0.7),
-        {"schema": 1, "command": "quench", "kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618,
-         "phase": 0.4, "hop": -0.8, "t_final": 1.0},
         {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.3, "theta": 0.7, "T": 10.0}},
         {"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": -1.3, "T": 10.0}},
         _TRIMER_QUENCH,
@@ -843,7 +810,7 @@ def test_failed_lz_reduction_writes_no_file(tmp_path, capsys):
         dict(_BELL, schedule=dict(_BELL["schedule"], L=1, params=dict(
             _BELL["schedule"]["params"], c={"form": "const", "offset": 3.0}))),
     ],
-    ids=["pumping", "optimization_pump", "bell-2-cycles", "linear-3-cycles", "disordered-quench", "aah",
+    ids=["pumping", "optimization_pump", "bell-2-cycles", "linear-3-cycles", "disordered-quench",
          "lz-tilted", "lz-arc", "trimer-quench", "ssh-quench-L1", "trimer-pump-L1"],
 )
 def test_rk4_norm_bound_holds(cfg):
@@ -878,13 +845,10 @@ _SWEPT_MODELS = {
            lambda n, p: build_rice_mele(n, p["a"], p["b"], p["u"])),
     "trimer": ({"kind": "trimer", "L": 3, "a": 0.4, "b": 0.7, "c": 1.0, "u": 0.3, "v": -0.2, "w": 0.1},
                lambda n, p: build_trimer(n, *(p[name] for name in "abcuvw"))),
-    "aah": ({"kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4, "hop": -0.8},
-            lambda n, p: build_aah(n, p["omega"], p["alpha"], p["phase"], p["hop"])),
 }
 
 
-@pytest.mark.parametrize("kind, param", [("ssh", "omega"), ("rm", "a"), ("trimer", "c"), ("aah", "omega"),
-                                         ("aah", "alpha"), ("aah", "phase"), ("aah", "hop")])
+@pytest.mark.parametrize("kind, param", [("ssh", "omega"), ("rm", "a"), ("trimer", "c")])
 def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, param):
     # the runner lays a sweep out in one call, the parameter a column; each
     # row must be the chain the builder makes at that point, byte for byte
@@ -901,8 +865,7 @@ def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, p
     monkeypatch.setattr(topochain.runner, "trace_from_hamiltonians", trace_spy)
     topochain.runner.run(cfg, tmp_path)
     (values, diag, off), = seen
-    size = model.get("L", model.get("n_sites"))
-    chains = [build(size, dict(cfg.options["model"]["params"], **{param: float(v)})) for v in values]
+    chains = [build(model["L"], dict(cfg.options["model"]["params"], **{param: float(v)})) for v in values]
     assert diag.tobytes() == np.stack([h.diagonal for h in chains]).tobytes()
     assert off.tobytes() == np.stack([h.offdiagonal for h in chains]).tobytes()
 
@@ -1116,19 +1079,16 @@ _BEYOND = 1e308  # two such bonds give eigenvalues beyond the float range
     [
         (dict(_SSH_SPECTRUM, L=7, a=_BEYOND, b=-_BEYOND), ("a", "b")),
         ({"schema": 1, "command": "spectrum", "kind": "rm", "L": 7, "a": 1.0, "b": 1.0, "u": _BEYOND}, ("u",)),
-        (dict(_AAH_SPECTRUM, n_sites=9, omega=_BEYOND, hop=-_BEYOND), ("omega", "hop")),
         (dict(_TRACE, schedule=dict(_TINY_SCHEDULE, params={
             "a": {"form": "const", "offset": _BEYOND}, "b": {"form": "sin", "amplitude": -_BEYOND}})),
          ("offset", "amplitude")),
         (dict(_TINY_QUENCH, disorder={"sigma": _BEYOND}), ("sigma",)),
-        ({"schema": 1, "command": "lz", "reduce": {"a": _BEYOND, "b": -_BEYOND, "u": _BEYOND, "L": 3}},
-         ("a", "b", "u")),
         ({"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": _BEYOND, "theta": _BEYOND,
                                                   "T": 5.0}}, ("alpha", "theta")),
         ({"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1e299,
                                                   "theta": 1.5707963267948966, "T": 5.0}}, ("theta",)),
     ],
-    ids=["ssh", "rm", "aah", "trace", "disorder", "reduce", "lz-path", "lz-path-tilt"],
+    ids=["ssh", "rm", "trace", "disorder", "lz-path", "lz-path-tilt"],
 )
 def test_entries_of_h_are_bounded(tmp_path, capsys, cfg, keys):
     # parsed only: each number that sets an entry of H has magnitude below
@@ -1147,11 +1107,10 @@ def test_entries_of_h_at_the_bound_stay_finite(tmp_path):
     cfgs = [
         {"schema": 1, "command": "spectrum", "kind": "rm", "L": 7, "a": big, "b": -big, "u": big, "output": "rm"},
         dict(_TRACE, n_times=11, schedule={"kind": "trimer", "L": 3, "T": 1.0, "params": trimer}, output="trace"),
-        dict(_AAH_SPECTRUM, n_sites=9, omega=big, hop=-big, output="aah"),
     ]
     code, err = _run_fresh(tmp_path, *cfgs)
     assert code == 0 and "Warning" not in err, err
-    for name in ("rm", "trace", "aah"):
+    for name in ("rm", "trace"):
         assert np.isfinite(_csv_values(tmp_path / f"{name}.csv")).all()
 
 

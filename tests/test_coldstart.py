@@ -27,11 +27,12 @@ SRC = Path(topochain.__file__).resolve().parents[1]
 HEAVY = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
 # (module, attribute) bindings the tracer still lists for a function the
 # package deleted: H(t) comes from models.schedule_arrays, which the tracer
-# does not wrap yet, and fluxcircuit.sweep_point is the one flux solve.  It
-# reports them as absent; a span keeps its other bindings, and a span with
-# none left reads 0 (perfbench/README.md)
+# does not wrap yet, fluxcircuit.sweep_point is the one flux solve, and the
+# Aubry-Andre-Harper chain is gone.  It reports them as absent; a span keeps
+# its other bindings, and a span with none left reads 0 (perfbench/README.md)
 RETIRED_BINDINGS = {
     ("topochain.models", "sample_schedule"),
+    ("topochain.models", "build_aah"),
     ("topochain.fluxcircuit", "qubit_gap"),
     ("topochain.fluxcircuit", "build_charge_hamiltonian"),
     ("topochain.fluxcircuit", "d_hamiltonian_d_feps"),

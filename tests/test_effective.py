@@ -27,7 +27,6 @@ from topochain import (
     path_c_frame,
     path_c_hamiltonian,
     pump_schedule,
-    reduction_report,
     trimer_edge_states,
 )
 from topochain._kernels import tridiag_eigh
@@ -343,19 +342,26 @@ def test_reduced_arrays_at_k_times_match_k_single_times(schedule, fractions):
         assert np.all(np.abs(diag[i] - d) <= tol * np.abs(d)) and np.all(np.abs(off[i] - o) <= tol * np.abs(o))
 
 
+def _reduction_rel_err(a, b, u, L):
+    """The reduced splitting 2*sqrt(u^2 + g^2) against the dense mid-gap
+    splitting of the Rice-Mele chain, as a relative error."""
+    diag, off = _rm(a, b, u, L)
+    exact = _midgap_splitting(build_rice_mele(L, a, b, u))
+    return abs(2.0 * np.hypot(diag[0], off[0]) - exact) / exact
+
+
 def test_reduction_improves_as_lambda_shrinks():
-    errors = []
-    for lam_target in (1e-2, 1e-4, 1e-6):
-        a = lam_target ** (1.0 / 7.0)
-        errors.append(reduction_report(a, 1.0, 0.0, 7)["rel_err"])
+    errors = [_reduction_rel_err(lam_target ** (1.0 / 7.0), 1.0, 0.0, 7) for lam_target in (1e-2, 1e-4, 1e-6)]
     assert errors[0] > errors[1] > errors[2]
 
 
 def test_reduction_report_fields():
-    report = reduction_report(0.3, 1.0, 0.0, 7)
-    assert set(report) == {"u", "g", "offset", "lambda", "xi_norm_sq", "exact_splitting", "rel_err"}
-    assert report["lambda"] == pytest.approx(-0.3)
-    assert report["rel_err"] <= 0.05
+    # the one-cell chain at a = 0.3, b = 1: on-site 0, g = Xi^2 a lam^(L-1)
+    # at lam = -a/b = -0.3, and its splitting within 5% of the dense one
+    diag, off = _rm(0.3, 1.0, 0.0, 7)
+    assert diag.tolist() == [0.0, 0.0]
+    assert off[0] == pytest.approx(coupling_ratio_norm_sq(-0.3, 7) * 0.3 * (-0.3) ** 6, rel=1e-14)
+    assert _reduction_rel_err(0.3, 1.0, 0.0, 7) <= 0.05
 
 
 # -- reduced dynamics -----------------------------------------------------------

@@ -13,7 +13,6 @@ from topochain import (
     Schedule,
     apply_disorder,
     bell_transfer_schedule,
-    build_aah,
     build_rice_mele,
     build_ssh,
     build_trimer,
@@ -104,30 +103,11 @@ def test_trimer_small_spectra_symmetric():
     assert np.abs(vals9).min() < 1e-12
 
 
-def test_aah_limits():
-    h = build_aah(4, 0.0, 0.123, 0.0, 1.0)
-    assert np.array_equal(h.diagonal, np.zeros(4))
-    assert np.array_equal(h.offdiagonal, np.ones(3))
-    h2 = build_aah(14, 1.0, 0.5, 0.0, 1.0)
-    assert np.allclose(np.abs(h2.diagonal), 1.0)
-    assert np.allclose(h2.diagonal[:-1] * h2.diagonal[1:], -1.0)  # alternating
-    with pytest.raises(InvalidDimensionError):
-        build_aah(1, 1.0, 0.5, 0.0, 1.0)
-
-
-def test_aah_quasiperiodic_spectrum_matches_oracle():
-    h = build_aah(13, 1.0, (np.sqrt(5) - 1) / 2, 0.0, 1.0)
-    from topochain import eigendecompose
-
-    assert np.abs(eigendecompose(h).eigenvalues - dense_eigvals(h)).max() < 1e-10
-
-
 def test_builders_are_strictly_tridiagonal(rng):
     for build in (
         lambda: build_ssh(5, 0.3, 1.1, 0.2),
         lambda: build_rice_mele(5, 0.3, 1.1, 0.7),
         lambda: build_trimer(4, 0.3, 0.3, 1.1, 0.1, 0.2, 0.3),
-        lambda: build_aah(9, 0.5, 0.7, 0.1, 1.0),
     ):
         h = build()
         dense = h.to_dense()

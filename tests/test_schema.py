@@ -23,8 +23,8 @@ from topochain.presets import PRESETS
 
 PRESET_CONFIGS = dict(entry for entries in PRESETS.values() for entry in entries)
 
-_MODEL_KEYS = {"kind": config.MODEL_KIND, **config.MODEL_SIZE,
-               **{name: key for params, _ in config.MODEL.values() for name, key in params.items()}}
+_MODEL_KEYS = {"kind": config.MODEL_KIND, "L": config._CELLS,
+               **{name: key for params in config.MODEL.values() for name, key in params.items()}}
 # every key a command's top level may hold, whatever its mode or model kind
 COMMAND_KEYS = {
     "spectrum": {**config.SPECTRUM_TRACE, **config.SPECTRUM_STATIC, **config.SPECTRUM_SWEEP, **_MODEL_KEYS},
@@ -45,14 +45,23 @@ def _children(key: Key) -> dict:
     return {**key.kind, **(_PATH_KEYS if key is config.LZ_PATH else {})}
 
 
-def table_names() -> set:
-    """Every key name of every table of the schema."""
-    names, stack = set(), [config.CONFIG, config.FUNCTION.kind, *COMMAND_KEYS.values()]
+def _tables():
+    """Every table of the schema."""
+    stack = [config.CONFIG, config.FUNCTION.kind, *COMMAND_KEYS.values()]
     while stack:
         keys = stack.pop()
-        names.update(keys)
+        yield keys
         stack += [_children(key) for key in keys.values()]
-    return names
+
+
+def table_names() -> set:
+    """Every key name of every table of the schema."""
+    return set().union(*_tables())
+
+
+def table_values() -> set:
+    """Every choice and list-item value of every key of the schema."""
+    return {value for keys in _tables() for key in keys.values() for value in (key.choices or ()) + (key.items or ())}
 
 
 def slots(cfg: dict):
@@ -117,8 +126,8 @@ def mutations(key: Key) -> list:
 _DELETE = object()
 # a few valid configs beyond the presets: the other model kinds and LZ paths
 _EXTRA_BASES = [
-    {"schema": 1, "command": "quench", "kind": "aah", "n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4,
-     "hop": -0.8, "t_final": 1.0, "integrator": {"method": "rk4", "max_step": 0.01, "rel_tol": 1e-9}},
+    {"schema": 1, "command": "quench", "kind": "trimer", "L": 3, "a": 0.5, "b": 1.0, "c": 0.3, "u": 0.1,
+     "v": -0.2, "w": 0.0, "flip_site": 4, "t_final": 1.0, "integrator": {"method": "rk4", "max_step": 0.01}},
     {"schema": 1, "command": "quench", "kind": "rm", "L": 3, "a": 0.5, "b": 1.0, "u": 0.2, "t_final": 2.0,
      "disorder": {"sigma": 0.1, "seed": 3, "targets": ["diagonal"]}, "n_records": 11},
     {"schema": 1, "command": "lz", "path": {"type": "line_at_angle", "alpha": 1.3, "theta": 0.7, "T": 10.0},
@@ -126,9 +135,10 @@ _EXTRA_BASES = [
     {"schema": 1, "command": "lz", "path": {"type": "custom", "T": 10.0, "n_samples": 11,
                                              "u": {"form": "linear", "offset": -1.0, "amplitude": 2.0},
                                              "g": {"form": "const", "offset": 0.3}}, "initial_state": "R"},
-    {"schema": 1, "command": "lz", "reduce": {"a": 0.3, "b": 1.0, "L": 7}},
-    {"schema": 1, "command": "couplings", "scheme": "matched", "n_max": 20,
+    {"schema": 1, "command": "couplings", "scheme": "matched",
      "alpha1": {"start": -2.0, "stop": 2.0, "points": 5}, "alpha2": {"start": 0.0, "stop": 1.0, "points": 3}},
+    {"schema": 1, "command": "couplings", "scheme": "identical", "n_max": 20,
+     "alpha1": {"start": -1.0, "stop": 1.0, "points": 3}, "alpha2": {"start": 0.0, "stop": 2.0, "points": 4}},
     {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 3,
      "spec": {"ej": 1.0, "ej_over_ec": 40.0, "alpha": 0.6, "beta": 0.1, "f_sigma_kappa": 10.0, "n_total": 1,
               "n_diff": 0, "charge_cutoff": 4}},
@@ -136,6 +146,15 @@ _EXTRA_BASES = [
      "export_states": [1, 8], "seed": 5, "output": "rm"},
 ]
 BASES = list(PRESET_CONFIGS.values()) + _EXTRA_BASES
+
+
+def test_every_base_parses():
+    # a mutation of a base then breaks only what it changes
+    for cfg in BASES:
+        try:
+            parse_config(json.dumps(cfg))
+        except SchemaError as exc:
+            raise AssertionError(f"{cfg}: {exc.violations}") from None
 
 
 def _set(cfg: dict, path: tuple, value):
@@ -285,9 +304,25 @@ def test_presets_run_the_model_schedules():
     assert parsed("belltransfer")["schedule"] == bell_transfer_schedule(1000.0)
 
 
-def test_readme_documents_every_key():
+# words in the README's config code that are neither keys nor values of
+# the schema: the fence language, the non-finite JSON numbers it rejects,
+# the variables of the function-term formula, and the placeholders of
+# export_states ("edge" is read by the levels kind, not listed as a choice)
+_README_WORDS = {"json", "NaN", "Infinity", "t", "f", "level", "edge"}
+
+
+def _readme_config_words() -> set:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
     code = re.findall(r"```.*?```|`[^`]+`", section, flags=re.S)
-    documented = set(re.findall(r"\w+", " ".join(code)))
-    assert sorted(table_names() - documented) == []
+    return {word for word in re.findall(r"\w+", " ".join(code)) if not word[0].isdigit()}
+
+
+def test_readme_documents_every_key():
+    assert sorted(table_names() - _readme_config_words()) == []
+
+
+def test_readme_config_code_names_only_the_schema():
+    # so the README cannot describe a key, kind or option the schema lacks
+    known = table_names() | table_values() | set(config.COMMANDS) | _README_WORDS
+    assert sorted(_readme_config_words() - known) == []
