@@ -12,7 +12,10 @@ vectorized evaluator ``times -> (diag[k, n], off[k, n-1])``; a step is
 four ``zhbmv`` and three in-place ``zaxpy``.  ``cfm4_integrate`` is the
 fourth-order commutator-free Magnus scheme on the same evaluator, each of
 its exponentials from ``tridiag_eigh``, for one state or the columns of an
-(n, k) array at once.  ``one_blas_thread`` holds every OpenBLAS library
+(n, k) array at once; where ``mirror_applies`` (H real and
+R H(t) R = H(t0 + t1 - t), R the reversal of the site order, as in both
+paper pumps) it integrates the first half only and reads the second off
+that half's propagators.  ``one_blas_thread`` holds every OpenBLAS library
 loaded into the process at one thread for the length of a run.
 """
 
@@ -45,6 +48,20 @@ STEP_SLACK = 1e-9
 _ROOT3 = 3.0**0.5
 CFM4_NODES = (0.5 - _ROOT3 / 6.0, 0.5 + _ROOT3 / 6.0)
 CFM4_WEIGHTS = (0.25 + _ROOT3 / 6.0, 0.25 - _ROOT3 / 6.0)
+
+# the time-reversal mirror of cfm4_integrate (see mirror_applies).  Its
+# n columns of the identity over half the run take 0.6 / 0.65 / 0.8 /
+# 0.93-0.96 / 1.0-1.05 of the direct run's time at 14 / 50 / 100 / 150 /
+# 200 sites (plain pump, two steps a record segment, one BLAS thread, two
+# runs; BENCH_reversal.json), so it runs up to 150 sites.  Its first-half
+# propagators, (records + 1) / 2 * n^2 * 16 B, may take 64 MiB: up to
+# 19,019 records at 21 sites and 371 at 150.  H(tau) and
+# R H(t0 + t1 - tau) R must agree within MIRROR_TOL of the largest |entry|
+# of H; at the nodes of the four symmetric paths of the figures (the Bell
+# and plain pumps, the lz arc and line) they differ by at most 9.4e-16 of it
+MIRROR_MAX_SITES = 150
+MIRROR_MAX_BYTES = 64 * 2**20
+MIRROR_TOL = 1e-14
 
 # OpenBLAS's C thread-count calls as (setter, getter) names: the numpy and
 # scipy wheels prefix them with scipy_, and numpy's 64-bit-integer build
@@ -196,6 +213,75 @@ def rk4_integrate(h_of_times, psi0, rec_times, max_step):
     return out
 
 
+def _chunks(rec_times, steps):
+    """(record, dt, node times) of each run of up to ``RK4_CHUNK`` steps in
+    record order, the node times a (count, 2) array."""
+    nodes = np.array(CFM4_NODES)
+    for r in range(1, rec_times.size):
+        ta, tb = rec_times[r - 1], rec_times[r]
+        nsub = int(steps[r - 1])
+        dt = (tb - ta) / nsub
+        for first in range(0, nsub, RK4_CHUNK):
+            count = min(RK4_CHUNK, nsub - first)
+            yield r, dt, ta + dt * (np.arange(first, first + count)[:, np.newaxis] + nodes)
+
+
+def _node_batches(rec_times, steps, size=RK4_CHUNK // 2):
+    # the node times of _chunks as 1-D runs of ``size`` times (the last may
+    # be shorter), so that H is evaluated once per run, not once per record
+    # segment, and H and its mirror take less memory than a chunk's H and
+    # generators
+    batch, count = [], 0
+    for _, _, times in _chunks(rec_times, steps):
+        batch.append(times.ravel())
+        count += times.size
+        while count >= size:
+            joined = np.concatenate(batch)
+            yield joined[:size]
+            batch, count = [joined[size:]], count - size
+    if count:
+        yield np.concatenate(batch)
+
+
+def _largest_entry(diag, off):
+    return max(np.abs(diag).max(), np.abs(off).max(initial=0.0))
+
+
+def mirror_applies(h_of_times, rec_times, steps, n_sites: int) -> bool:
+    """Whether ``cfm4_integrate`` runs the time-reversal mirror: an odd
+    number of records symmetric about the middle one (within ``MIRROR_TOL``
+    of the largest |time|), a step grid that reads
+    the same backwards, at most ``MIRROR_MAX_SITES`` sites, the first half's
+    propagators within ``MIRROR_MAX_BYTES``, and at every Gauss node tau of
+    the first half, H(tau) = R H(t0 + t1 - tau) R within ``MIRROR_TOL`` of
+    the largest |entry| of H there or at the record times, R the reversal
+    of the site order; H not the same at all of those nodes (a constant H
+    costs one eigensolve)."""
+    rec_times = np.asarray(rec_times, dtype=np.float64)
+    steps = np.asarray(steps)
+    half = rec_times.size // 2
+    end = rec_times[0] + rec_times[-1]
+    if (rec_times.size % 2 == 0 or n_sites > MIRROR_MAX_SITES
+            or (half + 1) * n_sites**2 * 16 > MIRROR_MAX_BYTES or not np.array_equal(steps, steps[::-1])
+            or not np.abs(rec_times + rec_times[::-1] - end).max() <= MIRROR_TOL * np.abs(rec_times).max()):
+        return False
+    # the scale of the run, also where H passes through 0 in a batch
+    run_scale = _largest_entry(*h_of_times(rec_times))
+    varies, start = False, None
+    for times in _node_batches(rec_times[:half + 1], steps[:half]):
+        diag, off = h_of_times(times)
+        mirror_diag, mirror_off = h_of_times(end - times)
+        scale = max(run_scale, _largest_entry(diag, off), _largest_entry(mirror_diag, mirror_off))
+        # written so that a NaN anywhere reads as asymmetric
+        if not (np.abs(diag - mirror_diag[:, ::-1]).max() <= MIRROR_TOL * scale
+                and np.abs(off - mirror_off[:, ::-1]).max(initial=0.0) <= MIRROR_TOL * scale):
+            return False
+        if start is None:
+            start = diag[0], off[0]
+        varies = varies or not (np.all(diag == start[0]) and np.all(off == start[1]))
+    return varies
+
+
 def cfm4_integrate(h_of_times, psi0, rec_times, steps):
     """Propagate ``psi0``, one state of shape (n,) or k states as the columns
     of an (n, k) array, by the commutator-free Magnus scheme of
@@ -212,30 +298,57 @@ def cfm4_integrate(h_of_times, psi0, rec_times, steps):
     time.  Where H is the same at every node of such a chunk, its steps are
     one exponential of H over the chunk, from the eigensystem of the last
     constant chunk if H is still the same.
+
+    Where ``mirror_applies``, only the first half is integrated.  With
+    R H(t) R = H(t0 + t1 - t) and H real, a mirrored step is R S^T R for the
+    step S it mirrors (the nodes c1 = 1 - c2 swap, and the exponentials of
+    complex symmetric generators are symmetric), so U(t1, t1 - s) =
+    R P_s^T R with P_s = U(t0 + s, t0).  The n columns of the identity are
+    propagated to every first-half record, which gives P_s there and
+    P = U(middle, t0), and a second-half record t is
+    R conj(P_s) (P^T R P psi0) at s = t0 + t1 - t: the same steps, in
+    other rounding.
     """
     rec_times = np.asarray(rec_times, dtype=np.float64)
     shape = np.shape(psi0)
     psi = np.array(psi0, dtype=np.complex128).reshape(shape[0], -1)
+    if mirror_applies(h_of_times, rec_times, steps, shape[0]):
+        out = _cfm4_mirrored(h_of_times, psi, rec_times, steps)
+    else:
+        out = _cfm4_direct(h_of_times, psi, rec_times, steps)
+    return out.reshape(rec_times.shape + shape)
+
+
+def _cfm4_mirrored(h_of_times, psi, rec_times, steps):
+    # the (records, n, k) states of cfm4_integrate's mirror: out[half + j]
+    # is R conj(P_{half - j}) final, computed as the conjugate of
+    # P_{half - j} conj(final), with rows reversed, so that no conjugate of
+    # a stored propagator is formed
+    half = rec_times.size // 2
+    props = _cfm4_direct(h_of_times, np.eye(psi.shape[0], dtype=np.complex128), rec_times[:half + 1], steps[:half])
+    out = np.empty((rec_times.size,) + psi.shape, dtype=np.complex128)
+    np.matmul(props, psi, out=out[:half + 1])
+    final = props[half].T @ out[half, ::-1]
+    out[half + 1:] = np.matmul(props[:half], final.conj())[::-1, ::-1].conj()
+    return out
+
+
+def _cfm4_direct(h_of_times, psi, rec_times, steps):
+    # cfm4_integrate's step loop over every record, for (n, k) states
     out = np.empty((rec_times.size,) + psi.shape, dtype=np.complex128)
     out[0] = psi
-    nodes = np.array(CFM4_NODES)
     weights = np.array([CFM4_WEIGHTS, CFM4_WEIGHTS[::-1]])  # generator x node
     constant = None  # (diag, off, eigenvalues, eigenvectors) of a constant H
-    for r in range(1, rec_times.size):
-        ta, tb = rec_times[r - 1], rec_times[r]
-        nsub = int(steps[r - 1])
-        dt = (tb - ta) / nsub
-        for first in range(0, nsub, RK4_CHUNK):
-            count = min(RK4_CHUNK, nsub - first)
-            times = ta + dt * (np.arange(first, first + count)[:, np.newaxis] + nodes)
-            diag, off = h_of_times(times.ravel())
-            if np.all(diag == diag[0]) and np.all(off == off[0]):
-                if constant is None or not (np.array_equal(constant[0], diag[0])
-                                            and np.array_equal(constant[1], off[0])):
-                    constant = (diag[0], off[0], *tridiag_eigh(diag[0], off[0]))
-                vals, vecs = constant[2:]
-                psi = vecs @ (np.exp(-1j * (count * dt) * vals)[:, np.newaxis] * (vecs.T @ psi))
-                continue
+    for r, dt, times in _chunks(rec_times, steps):
+        count = times.shape[0]
+        diag, off = h_of_times(times.ravel())
+        if np.all(diag == diag[0]) and np.all(off == off[0]):
+            if constant is None or not (np.array_equal(constant[0], diag[0])
+                                        and np.array_equal(constant[1], off[0])):
+                constant = (diag[0], off[0], *tridiag_eigh(diag[0], off[0]))
+            vals, vecs = constant[2:]
+            psi = vecs @ (np.exp(-1j * (count * dt) * vals)[:, np.newaxis] * (vecs.T @ psi))
+        else:
             # (count, 2 generators, n) and (count, 2, n - 1)
             gen_diag = weights @ np.reshape(diag, (count, 2, -1))
             gen_off = weights @ np.reshape(off, (count, 2, -1))
@@ -244,4 +357,4 @@ def cfm4_integrate(h_of_times, psi0, rec_times, steps):
                     vals, vecs = tridiag_eigh(gen_diag[s, g], gen_off[s, g])
                     psi = vecs @ (np.exp(-1j * dt * vals)[:, np.newaxis] * (vecs.T @ psi))
         out[r] = psi
-    return out.reshape(rec_times.shape + shape)
+    return out

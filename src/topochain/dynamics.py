@@ -14,6 +14,13 @@ Richardson estimate max |psi_2N - psi_N| / 15 over all records is within
 ``rel_tol``; the finer run is returned.  k initial states, the columns of
 an (n, k) array, share each step's eigensolves and one step count, set by
 the largest of their estimates; BDF and RK4 run them one after the other.
+A run symmetric in time (R H(t) R = H(t0 + t1 - t), R the reversal of the
+site order, on a mirrored record and step grid, as in both paper pumps and
+the lz arc and line) integrates only its first half, as the n columns of
+the identity, and reads the second half off those propagators: the same
+steps and estimates, with states moved by rounding (about 1e-13 on the
+Bell pump).  ``_kernels.mirror_applies`` decides from the run's own H,
+grids and size, and the record says which path ran.
 
 Two cross-checks remain: scipy's adaptive BDF (the stiff multistep family)
 with its LU hooks bound straight to LAPACK ``getrf``/``getrs``, and
@@ -47,7 +54,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from ._kernels import apply_minus_ih, cfm4_integrate, hermitian_band, rk4_integrate, segment_steps
+from ._kernels import apply_minus_ih, cfm4_integrate, hermitian_band, mirror_applies, rk4_integrate, segment_steps
 from .errors import IntegrationError, InvalidParameterError
 from .models import ChainHamiltonian, Schedule, schedule_arrays
 
@@ -57,10 +64,12 @@ RECORDS_PER_CYCLE = 200
 METHODS = ("magnus", "bdf", "rk4")
 
 # Magnus steps of one integration, all halving passes included.  Where H(t)
-# changes, a step costs two tridiagonal eigensolves and their products:
-# about 125 us at 21 sites on 2 cores (50 s at the budget), 25 us at 2 sites
-# and 0.2 s at 1000 sites.  The Bell pump (21 sites, T = 1000, rel_tol 1e-8)
-# takes 9,600 a cycle, an lz arc at the phase bound (T = 10,000) 102,200.
+# changes, a step costs two tridiagonal eigensolves and their products, at
+# the one BLAS thread of a run: about 80 us at 21 sites (32 s at the
+# budget), 16 us at 2 sites and 0.13 s at 1000 sites, and a run under the
+# time-reversal mirror integrates half of its steps.  The Bell pump (21 sites,
+# T = 1000, rel_tol 1e-8) takes 9,600 a cycle, an lz arc at the phase bound
+# (T = 10,000) 96,000.
 # The config's phase bound (span ||H|| <= 20,000) keeps a first pass
 # doubled past its base rung to 2 x 20,000 / pi, about 12,700 steps
 MAGNUS_MAX_STEPS = 400_000
@@ -95,7 +104,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n_records, n_sites) complex
     sz: np.ndarray      # (n_records, n_sites) real
-    # what ran: method; steps, steps_total and error_estimate (Magnus),
+    # what ran: method; steps, steps_total, mirrored and error_estimate (Magnus),
     # energy_shift and nfev/njev/nlu (BDF) or energy_shift and steps (RK4);
     # and norm_drift, the largest per-segment drift (before renormalizing)
     integration: dict = field(default_factory=dict)
@@ -193,7 +202,8 @@ def _evolve_magnus(provider, psi0, times, cfg):
     # order, so psi_2N - psi_N is about 15 times the error of psi_2N, and
     # the largest estimate over the columns decides.  A non-finite estimate
     # ends the loop too, and _renormalize reports the state.  Returns the
-    # (records, n, k) states, the step counts and each column's estimate
+    # (records, n, k) states, the step counts with whether the returned pass
+    # ran the time-reversal mirror, and each column's estimate
     span = times[-1] - times[0]
     steps = _start_steps(provider, times, cfg)
     total, states, errors = 0.0, None, np.full(psi0.shape[1], np.inf)
@@ -211,7 +221,8 @@ def _evolve_magnus(provider, psi0, times, cfg):
             if not errors.max() > cfg.rel_tol:
                 break
         steps = 2.0 * steps
-    return states, {"steps": int(steps.sum()), "steps_total": int(total)}, errors
+    mirrored = mirror_applies(provider, times, steps, psi0.shape[0])
+    return states, {"steps": int(steps.sum()), "steps_total": int(total), "mirrored": mirrored}, errors
 
 
 def solve_ivp(*args, **kwargs):

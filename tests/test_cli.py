@@ -889,7 +889,7 @@ def test_manifest_records_each_integration(tmp_path):
     assert set(manifest["extras"]) == {"final_fidelity_plus", "final_fidelity_minus"}
     for record in manifest["integrator"].values():
         # Magnus, the trimer default: 10 record segments, halved from one step each
-        assert set(record) == {"method", "steps", "steps_total", "error_estimate", "norm_drift"}
+        assert set(record) == {"method", "steps", "steps_total", "mirrored", "error_estimate", "norm_drift"}
         assert record["method"] == "magnus"
         assert record["steps"] >= 20 and record["steps"] % 10 == 0
         assert record["steps_total"] == 2 * record["steps"] - 10

@@ -1,8 +1,9 @@
 """The Magnus (CFM4) production integrator against independent references:
 the dense exact propagator, the conftest CFM4 oracle, criterion 13's RK4
 Bell runs and the Landau-Zener closed form; its step-halving ladder against
-the ladder started at one step per record segment; and k initial states
-propagated at once against their single runs."""
+the ladder started at one step per record segment; k initial states
+propagated at once against their single runs; and the time-reversal mirror
+against the direct step loop."""
 
 import json
 from functools import lru_cache, partial
@@ -29,7 +30,7 @@ from topochain import (
 from topochain import _kernels as K
 from topochain.config import parse_config
 from topochain.effective import LZPath
-from topochain.models import ChainHamiltonian, FunctionSpec, const, schedule_arrays
+from topochain.models import ChainHamiltonian, FunctionSpec, Schedule, const, schedule_arrays
 from topochain.presets import PRESETS
 
 from conftest import exact_propagator_state, plain_pump_cfm4
@@ -270,3 +271,170 @@ def test_states_of_other_shapes_are_rejected():
         pump(pump_schedule(100.0), 7, np.ones((14, 1, 1)) / np.sqrt(14.0))
     with pytest.raises(InvalidParameterError, match="state norm"):
         pump(pump_schedule(100.0), 7, np.stack([basis_state(14, 1), 2.0 * basis_state(14, 2)], axis=1))
+
+
+# the time-reversal mirror: runs with R H(t) R = H(t0 + t1 - t) integrate
+# their first half and read the second off its propagators.  The bounds are
+# set from measurement against the direct loop at the same steps: the
+# states differ by up to 1.5e-13 on the Bell pair at its accepted 6,400
+# steps (the largest of these cases), and its <sigma^z> columns, which the
+# figure CSVs hold, by up to 4.1e-13
+MIRROR_BOUND = 5e-13
+MIRROR_SZ_BOUND = 1e-12
+
+
+def _direct(provider, psi0, times, steps):
+    # the direct loop, which cfm4_integrate runs where the mirror does not
+    # apply, on one state (n,) or an (n, k) array
+    psi = np.asarray(psi0, dtype=np.complex128)
+    states = K._cfm4_direct(provider, psi.reshape(psi.shape[0], -1), times, steps)
+    return states.reshape(times.shape + psi.shape)
+
+
+def _segment_steps(record, times):
+    return np.full(times.size - 1, record["steps"] / (times.size - 1))
+
+
+def test_bell_pair_mirrors_and_keeps_its_ladder():
+    # both signs as one (21, 2) state: the accepted 6,400 steps and their
+    # error estimate are those of the direct loop's ladder
+    pair = _bell_magnus((1.0, -1.0))
+    provider = partial(schedule_arrays, BELL, 7)
+    times = pair[0].times
+    columns = np.stack([_bell_state(21, sign, left=True) for sign in (1.0, -1.0)], axis=1)
+    steps = _segment_steps(pair[0].integration, times)
+    fine = _direct(provider, columns, times, steps)
+    coarse = _direct(provider, columns, times, steps / 2)
+    errors = np.abs(fine - coarse).max(axis=(0, 1)) / 15.0
+    for c, traj in enumerate(pair):
+        record = traj.integration
+        assert record["mirrored"] is True
+        assert (record["steps"], record["steps_total"]) == (6400, 9600)
+        assert abs(record["error_estimate"] - errors[c]) <= 1e-6 * errors[c]
+        assert np.abs(traj.states - fine[..., c]).max() <= MIRROR_BOUND
+        assert np.abs(traj.sz - dynamics.sigma_z(fine[..., c])).max() <= MIRROR_SZ_BOUND
+
+
+def test_three_bell_cycles_mirror():
+    # R H(t) R = H(3T - t) holds over an odd number of cycles: u and w trade
+    # places once per cycle.  Eight steps per record segment are enough to
+    # compare the two paths' rounding
+    schedule = bell_transfer_schedule(1000.0, cycles=3)
+    provider = partial(schedule_arrays, schedule, 7)
+    times = np.linspace(0.0, schedule.total_time, 601)
+    steps = np.full(600, 8.0)
+    columns = np.stack([_bell_state(21, sign, left=True) for sign in (1.0, -1.0)], axis=1)
+    assert K.mirror_applies(provider, times, steps, 21)
+    mirrored = K.cfm4_integrate(provider, columns, times, steps)
+    assert np.abs(mirrored - _direct(provider, columns, times, steps)).max() <= MIRROR_BOUND
+
+
+def test_plain_pump_and_lz1_paths_mirror():
+    path_a, n_records = _lz1_path_a()
+    path_b = LZPath.line(1.0, path_a.period)
+    runs = [(partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1),
+             pump(pump_schedule(100.0), 7, basis_state(14, 1), MAGNUS, 201))]
+    for path in (path_a, path_b):
+        psi0 = np.array([1.0, 0.0], dtype=np.complex128)
+        runs.append((partial(schedule_arrays, path.schedule, 1), psi0, lz_evolve(path, psi0, MAGNUS, n_records)))
+    for provider, psi0, traj in runs:
+        assert traj.integration["mirrored"] is True
+        direct = _direct(provider, psi0, traj.times, _segment_steps(traj.integration, traj.times))
+        assert np.abs(traj.states - direct).max() <= MIRROR_BOUND
+        assert np.abs(traj.sz - dynamics.sigma_z(direct)).max() <= MIRROR_SZ_BOUND
+
+
+def _record_zero_bond():
+    # the plain pump with b = 1 + 0.1 sin(20 pi t/T): b(T - t) != b(t), but
+    # the difference vanishes at each of 21 records t = r T/20
+    params = dict(pump_schedule(100.0).params, b=FunctionSpec("sin", offset=1.0, amplitude=0.1,
+                                                                frequency_multiple=10.0))
+    return Schedule("rm", 100.0, params)
+
+
+def _direct_cases():
+    # (provider, psi0, record times, steps) of runs that must not mirror
+    bell2 = bell_transfer_schedule(1000.0, cycles=2)
+    quench_chain = apply_disorder(build_ssh(7, 0.1, 1.0), DisorderSpec(0.01, 11))
+    return {
+        # constant H, and R H R != H
+        "disordered-quench": (lambda t: dynamics.static_arrays(quench_chain, t), basis_state(14, 1),
+                              np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
+        # constant H with R H R = H: one eigensolve either way
+        "clean-quench": (lambda t: dynamics.static_arrays(build_ssh(7, 0.1, 1.0), t), basis_state(14, 1),
+                         np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
+        # u(2T - t) = u(t), which is not w(t)
+        "bell-2-cycles": (partial(schedule_arrays, bell2, 7), _bell_state(21, 1.0, left=True),
+                          np.linspace(0.0, 2000.0, 401), np.full(400, 2.0)),
+        "even-records": (partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1),
+                         np.linspace(0.0, 100.0, 200), np.full(199, 2.0)),
+        # steps that do not read the same backwards
+        "uneven-steps": (partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1),
+                         np.linspace(0.0, 100.0, 11), np.array([3.0] + [2.0] * 9)),
+        # 152 sites, above MIRROR_MAX_SITES
+        "above-size": (partial(schedule_arrays, pump_schedule(100.0), 76), basis_state(152, 1),
+                       np.linspace(0.0, 100.0, 5), np.full(4, 2.0)),
+        "asymmetric-at-nodes": (partial(schedule_arrays, _record_zero_bond(), 7), basis_state(14, 1),
+                                np.linspace(0.0, 100.0, 21), np.full(20, 4.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["disordered-quench", "clean-quench", "bell-2-cycles", "even-records", "uneven-steps",
+                                  "above-size", "asymmetric-at-nodes"])
+def test_runs_without_the_symmetry_stay_on_the_direct_loop(case):
+    provider, psi0, times, steps = _direct_cases()[case]
+    assert not K.mirror_applies(provider, times, steps, psi0.shape[0])
+    assert np.array_equal(K.cfm4_integrate(provider, psi0, times, steps), _direct(provider, psi0, times, steps))
+
+
+def test_disordered_quench_records_no_mirror():
+    chain = apply_disorder(build_ssh(7, 0.1, 1.0), DisorderSpec(0.01, 11))
+    assert quench(chain, 1, 100.0, MAGNUS, 401).integration["mirrored"] is False
+
+
+def test_the_check_reads_the_gauss_nodes():
+    # at the record times the bond's asymmetry 0.2 |sin(20 pi t/T)| is
+    # rounding; at the Gauss nodes it is not, and the run stays direct
+    # (test above)
+    provider, _, times, _ = _direct_cases()["asymmetric-at-nodes"]
+    diag, off = provider(times)
+    mirror_diag, mirror_off = provider(times[-1] - times)
+    assert np.abs(diag - mirror_diag[:, ::-1]).max() <= K.MIRROR_TOL
+    assert np.abs(off - mirror_off[:, ::-1]).max() <= K.MIRROR_TOL
+    # the same run without the bond term mirrors
+    symmetric = partial(schedule_arrays, pump_schedule(100.0), 7)
+    assert K.mirror_applies(symmetric, times, np.full(20, 4.0), 14)
+
+
+def test_size_crossover_is_the_bound():
+    times, steps = np.linspace(0.0, 100.0, 5), np.full(4, 2.0)
+    at = K.MIRROR_MAX_SITES // 2
+    assert K.mirror_applies(partial(schedule_arrays, pump_schedule(100.0), at), times, steps, 2 * at)
+    assert not K.mirror_applies(partial(schedule_arrays, pump_schedule(100.0), at + 1), times, steps, 2 * at + 2)
+
+
+def test_propagators_over_the_byte_cap_stay_direct(monkeypatch):
+    # 11 records store 6 propagators of 14 x 14: 18,816 B
+    provider = partial(schedule_arrays, pump_schedule(100.0), 7)
+    psi0, times, steps = basis_state(14, 1), np.linspace(0.0, 100.0, 11), np.full(10, 8.0)
+    monkeypatch.setattr(K, "MIRROR_MAX_BYTES", 6 * 14 * 14 * 16)
+    assert K.mirror_applies(provider, times, steps, 14)
+    monkeypatch.setattr(K, "MIRROR_MAX_BYTES", 6 * 14 * 14 * 16 - 1)
+    assert not K.mirror_applies(provider, times, steps, 14)
+    assert np.array_equal(K.cfm4_integrate(provider, psi0, times, steps), _direct(provider, psi0, times, steps))
+
+
+@pytest.mark.parametrize("scale, mirrors", [(0.5, True), (4.0, False)])
+def test_mirror_tolerance(scale, mirrors):
+    # a constant on-site term on the first site breaks R H(t) R = H(T - t)
+    # by its size; the plain pump's largest |entry| is 2 (a at T/2)
+    pump_arrays = partial(schedule_arrays, pump_schedule(100.0), 7)
+
+    def provider(times):
+        diag, off = pump_arrays(times)
+        diag = diag.copy()
+        diag[..., 0] += scale * 2.0 * K.MIRROR_TOL
+        return diag, off
+
+    times = np.linspace(0.0, 100.0, 21)
+    assert K.mirror_applies(provider, times, np.full(20, 2.0), 14) is mirrors
