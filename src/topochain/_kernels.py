@@ -58,7 +58,9 @@ CFM4_WEIGHTS = (0.25 + _ROOT3 / 6.0, 0.25 - _ROOT3 / 6.0)
 # 19,019 records at 21 sites and 371 at 150.  H(tau) and
 # R H(t0 + t1 - tau) R must agree within MIRROR_TOL of the largest |entry|
 # of H; at the nodes of the four symmetric paths of the figures (the Bell
-# and plain pumps, the lz arc and line) they differ by at most 9.4e-16 of it
+# and plain pumps, the lz arc and line) they differ by at most 9.4e-16 of it.
+# spectra.trace_from_hamiltonians mirrors a stack of chains by the same
+# tolerance
 MIRROR_MAX_SITES = 150
 MIRROR_MAX_BYTES = 64 * 2**20
 MIRROR_TOL = 1e-14
@@ -282,7 +284,7 @@ def mirror_applies(h_of_times, rec_times, steps, n_sites: int) -> bool:
     return varies
 
 
-def cfm4_integrate(h_of_times, psi0, rec_times, steps):
+def cfm4_integrate(h_of_times, psi0, rec_times, steps, stats=None):
     """Propagate ``psi0``, one state of shape (n,) or k states as the columns
     of an (n, k) array, by the commutator-free Magnus scheme of
     ``CFM4_NODES`` and ``CFM4_WEIGHTS``.  Returns one record per entry of
@@ -307,12 +309,15 @@ def cfm4_integrate(h_of_times, psi0, rec_times, steps):
     propagated to every first-half record, which gives P_s there and
     P = U(middle, t0), and a second-half record t is
     R conj(P_s) (P^T R P psi0) at s = t0 + t1 - t: the same steps, in
-    other rounding.
+    other rounding.  A ``stats`` dict gets ``mirrored``, whether it did.
     """
     rec_times = np.asarray(rec_times, dtype=np.float64)
     shape = np.shape(psi0)
     psi = np.array(psi0, dtype=np.complex128).reshape(shape[0], -1)
-    if mirror_applies(h_of_times, rec_times, steps, shape[0]):
+    mirrored = mirror_applies(h_of_times, rec_times, steps, shape[0])
+    if stats is not None:
+        stats["mirrored"] = mirrored
+    if mirrored:
         out = _cfm4_mirrored(h_of_times, psi, rec_times, steps)
     else:
         out = _cfm4_direct(h_of_times, psi, rec_times, steps)

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from ._kernels import apply_minus_ih, cfm4_integrate, hermitian_band, mirror_applies, rk4_integrate, segment_steps
+from ._kernels import apply_minus_ih, cfm4_integrate, hermitian_band, rk4_integrate, segment_steps
 from .errors import IntegrationError, InvalidParameterError
 from .models import ChainHamiltonian, Schedule, schedule_arrays
 
@@ -206,7 +206,7 @@ def _evolve_magnus(provider, psi0, times, cfg):
     # ran the time-reversal mirror, and each column's estimate
     span = times[-1] - times[0]
     steps = _start_steps(provider, times, cfg)
-    total, states, errors = 0.0, None, np.full(psi0.shape[1], np.inf)
+    total, states, errors, stats = 0.0, None, np.full(psi0.shape[1], np.inf), {}
     while True:
         if total + steps.sum() > MAGNUS_MAX_STEPS:
             raise IntegrationError(
@@ -215,14 +215,13 @@ def _evolve_magnus(provider, psi0, times, cfg):
                 "loosen rel_tol or shorten the run"
             )
         total += steps.sum()
-        coarse, states = states, cfm4_integrate(provider, psi0, times, steps)
+        coarse, states = states, cfm4_integrate(provider, psi0, times, steps, stats)
         if coarse is not None:
             errors = np.abs(states - coarse).max(axis=(0, 1)) / 15.0
             if not errors.max() > cfg.rel_tol:
                 break
         steps = 2.0 * steps
-    mirrored = mirror_applies(provider, times, steps, psi0.shape[0])
-    return states, {"steps": int(steps.sum()), "steps_total": int(total), "mirrored": mirrored}, errors
+    return states, {"steps": int(steps.sum()), "steps_total": int(total), **stats}, errors
 
 
 def solve_ivp(*args, **kwargs):

@@ -77,7 +77,8 @@ def write_manifest(path: Path, version: str, config: dict, outputs: Sequence[Pat
     OpenBLAS libraries and the thread count the run used.  ``blocks`` holds
     further top-level records of what ran: ``integrator`` maps each
     trajectory CSV's name to its ``Trajectory.integration`` record, and
-    ``solver`` summarizes the flux-qubit eigensolves."""
+    ``solver`` summarizes the eigensolves of a flux-qubit sweep or of a
+    spectrum trace."""
     payload = {"tool": "topochain", "version": version, "versions": VERSIONS, "blas": blas, "config": config,
                "wall_time_s": wall_time, "outputs": {Path(p).name: file_sha256(p) for p in outputs}}
     if extras:

@@ -41,6 +41,13 @@ def _trajectory_csv(path: Path, traj, amplitudes: bool, blocks: dict) -> Path:
     return io.trajectory_csv(path, traj, amplitudes)
 
 
+def _trace_csv(path: Path, trace, blocks: dict) -> Path:
+    rows = trace.times.size
+    blocks["solver"] = {"eigensolver": "lapack dstevd", "rows": rows, "solved": trace.solved,
+                        "mirrored_rows": rows - trace.solved}
+    return io.spectrum_trace_csv(path, trace)
+
+
 def _build_model(model: dict, swept: Optional[dict] = None, shape: tuple = ()):
     """(diag, off) of the config's static model, the ``swept`` parameters
     replaced by columns of shape ``shape + (1,)``."""
@@ -52,7 +59,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
     files, extras = [], {}
     if opts["mode"] == "trace":
         trace = instantaneous_spectrum(opts["schedule"], opts["L"], opts["n_times"])
-        files.append(io.spectrum_trace_csv(out_dir / f"{stem}.csv", trace))
+        files.append(_trace_csv(out_dir / f"{stem}.csv", trace, blocks))
         return files, extras
 
     model = opts["model"]
@@ -63,7 +70,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
         values = np.linspace(sweep["start"], sweep["stop"], sweep["points"])
         diag, off = _build_model(model, {name: values[:, np.newaxis]}, values.shape)
         trace = trace_from_hamiltonians(values, diag, off, n_edge, axis_name=name)
-        files.append(io.spectrum_trace_csv(out_dir / f"{stem}.csv", trace))
+        files.append(_trace_csv(out_dir / f"{stem}.csv", trace, blocks))
         return files, extras
 
     spectrum = eigendecompose(ChainHamiltonian(*_build_model(model)))

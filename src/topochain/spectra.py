@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import tridiag_eigh
+from ._kernels import MIRROR_TOL, tridiag_eigh
 from .errors import InvalidParameterError, NumericError, PhaseDomainError
 from .models import SITES_PER_CELL, ChainHamiltonian, Schedule, schedule_arrays
 
@@ -65,17 +65,22 @@ class SpectrumTrace:
 
     ``energies[i, j]`` is level j at ``times[i]``; ``edge_flags`` marks
     levels whose edge weight over one unit cell per chain end reaches
-    ``EDGE_FLAG_THRESHOLD``."""
+    ``EDGE_FLAG_THRESHOLD``.  The first ``solved`` rows were diagonalized;
+    any rows after them are copies of their mirror partners."""
 
     times: np.ndarray
     energies: np.ndarray
     edge_flags: np.ndarray
+    solved: int
     axis_name: str = "t"
 
 
 def trace_from_hamiltonians(times, diag, off, n_edge_sites: int, axis_name: str = "t") -> SpectrumTrace:
     """Spectra of a stack of chains: row i of ``diag[k, n]`` and
-    ``off[k, n-1]`` is the chain at axis value ``times[i]``."""
+    ``off[k, n-1]`` is the chain at axis value ``times[i]``.  Where row
+    k-1-i is row i with its sites reversed and its bonds' signs free (a +-1
+    similarity), within ``MIRROR_TOL`` of the stack's largest |entry|, the
+    first ceil(k/2) rows are solved and the rest copied from their partners."""
     times = np.asarray(times, dtype=np.float64)
     diag = np.asarray(diag, dtype=np.float64)
     off = np.asarray(off, dtype=np.float64)
@@ -86,12 +91,18 @@ def trace_from_hamiltonians(times, diag, off, n_edge_sites: int, axis_name: str 
         raise NumericError("non-finite Hamiltonian entries")
     if np.any(np.diff(times) <= 0):
         raise InvalidParameterError("trace axis values must increase strictly")
+    tol = MIRROR_TOL * max(np.abs(diag).max(initial=0.0), np.abs(off).max(initial=0.0))
+    mirrored = (np.abs(diag[::-1, ::-1] - diag).max(initial=0.0) <= tol
+                and np.abs(np.abs(off[::-1, ::-1]) - np.abs(off)).max(initial=0.0) <= tol)
+    solved = (times.size + 1) // 2 if mirrored else times.size
     energies = np.empty(diag.shape)
     flags = np.empty(diag.shape, dtype=bool)
-    for i in range(times.size):
+    for i in range(solved):
         energies[i], vectors = tridiag_eigh(diag[i], off[i])
         flags[i] = edge_weight(vectors, n_edge_sites) >= EDGE_FLAG_THRESHOLD
-    return SpectrumTrace(times, energies, flags, axis_name)
+    energies[solved:] = energies[:times.size - solved][::-1]
+    flags[solved:] = flags[:times.size - solved][::-1]
+    return SpectrumTrace(times, energies, flags, solved, axis_name)
 
 
 def instantaneous_spectrum(schedule: Schedule, L: int, n_times: int) -> SpectrumTrace:

@@ -292,6 +292,14 @@ def test_fluxqubit_manifest_records_the_solver(tmp_path):
         assert 0 < solver["solves_max_per_point"] <= solver["solves_total"] <= solved * solver["solves_max_per_point"]
 
 
+def test_spectrum_manifest_records_the_mirrored_rows(tmp_path):
+    # the plain pump's trace mirrors about its middle row, the a-sweep does not
+    for figure_id, stem, solved in (("rm", "rm_spectrum", 101), ("energylevel", "energylevel", 201)):
+        assert main(["reproduce", figure_id, "--out", str(tmp_path)]) == 0
+        solver = json.loads((tmp_path / f"{stem}.manifest.json").read_text())["solver"]
+        assert solver == {"eigensolver": "lapack dstevd", "rows": 201, "solved": solved, "mirrored_rows": 201 - solved}
+
+
 def test_cli_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 7, "a": 0.1, "b": 1, "u": 1}))

@@ -199,7 +199,7 @@ def test_first_pass_is_the_first_rung_inside_the_convergence_radius(monkeypatch,
     provider, psi0, t1, n_records, max_step, expected = _start_cases()[case]
     first = []
 
-    def record(provider, psi0, times, steps):
+    def record(provider, psi0, times, steps, stats=None):
         first.append(np.array(steps))
         raise _FirstPass
 

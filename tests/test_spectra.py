@@ -1,5 +1,7 @@
 """Eigensolver contracts, edge-state analytics and spectrum traces."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ from topochain import (
     pump_schedule,
     trimer_edge_states,
 )
-from topochain.models import SITES_PER_CELL, ChainHamiltonian, Schedule, const, schedule_arrays
+from topochain import spectra
+from topochain.config import parse_config
+from topochain.presets import PRESETS
+from topochain._kernels import MIRROR_TOL, tridiag_eigh
+from topochain.models import (SITES_PER_CELL, ChainHamiltonian, FunctionSpec, Schedule, chain_arrays, const,
+                              schedule_arrays)
 from topochain.spectra import EDGE_FLAG_THRESHOLD, _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
 
 from conftest import dense_eigvals, random_chain
@@ -289,18 +296,128 @@ def _per_time_trace(chains, n_edge_sites):
     return np.array(energies), np.array(flags)
 
 
+def _schedule_stack(schedule, L, k=201):
+    times = np.linspace(0.0, schedule.period, k)
+    return (times, *schedule_arrays(schedule, L, times), SITES_PER_CELL[schedule.kind])
+
+
+def _sweep_stack(kind, L, params, name, values):
+    # a parameter sweep laid out as the runner lays it out
+    diag, off = chain_arrays(kind, L, {**params, name: values[:, np.newaxis]}, values.shape)
+    return values, diag, off, SITES_PER_CELL[kind]
+
+
+def _energylevel_stack():
+    return _sweep_stack("ssh", 7, {"b": 1.0}, "a", np.linspace(0.0, 2.0, 201))
+
+
 @pytest.mark.parametrize(
-    "schedule, L",
-    [(pump_schedule(100.0), 7), (bell_transfer_schedule(), 7)],
-    ids=["pump-degenerate-start", "bell-transfer"],
+    "stack, solved",
+    [(lambda: _schedule_stack(pump_schedule(100.0), 7), 101),
+     (lambda: _schedule_stack(bell_transfer_schedule(), 7), 101),
+     (_energylevel_stack, 201)],
+    ids=["pump-degenerate-start", "bell-transfer", "energylevel"],
 )
-def test_batched_trace_matches_per_time_eigendecompose(schedule, L):
-    trace = instantaneous_spectrum(schedule, L, 201)
-    diag, off = schedule_arrays(schedule, L, trace.times)
-    chains = [ChainHamiltonian(d, o) for d, o in zip(diag, off)]
-    energies, flags = _per_time_trace(chains, SITES_PER_CELL[schedule.kind])
+def test_batched_trace_matches_per_time_eigendecompose(stack, solved):
+    # the solved rows are bitwise those of a per-time eigendecompose; the
+    # mirrored ones are copies, which move energies by rounding, and flags
+    # only at a level degenerate with another, whose edge weight follows the
+    # basis dstevd picks in the degenerate subspace
+    times, diag, off, n_edge = stack()
+    trace = trace_from_hamiltonians(times, diag, off, n_edge)
+    energies, flags = _per_time_trace([ChainHamiltonian(d, o) for d, o in zip(diag, off)], n_edge)
+    assert trace.solved == solved
+    assert np.array_equal(trace.energies[:solved], energies[:solved])
+    assert np.array_equal(trace.edge_flags[:solved], flags[:solved])
+    assert np.abs(trace.energies - energies).max() <= 1e-13
+    gaps = np.abs(energies[:, :, np.newaxis] - energies[:, np.newaxis, :])
+    gaps[:, np.arange(diag.shape[1]), np.arange(diag.shape[1])] = np.inf
+    isolated = gaps.min(axis=2) > 1e-9
+    assert np.array_equal(trace.edge_flags[isolated], flags[isolated])
+
+
+def _loop_trace(diag, off, n_edge_sites):
+    # the trace without the mirror: one tridiag_eigh and edge_weight per row
+    energies, flags = np.empty(diag.shape), np.empty(diag.shape, dtype=bool)
+    for i in range(len(diag)):
+        energies[i], vectors = tridiag_eigh(diag[i], off[i])
+        flags[i] = edge_weight(vectors, n_edge_sites) >= EDGE_FLAG_THRESHOLD
+    return energies, flags
+
+
+def _preset_trace_stack(figure_id, name):
+    opts = parse_config(json.dumps(dict(PRESETS[figure_id])[name])).options
+    return _schedule_stack(opts["schedule"], opts["L"], opts["n_times"])
+
+
+def _perturbed_plain(factor):
+    # the plain pump with one on-site energy moved by ``factor`` MIRROR_TOL
+    # of the stack's largest |entry| away from its mirror partner's
+    times, diag, off, n_edge = _schedule_stack(pump_schedule(100.0), 7)
+    diag[50, 0] += factor * MIRROR_TOL * max(np.abs(diag).max(), np.abs(off).max())
+    return times, diag, off, n_edge
+
+
+_MIRRORED_STACKS = {
+    "plain": lambda: _schedule_stack(pump_schedule(100.0), 7),
+    "optimized": lambda: _schedule_stack(optimized_schedule(100.0), 7),
+    "bell": lambda: _schedule_stack(bell_transfer_schedule(), 7),
+    "trimer-intercell": lambda: _preset_trace_stack("trimer", "trimer_intercell"),
+    "rm-u-sweep": lambda: _sweep_stack("rm", 7, {"a": 0.3, "b": 1.0}, "u", np.linspace(-0.5, 0.5, 41)),
+    "even-rows": lambda: _schedule_stack(pump_schedule(100.0), 7, k=200),
+    "tolerance-half": lambda: _perturbed_plain(0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MIRRORED_STACKS))
+def test_mirror_symmetric_trace_solves_its_first_half(case):
+    times, diag, off, n_edge = _MIRRORED_STACKS[case]()
+    k = times.size
+    if case == "trimer-intercell":  # c -> -c: the bonds mirror in magnitude only
+        assert not np.array_equal(off[::-1, ::-1], off)
+    trace = trace_from_hamiltonians(times, diag, off, n_edge)
+    assert trace.solved == (k + 1) // 2
+    energies, flags = _loop_trace(diag[:trace.solved], off[:trace.solved], n_edge)
+    assert np.array_equal(trace.energies[:trace.solved], energies)
+    assert np.array_equal(trace.edge_flags[:trace.solved], flags)
+    # each mirrored row is an exact copy of its partner
+    assert np.array_equal(trace.energies[::-1], trace.energies)
+    assert np.array_equal(trace.edge_flags[::-1], trace.edge_flags)
+
+
+_DIRECT_STACKS = {
+    "energylevel": _energylevel_stack,
+    "plain-u-phase": lambda: _schedule_stack(
+        Schedule("rm", 100.0, dict(pump_schedule(100.0).params, u=FunctionSpec("sin", amplitude=1.0, phase=0.3))), 7),
+    "tolerance-4x": lambda: _perturbed_plain(4.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIRECT_STACKS))
+def test_asymmetric_trace_solves_every_row_as_before(case):
+    times, diag, off, n_edge = _DIRECT_STACKS[case]()
+    trace = trace_from_hamiltonians(times, diag, off, n_edge)
+    assert trace.solved == times.size
+    energies, flags = _loop_trace(diag, off, n_edge)
     assert np.array_equal(trace.energies, energies)
     assert np.array_equal(trace.edge_flags, flags)
+
+
+def test_mirrored_trace_calls_the_eigensolver_for_its_first_half(monkeypatch):
+    calls = []
+
+    def counted(d, e):
+        calls.append(d.size)
+        return tridiag_eigh(d, e)
+
+    monkeypatch.setattr(spectra, "tridiag_eigh", counted)
+    for k in (201, 200):
+        calls.clear()
+        trace = trace_from_hamiltonians(*_schedule_stack(pump_schedule(100.0), 7, k))
+        assert len(calls) == trace.solved == (k + 1) // 2
+    calls.clear()
+    trace_from_hamiltonians(*_energylevel_stack())
+    assert len(calls) == 201
 
 
 def test_batched_trimer_sweep_matches_per_chain_eigendecompose():
