@@ -20,9 +20,6 @@ from .models import (
     Schedule,
     apply_disorder,
     bell_transfer_schedule,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
     optimized_schedule,
     pump_schedule,
 )
@@ -30,13 +27,10 @@ from .spectra import (
     EdgeStatePair,
     Spectrum,
     SpectrumTrace,
-    TrimerEdgeStates,
     analytic_edge_states,
     edge_weight,
     eigendecompose,
     instantaneous_spectrum,
-    localization_length,
-    trimer_edge_states,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -54,8 +48,6 @@ from .effective import (
     classify_path,
     compare_reduction,
     lz_evolve,
-    path_c_frame,
-    path_c_hamiltonian,
 )
 from .couplings import (
     bessel_jn,

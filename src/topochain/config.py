@@ -97,8 +97,8 @@ BDF_MAX_PHASE = 20_000
 # np.linspace forms stop - start, which overflows once the two magnitudes
 # sum past the float range (1.8e308); below 1e300 the span stays finite.
 # It also bounds each number that sets an entry of H (the chain parameters,
-# function terms, disorder and LZ keys): a chain of 1e308 bonds has
-# eigenvalues beyond the float range, one of 1e300 bonds finite ones
+# function terms, disorder, LZ keys, flux keys): 1e308 bonds have
+# eigenvalues beyond the float range, 1e300 bonds finite ones
 MAX_RANGE_END = 1e300
 
 # shortest time span (a schedule's T, an lz path's T, a quench's t_final):
@@ -171,7 +171,7 @@ _KINDS = {  # the test and the name of each kind of value
 # the schema: one table of keys per config object.  A key feeds "sites" or
 # "rows" (MAX_SITES, MAX_ROW_SITES), the "span", "norm" or "step" of the
 # integrators' cost models, or a command's own cost bounds
-_NUMBER, _INT, _REQUIRED_NUMBER = Key("number"), Key("int"), Key("number", required=True)
+_NUMBER, _INT = Key("number"), Key("int")
 _POSITIVE = Bound(">", 0, got=False)
 _SPAN = (_POSITIVE, Bound(">=", MIN_SPAN))
 _MAGNITUDE = Bound("below", MAX_RANGE_END)
@@ -333,14 +333,14 @@ FLUX = {
         "ej": Key("number", bounds=(Bound(">", 0), Bound(">=", FLUX_MIN_EJ), Bound("<=", FLUX_MAX_ENERGY))),
         **dict.fromkeys(("ej_over_ec", "alpha"), _POSITIVE_NUMBER),
         **dict.fromkeys(("beta", "f_sigma_kappa"), _NUMBER),
-        **dict.fromkeys(("n_total", "n_diff"), _INT),
+        **dict.fromkeys(("n_total", "n_diff"), Key("int", bounds=(_MAGNITUDE,))),
         "charge_cutoff": Key("int", bounds=(Bound("in", (1, FLUX_MAX_CHARGE_CUTOFF)),), feeds="flux cost"),
     }),
 }
 # the level sweep at one f_alpha, or the gap sweep over f_alpha (two
 # levels a point); a run reads only its own sweep's keys
 FLUX_LEVELS = {
-    "f_alpha": _REQUIRED_NUMBER,
+    "f_alpha": Key("number", required=True, bounds=(_MAGNITUDE,)),
     "f_eps_range": _range(1, default={"start": -0.05, "stop": 0.05, "points": 41}),
     "levels": Key("int", 5, feeds="flux cost"),
 }
@@ -441,8 +441,8 @@ def _check_size(chk: list, sites: Optional[int], sites_key: str, rows: Optional[
 def _model(chk: list, cfg: dict, ctx: str, table: dict, where=None):
     """The flat static-model keys (kind, the kind's parameters, L; the other
     kinds' keys are unknown), then the command's ``table``.  Returns the
-    model, its sites and the values; ``where`` replaces ``ctx`` in the
-    unknown- and missing-key messages."""
+    model, its sites, the table's values and whether they are usable;
+    ``where`` replaces ``ctx`` in the unknown- and missing-key messages."""
     kind = cfg.get("kind")
     params = MODEL[kind] if isinstance(kind, str) and kind in MODEL else {}
     allowed = _COMMON + tuple(table) + tuple(params) + ("L",)
@@ -452,7 +452,7 @@ def _model(chk: list, cfg: dict, ctx: str, table: dict, where=None):
         model = {"kind": kind, "params": _walk(chk, cfg, params, f"{ctx} (kind '{kind}')", extra=None)[0],
                  "L": _take(chk, cfg, "L", _CELLS, ctx, ctx)[0]}
     sites = _sites(kind, model and model["L"])
-    return model, sites, _walk(chk, cfg, table, ctx, extra=None)[0]
+    return (model, sites, *_walk(chk, cfg, table, ctx, extra=None))
 
 
 def _pump(chk: list, cfg: dict, ctx: str, table: dict) -> dict:
@@ -481,7 +481,7 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         return {"mode": "trace", **chain, **v}
     mode = "sweep" if "sweep" in cfg else "static"
     table, where = (SPECTRUM_SWEEP, f"{ctx} with 'sweep'") if mode == "sweep" else (SPECTRUM_STATIC, ctx)
-    model, sites, v = _model(chk, cfg, ctx, table, where)
+    model, sites, v, usable = _model(chk, cfg, ctx, table, where)
     options = {"mode": mode, "model": model}
     sweep = v.get("sweep")
     if sweep is not None:
@@ -490,6 +490,10 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         if model is not None and name is not None and name not in model["params"]:
             chk.append(f"sweep parameter {name!r} is not a model parameter of kind '{model['kind']}'")
     _check_size(chk, sites, f"'L' in {ctx}", sweep and sweep["points"], f"'points' in {ctx}.sweep")
+    # the runner lays a sweep's points out with linspace, and a trace needs them to increase strictly
+    ends = (sweep["start"], sweep["stop"]) if sweep is not None and usable else None
+    if ends and not np.all(np.diff(np.linspace(*ends, min(sweep["points"], MAX_ROW_SITES))) > 0):
+        chk.append(f"key 'stop' in {ctx}.sweep must exceed 'start' for {sweep['points']} increasing points, got {ends}")
     levels = v.get("export_states")
     if "export_states" in cfg:
         options["export_states"] = levels
@@ -500,7 +504,7 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
 
 
 def _quench(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
-    model, sites, v = _model(chk, cfg, ctx, QUENCH)
+    model, sites, v, _ = _model(chk, cfg, ctx, QUENCH)
     _check_site(chk, v["flip_site"], sites, "flip_site", ctx)
     _check_size(chk, sites, f"'L' in {ctx}", v["n_records"], f"'n_records' in {ctx}")
     if v["disorder"] is not None and v["disorder"]["seed"] is None:
@@ -543,6 +547,14 @@ def _fluxqubit(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
     if v.get("levels") is not None:
         _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
+    # the alpha-loop phase pi(beta(N - kappa f_alpha) + f_alpha) (see fluxcircuit) is linear: its ends bound it
+    beta, kappa, big_n = (spec.get(key, getattr(FluxQubitSpec, key)) for key in ("beta", "f_sigma_kappa", "n_total"))
+    rng = v.get("f_alpha_sweep") or {"start": v.get("f_alpha"), "stop": None}
+    for fa in (x for x in (rng["start"], rng["stop"]) if x is not None and max(abs(x), abs(big_n)) < MAX_RANGE_END):
+        if not math.isfinite(math.pi * (beta * (big_n - kappa * fa) + fa)):
+            key = "f_sigma_kappa" if math.isinf(kappa * fa) else "beta"
+            chk.append(f"key '{key}' in {ctx}.spec makes the alpha-loop phase non-finite at f_alpha = {fa:g}")
+            break
     return {"spec_kwargs": spec, **v}
 
 

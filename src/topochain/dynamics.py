@@ -113,12 +113,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def state_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise InvalidParameterError(f"t={t} is not a recorded time")
-        return self.states[i]
-
 
 def static_arrays(h: ChainHamiltonian, times):
     """H(t) of a fixed chain at ``times``, laid out as ``models.schedule_arrays``."""

@@ -180,13 +180,13 @@ class LZPath:
 def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
     """Around vs through the critical point u = g = 0 (or neither).
 
-    The default tolerance is 1e-6 of the largest path radius; the result
-    depends only on the ordered samples, not on their time stamps.
+    The default tolerance is 1e-6 of the largest path radius (0 on the zero
+    path); the result depends only on the ordered samples, not their times.
     """
     radius = np.hypot(path.u, path.g)
     if tol is None:
         tol = 1e-6 * float(radius.max())
-    if tol <= 0:
+    elif tol <= 0:
         raise InvalidParameterError("tol must be > 0")
     nonzero = path.u[np.abs(path.u) > tol]
     changes_sign = nonzero.size >= 2 and nonzero[0] * nonzero[-1] < 0
@@ -195,27 +195,6 @@ def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
     if radius.min() < tol:
         return PathClass.THROUGH_CRITICAL
     return PathClass.AROUND_CRITICAL
-
-
-def path_c_hamiltonian(u: float, theta: float) -> np.ndarray:
-    """H = u/cos(theta) * [[cos, sin], [sin, -cos]](theta) of the tilted ramp."""
-    if abs(np.cos(theta)) < 1e-12:
-        raise InvalidParameterError("theta = +-pi/2 is singular")
-    return u / np.cos(theta) * np.array([[np.cos(theta), np.sin(theta)], [np.sin(theta), -np.cos(theta)]])
-
-
-def path_c_frame(theta: float) -> np.ndarray:
-    """Rotation R taking {|L>, |R>} to the time-independent eigenbasis of
-    the path-C Hamiltonian: R H R^T is diagonal with entries +-u/cos(theta).
-
-    Rows are (cos t/2, sin t/2) and (-sin t/2, cos t/2); the upper state is
-    cos(t/2)|L> + sin(t/2)|R>.  The sign of the second row makes R a proper
-    rotation, which the printed symmetric form (det = cos theta) is not.
-    """
-    if not abs(theta) < np.pi / 2:
-        raise InvalidParameterError(f"|theta| must be < pi/2, got {theta}")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, s], [-s, c]])
 
 
 def lz_evolve(
@@ -281,4 +260,3 @@ def compare_reduction(
     pop_reduced = np.abs(reduced.states) ** 2
     dev = float(np.abs(pop_full - pop_reduced).max())
     return ReductionComparison(full.times, pop_full, pop_reduced, dev)
-

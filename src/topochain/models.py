@@ -57,25 +57,11 @@ class ChainHamiltonian:
             h += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
         return h
 
-    def allclose(self, other: "ChainHamiltonian", tol: float = 0.0) -> bool:
-        return (
-            self.n_sites == other.n_sites
-            and np.allclose(self.diagonal, other.diagonal, rtol=0, atol=tol)
-            and np.allclose(self.offdiagonal, other.offdiagonal, rtol=0, atol=tol)
-        )
-
-
-def _check_cells(L: int) -> int:
-    L = int(L)
-    if L < 1:
-        raise InvalidDimensionError(f"cell count must be >= 1, got {L}")
-    return L
-
 
 def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
     """Diagonal and bonds of a chain of ``size`` cells from its parameters.
 
-    This is the one layout of every chain kind: the builders pass scalars,
+    This is the one layout of every chain kind: a static model passes scalars,
     the schedule evaluator and the sweeps pass scalars or arrays of shape
     ``shape + (1,)`` so that each leading index is one time or sweep point.
     """
@@ -95,23 +81,6 @@ def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
     off[..., 0::2] = p["a"]
     off[..., 1::2] = p["b"]
     return diag, off
-
-
-def build_ssh(L: int, a: float, b: float, omega: float = 0.0) -> ChainHamiltonian:
-    """SSH chain of 2L sites: uniform on-site omega, bonds a,b,a,...,a."""
-    return ChainHamiltonian(*chain_arrays("ssh", _check_cells(L), {"a": a, "b": b, "omega": omega}))
-
-
-def build_rice_mele(L: int, a: float, b: float, u: float) -> ChainHamiltonian:
-    """Rice-Mele chain: SSH bonds plus staggered on-site +u (A) / -u (B)."""
-    return ChainHamiltonian(*chain_arrays("rm", _check_cells(L), {"a": a, "b": b, "u": u}))
-
-
-def build_trimer(L: int, a: float, b: float, c: float, u: float, v: float, w: float) -> ChainHamiltonian:
-    """Trimer Rice-Mele chain of 3L sites: bonds repeat (a,b,c) with the
-    final c bond absent, on-site energies repeat (u,v,w)."""
-    p = {"a": a, "b": b, "c": c, "u": u, "v": v, "w": w}
-    return ChainHamiltonian(*chain_arrays("trimer", _check_cells(L), p))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +241,14 @@ def schedule_arrays(schedule: Schedule, L: int, times, layout=chain_arrays):
     for a 1-D array of k times, (diag[n], off[n-1]) for a single time.
     ``layout`` is ``chain_arrays``, the full chain, or a function of the same
     signature: ``effective.reduced_arrays`` gives the reduced H(t)."""
+    L = int(L)
+    if L < 1:
+        raise InvalidDimensionError(f"cell count must be >= 1, got {L}")
     vals = schedule.values(times)
     shape = np.shape(times)
     if shape:
         vals = {name: v[..., np.newaxis] for name, v in vals.items()}
-    return layout(schedule.kind, _check_cells(L), vals, shape)
+    return layout(schedule.kind, L, vals, shape)
 
 
 # Pump sequences used throughout the figures.

@@ -149,49 +149,3 @@ def analytic_edge_states(a: float, b: float, L: int) -> EdgeStatePair:
     left[0::2] = xi * lam ** (n - 1)
     right[1::2] = xi * lam ** (L - n)
     return EdgeStatePair(left, right, lam, xi)
-
-
-@dataclass(frozen=True, eq=False)
-class TrimerEdgeStates:
-    """The four SSH3 edge states of the mirror-symmetric (a = b) trimer
-    chain; the left family lives on (A, B) sites, the right on (B, C)."""
-
-    left_plus: np.ndarray
-    left_minus: np.ndarray
-    right_plus: np.ndarray
-    right_minus: np.ndarray
-    lam: float
-    xi_norm: float
-
-    def all_states(self):
-        return (self.left_plus, self.left_minus, self.right_plus, self.right_minus)
-
-
-def trimer_edge_states(a: float, c: float, L: int) -> TrimerEdgeStates:
-    if abs(a) >= abs(c):
-        raise PhaseDomainError(f"trimer edge states need |a| < |c|, got a={a}, c={c}")
-    L = int(L)
-    lam = a / c
-    xi = np.sqrt(coupling_ratio_norm_sq(lam, L))
-    n = np.arange(1, L + 1)
-    states = {}
-    for pm in (+1.0, -1.0):
-        fac_left = xi * (-pm * lam) ** (n - 1) / np.sqrt(2.0)
-        fac_right = xi * (-pm * lam) ** (L - n) / np.sqrt(2.0)
-        left = np.zeros(3 * L)
-        right = np.zeros(3 * L)
-        left[0::3] = fac_left
-        left[1::3] = pm * fac_left
-        right[1::3] = fac_right
-        right[2::3] = pm * fac_right
-        states[pm] = (left, right)
-    return TrimerEdgeStates(states[1.0][0], states[-1.0][0], states[1.0][1], states[-1.0][1], lam, xi)
-
-
-def localization_length(a: float, b: float) -> float:
-    """xi = 1 / (ln|b| - ln|a|); a = 0 gives 0 (perfect localization)."""
-    if a == 0.0:
-        return 0.0
-    if abs(a) >= abs(b):
-        raise PhaseDomainError(f"localization length needs |a| < |b|, got a={a}, b={b}")
-    return 1.0 / (np.log(abs(b)) - np.log(abs(a)))

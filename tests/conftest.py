@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 import scipy.sparse as sp
 
 import topochain
-from topochain.models import ChainHamiltonian
+from topochain.errors import InvalidParameterError, PhaseDomainError
+from topochain.models import ChainHamiltonian, chain_arrays
+from topochain.spectra import coupling_ratio_norm_sq
 
 
 def run_at_blas_threads(cfg: dict, out: Path, threads: int) -> Path:
@@ -28,6 +31,11 @@ def run_at_blas_threads(cfg: dict, out: Path, threads: int) -> Path:
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return out
+
+
+def make_chain(kind: str, L: int, **params) -> ChainHamiltonian:
+    """The chain of L cells of ``kind`` (``models.chain_arrays``), e.g. make_chain("ssh", 7, a=0.1, b=1.0)."""
+    return ChainHamiltonian(*chain_arrays(kind, L, params))
 
 
 def dense_eigh(h: ChainHamiltonian):
@@ -85,6 +93,77 @@ def plain_pump_cfm4(period, psi0, steps):
             vals, vecs = np.linalg.eigh(gen)
             psi = vecs @ (np.exp(-1j * dt * vals) * (vecs.T @ psi))
     return psi
+
+
+# Closed forms of the paper: the SSH3 edge states, the SSH localization
+# length and the path-C frame
+
+
+@dataclass(frozen=True, eq=False)
+class TrimerEdgeStates:
+    """The four SSH3 edge states of the mirror-symmetric (a = b) trimer
+    chain; the left family lives on (A, B) sites, the right on (B, C)."""
+
+    left_plus: np.ndarray
+    left_minus: np.ndarray
+    right_plus: np.ndarray
+    right_minus: np.ndarray
+    lam: float
+    xi_norm: float
+
+    def all_states(self):
+        return (self.left_plus, self.left_minus, self.right_plus, self.right_minus)
+
+
+def trimer_edge_states(a: float, c: float, L: int) -> TrimerEdgeStates:
+    if abs(a) >= abs(c):
+        raise PhaseDomainError(f"trimer edge states need |a| < |c|, got a={a}, c={c}")
+    L = int(L)
+    lam = a / c
+    xi = np.sqrt(coupling_ratio_norm_sq(lam, L))
+    n = np.arange(1, L + 1)
+    states = {}
+    for pm in (+1.0, -1.0):
+        fac_left = xi * (-pm * lam) ** (n - 1) / np.sqrt(2.0)
+        fac_right = xi * (-pm * lam) ** (L - n) / np.sqrt(2.0)
+        left = np.zeros(3 * L)
+        right = np.zeros(3 * L)
+        left[0::3] = fac_left
+        left[1::3] = pm * fac_left
+        right[1::3] = fac_right
+        right[2::3] = pm * fac_right
+        states[pm] = (left, right)
+    return TrimerEdgeStates(states[1.0][0], states[-1.0][0], states[1.0][1], states[-1.0][1], lam, xi)
+
+
+def localization_length(a: float, b: float) -> float:
+    """xi = 1 / (ln|b| - ln|a|); a = 0 gives 0 (perfect localization)."""
+    if a == 0.0:
+        return 0.0
+    if abs(a) >= abs(b):
+        raise PhaseDomainError(f"localization length needs |a| < |b|, got a={a}, b={b}")
+    return 1.0 / (np.log(abs(b)) - np.log(abs(a)))
+
+
+def path_c_hamiltonian(u: float, theta: float) -> np.ndarray:
+    """H = u/cos(theta) * [[cos, sin], [sin, -cos]](theta) of the tilted ramp."""
+    if abs(np.cos(theta)) < 1e-12:
+        raise InvalidParameterError("theta = +-pi/2 is singular")
+    return u / np.cos(theta) * np.array([[np.cos(theta), np.sin(theta)], [np.sin(theta), -np.cos(theta)]])
+
+
+def path_c_frame(theta: float) -> np.ndarray:
+    """Rotation R taking {|L>, |R>} to the time-independent eigenbasis of
+    the path-C Hamiltonian: R H R^T is diagonal with entries +-u/cos(theta).
+
+    Rows are (cos t/2, sin t/2) and (-sin t/2, cos t/2); the upper state is
+    cos(t/2)|L> + sin(t/2)|R>.  The sign of the second row makes R a proper
+    rotation, which the printed symmetric form (det = cos theta) is not.
+    """
+    if not abs(theta) < np.pi / 2:
+        raise InvalidParameterError(f"|theta| must be < pi/2, got {theta}")
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, s], [-s, c]])
 
 
 def _kron_terms(spec, f_alpha, f_eps):

@@ -29,28 +29,23 @@ from topochain import (
     basis_state,
     bell_transfer_schedule,
     bessel_jn,
-    build_ssh,
-    build_trimer,
     compare_reduction,
     effective_coupling_identical,
     eigendecompose,
-    localization_length,
     lz_evolve,
     optimized_schedule,
-    path_c_frame,
-    path_c_hamiltonian,
     pump,
     pump_schedule,
     quench,
     transfer_fidelity,
-    trimer_edge_states,
 )
 
 from topochain.effective import LZPath, reduced_arrays
 from topochain.fluxcircuit import _dh_hops, charge_band, sweep_point
 from topochain.spectra import coupling_ratio_norm_sq
 
-from conftest import dense_eigvals, plain_pump_cfm4, plain_pump_hamiltonians, random_chain
+from conftest import (dense_eigvals, localization_length, make_chain, path_c_frame, path_c_hamiltonian,
+                      plain_pump_cfm4, plain_pump_hamiltonians, random_chain, trimer_edge_states)
 
 BDF = IntegratorConfig(method="bdf")
 RK4 = IntegratorConfig(method="rk4", max_step=0.002)
@@ -97,7 +92,7 @@ def _bell_run(sign: float, method: str):
 
 
 def test_criterion_01_zero_mode_existence():
-    vals = eigendecompose(build_ssh(7, 0.1, 1.0)).eigenvalues
+    vals = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0)).eigenvalues
     magnitudes = np.sort(np.abs(vals))
     ok = magnitudes[1] <= 1e-6 and magnitudes[2] >= 0.85
     assert _report(1, ok, "SSH(0.1, 1, 14 sites): two mid-gap levels, bulk beyond 0.85")
@@ -114,7 +109,7 @@ def test_criterion_02_chiral_symmetry():
 
 
 def test_criterion_03_edge_state_analytics():
-    spectrum = eigendecompose(build_ssh(7, 0.1, 1.0))
+    spectrum = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
     idx = np.argsort(np.abs(spectrum.eigenvalues))[:2]
     sub = spectrum.eigenvectors[:, idx]
     pair = analytic_edge_states(0.1, 1.0, 7)
@@ -134,7 +129,7 @@ def test_criterion_03_edge_state_analytics():
 
 
 def test_criterion_04_soliton_robustness():
-    base = build_ssh(7, 0.1, 1.0)
+    base = make_chain("ssh", 7, a=0.1, b=1.0)
     curves = []
     for seed in range(20):
         chain = apply_disorder(base, DisorderSpec(0.01, seed=seed))
@@ -142,7 +137,7 @@ def test_criterion_04_soliton_robustness():
         curves.append(traj.sz[:, 0])
     # <sigma_1^z> of the 20-seed disordered ensemble stays in the soliton
     ensemble_min = float(np.mean(curves, axis=0).min())
-    uniform_base = build_ssh(7, 1.0, 1.0)
+    uniform_base = make_chain("ssh", 7, a=1.0, b=1.0)
     drop_times = []
     for seed in range(20):
         chain = apply_disorder(uniform_base, DisorderSpec(0.01, seed=seed))
@@ -197,7 +192,7 @@ def test_criterion_05_adiabatic_convergence():
 
 def test_criterion_06_optimized_protocol():
     traj = _optimized_run(3, "bdf")
-    fid_round = transfer_fidelity(traj.state_at(200.0), basis_state(14, 1))
+    fid_round = transfer_fidelity(traj.states[400], basis_state(14, 1))  # t = 200: 200 records a cycle
     fid_end = transfer_fidelity(traj.final_state, basis_state(14, 14))
     ok = fid_round >= 0.99 and fid_end >= 0.99
     assert _report(6, ok, f"optimized pump: 2-cycle return {fid_round:.4f}, 3-cycle transfer {fid_end:.4f}")
@@ -207,7 +202,7 @@ def test_criterion_07_lz_reduction_accuracy():
     errors = {}
     for a in (0.1, 0.3, 0.5):
         g = reduced_arrays("rm", 7, {"a": a, "b": 1.0, "u": 0.0})[1][0]
-        vals = dense_eigvals(build_ssh(7, a, 1.0))
+        vals = dense_eigvals(make_chain("ssh", 7, a=a, b=1.0))
         pair = vals[np.argsort(np.abs(vals))[:2]]
         half = (pair.max() - pair.min()) / 2.0
         errors[a] = abs(abs(g) - half) / abs(g)
@@ -245,7 +240,7 @@ def test_criterion_09_trimer_bell_transfer():
         fids = []
         for cycle in (1, 2, 3):
             target = _bell_state(21, sign, left=cycle % 2 == 0)
-            fids.append(transfer_fidelity(traj.state_at(cycle * 1000.0), target))
+            fids.append(transfer_fidelity(traj.states[200 * cycle], target))  # t = 1000 cycle: 601 records
         results[sign] = fids
     ok = all(f[0] >= 0.95 for f in results.values()) and all(min(f) >= 0.9 for f in results.values())
     assert _report(
@@ -257,7 +252,7 @@ def test_criterion_09_trimer_bell_transfer():
 
 
 def test_criterion_10_trimer_edge_structure():
-    spectrum = eigendecompose(build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
+    spectrum = eigendecompose(make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     vals = spectrum.eigenvalues
     lower = np.where((vals > -1.1) & (vals < -0.9))[0]
     upper = np.where((vals > 0.9) & (vals < 1.1))[0]
@@ -275,7 +270,7 @@ def test_criterion_10_trimer_edge_structure():
 
 
 def test_criterion_10_g_plus_splitting():
-    vals = dense_eigvals(build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
+    vals = dense_eigvals(make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     upper = vals[(vals > 0.9) & (vals < 1.1)]
     exact = upper.max() - upper.min()
     # the upper block's bond, the first of the reduced 4-site chain

@@ -21,9 +21,6 @@ from topochain import (
     ChainHamiltonian,
     DisorderSpec,
     apply_disorder,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
 )
 from topochain._kernels import _openblas_thread_controls
 from topochain.cli import main
@@ -35,7 +32,7 @@ from topochain.models import FunctionSpec, schedule_arrays
 from topochain.presets import PRESETS
 from topochain.runner import _build_model
 
-from conftest import run_at_blas_threads
+from conftest import make_chain, run_at_blas_threads
 
 
 def _parse(cfg_dict):
@@ -847,20 +844,17 @@ def test_rk4_norm_bound_holds(cfg):
 
 
 _SWEPT_MODELS = {
-    "ssh": ({"kind": "ssh", "L": 5, "a": 0.3, "b": 1.0},
-            lambda n, p: build_ssh(n, p["a"], p["b"], p["omega"])),
-    "rm": ({"kind": "rm", "L": 4, "a": 0.5, "b": 1.0, "u": 0.2},
-           lambda n, p: build_rice_mele(n, p["a"], p["b"], p["u"])),
-    "trimer": ({"kind": "trimer", "L": 3, "a": 0.4, "b": 0.7, "c": 1.0, "u": 0.3, "v": -0.2, "w": 0.1},
-               lambda n, p: build_trimer(n, *(p[name] for name in "abcuvw"))),
+    "ssh": {"kind": "ssh", "L": 5, "a": 0.3, "b": 1.0},
+    "rm": {"kind": "rm", "L": 4, "a": 0.5, "b": 1.0, "u": 0.2},
+    "trimer": {"kind": "trimer", "L": 3, "a": 0.4, "b": 0.7, "c": 1.0, "u": 0.3, "v": -0.2, "w": 0.1},
 }
 
 
 @pytest.mark.parametrize("kind, param", [("ssh", "omega"), ("rm", "a"), ("trimer", "c")])
 def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, param):
     # the runner lays a sweep out in one call, the parameter a column; each
-    # row must be the chain the builder makes at that point, byte for byte
-    model, build = _SWEPT_MODELS[kind]
+    # row must be the chain laid out at that point alone, byte for byte
+    model = _SWEPT_MODELS[kind]
     cfg = _parse({"schema": 1, "command": "spectrum", **model,
                   "sweep": {"param": param, "start": -0.37, "stop": 1.91, "points": 9}})
     seen = []
@@ -873,7 +867,7 @@ def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, p
     monkeypatch.setattr(topochain.runner, "trace_from_hamiltonians", trace_spy)
     topochain.runner.run(cfg, tmp_path)
     (values, diag, off), = seen
-    chains = [build(model["L"], dict(cfg.options["model"]["params"], **{param: float(v)})) for v in values]
+    chains = [make_chain(kind, model["L"], **{**cfg.options["model"]["params"], param: float(v)}) for v in values]
     assert diag.tobytes() == np.stack([h.diagonal for h in chains]).tobytes()
     assert off.tobytes() == np.stack([h.offdiagonal for h in chains]).tobytes()
 
@@ -1120,6 +1114,52 @@ def test_entries_of_h_at_the_bound_stay_finite(tmp_path):
     assert code == 0 and "Warning" not in err, err
     for name in ("rm", "trace"):
         assert np.isfinite(_csv_values(tmp_path / f"{name}.csv")).all()
+
+
+_SWEEP_A = {"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1.0}
+_ZERO_TERM = {"form": "const"}
+_PHASE_FLUX = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2}
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (dict(_SWEEP_A, sweep={"param": "a", "start": 2.0, "stop": 0.0, "points": 5}),
+         "key 'stop' in command 'spectrum'.sweep"),
+        (dict(_SWEEP_A, sweep={"param": "a", "start": 2.0, "stop": 2.0, "points": 5}),
+         "key 'stop' in command 'spectrum'.sweep"),
+        (dict(_SWEEP_A, sweep={"param": "a", "start": 1.0, "stop": math.nextafter(1.0, 2.0), "points": 5}),
+         "key 'stop' in command 'spectrum'.sweep"),
+        ({"schema": 1, "command": "fluxqubit", "f_alpha_sweep": {"start": 0.1, "stop": 0.3, "points": 3},
+          "spec": {"beta": 1e308, "charge_cutoff": 2}}, "key 'beta' in command 'fluxqubit'.spec"),
+        (dict(_PHASE_FLUX, f_alpha=10, spec={"f_sigma_kappa": 1e308, "charge_cutoff": 2}),
+         "key 'f_sigma_kappa' in command 'fluxqubit'.spec"),
+        (dict(_PHASE_FLUX, f_alpha=1e308, spec={"charge_cutoff": 2}), "key 'f_alpha' in command 'fluxqubit'"),
+        (dict(_PHASE_FLUX, spec={"n_total": 10**400, "charge_cutoff": 2}), "key 'n_total' in command 'fluxqubit'.spec"),
+        (dict(_PHASE_FLUX, spec={"n_diff": 10**400, "charge_cutoff": 2}), "key 'n_diff' in command 'fluxqubit'.spec"),
+        ({"schema": 1, "command": "lz", "path": {"type": "custom", "T": 5, "u": _ZERO_TERM, "g": _ZERO_TERM}},
+         ("path_class", "no-crossing")),
+        ({"schema": 1, "command": "lz",
+          "from_schedule": {"kind": "rm", "L": 3, "T": 5, "params": dict.fromkeys("abu", _ZERO_TERM)}},
+         ("schedule_path_class", "no-crossing")),
+    ],
+    ids=["sweep-down", "sweep-flat", "sweep-below-spacing", "flux-beta", "flux-kappa", "flux-f-alpha", "flux-n-total",
+         "flux-n-diff", "lz-zero-path", "lz-zero-schedule"],
+)
+def test_inputs_that_failed_at_run_time_are_named_or_run(tmp_path, cfg, expected):
+    # a fresh interpreter, so a numpy RuntimeWarning would reach stderr: a
+    # sweep whose points do not increase strictly, or flux numbers that make
+    # a junction phase non-finite, are named violations before anything is
+    # written; the zero lz path classifies by its own rule and runs
+    code, err = _run_fresh(tmp_path, cfg)
+    assert "Warning" not in err and "Traceback" not in err, err
+    if isinstance(expected, str):
+        assert code == 2 and expected in err, err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest.json"))
+    else:
+        assert code == 0, err
+        key, value = expected
+        assert json.loads((tmp_path / "lz.manifest.json").read_text())["extras"][key] == value
 
 
 def test_schedule_path_through_zero_and_overflowing_bonds(tmp_path):

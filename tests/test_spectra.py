@@ -11,16 +11,11 @@ from topochain import (
     PhaseDomainError,
     analytic_edge_states,
     bell_transfer_schedule,
-    build_rice_mele,
-    build_ssh,
-    build_trimer,
     edge_weight,
     eigendecompose,
     instantaneous_spectrum,
-    localization_length,
     optimized_schedule,
     pump_schedule,
-    trimer_edge_states,
 )
 from topochain import spectra
 from topochain.config import parse_config
@@ -30,7 +25,7 @@ from topochain.models import (SITES_PER_CELL, ChainHamiltonian, FunctionSpec, Sc
                               schedule_arrays)
 from topochain.spectra import EDGE_FLAG_THRESHOLD, _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
 
-from conftest import dense_eigvals, random_chain
+from conftest import dense_eigvals, localization_length, make_chain, random_chain, trimer_edge_states
 
 
 def test_two_site_spectrum():
@@ -39,7 +34,7 @@ def test_two_site_spectrum():
 
 
 def test_14_site_ssh_midgap_pair():
-    s = eigendecompose(build_ssh(7, 0.1, 1.0))
+    s = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
     magnitudes = np.sort(np.abs(s.eigenvalues))
     assert magnitudes[1] < 1e-6
     assert magnitudes[2] > 0.85
@@ -47,7 +42,7 @@ def test_14_site_ssh_midgap_pair():
 
 def test_four_site_eigenvalues_to_quartic_roots():
     a, b = 0.1, 1.0
-    s = eigendecompose(build_ssh(2, a, b))
+    s = eigendecompose(make_chain("ssh", 2, a=a, b=b))
     e_sq = np.roots([1.0, -(2 * a * a + b * b), a**4])
     expected = np.sort(np.concatenate([-np.sqrt(e_sq), np.sqrt(e_sq)]))
     assert np.abs(s.eigenvalues - expected).max() < 1e-6
@@ -87,9 +82,9 @@ def test_sign_gauge_matches_dense_solver_on_mirror_symmetric_chains():
     # Mirror symmetry makes the two largest components of a column tie in
     # magnitude; the gauge must not let the solver's rounding pick between them.
     for h in (
-        build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0),
+        make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0),
         ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 25.0)),
-        build_rice_mele(7, 0.3, 1.0, 0.0),
+        make_chain("rm", 7, a=0.3, b=1.0, u=0.0),
     ):
         _, dense = np.linalg.eigh(h.to_dense())
         assert np.abs(eigendecompose(h).eigenvectors - _fix_signs(dense)).max() <= 1e-10
@@ -103,7 +98,7 @@ def test_chiral_symmetry_of_zero_diagonal_chains(rng):
 
 
 def test_eigendecompose_rejects_nonfinite():
-    h = build_ssh(2, 0.1, 1.0)
+    h = make_chain("ssh", 2, a=0.1, b=1.0)
     bad = ChainHamiltonian.__new__(ChainHamiltonian)
     object.__setattr__(bad, "diagonal", np.array([0.0, np.nan]))
     object.__setattr__(bad, "offdiagonal", np.array([1.0]))
@@ -133,7 +128,7 @@ def test_edge_states_decay_and_support():
 
 
 def test_edge_states_match_degenerate_subspace():
-    s = eigendecompose(build_ssh(7, 0.1, 1.0))
+    s = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
     idx = np.argsort(np.abs(s.eigenvalues))[:2]
     sub = s.eigenvectors[:, idx]
     pair = analytic_edge_states(0.1, 1.0, 7)
@@ -189,7 +184,7 @@ def test_trimer_edge_states_orthonormal_deep_in_phase():
 
 
 def test_trimer_hybrids_match_in_gap_subspaces():
-    s = eigendecompose(build_trimer(8, 1.0, 1.0, 2.0, 0.0, 0.0, 0.0))
+    s = eigendecompose(make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     st = trimer_edge_states(1.0, 2.0, 8)
     lower = s.eigenvectors[:, (s.eigenvalues > -1.1) & (s.eigenvalues < -0.9)]
     upper = s.eigenvectors[:, (s.eigenvalues > 0.9) & (s.eigenvalues < 1.1)]
@@ -280,7 +275,7 @@ def test_instantaneous_spectrum_optimized_gap_stays_open():
 
 def test_trace_from_hamiltonians_rejects_mixed_sizes():
     # bonds of a 6-site chain against diagonals of a 4-site one
-    h4, h6 = build_ssh(2, 0.1, 1.0), build_ssh(3, 0.1, 1.0)
+    h4, h6 = make_chain("ssh", 2, a=0.1, b=1.0), make_chain("ssh", 3, a=0.1, b=1.0)
     with pytest.raises(InvalidParameterError):
         trace_from_hamiltonians([0.0, 1.0], np.stack([h4.diagonal] * 2), np.stack([h6.offdiagonal] * 2), 2)
 
@@ -422,7 +417,7 @@ def test_mirrored_trace_calls_the_eigensolver_for_its_first_half(monkeypatch):
 
 def test_batched_trimer_sweep_matches_per_chain_eigendecompose():
     values = np.linspace(0.0, 2.0, 41)
-    chains = [build_trimer(8, a, a, 2.0, 0.0, 0.0, 0.0) for a in values]
+    chains = [make_chain("trimer", 8, a=a, b=a, c=2.0, u=0.0, v=0.0, w=0.0) for a in values]
     trace = trace_from_hamiltonians(values, np.stack([h.diagonal for h in chains]),
                                     np.stack([h.offdiagonal for h in chains]), 3, axis_name="a")
     energies, flags = _per_time_trace(chains, 3)
