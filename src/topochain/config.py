@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -40,16 +41,6 @@ SCHEMA_VERSION = 1
 # 101^2-state charge basis); the solver also needs levels <= dimension - 2
 FLUX_MAX_LEVELS = 20
 FLUX_MAX_CHARGE_CUTOFF = 50
-
-# circuit energies ej and E_C = ej / ej_over_ec: H is solved in units of E_J,
-# so the levels scale with ej (2.2e-15 off at ej = E_C = 1e25), and ej 1e300
-# over ej_over_ec 1e-300 overflows H.  Measured at charge_cutoff 50, 20
-# levels, one thread, three bias points: a point costs 0.35-0.57 s at the
-# defaults, 0.41-1.69 s at the corners of these bounds and 0.90-1.51 s at
-# ej = E_C = 1e-4, with one factorization and 90-305 shift-invert solves
-FLUX_MIN_EJ = 1e-2
-FLUX_MIN_EC = 1e-4
-FLUX_MAX_ENERGY = 1e12
 
 # a couplings run at both limits (n_max 100, 201 x 201 drive ratios) costs
 # 0.6 s on 2 cores, most of it writing the 40,401-row CSV, and 33 MiB for
@@ -90,7 +81,11 @@ RK4_STABILITY_LIMIT = 2.8
 # under Magnus (exact for a constant H); an lz arc at T = 10,000 takes
 # 2.5 s and 102,200 Magnus steps.  The Bell pump (T = 1000, ||H|| <= 5.8)
 # takes 6.2 s a cycle under BDF, and its three cycles in the acceptance
-# suite reach 17,400: 5.5 s and 37,800 Magnus steps
+# suite reach 17,400: 5.5 s and 37,800 Magnus steps.  It also bounds the
+# angle 2*pi*|frequency_multiple|*cycles a sin or cos term turns through,
+# since each turn of H needs steps of its own: a 4-site rm pump at T = 10
+# with its a and u terms at that angle takes 17 s and 254,160 right-hand
+# sides under BDF, and 6.7 s and 102,400 Magnus steps
 BDF_MAX_PHASE = 20_000
 
 # magnitude of a range's ends (sweeps, drive ratios, flux biases):
@@ -164,16 +159,17 @@ _KINDS = {  # the test and the name of each kind of value
     "str": (lambda v: isinstance(v, str), "a string"),
     "list": (lambda v: isinstance(v, list), "a list"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
-    "levels": (lambda v: v == "edge" or isinstance(v, list) and all(isinstance(i, int) for i in v),
-               '"edge" or a list of level indices'),
 }
 
 # the schema: one table of keys per config object.  A key feeds "sites" or
 # "rows" (MAX_SITES, MAX_ROW_SITES), the "span", "norm" or "step" of the
 # integrators' cost models, or a command's own cost bounds
-_NUMBER, _INT = Key("number"), Key("int")
 _POSITIVE = Bound(">", 0, got=False)
 _SPAN = (_POSITIVE, Bound(">=", MIN_SPAN))
+# a schedule's or an lz path's period T: a sin or cos term forms its angle
+# 2*pi*f*t/T as 2*pi*f*t first, which T below 1e299 keeps below
+# MAX_RANGE_END for every f up to 1 (see _angles_hold)
+_PERIOD = Key("number", required=True, bounds=_SPAN + (Bound("below", 1e299),), feeds="span")
 _MAGNITUDE = Bound("below", MAX_RANGE_END)
 _RECORDS = Key("int", bounds=(Bound(">=", 2),), feeds="rows")
 _CELLS = Key("int", required=True, bounds=(Bound(">=", 1),), feeds="sites")
@@ -190,6 +186,22 @@ def _build_function(chk, ctx, v, ok):
     unread = [name for name in _UNREAD.get(v["form"], ()) if v[name] != FUNCTION.kind[name].default]
     chk += [f"key '{name}' in {ctx} has no effect on a '{v['form']}' term, got {v[name]}" for name in unread]
     return FunctionSpec(**v) if ok and not unread else None
+
+
+def _angles_hold(chk: list, terms: dict, ctx: str, period: float, cycles: int) -> bool:
+    """Whether the angle of each sin or cos term among ``terms`` stays below
+    MAX_RANGE_END over ``cycles`` periods.  FunctionSpec.value forms
+    2*pi*f*t before it divides by T, so that product and the angle must both
+    stay below it at the last time t = T*cycles; the larger of the two is
+    2*pi*|f|*cycles*max(T, 1).  Other values among ``terms`` are skipped."""
+    count = len(chk)
+    for name, fn in terms.items():
+        if isinstance(fn, FunctionSpec) and fn.form in ("sin", "cos"):
+            angle = 2.0 * math.pi * abs(fn.frequency_multiple) * cycles * max(period, 1.0)
+            if not angle < MAX_RANGE_END:
+                chk.append(f"key 'frequency_multiple' in {ctx}.{name} gives 2*pi*|frequency_multiple|*cycles*"
+                           f"max(T, 1) = {angle:g}, which must be below {MAX_RANGE_END:g}")
+    return len(chk) == count
 
 
 FUNCTION = Key({
@@ -211,6 +223,7 @@ def _build_schedule(chk, ctx, v, ok):
         table = dict.fromkeys(SCHEDULE_PARAMS[v["kind"]], FUNCTION)
         where = f"{ctx}.params for kind '{v['kind']}'"
         terms, terms_ok = _walk(chk, v["params"], table, f"{ctx}.params", where=where)
+        terms_ok = terms_ok and ok and _angles_hold(chk, terms, f"{ctx}.params", v["T"], v["cycles"])
     return {"schedule": Schedule(v["kind"], v["T"], terms, v["cycles"]) if ok and terms_ok else None, "L": v["L"]}
 
 
@@ -218,7 +231,7 @@ def _schedule(kinds, required=True) -> Key:
     return Key({
         "kind": Key("str", required=True, choices=kinds),
         "L": Key("int", required=True, bounds=(Bound("positive", 1, got=False),), feeds="sites"),
-        "T": Key("number", required=True, bounds=_SPAN, feeds="span"),
+        "T": _PERIOD,
         "cycles": Key("int", 1, bounds=(Bound(">=", 1, got=False),), feeds="span, rows"),
         "params": Key("dict", {}, required=True),
     }, required=required, build=_build_schedule)
@@ -260,32 +273,30 @@ SPECTRUM_TRACE = {
     "schedule": _schedule(MODEL_KINDS),
     "n_times": Key("int", 201, bounds=(Bound(">=", 2, got=False),), feeds="rows"),
 }
-# a static model's spectrum: one diagonalization, whose states it may
+# a static model's spectrum: one diagonalization, whose edge states it may
 # export, or a sweep of one parameter, which exports none
-SPECTRUM_STATIC = {"export_states": Key("levels")}
+SPECTRUM_STATIC = {"export_states": Key("str", choices=("edge",))}
 SPECTRUM_SWEEP = {
     "sweep": Key({"param": Key("str", required=True), **_range(2).kind}, hint=" {param, start, stop, points}"),
 }
 
-PUMP = {"schedule": _schedule(MODEL_KINDS), "initial_site": Key("int", 1), "n_records": _RECORDS}
+PUMP = {"schedule": _schedule(MODEL_KINDS), "n_records": _RECORDS}
 
 QUENCH = {
     "t_final": Key("number", required=True, bounds=_SPAN, feeds="span"),
     "flip_site": Key("int", 1),
     "n_records": Key("int", 201, bounds=_RECORDS.bounds, feeds="rows"),
+    # drawn from the config's seed on both the sites and the bonds
     "disorder": Key({
         "sigma": Key("number", required=True, bounds=(Bound(">=", 0, got=False), _MAGNITUDE), feeds="norm"),
-        "seed": _INT,  # defaults to the config's seed
-        "targets": Key("list", ("diagonal", "offdiagonal"), items=("diagonal", "offdiagonal"),
-                       item_error="unknown disorder target {item!r} in {ctx}", feeds="norm"),
-    }, build=lambda chk, ctx, v, ok: dict(v, targets=tuple(v["targets"])) if ok else None),
+    }, build=lambda chk, ctx, v, ok: v if ok else None),
 }
 
 # an lz path: the keys of every type, and whether they are usable; _lz
 # checks the keys of its type and builds the LZPath
 LZ_PATH = Key({
     "type": Key("str", required=True, choices=("arc", "line", "line_at_angle", "custom")),
-    "T": Key("number", required=True, bounds=_SPAN, feeds="span"),
+    "T": _PERIOD,
     "n_samples": Key("int", 201, bounds=(Bound(">=", 3),), feeds="rows"),
 }, extra=("alpha", "theta", "u", "g"), build=lambda chk, ctx, v, ok: (v, ok))
 _ALPHA = Key("number", required=True, bounds=(_MAGNITUDE,), feeds="norm")
@@ -304,7 +315,6 @@ _LZ_PATHS = {  # the constructor of each type: its keys, then T and n_samples
 LZ = {
     "initial_state": Key("str", "L", choices=("L", "R")),
     "n_records": QUENCH["n_records"],
-    "classify_tol": Key("number", bounds=(_POSITIVE,)),
     "path": LZ_PATH,
     "from_schedule": _schedule(("rm",), required=False),
 }
@@ -327,13 +337,9 @@ COUPLINGS = {
     **dict.fromkeys(("alpha1", "alpha2"), _range(1, MAX_ARGUMENT, COUPLINGS_MAX_POINTS, required=True)),
 }
 
-_POSITIVE_NUMBER = Key("number", bounds=(Bound(">", 0),))
+# the circuit is FluxQubitSpec's; a config sets only its charge basis
 FLUX = {
     "spec": Key({
-        "ej": Key("number", bounds=(Bound(">", 0), Bound(">=", FLUX_MIN_EJ), Bound("<=", FLUX_MAX_ENERGY))),
-        **dict.fromkeys(("ej_over_ec", "alpha"), _POSITIVE_NUMBER),
-        **dict.fromkeys(("beta", "f_sigma_kappa"), _NUMBER),
-        **dict.fromkeys(("n_total", "n_diff"), Key("int", bounds=(_MAGNITUDE,))),
         "charge_cutoff": Key("int", bounds=(Bound("in", (1, FLUX_MAX_CHARGE_CUTOFF)),), feeds="flux cost"),
     }),
 }
@@ -468,12 +474,10 @@ def _pump(chk: list, cfg: dict, ctx: str, table: dict) -> dict:
         signs = v["signs"] = tuple(v["signs"])
         if not signs or any(sign in signs[:i] for i, sign in enumerate(signs)):
             chk.append(f"key 'signs' in {ctx} must list one or two distinct Bell signs, got {list(signs)}")
-    else:
-        _check_site(chk, v["initial_site"], sites, "initial_site", ctx)
     return {**chain, **v}
 
 
-def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+def _spectrum(chk: list, cfg: dict, ctx: str) -> dict:
     if "schedule" in cfg:
         v = _walk(chk, cfg, SPECTRUM_TRACE, ctx, _COMMON)[0]
         chain = v.pop("schedule") or _NO_CHAIN
@@ -494,25 +498,19 @@ def _spectrum(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     ends = (sweep["start"], sweep["stop"]) if sweep is not None and usable else None
     if ends and not np.all(np.diff(np.linspace(*ends, min(sweep["points"], MAX_ROW_SITES))) > 0):
         chk.append(f"key 'stop' in {ctx}.sweep must exceed 'start' for {sweep['points']} increasing points, got {ends}")
-    levels = v.get("export_states")
     if "export_states" in cfg:
-        options["export_states"] = levels
-    bad = [j for j in levels if not 1 <= j <= sites] if isinstance(levels, list) and sites is not None else []
-    if bad:
-        chk.append(f"key 'export_states' in {ctx} must list levels in 1..{sites}, got {bad}")
+        options["export_states"] = v.get("export_states")
     return options
 
 
-def _quench(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+def _quench(chk: list, cfg: dict, ctx: str) -> dict:
     model, sites, v, _ = _model(chk, cfg, ctx, QUENCH)
     _check_site(chk, v["flip_site"], sites, "flip_site", ctx)
     _check_size(chk, sites, f"'L' in {ctx}", v["n_records"], f"'n_records' in {ctx}")
-    if v["disorder"] is not None and v["disorder"]["seed"] is None:
-        v["disorder"]["seed"] = seed
     return {"model": model, **v}
 
 
-def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+def _lz(chk: list, cfg: dict, ctx: str) -> dict:
     options = _walk(chk, cfg, LZ, ctx, _COMMON)[0]
     path, chain = options.pop("path"), options.pop("from_schedule")
     if "path" not in cfg and "from_schedule" not in cfg:
@@ -525,7 +523,8 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
         _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
         usable &= _check_size(chk, 2, "", path["n_samples"], f"'n_samples' in {ctx}.path")
         typed, typed_ok = _walk(chk, cfg["path"], LZ_PATH_TYPES.get(path["type"], {}), f"{ctx}.path", extra=None)
-        if usable and typed_ok:  # sampled here, so only once its size holds
+        # sampled here, so only once its size and its terms' angles hold
+        if usable and typed_ok and _angles_hold(chk, typed, f"{ctx}.path", path["T"], 1):
             try:
                 options["path"] = _LZ_PATHS[path["type"]](*typed.values(), path["T"], path["n_samples"])
             except InvalidParameterError as exc:  # path C: g = tan(theta) * u beyond the float range
@@ -535,30 +534,18 @@ def _lz(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
     return options
 
 
-def _fluxqubit(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+def _fluxqubit(chk: list, cfg: dict, ctx: str) -> dict:
     table, where = (FLUX_GAP, f"{ctx} with 'f_alpha_sweep'") if "f_alpha_sweep" in cfg else (FLUX_LEVELS, ctx)
     v = _walk(chk, cfg, {**FLUX, **table}, ctx, _COMMON, where)[0]
     spec = {name: value for name, value in (v.pop("spec") or {}).items() if value is not None}
-    ej, ratio = spec.get("ej", FluxQubitSpec.ej), spec.get("ej_over_ec", FluxQubitSpec.ej_over_ec)
-    if ej > 0 and ratio > 0 and not FLUX_MIN_EC <= ej / ratio <= FLUX_MAX_ENERGY:
-        chk.append(f"key 'ej_over_ec' in {ctx}.spec gives E_C = ej / ej_over_ec = {ej / ratio:g}, "
-                   f"outside {FLUX_MIN_EC:g}..{FLUX_MAX_ENERGY:g}")
     cutoff = spec.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
     max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
     if v.get("levels") is not None:
         _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
-    # the alpha-loop phase pi(beta(N - kappa f_alpha) + f_alpha) (see fluxcircuit) is linear: its ends bound it
-    beta, kappa, big_n = (spec.get(key, getattr(FluxQubitSpec, key)) for key in ("beta", "f_sigma_kappa", "n_total"))
-    rng = v.get("f_alpha_sweep") or {"start": v.get("f_alpha"), "stop": None}
-    for fa in (x for x in (rng["start"], rng["stop"]) if x is not None and max(abs(x), abs(big_n)) < MAX_RANGE_END):
-        if not math.isfinite(math.pi * (beta * (big_n - kappa * fa) + fa)):
-            key = "f_sigma_kappa" if math.isinf(kappa * fa) else "beta"
-            chk.append(f"key '{key}' in {ctx}.spec makes the alpha-loop phase non-finite at f_alpha = {fa:g}")
-            break
     return {"spec_kwargs": spec, **v}
 
 
-def _couplings(chk: list, cfg: dict, ctx: str, seed: int) -> dict:
+def _couplings(chk: list, cfg: dict, ctx: str) -> dict:
     v = _walk(chk, cfg, COUPLINGS, ctx, _COMMON)[0]
     if "n_max" in cfg and v["scheme"] == "matched":  # J0 J1 is a closed form, no series to cut
         chk.append(f"key 'n_max' in {ctx} is read only by the 'identical' scheme")
@@ -569,10 +556,10 @@ _COMMON = tuple(CONFIG)
 _NO_CHAIN = {"schedule": None, "L": None}
 COMMANDS = {  # the parser of each command's options
     "spectrum": _spectrum,
-    "pump": lambda chk, cfg, ctx, seed: _pump(chk, cfg, ctx, PUMP),
+    "pump": lambda chk, cfg, ctx: _pump(chk, cfg, ctx, PUMP),
     "quench": _quench,
     "lz": _lz,
-    "trimer": lambda chk, cfg, ctx, seed: _pump(chk, cfg, ctx, TRIMER),
+    "trimer": lambda chk, cfg, ctx: _pump(chk, cfg, ctx, TRIMER),
     "couplings": _couplings,
     "fluxqubit": _fluxqubit,
 }
@@ -586,28 +573,30 @@ def _function_bound(fn: FunctionSpec, cycles: int) -> float:
     return abs(fn.offset) + abs(fn.amplitude)
 
 
-def _row_sum_bound(kind: str, size: int, params: dict, deviate: float = 0.0, targets=()) -> Optional[float]:
+def _row_sum_bound(kind: str, size: int, params: dict, deviate: float = 0.0) -> Optional[float]:
     """The largest absolute row sum of the chain that chain_arrays lays out,
-    ``deviate`` added to the magnitude of each entry of the ``targets``
-    ("diagonal", "offdiagonal"); None if an entry is not a number."""
+    ``deviate`` added to the magnitude of each entry; None if an entry is
+    not a number."""
     with np.errstate(all="ignore"):  # entries set by out-of-bound keys, already named, may overflow
         diag, off = chain_arrays(kind, size, params)
-        rows = np.abs(diag) + (deviate if "diagonal" in targets else 0.0)
+        rows = np.abs(diag) + deviate
         bonds = np.zeros(rows.size + 1)
-        bonds[1:-1] = np.abs(off) + (deviate if "offdiagonal" in targets else 0.0)
+        bonds[1:-1] = np.abs(off) + deviate
         bound = float(np.max(rows + (bonds[:-1] + bonds[1:])))
     return None if math.isnan(bound) else bound
 
 
 def _integration(command: Optional[str], options: dict):
-    """(span, span_key, bound): the time span of each integration the
-    command runs, the key that sets it, and a bound on ||H(t)|| over it;
-    each is None where the config lacks it, all three if the command
+    """(span, span_key, bound, turn): the time span of each integration the
+    command runs, the key that sets it, a bound on ||H(t)|| over it, and
+    the largest angle 2*pi*|frequency_multiple|*cycles of a schedule's sin
+    or cos terms with the key of its term; each is None where the config
+    lacks it or, for the turn, has no such term, all four if the command
     integrates nothing.  The bound is Gershgorin's, the largest absolute
     row sum of the chain that chain_arrays lays out: a schedule's on
     min(L, 2) cells (two cells hold every row of a longer chain), each term
     at its _function_bound; a quench's at its own entries, MAX_DEVIATE *
-    sigma added to those its disorder targets, once its size holds
+    sigma added to each for its disorder, once its size holds
     (2..MAX_SITES sites).  An lz path is the schedule of the one-cell
     Rice-Mele chain, so its H = [[u, g], [g, -u]] is bounded as a
     schedule's, at L = 1."""
@@ -617,21 +606,27 @@ def _integration(command: Optional[str], options: dict):
     if command in ("pump", "trimer", "lz") and schedule is not None:
         terms = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
         bound = _row_sum_bound(schedule.kind, min(L, 2), terms)
-        return schedule.total_time, f"'T' in command '{command}'.{key}", bound
+        # an lz path's g is the one-cell chain's bond a
+        turns = [(2.0 * math.pi * abs(fn.frequency_multiple) * schedule.cycles,
+                  f"command '{command}'.path.{'g' if name == 'a' else name}" if key == "path"
+                  else f"command '{command}'.schedule.params.{name}")
+                 for name, fn in schedule.params.items() if fn.form in ("sin", "cos")]
+        return schedule.total_time, f"'T' in command '{command}'.{key}", bound, max(turns, default=None)
     if command == "quench":
         model, disorder, bound = options["model"], options["disorder"], None
         L = model and model["L"]
         if L is not None and 2 <= _sites(model["kind"], L) <= MAX_SITES:  # a size out of bounds is not laid out
-            deviate = (MAX_DEVIATE * disorder["sigma"], disorder["targets"]) if disorder is not None else ()
-            bound = _row_sum_bound(model["kind"], L, model["params"], *deviate)
-        return options["t_final"], "'t_final' in command 'quench'", bound
-    return None, None, None
+            deviate = MAX_DEVIATE * disorder["sigma"] if disorder is not None else 0.0
+            bound = _row_sum_bound(model["kind"], L, model["params"], deviate)
+        return options["t_final"], "'t_final' in command 'quench'", bound, None
+    return None, None, None, None
 
 
 def _check_integration(chk: list, integrator: IntegratorConfig, span: Optional[float], span_key: Optional[str],
-                       bound: Optional[float]):
+                       bound: Optional[float], turn: Optional[tuple]):
     """The integrator's cost over the span: RK4's and Magnus's step budgets,
-    RK4's stability at ||H||, and the phase span x ||H|| of BDF and Magnus."""
+    RK4's stability at ||H||, and the phase span x ||H|| and the terms'
+    turn of BDF and Magnus."""
     method = integrator.method
     name = {"rk4": "RK4", "bdf": "BDF", "magnus": "Magnus"}[method]
     # Magnus halves its steps at least once, so a max_step it starts from
@@ -645,6 +640,11 @@ def _check_integration(chk: list, integrator: IntegratorConfig, span: Optional[f
                 f"key 'max_step' in config.integrator: {name} over t = {span:g} would take about "
                 f"{steps:.3g} steps, more than the budget of {budget:,}"
             )
+    if method != "rk4" and turn is not None and not turn[0] <= BDF_MAX_PHASE:
+        chk.append(
+            f"key 'frequency_multiple' in {turn[1]}: {name} follows the term through an angle "
+            f"2*pi*|frequency_multiple|*cycles of {turn[0]:.6g}, more than the bound of {BDF_MAX_PHASE:,}"
+        )
     if bound is None:
         return
     if method == "rk4" and not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
@@ -673,6 +673,10 @@ def parse_config(text: str) -> ExperimentConfig:
     schema, command = top["schema"], top["command"]
     if schema is not None and schema != SCHEMA_VERSION:
         chk.append(f"unsupported schema version {schema}; this tool reads version {SCHEMA_VERSION}")
+    output = top["output"]
+    if output is not None and (output in ("", ".", "..") or "\0" in output or os.path.basename(output) != output):
+        # the runner writes <output>.csv and its manifest into the output directory
+        chk.append(f"key 'output' in config must be a plain file name, got {output!r}")
     if command is not None and command not in COMMANDS:
         chk.append(f"unknown command {command!r}; expected one of {list(COMMANDS)}")
         raise SchemaError(chk)
@@ -686,7 +690,7 @@ def parse_config(text: str) -> ExperimentConfig:
         integrator = replace(integrator, method="bdf")
     options = {}
     if command is not None:
-        options = COMMANDS[command](chk, cfg, f"command '{command}'", top["seed"])
+        options = COMMANDS[command](chk, cfg, f"command '{command}'")
         _check_integration(chk, integrator, *_integration(command, options))
     integrates = command in ("pump", "quench", "trimer") or command == "lz" and "path" in cfg
     if "integrator" in cfg and command is not None and not integrates:

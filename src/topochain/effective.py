@@ -177,19 +177,19 @@ class LZPath:
         return cls(times, vals["u"], edge_coupling(vals["a"], vals["b"], L), schedule.period)
 
 
-def classify_path(path: LZPath, tol: Optional[float] = None) -> PathClass:
+def classify_path(path: LZPath) -> PathClass:
     """Around vs through the critical point u = g = 0 (or neither).
 
-    The default tolerance is 1e-6 of the largest path radius (0 on the zero
-    path); the result depends only on the ordered samples, not their times.
+    |u| at most 1e-6 of the largest path radius (0 on the zero path) counts
+    as zero, and a path whose radius dips below it passes through the
+    critical point; the result depends only on the ordered samples, not
+    their times.
     """
     radius = np.hypot(path.u, path.g)
-    if tol is None:
-        tol = 1e-6 * float(radius.max())
-    elif tol <= 0:
-        raise InvalidParameterError("tol must be > 0")
+    tol = 1e-6 * float(radius.max())
     nonzero = path.u[np.abs(path.u) > tol]
-    changes_sign = nonzero.size >= 2 and nonzero[0] * nonzero[-1] < 0
+    # the signs compared, not multiplied: a product of two |u| above 1e154 overflows
+    changes_sign = nonzero.size >= 2 and (nonzero[0] > 0) != (nonzero[-1] > 0)
     if not changes_sign:
         return PathClass.NO_CROSSING
     if radius.min() < tol:

@@ -76,12 +76,8 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
     spectrum = eigendecompose(ChainHamiltonian(*_build_model(model)))
     flags = edge_weight(spectrum.eigenvectors, n_edge) >= EDGE_FLAG_THRESHOLD
     files.append(io.static_spectrum_csv(out_dir / f"{stem}.csv", spectrum.eigenvalues, flags))
-    export = opts.get("export_states")
-    if export is not None:
-        if export == "edge":
-            levels = [int(j) + 1 for j in np.flatnonzero(flags)]
-        else:  # config.py checked the levels against the site count
-            levels = list(export)
+    if opts.get("export_states") == "edge":
+        levels = [int(j) + 1 for j in np.flatnonzero(flags)]
         vectors = spectrum.eigenvectors[:, [j - 1 for j in levels]]
         files.append(io.states_csv(out_dir / f"{stem}_states.csv", levels, vectors))
         extras["exported_levels"] = levels
@@ -93,7 +89,7 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool,
     opts = cfg.options
     schedule = opts["schedule"]
     n_sites = SITES_PER_CELL[schedule.kind] * opts["L"]
-    psi0 = basis_state(n_sites, opts["initial_site"])
+    psi0 = basis_state(n_sites, 1)
     n_records = opts["n_records"]
     traj = pump(schedule, opts["L"], psi0, cfg.integrator, n_records)
     files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks)]
@@ -108,8 +104,7 @@ def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
     opts = cfg.options
     chain = ChainHamiltonian(*_build_model(opts["model"]))
     if opts["disorder"] is not None:
-        d = opts["disorder"]
-        chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
+        chain = apply_disorder(chain, DisorderSpec(opts["disorder"]["sigma"], cfg.seed))
     traj = quench(chain, opts["flip_site"], opts["t_final"], cfg.integrator, opts["n_records"])
     files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks)]
     extras = {"min_sz_flip_site": float(traj.sz[:, opts["flip_site"] - 1].min())}
@@ -119,13 +114,12 @@ def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: boo
 def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
     files, extras = [], {}
-    tol = opts.get("classify_tol")
     if "path" in opts:
         # integrated before the first file is written, so a failed integration leaves no file
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
         traj = lz_evolve(opts["path"], psi0, cfg.integrator, opts["n_records"])
         files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", opts["path"]))
-        extras["path_class"] = classify_path(opts["path"], tol).value
+        extras["path_class"] = classify_path(opts["path"]).value
         files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks))
         extras["final_population_L"] = float(np.abs(traj.final_state[0]) ** 2)
         extras["final_population_R"] = float(np.abs(traj.final_state[1]) ** 2)
@@ -133,7 +127,7 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
         fs = opts["from_schedule"]
         path = LZPath.from_schedule(fs["schedule"], fs["L"])
         files.append(io.lz_path_csv(out_dir / f"{stem}_schedule_path.csv", path))
-        extras["schedule_path_class"] = classify_path(path, tol).value
+        extras["schedule_path_class"] = classify_path(path).value
     return files, extras
 
 

@@ -430,9 +430,6 @@ def _rejected(tmp_path, capsys, text, key):
         (8, {"charge_cutoff": 1}, "levels"),
         (5, {"charge_cutoff": 0}, "charge_cutoff"),
         (5, {"charge_cutoff": 51}, "charge_cutoff"),
-        (5, {"ej": -1}, "ej"),
-        (5, {"ej_over_ec": 0}, "ej_over_ec"),
-        (5, {"alpha": -0.5}, "alpha"),
     ],
 )
 def test_fluxqubit_solver_bounds_are_named_violations(tmp_path, capsys, levels, spec, key):
@@ -515,10 +512,6 @@ def test_bdf_reads_both_tolerances(cfg):
     assert (integrator.method, integrator.rel_tol, integrator.abs_tol) == ("bdf", 1e-6, 1e-8)
 
 
-def test_classify_tol_is_read_beside_an_induced_path():
-    assert _parse(dict(_INDUCED_PATH, schema=1, classify_tol=1e-3)).options["classify_tol"] == 1e-3
-
-
 @pytest.mark.parametrize("subcommand", ["couplings", "fluxqubit"])
 def test_flag_front_ends_are_gone(tmp_path, capsys, subcommand):
     # every command is a config, reached through run --config
@@ -535,26 +528,85 @@ def test_flag_front_ends_are_gone(tmp_path, capsys, subcommand):
 
 _AAH_PARAMS = {"n_sites": 13, "omega": 1.5, "alpha": 0.618, "phase": 0.4, "hop": -0.8}
 _REDUCE = {"a": 0.3, "b": 1.0, "L": 7}
+_TINY_SCHEDULE = {"kind": "ssh", "L": 2, "T": 5.0, "params": {
+    "a": {"form": "const", "offset": 0.5}, "b": {"form": "const", "offset": 1.0}}}
+_LEVEL_SWEEP = {"command": "fluxqubit", "f_alpha": 0.2}
+_TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
+_SPEC = "in command 'fluxqubit'.spec"
+
+# each retired config and the violations it must name: a removed key is
+# unknown, and export_states takes only "edge"
+RETIRED = [
+    ({"command": "spectrum", "kind": "aah", **_AAH_PARAMS}, ["key 'kind'"]),
+    ({"command": "quench", "kind": "aah", **_AAH_PARAMS, "t_final": 1.0}, ["key 'kind'"]),
+    ({"command": "lz", "reduce": _REDUCE}, ["unknown key 'reduce'"]),
+    ({"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "reduce": _REDUCE}, ["unknown key 'reduce'"]),
+    ({"command": "pump", "schedule": _TINY_SCHEDULE, "initial_site": 0},
+     ["unknown key 'initial_site' in command 'pump'"]),
+    ({"command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [99]},
+     ["key 'export_states' in command 'spectrum' must be a string"]),
+    ({"command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [1, 0]},
+     ["key 'export_states' in command 'spectrum' must be a string"]),
+    ({"command": "lz", "path": {"type": "arc", "alpha": 1, "T": 5}, "classify_tol": 0},
+     ["unknown key 'classify_tol' in command 'lz'"]),
+    (dict(_TINY_QUENCH, disorder={"sigma": 0.01, "seed": 3}), ["unknown key 'seed' in command 'quench'.disorder"]),
+    (dict(_TINY_QUENCH, disorder={"sigma": 0.01, "targets": ["diagonal"]}),
+     ["unknown key 'targets' in command 'quench'.disorder"]),
+    (dict(_LEVEL_SWEEP, spec={"ej": -1}), [f"unknown key 'ej' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"ej_over_ec": 0}), [f"unknown key 'ej_over_ec' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"alpha": -0.5}), [f"unknown key 'alpha' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"ej_over_ec": math.inf}), [f"unknown key 'ej_over_ec' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"ej": 1e300, "ej_over_ec": 1e-300, "charge_cutoff": 2}),
+     [f"unknown key 'ej' {_SPEC}", f"unknown key 'ej_over_ec' {_SPEC}"]),
+    ({"command": "fluxqubit", "f_alpha_sweep": {"start": 0.1, "stop": 0.3, "points": 3},
+      "spec": {"beta": 1e308, "charge_cutoff": 2}}, [f"unknown key 'beta' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, f_alpha=10, spec={"f_sigma_kappa": 1e308, "charge_cutoff": 2}),
+     [f"unknown key 'f_sigma_kappa' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"n_total": 10**400, "charge_cutoff": 2}), [f"unknown key 'n_total' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"n_diff": 2, "charge_cutoff": 2}), [f"unknown key 'n_diff' {_SPEC}"]),
+    (dict(_LEVEL_SWEEP, spec={"n_diff": 10**400, "charge_cutoff": 2}), [f"unknown key 'n_diff' {_SPEC}"]),
+]
+_RETIRED_IDS = ["spectrum-aah", "quench-aah", "lz-reduce", "lz-path-reduce", "initial_site-0", "export_states-99",
+                "export_states-0", "classify_tol", "disorder-seed", "disorder-targets", "ej", "ej_over_ec", "alpha",
+                "ej_over_ec-Infinity", "flux-energies", "flux-beta", "flux-kappa", "flux-n-total", "n_diff",
+                "flux-n-diff"]
 
 
-@pytest.mark.parametrize(
-    "cfg, key",
-    [
-        ({"command": "spectrum", "kind": "aah", **_AAH_PARAMS}, "kind"),
-        ({"command": "quench", "kind": "aah", **_AAH_PARAMS, "t_final": 1.0}, "kind"),
-        ({"command": "lz", "reduce": _REDUCE}, "reduce"),
-        ({"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0}, "reduce": _REDUCE}, "reduce"),
-    ],
-    ids=["spectrum-aah", "quench-aah", "lz-reduce", "lz-path-reduce"],
-)
-def test_retired_config_surface_is_named_violations(tmp_path, capsys, cfg, key):
-    # the Aubry-Andre-Harper chain kind and the lz reduction report are
-    # gone: a config that asks for either is rejected by name, and nothing runs
+@pytest.mark.parametrize("cfg, expected", RETIRED, ids=_RETIRED_IDS)
+def test_retired_config_surface_is_named_violations(tmp_path, capsys, cfg, expected):
+    # the Aubry-Andre-Harper chain kind, the lz reduction report and the
+    # keys no figure or benchmark set (the circuit parameters, classify_tol,
+    # initial_site, a level list to export, the disorder's own seed and
+    # targets) are gone: a config that asks for one is rejected by name,
+    # and nothing runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(cfg, schema=1)))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert f"'{key}'" in err and "Traceback" not in err, err
+    assert all(text in err for text in expected) and "Traceback" not in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_retired_config_surface_fails_cleanly_in_a_fresh_interpreter(tmp_path):
+    # every retired config in one fresh interpreter, so a numpy
+    # RuntimeWarning would reach stderr
+    code, err = _run_fresh(tmp_path, *(dict(cfg, schema=1) for cfg, _ in RETIRED))
+    assert code == 2 and "Warning" not in err and "Traceback" not in err, err
+    assert all(text in err for _, expected in RETIRED for text in expected), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"cfg{k}.json" for k in range(len(RETIRED)))
+
+
+@pytest.mark.parametrize("output", ["../escaped", "sub/x", ".", "..", "", "a\0b"],
+                         ids=["parent", "subdirectory", "dot", "dot-dot", "empty", "null-byte"])
+def test_output_must_be_a_plain_file_name(tmp_path, capsys, output):
+    # output names the files the run writes into --out; "../escaped" wrote
+    # outside it, "sub/x" failed at run time with FileNotFoundError and a
+    # null byte with ValueError
+    cfg = {"schema": 1, "command": "couplings", "alpha1": _GRID, "alpha2": _GRID, "output": output}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"key 'output' in config must be a plain file name, got {output!r}" in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -576,11 +628,6 @@ def test_couplings_bounds_are_named_violations(tmp_path, capsys, override, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
 
 
-_TINY_SCHEDULE = {"kind": "ssh", "L": 2, "T": 5.0, "params": {
-    "a": {"form": "const", "offset": 0.5}, "b": {"form": "const", "offset": 1.0}}}
-_TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
-
-
 @pytest.mark.parametrize(
     "cfg, key",
     [
@@ -588,15 +635,9 @@ _TINY_QUENCH = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.
         (dict(_TINY_QUENCH, n_records=1), "n_records"),
         ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "n_records": 1}, "n_records"),
         (dict(_TINY_QUENCH, flip_site=9), "flip_site"),
-        ({"schema": 1, "command": "pump", "schedule": _TINY_SCHEDULE, "initial_site": 0}, "initial_site"),
         ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0, "n_samples": 2}}, "n_samples"),
-        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [99]},
-         "export_states"),
-        ({"schema": 1, "command": "spectrum", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "export_states": [1, 0]},
-         "export_states"),
     ],
-    ids=["L-0", "quench-n_records-1", "pump-n_records-1", "flip_site-9", "initial_site-0", "lz-n_samples-2",
-         "export_states-99", "export_states-0"],
+    ids=["L-0", "quench-n_records-1", "pump-n_records-1", "flip_site-9", "lz-n_samples-2"],
 )
 def test_sizes_and_sites_are_named_violations(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(cfg), key)
@@ -830,8 +871,7 @@ def test_rk4_norm_bound_holds(cfg):
     elif parsed.command == "quench":
         chain = ChainHamiltonian(*_build_model(opts["model"]))
         if opts["disorder"] is not None:
-            d = opts["disorder"]
-            chain = apply_disorder(chain, DisorderSpec(d["sigma"], d["seed"], frozenset(d["targets"])))
+            chain = apply_disorder(chain, DisorderSpec(opts["disorder"]["sigma"], parsed.seed))
         diag, off = chain.diagonal[np.newaxis], chain.offdiagonal[np.newaxis]
     else:
         path = opts["path"]
@@ -913,14 +953,13 @@ def test_manifest_records_each_integration(tmp_path):
     [
         ('{"schema": 1, "command": "quench", "kind": "ssh", "L": 3, "a": 0.1, "b": 1, "t_final": Infinity}', "t_final"),
         ('{"schema": 1, "command": "fluxqubit", "f_alpha": NaN}', "f_alpha"),
-        ('{"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "spec": {"ej_over_ec": Infinity}}', "ej_over_ec"),
         (
             '{"schema": 1, "command": "pump", "schedule": {"kind": "ssh", "L": 2, "T": 5.0, "params": {'
             '"a": {"form": "const", "offset": NaN}, "b": {"form": "const", "offset": 1.0}}}}',
             "offset",
         ),
     ],
-    ids=["quench-t_final", "fluxqubit-f_alpha", "fluxqubit-ej_over_ec", "pump-offset"],
+    ids=["quench-t_final", "fluxqubit-f_alpha", "pump-offset"],
 )
 def test_non_finite_numbers_are_named_violations(tmp_path, capsys, text, key):
     _rejected(tmp_path, capsys, text, key)
@@ -988,15 +1027,12 @@ _HUGE_RANGE = {"start": -1.7e308, "stop": 1.7e308}
         ({"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "f_eps_range": dict(_HUGE_RANGE, points=41)},
          ("start", "stop")),
         ({"schema": 1, "command": "fluxqubit", "f_alpha_sweep": dict(_HUGE_RANGE, points=31)}, ("start", "stop")),
-        ({"schema": 1, "command": "fluxqubit", "f_alpha": 0.2,
-          "spec": {"ej": 1e300, "ej_over_ec": 1e-300, "charge_cutoff": 2}}, ("ej", "ej_over_ec")),
     ],
-    ids=["sweep", "f_eps_range", "f_alpha_sweep", "flux-energies"],
+    ids=["sweep", "f_eps_range", "f_alpha_sweep"],
 )
 def test_overflowing_inputs_are_named_violations(tmp_path, cfg, keys):
     # a fresh interpreter, so a numpy RuntimeWarning would reach stderr: a
-    # range whose span overflows, or circuit energies that overflow H, are
-    # rejected before anything runs
+    # range whose span overflows is rejected before anything runs
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
@@ -1121,6 +1157,20 @@ _ZERO_TERM = {"form": "const"}
 _PHASE_FLUX = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2}
 
 
+def _fast_pump(f, T=10.0):
+    """A 4-site rm pump whose sin term turns f times a period."""
+    return {"kind": "rm", "L": 2, "T": T, "params": {
+        "a": {"form": "cos", "offset": 1.0, "amplitude": -1.0}, "b": {"form": "const", "offset": 1.0},
+        "u": {"form": "sin", "amplitude": 1.0, "frequency_multiple": f}}}
+
+
+def _fast_term(f):
+    return {"form": "sin", "amplitude": 1.0, "frequency_multiple": f}
+
+
+_FREQUENCY = "key 'frequency_multiple' in command"
+
+
 @pytest.mark.parametrize(
     "cfg, expected",
     [
@@ -1130,27 +1180,46 @@ _PHASE_FLUX = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2}
          "key 'stop' in command 'spectrum'.sweep"),
         (dict(_SWEEP_A, sweep={"param": "a", "start": 1.0, "stop": math.nextafter(1.0, 2.0), "points": 5}),
          "key 'stop' in command 'spectrum'.sweep"),
-        ({"schema": 1, "command": "fluxqubit", "f_alpha_sweep": {"start": 0.1, "stop": 0.3, "points": 3},
-          "spec": {"beta": 1e308, "charge_cutoff": 2}}, "key 'beta' in command 'fluxqubit'.spec"),
-        (dict(_PHASE_FLUX, f_alpha=10, spec={"f_sigma_kappa": 1e308, "charge_cutoff": 2}),
-         "key 'f_sigma_kappa' in command 'fluxqubit'.spec"),
         (dict(_PHASE_FLUX, f_alpha=1e308, spec={"charge_cutoff": 2}), "key 'f_alpha' in command 'fluxqubit'"),
-        (dict(_PHASE_FLUX, spec={"n_total": 10**400, "charge_cutoff": 2}), "key 'n_total' in command 'fluxqubit'.spec"),
-        (dict(_PHASE_FLUX, spec={"n_diff": 10**400, "charge_cutoff": 2}), "key 'n_diff' in command 'fluxqubit'.spec"),
+        (dict(_TRACE, n_times=11, schedule=_fast_pump(1e308)), f"{_FREQUENCY} 'spectrum'.schedule.params.u"),
+        (dict(_TRACE, n_times=11, schedule=_fast_pump(1e10, T=1e290)),
+         f"{_FREQUENCY} 'spectrum'.schedule.params.u"),
+        (dict(_TRACE, n_times=11, schedule=_fast_pump(1.0, T=1e300)), "key 'T' in command 'spectrum'.schedule"),
+        ({"schema": 1, "command": "lz", "from_schedule": _fast_pump(1e308)},
+         f"{_FREQUENCY} 'lz'.from_schedule.params.u"),
+        ({"schema": 1, "command": "lz", "path": {"type": "custom", "T": 10.0, "u": _fast_term(1e308), "g": _ZERO_TERM}},
+         f"{_FREQUENCY} 'lz'.path.u"),
+        ({"schema": 1, "command": "pump", "schedule": _fast_pump(1e4)}, f"{_FREQUENCY} 'pump'.schedule.params.u"),
+        ({"schema": 1, "command": "pump", "schedule": _fast_pump(1e4), "integrator": {"method": "magnus"}},
+         f"{_FREQUENCY} 'pump'.schedule.params.u"),
+        ({"schema": 1, "command": "lz", "path": {"type": "custom", "T": 10.0, "u": _ZERO_TERM, "g": _fast_term(-1e4)}},
+         f"{_FREQUENCY} 'lz'.path.g"),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 0.0, "T": 1e308}},
+         "key 'T' in command 'lz'.path"),
         ({"schema": 1, "command": "lz", "path": {"type": "custom", "T": 5, "u": _ZERO_TERM, "g": _ZERO_TERM}},
          ("path_class", "no-crossing")),
         ({"schema": 1, "command": "lz",
           "from_schedule": {"kind": "rm", "L": 3, "T": 5, "params": dict.fromkeys("abu", _ZERO_TERM)}},
          ("schedule_path_class", "no-crossing")),
+        ({"schema": 1, "command": "lz", "path": {"type": "arc", "alpha": 1e299, "T": 1e-299}},
+         ("path_class", "around-critical")),
+        ({"schema": 1, "command": "lz", "from_schedule": {"kind": "rm", "L": 2, "T": 10.0, "params": {
+            "a": {"form": "const", "offset": 1e299}, "b": {"form": "const", "offset": 1.0},
+            "u": {"form": "sin", "amplitude": 1e299}}}}, ("schedule_path_class", "through-critical")),
     ],
-    ids=["sweep-down", "sweep-flat", "sweep-below-spacing", "flux-beta", "flux-kappa", "flux-f-alpha", "flux-n-total",
-         "flux-n-diff", "lz-zero-path", "lz-zero-schedule"],
+    ids=["sweep-down", "sweep-flat", "sweep-below-spacing", "flux-f-alpha", "trace-frequency", "trace-frequency-T",
+         "trace-T", "schedule-path-frequency", "custom-frequency", "bdf-frequency", "magnus-frequency",
+         "lz-path-frequency", "arc-T", "lz-zero-path", "lz-zero-schedule", "lz-huge-arc", "lz-huge-schedule"],
 )
 def test_inputs_that_failed_at_run_time_are_named_or_run(tmp_path, cfg, expected):
     # a fresh interpreter, so a numpy RuntimeWarning would reach stderr: a
-    # sweep whose points do not increase strictly, or flux numbers that make
-    # a junction phase non-finite, are named violations before anything is
-    # written; the zero lz path classifies by its own rule and runs
+    # sweep whose points do not increase strictly, a flux bias that makes a
+    # junction phase non-finite, a sin or cos term whose angle overflows or
+    # that BDF or Magnus would follow past their phase bound (BDF ran for
+    # minutes), and a period that overflows the angle of a term at the
+    # default frequency (the arc's is 1/2) are named violations
+    # before anything is written; the zero lz path classifies by its own
+    # rule, and paths of |u| beyond 1e154 by the signs of their ends, and run
     code, err = _run_fresh(tmp_path, cfg)
     assert "Warning" not in err and "Traceback" not in err, err
     if isinstance(expected, str):
@@ -1160,6 +1229,18 @@ def test_inputs_that_failed_at_run_time_are_named_or_run(tmp_path, cfg, expected
         assert code == 0, err
         key, value = expected
         assert json.loads((tmp_path / "lz.manifest.json").read_text())["extras"][key] == value
+
+
+def test_frequency_bound_admits_its_limit():
+    # BDF and Magnus follow a term through an angle of at most BDF_MAX_PHASE;
+    # RK4 takes its fixed steps whatever the frequency
+    limit = topochain.config.BDF_MAX_PHASE / (2.0 * math.pi)
+    pump = {"schema": 1, "command": "pump", "schedule": _fast_pump(limit)}
+    _parse(pump)
+    assert _violations(dict(pump, schedule=_fast_pump(math.nextafter(limit, math.inf)))) == [
+        "key 'frequency_multiple' in command 'pump'.schedule.params.u: BDF follows the term through an angle "
+        "2*pi*|frequency_multiple|*cycles of 20000, more than the bound of 20,000"]
+    _parse(dict(pump, schedule=_fast_pump(1e4), integrator={"method": "rk4"}))
 
 
 def test_schedule_path_through_zero_and_overflowing_bonds(tmp_path):
@@ -1219,9 +1300,8 @@ def test_keys_a_form_does_not_read_are_named_violations(tmp_path, capsys, form, 
 @pytest.mark.parametrize(
     "cfg, key",
     [({"path": {"type": "arc", "alpha": 1, "T": -1}}, "T"),
-     ({"path": {"type": "arc", "alpha": 1, "T": 0}}, "T"),
-     ({"classify_tol": 0, "path": {"type": "arc", "alpha": 1, "T": 5}}, "classify_tol")],
-    ids=["T-negative", "T-zero", "classify_tol"],
+     ({"path": {"type": "arc", "alpha": 1, "T": 0}}, "T")],
+    ids=["T-negative", "T-zero"],
 )
 def test_lz_bounds_are_named_violations(tmp_path, capsys, cfg, key):
     _rejected(tmp_path, capsys, json.dumps(dict(cfg, schema=1, command="lz")), key)

@@ -194,9 +194,14 @@ def test_classify_invariant_under_reparameterization():
     assert classify_path(squeezed) is classify_path(path)
 
 
-def test_classify_tol_validation():
-    with pytest.raises(InvalidParameterError):
-        classify_path(LZPath.arc(1.0, 10.0), tol=-1.0)
+def test_classify_compares_the_signs_of_huge_ends():
+    # the product of two ends of |u| above 1e154 overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_path(LZPath.arc(1e299, 1e-299)) is PathClass.AROUND_CRITICAL
+        assert classify_path(LZPath.line(1e299, 10.0)) is PathClass.THROUGH_CRITICAL
+        huge = LZPath.from_functions(const(1e299), const(0.1), 10.0)
+        assert classify_path(huge) is PathClass.NO_CROSSING
 
 
 def test_path_from_schedule_runs_through_critical_point():

@@ -149,8 +149,8 @@ def test_mirror_bias_conjugates_h(n_diff, m):
     assert abs(ch.i0 + mirror_ch.i0) <= 1e-10 and abs(ch.i1 + mirror_ch.i1) <= 1e-10
 
 
-def _level_sweep(tmp_path, f_eps_range, n_diff):
-    spec = {"charge_cutoff": 4, "n_diff": n_diff}
+def _level_sweep(tmp_path, f_eps_range):
+    spec = {"charge_cutoff": 4}
     cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 3, "f_eps_range": f_eps_range,
            "spec": spec}
     result = run(parse_config(json.dumps(cfg)), tmp_path)
@@ -158,11 +158,11 @@ def _level_sweep(tmp_path, f_eps_range, n_diff):
     return result.files[0], FluxQubitSpec(**spec), solver
 
 
-@pytest.mark.parametrize("start, stop, points, n_diff", [
-    (-0.05, 0.05, 7, 1), (-0.05, 0.05, 6, 1), (0.95, 1.05, 5, 2), (0.95, 1.05, 4, 2), (-0.05, 0.05, 1, 1),
-], ids=["odd", "even", "n_diff-2-odd", "n_diff-2-even", "one-point"])
-def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop, points, n_diff):
-    path, spec, solver = _level_sweep(tmp_path, {"start": start, "stop": stop, "points": points}, n_diff)
+@pytest.mark.parametrize("start, stop, points", [
+    (-0.05, 0.05, 7), (-0.05, 0.05, 6), (0.95, 1.05, 5), (0.95, 1.05, 4), (-0.05, 0.05, 1),
+], ids=["odd", "even", "centre-1-odd", "centre-1-even", "one-point"])
+def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop, points):
+    path, spec, solver = _level_sweep(tmp_path, {"start": start, "stop": stop, "points": points})
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     half, centre = points // 2, round((start + stop) / 2)
     assert solver["points"] == points and solver["mirrored_points"] == half
@@ -184,7 +184,7 @@ def test_level_sweep_off_an_integer_centre_solves_every_point(tmp_path):
     # byte-identical to one direct solve per np.linspace point, at the one
     # BLAS thread a run holds
     f_eps_range = {"start": -0.05, "stop": 0.031, "points": 5}
-    path, spec, solver = _level_sweep(tmp_path / "run", f_eps_range, 1)
+    path, spec, solver = _level_sweep(tmp_path / "run", f_eps_range)
     assert solver["mirrored_points"] == 0 and solver["factorizations_total"] == 5
     values = np.linspace(-0.05, 0.031, 5)
     with one_blas_thread():
