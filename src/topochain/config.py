@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
-from .dynamics import MAGNUS_MAX_STEPS, METHODS, RECORDS_PER_CYCLE, IntegratorConfig
+from .dynamics import METHODS, RECORDS_PER_CYCLE, IntegratorConfig
 from .effective import LZPath
 from .errors import InvalidParameterError, SchemaError
 from .fluxcircuit import FluxQubitSpec
@@ -101,6 +101,10 @@ MAX_RANGE_END = 1e300
 # MAX_ROW_SITES / 2 = 100,000 rows, so their step is a normal float and
 # they increase strictly; a subnormal span repeats them
 MIN_SPAN = 1e-300
+
+# bytes of an output stem: NAME_MAX of Linux file systems (255) less the
+# longest suffix the runner appends to it, "_schedule_path.csv"
+MAX_OUTPUT_BYTES = 255 - len("_schedule_path.csv")
 
 @dataclass
 class ExperimentConfig:
@@ -252,13 +256,14 @@ CONFIG = {
     "integrator": Key({
         "rel_tol": Key("number", IntegratorConfig.rel_tol, bounds=(_POSITIVE,)),
         "abs_tol": Key("number", IntegratorConfig.abs_tol, bounds=(_POSITIVE,)),
-        "max_step": Key("number", bounds=(_POSITIVE,), feeds="step"),
+        "max_step": Key("number", IntegratorConfig.max_step, bounds=(_POSITIVE,), feeds="step"),
         "method": Key("str", IntegratorConfig.method, choices=METHODS),
     }, IntegratorConfig(), build=lambda chk, ctx, v, ok: IntegratorConfig(**v) if ok else None),
 }
-# the tolerances a method does not read: RK4 takes fixed steps, and Magnus
-# halves its steps until the Richardson estimate is within rel_tol
-_UNREAD_TOLERANCES = {"rk4": ("rel_tol", "abs_tol"), "magnus": ("abs_tol",)}
+# the integrator keys a method does not read: RK4 takes fixed steps of
+# max_step, Magnus halves its steps from its convergence radius until the
+# Richardson estimate is within rel_tol, and BDF controls its own step
+UNREAD_INTEGRATOR_KEYS = {"rk4": ("rel_tol", "abs_tol"), "magnus": ("abs_tol", "max_step"), "bdf": ("max_step",)}
 
 # flat static-model parameters of each kind (omega is optional in an ssh
 # chain); every kind is sized by its cells, L
@@ -537,12 +542,11 @@ def _lz(chk: list, cfg: dict, ctx: str) -> dict:
 def _fluxqubit(chk: list, cfg: dict, ctx: str) -> dict:
     table, where = (FLUX_GAP, f"{ctx} with 'f_alpha_sweep'") if "f_alpha_sweep" in cfg else (FLUX_LEVELS, ctx)
     v = _walk(chk, cfg, {**FLUX, **table}, ctx, _COMMON, where)[0]
-    spec = {name: value for name, value in (v.pop("spec") or {}).items() if value is not None}
-    cutoff = spec.get("charge_cutoff", FluxQubitSpec.charge_cutoff)
+    cutoff = (v.pop("spec") or {}).get("charge_cutoff") or FluxQubitSpec.charge_cutoff
     max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
     if v.get("levels") is not None:
         _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
-    return {"spec_kwargs": spec, **v}
+    return {"charge_cutoff": cutoff, **v}
 
 
 def _couplings(chk: list, cfg: dict, ctx: str) -> dict:
@@ -624,22 +628,16 @@ def _integration(command: Optional[str], options: dict):
 
 def _check_integration(chk: list, integrator: IntegratorConfig, span: Optional[float], span_key: Optional[str],
                        bound: Optional[float], turn: Optional[tuple]):
-    """The integrator's cost over the span: RK4's and Magnus's step budgets,
-    RK4's stability at ||H||, and the phase span x ||H|| and the terms'
-    turn of BDF and Magnus."""
+    """The integrator's cost over the span: RK4's step budget and its
+    stability at ||H||, and the phase span x ||H|| and the terms' turn of
+    BDF and Magnus."""
     method = integrator.method
     name = {"rk4": "RK4", "bdf": "BDF", "magnus": "Magnus"}[method]
-    # Magnus halves its steps at least once, so a max_step it starts from
-    # costs three times span / max_step
-    step, passes, budget = {"rk4": (integrator.rk4_step, 1.0, RK4_MAX_STEPS),
-                            "magnus": (integrator.max_step, 3.0, MAGNUS_MAX_STEPS)}.get(method, (None, 0.0, 0))
-    if span is not None and span > 0 and step is not None:
-        steps = passes * span / step
-        if steps > budget:
-            chk.append(
-                f"key 'max_step' in config.integrator: {name} over t = {span:g} would take about "
-                f"{steps:.3g} steps, more than the budget of {budget:,}"
-            )
+    if method == "rk4" and span is not None and span > 0 and span / integrator.max_step > RK4_MAX_STEPS:
+        chk.append(
+            f"key 'max_step' in config.integrator: RK4 over t = {span:g} would take about "
+            f"{span / integrator.max_step:.3g} steps, more than the budget of {RK4_MAX_STEPS:,}"
+        )
     if method != "rk4" and turn is not None and not turn[0] <= BDF_MAX_PHASE:
         chk.append(
             f"key 'frequency_multiple' in {turn[1]}: {name} follows the term through an angle "
@@ -647,9 +645,9 @@ def _check_integration(chk: list, integrator: IntegratorConfig, span: Optional[f
         )
     if bound is None:
         return
-    if method == "rk4" and not integrator.rk4_step * bound <= RK4_STABILITY_LIMIT:
+    if method == "rk4" and not integrator.max_step * bound <= RK4_STABILITY_LIMIT:
         chk.append(
-            f"key 'max_step' in config.integrator: RK4 at step {integrator.rk4_step:g} with ||H|| up to "
+            f"key 'max_step' in config.integrator: RK4 at step {integrator.max_step:g} with ||H|| up to "
             f"{bound:.3g} is unstable; max_step * ||H|| must be <= {RK4_STABILITY_LIMIT}"
         )
     if method != "rk4" and span is not None and not span * bound <= BDF_MAX_PHASE:
@@ -674,9 +672,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if schema is not None and schema != SCHEMA_VERSION:
         chk.append(f"unsupported schema version {schema}; this tool reads version {SCHEMA_VERSION}")
     output = top["output"]
+    size = len(output.encode("utf-8", "surrogatepass")) if output is not None else 0
     if output is not None and (output in ("", ".", "..") or "\0" in output or os.path.basename(output) != output):
         # the runner writes <output>.csv and its manifest into the output directory
         chk.append(f"key 'output' in config must be a plain file name, got {output!r}")
+    elif size > MAX_OUTPUT_BYTES:  # a longer stem fails at run time with "File name too long"
+        chk.append(f"key 'output' in config must be at most {MAX_OUTPUT_BYTES} bytes in UTF-8, got {size}")
     if command is not None and command not in COMMANDS:
         chk.append(f"unknown command {command!r}; expected one of {list(COMMANDS)}")
         raise SchemaError(chk)
@@ -698,7 +699,7 @@ def parse_config(text: str) -> ExperimentConfig:
                    f"or lz with 'path'; command '{command}' integrates nothing")
     else:  # the method as given, so that a violation elsewhere in the block does not hide it
         method = given.get("method", integrator.method)
-        unread = _UNREAD_TOLERANCES.get(method, ()) if method in METHODS else ()
+        unread = UNREAD_INTEGRATOR_KEYS.get(method, ()) if method in METHODS else ()
         chk += [f"key '{name}' in config.integrator is not read by method '{method}'" for name in unread if name in given]
     if chk:
         raise SchemaError(chk)

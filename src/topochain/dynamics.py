@@ -6,12 +6,11 @@ The production integrator is the fourth-order commutator-free Magnus scheme
 of H at the Gauss nodes per step, each V exp(-i dt E) V^T from the one
 tridiagonal eigensolver.  It is unitary to rounding and exact for a static
 H.  Its step count follows from ``rel_tol`` by step halving on a ladder of
-one step per record segment (or ``segment_steps`` of ``max_step``), doubled.
-The first pass is the first rung on which every step has dt R < pi, R the
-largest Gershgorin row sum of H at the record times (inside the Magnus
-series' convergence radius), and the steps are doubled until the
-Richardson estimate max |psi_2N - psi_N| / 15 over all records is within
-``rel_tol``; the finer run is returned.  k initial states, the columns of
+one step per record segment, doubled.  The first pass is the first rung on
+which every step has dt R < pi, R the largest Gershgorin row sum of H at
+the record times (inside the Magnus series' convergence radius), and the
+steps are doubled until the Richardson estimate max |psi_2N - psi_N| / 15
+over all records is within ``rel_tol``; the finer run is returned.  k initial states, the columns of
 an (n, k) array, share each step's eigensolves and one step count, set by
 the largest of their estimates; BDF and RK4 run them one after the other.
 A run symmetric in time (R H(t) R = H(t0 + t1 - t), R the reversal of the
@@ -59,7 +58,6 @@ from .errors import IntegrationError, InvalidParameterError
 from .models import ChainHamiltonian, Schedule, schedule_arrays
 
 NORM_DRIFT_LIMIT = 1e-6
-DEFAULT_RK4_STEP = 0.01
 RECORDS_PER_CYCLE = 200
 METHODS = ("magnus", "bdf", "rk4")
 
@@ -79,22 +77,16 @@ MAGNUS_MAX_STEPS = 400_000
 class IntegratorConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    # Magnus: starting step cap (default one step per record segment);
-    # BDF: unlimited; RK4: substep cap (default 0.01)
-    max_step: Optional[float] = None
+    max_step: float = 0.01  # RK4's substep cap; Magnus and BDF choose their own steps
     method: str = "magnus"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParameterError("tolerances must be > 0")
-        if self.max_step is not None and self.max_step <= 0:
+        if self.max_step <= 0:
             raise InvalidParameterError("max_step must be > 0")
         if self.method not in METHODS:
             raise InvalidParameterError(f"unknown integrator method {self.method!r}")
-
-    @property
-    def rk4_step(self) -> float:
-        return self.max_step if self.max_step is not None else DEFAULT_RK4_STEP
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +162,14 @@ def _renormalize(states: np.ndarray, stats=None, rescale: bool = True) -> np.nda
     return states / norms[:, np.newaxis] if rescale else states
 
 
-def _start_steps(provider, times, cfg) -> np.ndarray:
-    # the first rung of the halving ladder (one step per record segment, or
-    # segment_steps of max_step, doubled) on which every step has dt R < pi,
-    # R the largest Gershgorin row sum of H at the record times: the Magnus
-    # series is only sure to converge below pi (Moan & Niesen, Found.
-    # Comput. Math. 8 (2008) 291), so the passes below that rung would be
-    # thrown away.  A non-finite R leaves the ladder where it starts, and
-    # _renormalize reports the state
-    steps = np.ones(times.size - 1) if cfg.max_step is None else segment_steps(times, cfg.max_step)
+def _start_steps(provider, times) -> np.ndarray:
+    # the first rung of the halving ladder (one step per record segment,
+    # doubled) on which every step has dt R < pi, R the largest Gershgorin
+    # row sum of H at the record times: the Magnus series is only sure to
+    # converge below pi (Moan & Niesen, Found. Comput. Math. 8 (2008) 291),
+    # so the passes below that rung would be thrown away.  A non-finite R
+    # leaves the ladder where it starts, and _renormalize reports the state
+    steps = np.ones(times.size - 1)
     diag, off = provider(times)
     rows = np.abs(diag)
     rows[..., 1:] += np.abs(off)
@@ -199,7 +190,7 @@ def _evolve_magnus(provider, psi0, times, cfg):
     # (records, n, k) states, the step counts with whether the returned pass
     # ran the time-reversal mirror, and each column's estimate
     span = times[-1] - times[0]
-    steps = _start_steps(provider, times, cfg)
+    steps = _start_steps(provider, times)
     total, states, errors, stats = 0.0, None, np.full(psi0.shape[1], np.inf), {}
     while True:
         if total + steps.sum() > MAGNUS_MAX_STEPS:
@@ -295,9 +286,6 @@ def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
         diag, off, _ = h_at(t)
         return -1j * ChainHamiltonian(diag, off).to_dense()
 
-    kwargs = {}
-    if cfg.max_step is not None:
-        kwargs["max_step"] = cfg.max_step
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),
@@ -307,7 +295,6 @@ def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
         jac=jac,
-        **kwargs,
     )
     if not sol.success:
         raise IntegrationError(f"BDF integration failed: {sol.message}")
@@ -360,8 +347,8 @@ def evolve(
                     states = _evolve_bdf(h_of_times, psi, times, cfg, stats)
                 else:
                     # RK4 stays in the lab frame, so it cross-checks BDF's frame as well
-                    states = rk4_integrate(h_of_times, psi, times, cfg.rk4_step)
-                    stats.update(energy_shift=0.0, steps=int(segment_steps(times, cfg.rk4_step).sum()))
+                    states = rk4_integrate(h_of_times, psi, times, cfg.max_step)
+                    stats.update(energy_shift=0.0, steps=int(segment_steps(times, cfg.max_step).sum()))
                 runs.append((states, stats))
         trajectories = []
         for states, stats in runs:

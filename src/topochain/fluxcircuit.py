@@ -10,7 +10,8 @@ C_alpha = cos(pi*(beta*(N - f_Sigma) + f_alpha)) and chi = pi*(n - f_eps).
 In the flattened index (2N_c+1)(k+N_c) + (l+N_c) the matrix is banded, of
 half-bandwidth kd = 2N_c+2, with four nonzero diagonals in its upper
 triangle: the charging energy, the l hop at offset 1, the k hop at offset
-2N_c+1 and the alpha hop at offset kd.  ``charge_band`` writes H/E_J straight
+2N_c+1 and the alpha hop at offset kd.  ``charge_band`` writes H of the
+figure circuit (the constants below; energies in units of E_J) straight
 into LAPACK upper Hermitian band storage.  The lowest levels come from
 shift-invert Lanczos (ARPACK) at sigma = theta - 0.1 E_J, where theta >=
 lambda_0 is the lowest Ritz value of 12 plain Lanczos steps on the band.  The
@@ -41,38 +42,23 @@ from .errors import InvalidParameterError, NumericError
 
 RITZ_STEPS, RITZ_MARGIN = 12, 0.1  # Lanczos steps to theta >= lambda_0; shift margin below it, in E_J
 
+# the figure circuit, energies in units of E_J (E_J = 1): E_J/E_C, the alpha
+# junction's relative size, beta, kappa in f_Sigma = kappa * f_alpha (the
+# total frustration tied to the alpha-loop flux), and the trapped fluxoid
+# numbers N = N_1 + N_2 + N_alpha and n = N_1 - N_2
+EJ_OVER_EC, ALPHA, BETA, KAPPA, N_TOTAL, N_DIFF = 50.0, 0.5, 0.05, 50.0, 1, 1
+EC = 1.0 / EJ_OVER_EC
+
 
 @dataclass(frozen=True)
 class FluxQubitSpec:
-    """Circuit parameters; energies in units of E_J.
+    """The charge basis of the figure circuit: k, l in [-N_c, N_c]."""
 
-    ``f_sigma_kappa`` ties the total frustration to the alpha-loop flux,
-    f_Sigma = kappa * f_alpha.  ``n_total`` and ``n_diff`` are the trapped
-    fluxoid numbers N = N_1 + N_2 + N_alpha and n = N_1 - N_2.
-    """
-
-    ej: float = 1.0
-    ej_over_ec: float = 50.0
-    alpha: float = 0.5
-    beta: float = 0.05
-    f_sigma_kappa: float = 50.0
-    n_total: int = 1
-    n_diff: int = 1
     charge_cutoff: int = 15
 
     def __post_init__(self):
-        if self.ej <= 0:
-            raise InvalidParameterError("ej must be > 0")
-        if self.ej_over_ec <= 0:
-            raise InvalidParameterError("ej_over_ec must be > 0")
-        if self.alpha <= 0:
-            raise InvalidParameterError("alpha must be > 0")
         if int(self.charge_cutoff) < 1:
             raise InvalidParameterError("charge_cutoff must be >= 1")
-
-    @property
-    def ec(self) -> float:
-        return self.ej / self.ej_over_ec
 
     @property
     def dimension(self) -> int:
@@ -109,32 +95,27 @@ def _alpha_term(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
     """(amp, chi, starts): the alpha-junction term is -amp*(e^{i chi} S + h.c.);
     S moves i to i + kd, and the l hop i to i + 1, where starts[i] (l < N_c)."""
     d = 2 * int(spec.charge_cutoff) + 1
-    f_sigma = spec.f_sigma_kappa * f_alpha
-    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
+    c_alpha = float(np.cos(np.pi * (BETA * (N_TOTAL - KAPPA * f_alpha) + f_alpha)))
     starts = np.arange(spec.dimension - 1) % d != d - 1
-    return spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps), starts
+    return ALPHA * c_alpha, np.pi * (N_DIFF - f_eps), starts
 
 
 def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray:
-    """H/E_J in LAPACK upper Hermitian band storage: a Fortran-ordered
-    complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = H[i, j]/E_J``
+    """H in LAPACK upper Hermitian band storage: a Fortran-ordered
+    complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = H[i, j]``
     for ``j - kd <= i <= j``, 0 where no term couples i, j."""
     n_c, kd, dim = int(spec.charge_cutoff), spec.band_width, spec.dimension
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     k_sq = charge**2
-    coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
-    kinetic = coef * (
-        (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
-        - 4.0 * spec.alpha * np.outer(charge, charge)
-    ).ravel()
+    coef = 4.0 * EC / (1.0 + 4.0 * ALPHA)
+    kinetic = coef * ((1.0 + 2.0 * ALPHA) * (np.add.outer(k_sq, k_sq)) - 4.0 * ALPHA * np.outer(charge, charge)).ravel()
     amp, chi, starts = _alpha_term(spec, f_alpha, f_eps)
     band = np.zeros((kd + 1, dim), dtype=np.complex128, order="F")
-    band[kd] = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
-    band[kd - 1, 1:] = np.where(starts, -(spec.ej * 0.5), 0.0)  # -E_J cos(phi_2): (k, l) -> (k, l+1)
-    band[1, kd - 1:] = -(spec.ej * 0.5)  # -E_J cos(phi_1): (k, l) -> (k+1, l), offset D = kd - 1
+    band[kd] = kinetic + 2.0 * (1.0 + ALPHA)
+    band[kd - 1, 1:] = np.where(starts, -0.5, 0.0)  # -E_J cos(phi_2): (k, l) -> (k, l+1)
+    band[1, kd - 1:] = -0.5  # -E_J cos(phi_1): (k, l) -> (k+1, l), offset D = kd - 1
     # -amp e^{-i chi} S^T, as 0 - z so that a zero part of z is stored as +0.0
     band[0, kd:] = np.where(starts[:dim - kd], 0.0 - amp * np.exp(-1j * chi), 0.0)
-    band *= 1 / spec.ej
     return band
 
 
@@ -165,8 +146,6 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     n_levels, dim = int(n_levels), spec.dimension
     if not 1 <= n_levels <= dim - 2:
         raise InvalidParameterError(f"n_levels must be in 1..{dim - 2} at dimension {dim}, got {n_levels}")
-    # in units of E_J, so that the solver's work is the same at every ej and ARPACK's
-    # convergence test, which has an absolute floor of eps**(2/3), sees levels of order 1
     band = charge_band(spec, f_alpha, f_eps)
     kd, magnitude, rows = spec.band_width, np.abs(band), np.zeros(dim)
     # Gershgorin: each row of |H| summed in ascending j, then the diagonal taken out
@@ -214,10 +193,10 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
     inverse = LinearOperator((dim, dim), matvec=solve, dtype=np.complex128)
     vals, vecs = eigsh(inverse, k=n_levels, sigma=shift, which="LM", v0=start, OPinv=inverse)
     if stats is not None:
-        stats.update(dimension=dim, band_width=kd, shift=shift * spec.ej, solves=solves,
-                     factorizations=factorizations, ground_minus_shift=float(vals.min() - shift) * spec.ej)
+        stats.update(dimension=dim, band_width=kd, shift=shift, solves=solves,
+                     factorizations=factorizations, ground_minus_shift=float(vals.min() - shift))
     order = np.argsort(vals, kind="stable")
-    return vals[order] * spec.ej, vecs[:, order]
+    return vals[order], vecs[:, order]
 
 
 def solver_record(point_stats, mirrored: int) -> dict:

@@ -90,29 +90,22 @@ def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Gaussian disorder of standard deviation sigma (units of b).
+    """Gaussian disorder of standard deviation sigma (units of b) on every
+    site and bond.
 
-    Draws are reproducible and order-independent: entry i of a target block
-    reads stream position i of a Philox counter-based generator keyed by
-    (seed, target tag), and is mapped to a normal deviate by the inverse CDF
-    (uniform in (0,1) from the top 53 bits of the raw draw, at most 1 - 2^-53).
+    Draws are reproducible and order-independent: entry i of the sites (tag
+    0) or of the bonds (tag 1) reads stream position i of a Philox
+    counter-based generator keyed by (seed, tag), and is mapped to a normal
+    deviate by the inverse CDF (uniform in (0,1) from the top 53 bits of the
+    raw draw, at most 1 - 2^-53).
     """
 
     sigma: float
     seed: int = 0
-    targets: frozenset = frozenset({"diagonal", "offdiagonal"})
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise InvalidParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
-        targets = frozenset(self.targets)
-        unknown = targets - {"diagonal", "offdiagonal"}
-        if unknown:
-            raise InvalidParameterError(f"unknown disorder targets: {sorted(unknown)}")
-        object.__setattr__(self, "targets", targets)
-
-
-_TARGET_TAGS = {"diagonal": 0, "offdiagonal": 1}
 
 
 # the largest |deviate| _gaussian_draws returns: ndtri of the smallest
@@ -134,14 +127,13 @@ def _gaussian_draws(seed: int, tag: int, count: int) -> np.ndarray:
 
 def apply_disorder(h: ChainHamiltonian, spec: DisorderSpec) -> ChainHamiltonian:
     """Return a new chain with independent Gaussian(0, sigma) noise added to
-    the targeted entries; the input is untouched."""
+    every site and bond; the input is untouched."""
     diag = h.diagonal.copy()
     off = h.offdiagonal.copy()
     if spec.sigma > 0:
-        if "diagonal" in spec.targets:
-            diag += spec.sigma * _gaussian_draws(spec.seed, _TARGET_TAGS["diagonal"], diag.size)
-        if "offdiagonal" in spec.targets and off.size:
-            off += spec.sigma * _gaussian_draws(spec.seed, _TARGET_TAGS["offdiagonal"], off.size)
+        diag += spec.sigma * _gaussian_draws(spec.seed, 0, diag.size)
+        if off.size:
+            off += spec.sigma * _gaussian_draws(spec.seed, 1, off.size)
     return ChainHamiltonian(diag, off)
 
 

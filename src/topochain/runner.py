@@ -172,7 +172,7 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
 
 def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
-    spec = FluxQubitSpec(**opts["spec_kwargs"])
+    spec = FluxQubitSpec(opts["charge_cutoff"])
     rng = opts.get("f_alpha_sweep") or opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
     extras, mirrored = {}, 0

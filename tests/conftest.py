@@ -166,24 +166,30 @@ def path_c_frame(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+# the figure circuit, written out here so that the oracle does not read the
+# module under test (test_fluxcircuit.py checks them against its constants):
+# E_J = 1, E_J/E_C, alpha, beta, kappa = f_Sigma/f_alpha, N and n
+KRON_CIRCUIT = {"ej_over_ec": 50.0, "alpha": 0.5, "beta": 0.05, "kappa": 50.0, "n_total": 1, "n_diff": 1}
+
+
 def _kron_terms(spec, f_alpha, f_eps):
     """(diagonal, cos_phi, identity, amp, chi, S) of H = diag - E_J(cos phi_1 +
     cos phi_2) - amp(e^{i chi} S + h.c.), with exp(i phi)|k> = |k+1> on each
-    junction and S = exp(i phi_1) exp(i phi_2)."""
+    junction and S = exp(i phi_1) exp(i phi_2), at E_J = 1."""
+    c = KRON_CIRCUIT
     n_c = int(spec.charge_cutoff)
     dim = 2 * n_c + 1
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)
     k_sq = charge**2
-    coef = 4.0 * spec.ec / (1.0 + 4.0 * spec.alpha)
+    coef = 4.0 * (1.0 / c["ej_over_ec"]) / (1.0 + 4.0 * c["alpha"])
     kinetic = coef * (
-        (1.0 + 2.0 * spec.alpha) * (np.add.outer(k_sq, k_sq))
-        - 4.0 * spec.alpha * np.outer(charge, charge)
+        (1.0 + 2.0 * c["alpha"]) * (np.add.outer(k_sq, k_sq))
+        - 4.0 * c["alpha"] * np.outer(charge, charge)
     ).ravel()
-    f_sigma = spec.f_sigma_kappa * f_alpha
-    c_alpha = float(np.cos(np.pi * (spec.beta * (spec.n_total - f_sigma) + f_alpha)))
-    amp, chi = spec.ej * spec.alpha * c_alpha, np.pi * (spec.n_diff - f_eps)
-    diagonal = kinetic + spec.ej * 2.0 * (1.0 + spec.alpha)
+    c_alpha = float(np.cos(np.pi * (c["beta"] * (c["n_total"] - c["kappa"] * f_alpha) + f_alpha)))
+    amp, chi = c["alpha"] * c_alpha, np.pi * (c["n_diff"] - f_eps)
+    diagonal = kinetic + 2.0 * (1.0 + c["alpha"])
     return diagonal, 0.5 * (raise_op + raise_op.T), sp.eye_array(dim), amp, chi, sp.kron(raise_op, raise_op)
 
 
@@ -193,8 +199,8 @@ def kron_hamiltonian(spec, f_alpha, f_eps):
     diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
     h = (
         sp.diags_array(diagonal)
-        - spec.ej * sp.kron(cos_phi, ident)
-        - spec.ej * sp.kron(ident, cos_phi)
+        - sp.kron(cos_phi, ident)
+        - sp.kron(ident, cos_phi)
         - amp * (np.exp(1j * chi) * both_up + np.exp(-1j * chi) * both_up.T)
     )
     return h.tocsc()

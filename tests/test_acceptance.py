@@ -317,7 +317,7 @@ def test_criterion_12_flux_qubit_structure():
     # only the alpha hop, the band's top row, depends on f_eps, and the hops
     # below the diagonal are the conjugates of those above
     step, kd = 1e-6, spec.band_width
-    fd = (charge_band(spec, 0.2, step) - charge_band(spec, 0.2, -step)) * spec.ej / (2 * step)
+    fd = (charge_band(spec, 0.2, step) - charge_band(spec, 0.2, -step)) / (2 * step)
     lower, upper = _dh_hops(spec, 0.2, 0.0)
     analytic = np.zeros_like(fd)
     analytic[0, kd:] = upper

@@ -24,8 +24,8 @@ from topochain import (
 )
 from topochain._kernels import _openblas_thread_controls
 from topochain.cli import main
-from topochain.config import _integration, parse_config
-from topochain.dynamics import MAGNUS_MAX_STEPS
+from topochain.config import UNREAD_INTEGRATOR_KEYS, _integration, parse_config
+from topochain.dynamics import METHODS
 from topochain.errors import IntegrationError, SchemaError
 from topochain.io import file_sha256
 from topochain.models import FunctionSpec, schedule_arrays
@@ -82,20 +82,12 @@ def test_all_violations_reported_together():
 
 
 def test_integrator_overrides():
-    cfg = _parse(
-        {
-            "schema": 1,
-            "command": "quench",
-            "kind": "ssh",
-            "L": 2,
-            "a": 0.1,
-            "b": 1,
-            "t_final": 1.0,
-            "integrator": {"rel_tol": 1e-9, "method": "bdf", "max_step": 0.002},
-        }
-    )
-    assert cfg.integrator.rel_tol == 1e-9
-    assert cfg.integrator.method == "bdf"
+    quench = {"schema": 1, "command": "quench", "kind": "ssh", "L": 2, "a": 0.1, "b": 1, "t_final": 1.0}
+    cfg = _parse(dict(quench, integrator={"rel_tol": 1e-9, "method": "bdf"}))
+    assert (cfg.integrator.rel_tol, cfg.integrator.method) == (1e-9, "bdf")
+    cfg = _parse(dict(quench, integrator={"method": "rk4", "max_step": 0.002}))
+    assert (cfg.integrator.method, cfg.integrator.max_step) == ("rk4", 0.002)
+    assert _parse(dict(quench, integrator={"method": "rk4"})).integrator.max_step == 0.01
 
 
 def test_presets_round_trip_unchanged():
@@ -469,9 +461,6 @@ def _without(cfg: dict, key: str) -> dict:
         (dict(_MATCHED, integrator={"method": "bdf"}), "integrator"),
         (dict(_GAP_SWEEP, integrator={"method": "magnus"}), "integrator"),
         (dict(_INDUCED_PATH, integrator={}), "integrator"),
-        (dict(_SMALL_QUENCH, integrator={"method": "rk4", "rel_tol": 1e-2}), "integrator.rel_tol"),
-        (dict(_SMALL_QUENCH, integrator={"method": "rk4", "abs_tol": 1e-3}), "integrator.abs_tol"),
-        (dict(_SMALL_QUENCH, integrator={"abs_tol": 1e-3}), "integrator.abs_tol"),
         ({"command": "lz", "path": {"type": "arc", "alpha": 1.0, "T": 5.0},
           "integrator": {"method": "magnus", "abs_tol": 1e-3}}, "integrator.abs_tol"),
         (dict(_MATCHED, n_max=3), "n_max"),
@@ -479,14 +468,15 @@ def _without(cfg: dict, key: str) -> dict:
     ids=["gap-levels", "gap-f_alpha", "gap-f_eps_range", "sweep-export_states",
          "from_schedule-initial_state", "from_schedule-n_records", "spectrum-integrator", "sweep-integrator",
          "couplings-integrator", "fluxqubit-integrator", "from_schedule-integrator",
-         "rk4-rel_tol", "rk4-abs_tol", "magnus-abs_tol", "lz-path-magnus-abs_tol", "matched-n_max"],
+         "lz-path-magnus-abs_tol", "matched-n_max"],
 )
 def test_keys_the_run_never_reads_are_named_violations(tmp_path, capsys, cfg, key):
     # no run reads these keys: the gap sweep solves two levels a point at
     # f_eps = 0, a sweep exports no states, an lz run reads them only
-    # beside the path it integrates, only a run that
-    # integrates reads an integrator, RK4 reads no tolerance and Magnus no
-    # abs_tol, and the matched couplings J0 J1 have no series to cut
+    # beside the path it integrates, only a run that integrates reads an
+    # integrator, Magnus reads no abs_tol (on an lz path as on a quench;
+    # each method's keys are the next test's), and the matched couplings
+    # J0 J1 have no series to cut
     _parse(dict(_without(cfg, key), schema=1))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(dict(cfg, schema=1)))
@@ -495,6 +485,32 @@ def test_keys_the_run_never_reads_are_named_violations(tmp_path, capsys, cfg, ke
     name = key.rpartition(".")[2]
     assert len(violations) == 1 and f"'{name}'" in violations[0], violations
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol", "max_step"])
+@pytest.mark.parametrize("method", METHODS)
+def test_integrator_keys_a_method_does_not_read_are_named_violations(tmp_path, capsys, method, key):
+    # RK4 takes fixed steps of max_step, Magnus halves its steps from its
+    # convergence radius until rel_tol holds, and BDF reads both tolerances
+    # and controls its own step: a key its method does not read exits 2 by
+    # name, with nothing written, and every other key is read
+    cfg = dict(_TINY_QUENCH, integrator={"method": method, key: 0.002})
+    if key not in UNREAD_INTEGRATOR_KEYS[method]:
+        assert getattr(_parse(cfg).integrator, key) == 0.002
+        return
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    violations = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+    assert violations == [f"  - key '{key}' in config.integrator is not read by method '{method}'"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_pump_without_a_method_reads_no_max_step():
+    # pump alone runs BDF, which controls its own step
+    cfg = {"schema": 1, "command": "pump", "schedule": PRESETS["pumping"][0][1]["schedule"],
+           "integrator": {"max_step": 0.002}}
+    assert _violations(cfg) == ["key 'max_step' in config.integrator is not read by method 'bdf'"]
 
 
 @pytest.mark.parametrize(
@@ -610,6 +626,29 @@ def test_output_must_be_a_plain_file_name(tmp_path, capsys, output):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("size, exit_code", [(237, 0), (238, 2)])
+def test_output_leaves_room_for_every_suffix(tmp_path, size, exit_code):
+    # a fresh interpreter: a longer output passed the config, then failed the
+    # run with "File name too long" (exit 1) and left an empty --out
+    # directory.  The lz from_schedule run writes the longest name the runner
+    # forms, <output>_schedule_path.csv, and a two-byte letter makes the
+    # bound count UTF-8 bytes, not characters
+    output = "\u00e9" * (size // 2) + "x" * (size % 2)
+    assert len(output.encode("utf-8")) == size
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(dict(_INDUCED_PATH, schema=1, output=output)))
+    env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "topochain.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == exit_code and "Traceback" not in proc.stderr, proc.stderr
+    if exit_code == 0:
+        assert sorted(p.name for p in out.iterdir()) == sorted([f"{output}_schedule_path.csv",
+                                                               f"{output}.manifest.json"])
+    else:
+        assert "key 'output' in config must be at most 237 bytes in UTF-8, got 238" in proc.stderr
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "override, key",
     [
@@ -706,9 +745,8 @@ def test_rk4_step_budget_is_a_named_violation(cfg):
 
 
 def test_rk4_step_budget_admits_its_limit():
-    # 20000 / 0.01 is the budget exactly; BDF has no step budget
+    # 20000 / 0.01, the default step, is the budget exactly
     _parse(dict(_TINY_QUENCH, t_final=20000.0, integrator={"method": "rk4"}))
-    _parse(dict(_TINY_QUENCH, integrator={"method": "bdf", "max_step": 1e-300}))
 
 
 _BELL = PRESETS["belltransfer"][0][1]  # ||H|| <= 2 + 1.9 + 1.9 = 5.8 by Gershgorin
@@ -817,12 +855,11 @@ def test_magnus_phase_bound_admits_its_limit_and_the_bell_pumps():
 
 
 def test_magnus_step_budget_is_a_named_violation():
-    # parsed only: a max_step the halving would start from that costs more
-    # than the budget (three times span / max_step) is never run
+    # parsed only: Magnus starts its ladder from its convergence radius, so
+    # a max_step that would once have started it beyond the budget is named
+    # as a key Magnus does not read; the budget stops the halving at run time
     messages = _violations(dict(_TINY_QUENCH, integrator={"max_step": 1e-300}))
-    assert len(messages) == 1 and "'max_step'" in messages[0] and "Magnus" in messages[0]
-    assert f"{MAGNUS_MAX_STEPS:,}" in messages[0]
-    _parse(dict(_TINY_QUENCH, integrator={"max_step": 4.0 / MAGNUS_MAX_STEPS}))  # 3/4 of the budget
+    assert messages == ["key 'max_step' in config.integrator is not read by method 'magnus'"]
 
 
 def test_magnus_step_budget_stops_the_halving(tmp_path, capsys, monkeypatch):
@@ -1309,7 +1346,7 @@ def test_lz_bounds_are_named_violations(tmp_path, capsys, cfg, key):
 
 @pytest.mark.parametrize(
     "integrator, key",
-    [({"rel_tol": 0}, "rel_tol"), ({"abs_tol": -1e-12}, "abs_tol"), ({"max_step": -1}, "max_step")],
+    [({"rel_tol": 0}, "rel_tol"), ({"abs_tol": -1e-12}, "abs_tol"), ({"method": "rk4", "max_step": -1}, "max_step")],
     ids=["rel_tol", "abs_tol", "max_step"],
 )
 def test_integrator_bounds_are_named_violations(tmp_path, capsys, integrator, key):
@@ -1319,7 +1356,8 @@ def test_integrator_bounds_are_named_violations(tmp_path, capsys, integrator, ke
 def test_integrator_violations_are_all_reported():
     messages = _violations(dict(_TINY_QUENCH, integrator={"method": "bdf", "abs_tol": 0, "max_step": -1}))
     assert messages == ["key 'abs_tol' in config.integrator must be > 0",
-                        "key 'max_step' in config.integrator must be > 0"]
+                        "key 'max_step' in config.integrator must be > 0",
+                        "key 'max_step' in config.integrator is not read by method 'bdf'"]
 
 
 @pytest.mark.parametrize(

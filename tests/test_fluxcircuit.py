@@ -19,14 +19,14 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import topochain
-from topochain import FluxQubitSpec, InvalidParameterError, NumericError, sweep_point
+from topochain import FluxQubitSpec, InvalidParameterError, NumericError, fluxcircuit, sweep_point
 from topochain._kernels import one_blas_thread, tridiag_eigh
 from topochain.config import parse_config
 from topochain.fluxcircuit import _dh_hops, band_cholesky, charge_band
 from topochain.io import write_csv
 from topochain.runner import run
 
-from conftest import kron_dh, kron_hamiltonian, run_at_blas_threads
+from conftest import KRON_CIRCUIT, kron_dh, kron_hamiltonian, run_at_blas_threads
 
 SMALL = FluxQubitSpec(charge_cutoff=6)
 
@@ -100,28 +100,34 @@ def test_hamiltonian_dimension_and_hermiticity():
     assert full.dimension == 961
 
 
-def test_charging_limit_spectrum():
-    # E_J -> 0: pure charging term.  The quartet (k,l) = (+-1,0), (0,+-1)
-    # sits at 4E_C(1+2a)/(1+4a); at a = 0.5 exactly the -4a*k*l cross term
-    # makes (1,1) and (-1,-1) degenerate with it, so the first excited
-    # manifold is 6-fold at (8/3)E_C there and 4-fold only for a < 0.5.
-    ec = 0.03
-    spec = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / ec, charge_cutoff=4)
-    levels = _levels(spec, 0.2, 0.0, 8)
-    assert abs(levels[0]) < 1e-9
-    assert np.allclose(levels[1:7], (8.0 / 3.0) * ec, atol=1e-9)
-    assert levels[7] > levels[6] + 1e-6
+def test_oracle_circuit_is_the_figure_circuit():
+    # the Kronecker oracle in conftest.py holds its own copy of the circuit
+    assert KRON_CIRCUIT == {"ej_over_ec": fluxcircuit.EJ_OVER_EC, "alpha": fluxcircuit.ALPHA,
+                            "beta": fluxcircuit.BETA, "kappa": fluxcircuit.KAPPA,
+                            "n_total": fluxcircuit.N_TOTAL, "n_diff": fluxcircuit.N_DIFF}
 
-    spec4 = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / ec, alpha=0.4, charge_cutoff=4)
-    levels4 = _levels(spec4, 0.2, 0.0, 6)
-    quartet = 4.0 * ec * (1.0 + 2.0 * 0.4) / (1.0 + 4.0 * 0.4)
-    assert np.allclose(levels4[1:5], quartet, atol=1e-9)
-    assert levels4[5] > levels4[4] + 1e-6
+
+def test_charging_limit_spectrum():
+    # the band's diagonal is the charging energy of (k, l),
+    # 4E_C[(1+2a)(k^2+l^2) - 4a*k*l]/(1+4a), plus 2E_J(1+a).  The quartet
+    # (k,l) = (+-1,0), (0,+-1) sits at 4E_C(1+2a)/(1+4a); at the paper's
+    # a = 0.5 the -4a*k*l cross term makes (1,1) and (-1,-1) degenerate with
+    # it, so the first excited charging manifold is 6-fold at (8/3)E_C
+    ec, alpha, n_c = 1.0 / KRON_CIRCUIT["ej_over_ec"], KRON_CIRCUIT["alpha"], 4
+    spec = FluxQubitSpec(charge_cutoff=n_c)
+    k, l = np.divmod(np.arange(spec.dimension), 2 * n_c + 1)
+    k, l = k - n_c, l - n_c
+    closed = 4.0 * ec * ((1.0 + 2.0 * alpha) * (k**2 + l**2) - 4.0 * alpha * k * l) / (1.0 + 4.0 * alpha)
+    diagonal = charge_band(spec, 0.2, 0.013)[-1]
+    assert not diagonal.imag.any()
+    assert np.abs(diagonal.real - (closed + 2.0 * (1.0 + alpha))).max() <= 1e-14
+    charging = np.sort(diagonal.real - 2.0 * (1.0 + alpha))
+    assert abs(charging[0]) <= 1e-15
+    assert np.abs(charging[1:7] - (8.0 / 3.0) * ec).max() <= 1e-15
+    assert charging[7] > charging[6] + 1e-6
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidParameterError):
-        FluxQubitSpec(ej=-1.0)
     with pytest.raises(InvalidParameterError):
         FluxQubitSpec(charge_cutoff=0)
     with pytest.raises(InvalidParameterError):
@@ -136,11 +142,11 @@ def test_spectrum_periodic_in_f_eps():
     assert np.abs(w1 - w2).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n_diff, m", [(1, 0), (1, 1), (2, 1), (2, -3)])
-def test_mirror_bias_conjugates_h(n_diff, m):
-    # H(2m - f_eps) = conj H(f_eps): the levels, gap and couplings carry over,
-    # and the loop currents change sign
-    spec, f_eps = FluxQubitSpec(n_diff=n_diff, charge_cutoff=4), 0.013
+@pytest.mark.parametrize("m", [0, 1, 2, -3], ids=lambda m: f"{fluxcircuit.N_DIFF}-{m}")
+def test_mirror_bias_conjugates_h(m):
+    # H(2m - f_eps) = conj H(f_eps) at the circuit's fluxoid number n: the
+    # levels, gap and couplings carry over, and the loop currents change sign
+    spec, f_eps = FluxQubitSpec(charge_cutoff=4), 0.013
     mirror = 2 * m - f_eps
     assert np.abs(charge_band(spec, 0.2, mirror) - charge_band(spec, 0.2, f_eps).conj()).max() <= 1e-14
     (vals, ch), (mirror_vals, mirror_ch) = (sweep_point(spec, 0.2, fe, 3) for fe in (f_eps, mirror))
@@ -216,7 +222,7 @@ def test_derivative_matches_finite_difference():
     step, kd = 1e-6, SMALL.band_width
     for f_eps in (0.0, 0.07):
         plus, minus = charge_band(SMALL, 0.2, f_eps + step), charge_band(SMALL, 0.2, f_eps - step)
-        fd = (plus - minus) * SMALL.ej / (2.0 * step)
+        fd = (plus - minus) / (2.0 * step)
         lower, upper = _dh_hops(SMALL, 0.2, f_eps)
         analytic = np.zeros_like(fd)
         analytic[0, kd:] = upper
@@ -235,8 +241,6 @@ def test_persistent_currents():
     i0p, _ = _currents(SMALL, 0.2, 0.004)
     i0m, _ = _currents(SMALL, 0.2, -0.004)
     assert abs(i0p + i0m) <= 1e-8
-    spec0 = FluxQubitSpec(ej=1e-12, ej_over_ec=1e-12 / 0.03, charge_cutoff=4)
-    assert _currents(spec0, 0.2, 0.1) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("f_eps", [0.013, 0.031])
@@ -303,18 +307,16 @@ def test_sweep_point_consistent_with_separate_calls():
 def test_upper_band_matches_dense_upper_triangle(cutoff):
     # kd = 2N_c + 2 is the reach of the alpha hop; off the parity point the
     # hop's phase makes the upper triangle differ from its conjugate
-    kd = 2 * cutoff + 2
-    for ej in (1.0, 0.37):
-        spec = FluxQubitSpec(ej=ej, charge_cutoff=cutoff)
-        for f_eps in (0.0, 0.013):
-            band = charge_band(spec, 0.2, f_eps)
-            dense = (kron_hamiltonian(spec, 0.2, f_eps) / ej).toarray()
-            assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
-            assert band.flags.f_contiguous
-            for d in range(kd + 1):
-                assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
-                assert not band[kd - d, :d].any()
-            assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
+    kd, spec = 2 * cutoff + 2, FluxQubitSpec(charge_cutoff=cutoff)
+    for f_eps in (0.0, 0.013):
+        band = charge_band(spec, 0.2, f_eps)
+        dense = kron_hamiltonian(spec, 0.2, f_eps).toarray()
+        assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
+        assert band.flags.f_contiguous
+        for d in range(kd + 1):
+            assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
+            assert not band[kd - d, :d].any()
+        assert np.diag(dense, kd).any() and not np.triu(dense, kd + 1).any()
 
 
 @pytest.mark.parametrize("f_alpha, f_eps", [(0.2, 0.0), (0.1, 0.013), (0.3, -0.05)])
@@ -327,10 +329,10 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     spec, n_levels = SMALL, 4
     stats = {}
     mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
-    h = kron_hamiltonian(spec, f_alpha, f_eps) / spec.ej
+    h = kron_hamiltonian(spec, f_alpha, f_eps)
     diag = h.diagonal().real
     gershgorin = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
-    shift = stats["shift"] / spec.ej
+    shift = stats["shift"]
     band = _pack_upper(h.toarray(), spec.band_width)
     band[-1] -= shift
     factor = band_cholesky(band)
@@ -345,17 +347,17 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
                        OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
     order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order] * spec.ej, vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
     dh = kron_dh(spec, f_alpha, f_eps)
     ground, excited = vecs[:, 0], vecs[:, 1]
     i0, i1 = np.real(np.vdot(ground, dh @ ground)), np.real(np.vdot(excited, dh @ excited))
     g_perp = float(abs(np.vdot(excited, dh @ ground)))
 
-    assert gershgorin <= shift < vals[0] / spec.ej
+    assert gershgorin <= shift < vals[0]
     assert mine.tobytes() == vals.tobytes()
     assert (character.g_perp, character.g_par) == (g_perp, abs(float(i1) - float(i0)) / 2.0)
     assert (character.i0, character.i1) == (float(i0), float(i1))
-    assert (stats["shift"], stats["solves"]) == (shift * spec.ej, solves)
+    assert stats["solves"] == solves
 
 
 def test_solve_path_builds_no_sparse_matrix(monkeypatch):
@@ -383,26 +385,19 @@ def test_sweep_point_matches_dense_eigh_over_bias_grid(f_alpha, f_eps):
     assert abs(character.g_par - g_par) <= 1e-10
 
 
-def test_indefinite_band_raises_numeric_error():
+def test_indefinite_band_raises_numeric_error(monkeypatch):
     # [[1, 2, 0], [2, 1, 0.5j], [0, -0.5j, 3]] in upper band storage, kd = 1
     indefinite = np.array([[0.0, 2.0, 0.5j], [1.0, 1.0, 3.0]], dtype=np.complex128, order="F")
     with pytest.raises(NumericError):
         band_cholesky(indefinite)
-    with pytest.raises(NumericError):
-        _levels(FluxQubitSpec(ej=math.nan, charge_cutoff=2), 0.2, 0.0, 3)
+    # one non-finite hop reaches the Gershgorin bound, which rejects H before any solve
+    spec = FluxQubitSpec(charge_cutoff=2)
+    band = charge_band(spec, 0.2, 0.0)
+    band[spec.band_width - 1, 1] = math.nan
 
-
-@pytest.mark.parametrize("ej, ej_over_ec", [(1e100, 50.0), (1e-4, 1.0)], ids=["large", "small"])
-def test_levels_scale_with_the_circuit_energy(ej, ej_over_ec):
-    # H is linear in E_J at fixed E_J/E_C, so the levels scale with it and
-    # the solver's work does not change; an absolute shift margin gave
-    # levels 8e-4 off with 21 solves at ej 1e100, and 203 solves at 1e-4
-    unit_stats, stats = {}, {}
-    unit = _levels(FluxQubitSpec(ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, unit_stats)
-    levels = _levels(FluxQubitSpec(ej=ej, ej_over_ec=ej_over_ec, charge_cutoff=5), 0.2, 0.1, 5, stats)
-    assert np.abs(levels / ej - unit).max() <= 1e-13 * np.abs(unit).max()
-    assert stats["solves"] == unit_stats["solves"]
-    assert stats["shift"] / ej == pytest.approx(unit_stats["shift"], rel=1e-14)
+    monkeypatch.setattr(topochain.fluxcircuit, "charge_band", lambda *args: band.copy(order="F"))
+    with pytest.raises(NumericError, match="non-finite"):
+        _levels(spec, 0.2, 0.0, 3)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])

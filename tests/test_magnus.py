@@ -64,8 +64,7 @@ def test_plain_pump_lands_on_the_converged_fidelity():
 def test_static_disordered_quench_matches_exact_propagator(a, seed):
     # H is constant, so every step is exact to rounding (BDF at its default
     # tolerances misses these records by up to 4.9e-6)
-    targets = frozenset(("diagonal", "offdiagonal"))
-    chain = apply_disorder(make_chain("ssh", 7, a=a, b=1.0), DisorderSpec(0.01, seed, targets))
+    chain = apply_disorder(make_chain("ssh", 7, a=a, b=1.0), DisorderSpec(0.01, seed))
     traj = quench(chain, 1, 100.0, MAGNUS, 401)
     exact = np.array([exact_propagator_state(chain, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 1e-10
@@ -176,26 +175,24 @@ def _lz1_path_a():
 
 
 def _start_cases():
-    # (provider, psi0, t1, n_records, max_step, first-pass steps)
+    # (provider, psi0, t1, n_records, first-pass steps)
     path, n_records = _lz1_path_a()
     chain = make_chain("ssh", 7, a=0.1, b=1.0)
     return {
-        "bell": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, None, 3200),
-        "bell-max_step": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, 2.0,
-                          2400),
-        "plain-pump": (partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1), 100.0, 201, None, 200),
+        "bell": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, 3200),
+        "plain-pump": (partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1), 100.0, 201, 200),
         "lz1-a": (partial(schedule_arrays, path.schedule, 1), np.array([1.0, 0.0], dtype=np.complex128),
-                  path.schedule.total_time, n_records, None, 200),
-        "quench": (lambda t: dynamics.static_arrays(chain, t), basis_state(14, 1), 100.0, 401, None, 400),
+                  path.schedule.total_time, n_records, 200),
+        "quench": (lambda t: dynamics.static_arrays(chain, t), basis_state(14, 1), 100.0, 401, 400),
     }
 
 
-@pytest.mark.parametrize("case", ["bell", "bell-max_step", "plain-pump", "lz1-a", "quench"])
+@pytest.mark.parametrize("case", ["bell", "plain-pump", "lz1-a", "quench"])
 def test_first_pass_is_the_first_rung_inside_the_convergence_radius(monkeypatch, case):
     # R is the largest absolute row sum of the dense H at the record times;
-    # the first pass is the base rung (one step per segment, or
-    # ceil(segment / max_step)) doubled until every step has dt R < pi
-    provider, psi0, t1, n_records, max_step, expected = _start_cases()[case]
+    # the first pass is the base rung (one step per segment) doubled until
+    # every step has dt R < pi
+    provider, psi0, t1, n_records, expected = _start_cases()[case]
     first = []
 
     def record(provider, psi0, times, steps, stats=None):
@@ -204,15 +201,13 @@ def test_first_pass_is_the_first_rung_inside_the_convergence_radius(monkeypatch,
 
     monkeypatch.setattr(dynamics, "cfm4_integrate", record)
     with pytest.raises(_FirstPass):
-        evolve(provider, psi0, 0.0, t1, IntegratorConfig(max_step=max_step), n_records)
+        evolve(provider, psi0, 0.0, t1, MAGNUS, n_records)
     times = np.linspace(0.0, t1, n_records)
     radius = max(np.abs(ChainHamiltonian(*provider(t)).to_dense()).sum(axis=1).max() for t in times)
-    base = np.ones(n_records - 1) if max_step is None else np.ceil(np.diff(times) / max_step)
     steps = first[0]
-    rungs = steps / base
-    assert np.all(rungs == rungs[0]) and rungs[0] == 2.0 ** round(np.log2(rungs[0]))
+    assert np.all(steps == steps[0]) and steps[0] == 2.0 ** round(np.log2(steps[0]))
     assert (np.diff(times) / steps).max() * radius < np.pi
-    if rungs[0] > 1:
+    if steps[0] > 1:
         assert (np.diff(times) / (steps / 2)).max() * radius >= np.pi
     assert steps.sum() == expected
 

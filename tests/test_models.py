@@ -151,13 +151,6 @@ def test_disorder_deterministic_and_input_untouched():
     assert not np.array_equal(one.diagonal, other.diagonal)
 
 
-def test_disorder_targets_subset():
-    h = make_chain("ssh", 7, a=0.1, b=1.0)
-    diag_only = apply_disorder(h, DisorderSpec(0.01, seed=1, targets=frozenset({"diagonal"})))
-    assert np.array_equal(diag_only.offdiagonal, h.offdiagonal)
-    assert not np.array_equal(diag_only.diagonal, h.diagonal)
-
-
 def test_disorder_rejects_negative_sigma():
     with pytest.raises(InvalidParameterError):
         DisorderSpec(-0.1, seed=0)
