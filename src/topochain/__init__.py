@@ -14,8 +14,6 @@ from .errors import (
     TopochainError,
 )
 from .models import (
-    ChainHamiltonian,
-    DisorderSpec,
     FunctionSpec,
     Schedule,
     apply_disorder,
@@ -43,11 +41,9 @@ from .dynamics import (
     transfer_fidelity,
 )
 from .effective import (
-    LZPath,
     PathClass,
     classify_path,
     compare_reduction,
-    lz_evolve,
 )
 from .couplings import (
     bessel_jn,
@@ -55,7 +51,6 @@ from .couplings import (
     effective_coupling_matched,
 )
 from .fluxcircuit import (
-    FluxQubitSpec,
     QubitCharacter,
     sweep_point,
 )

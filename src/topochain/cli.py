@@ -42,7 +42,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.subcommand == "run":
-            cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+            try:
+                text = Path(args.config).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError([f"config file is not UTF-8 text: {exc}"]) from exc
+            cfg = parse_config(text)
             if args.seed is not None:
                 cfg = parse_config(json.dumps(dict(cfg.raw, seed=args.seed)))
             results = [run(cfg, args.out, args.amplitudes)]

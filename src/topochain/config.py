@@ -21,9 +21,9 @@ import numpy as np
 
 from .couplings import DEFAULT_N_MAX, MAX_ARGUMENT
 from .dynamics import METHODS, RECORDS_PER_CYCLE, IntegratorConfig
-from .effective import LZPath
+from . import effective
 from .errors import InvalidParameterError, SchemaError
-from .fluxcircuit import FluxQubitSpec
+from .fluxcircuit import CHARGE_CUTOFF
 from .models import (
     FUNCTION_FORMS,
     MAX_DEVIATE,
@@ -33,6 +33,7 @@ from .models import (
     FunctionSpec,
     Schedule,
     chain_arrays,
+    max_row_sum,
 )
 
 SCHEMA_VERSION = 1
@@ -298,7 +299,7 @@ QUENCH = {
 }
 
 # an lz path: the keys of every type, and whether they are usable; _lz
-# checks the keys of its type and builds the LZPath
+# checks the keys of its type and builds the path's one-cell schedule
 LZ_PATH = Key({
     "type": Key("str", required=True, choices=("arc", "line", "line_at_angle", "custom")),
     "T": _PERIOD,
@@ -311,11 +312,11 @@ LZ_PATH_TYPES = {  # the path keys of each type, in the order its constructor ta
     "line_at_angle": {"alpha": _ALPHA, "theta": Key("number", required=True, bounds=(_MAGNITUDE,), feeds="norm")},
     "custom": {"u": FUNCTION, "g": FUNCTION},
 }
-_LZ_PATHS = {  # the constructor of each type: its keys, then T and n_samples
-    "arc": LZPath.arc,
-    "line": LZPath.line,
-    "line_at_angle": LZPath.line_at_angle,
-    "custom": LZPath.from_functions,
+_LZ_PATHS = {  # the constructor of each type: its keys, then T
+    "arc": effective.arc,
+    "line": effective.line,
+    "line_at_angle": effective.line_at_angle,
+    "custom": effective.from_functions,
 }
 LZ = {
     "initial_state": Key("str", "L", choices=("L", "R")),
@@ -342,7 +343,7 @@ COUPLINGS = {
     **dict.fromkeys(("alpha1", "alpha2"), _range(1, MAX_ARGUMENT, COUPLINGS_MAX_POINTS, required=True)),
 }
 
-# the circuit is FluxQubitSpec's; a config sets only its charge basis
+# the circuit is fluxcircuit's constants; a config sets only its charge basis
 FLUX = {
     "spec": Key({
         "charge_cutoff": Key("int", bounds=(Bound("in", (1, FLUX_MAX_CHARGE_CUTOFF)),), feeds="flux cost"),
@@ -528,10 +529,11 @@ def _lz(chk: list, cfg: dict, ctx: str) -> dict:
         _check_size(chk, 2, "", options["n_records"], f"'n_records' in {ctx}")
         usable &= _check_size(chk, 2, "", path["n_samples"], f"'n_samples' in {ctx}.path")
         typed, typed_ok = _walk(chk, cfg["path"], LZ_PATH_TYPES.get(path["type"], {}), f"{ctx}.path", extra=None)
-        # sampled here, so only once its size and its terms' angles hold
+        # built only once its size and its terms' angles hold, which the run's sampling needs
         if usable and typed_ok and _angles_hold(chk, typed, f"{ctx}.path", path["T"], 1):
             try:
-                options["path"] = _LZ_PATHS[path["type"]](*typed.values(), path["T"], path["n_samples"])
+                options["path"] = _LZ_PATHS[path["type"]](*typed.values(), path["T"])
+                options["n_samples"] = path["n_samples"]
             except InvalidParameterError as exc:  # path C: g = tan(theta) * u beyond the float range
                 chk.append(f"key 'theta' in {ctx}.path makes g = tan(theta) * u non-finite ({exc})")
     if "from_schedule" in cfg:
@@ -542,7 +544,7 @@ def _lz(chk: list, cfg: dict, ctx: str) -> dict:
 def _fluxqubit(chk: list, cfg: dict, ctx: str) -> dict:
     table, where = (FLUX_GAP, f"{ctx} with 'f_alpha_sweep'") if "f_alpha_sweep" in cfg else (FLUX_LEVELS, ctx)
     v = _walk(chk, cfg, {**FLUX, **table}, ctx, _COMMON, where)[0]
-    cutoff = (v.pop("spec") or {}).get("charge_cutoff") or FluxQubitSpec.charge_cutoff
+    cutoff = (v.pop("spec") or {}).get("charge_cutoff") or CHARGE_CUTOFF
     max_levels = min(FLUX_MAX_LEVELS, (2 * cutoff + 1) ** 2 - 2 if cutoff >= 1 else FLUX_MAX_LEVELS)
     if v.get("levels") is not None:
         _check_bound(chk, "levels", ctx, v["levels"], Bound("in", (1, max_levels)))
@@ -583,10 +585,7 @@ def _row_sum_bound(kind: str, size: int, params: dict, deviate: float = 0.0) -> 
     not a number."""
     with np.errstate(all="ignore"):  # entries set by out-of-bound keys, already named, may overflow
         diag, off = chain_arrays(kind, size, params)
-        rows = np.abs(diag) + deviate
-        bonds = np.zeros(rows.size + 1)
-        bonds[1:-1] = np.abs(off) + deviate
-        bound = float(np.max(rows + (bonds[:-1] + bonds[1:])))
+        bound = max_row_sum(np.abs(diag) + deviate, np.abs(off) + deviate)
     return None if math.isnan(bound) else bound
 
 
@@ -606,7 +605,7 @@ def _integration(command: Optional[str], options: dict):
     schedule's, at L = 1."""
     schedule, L, key = options.get("schedule"), options.get("L"), "schedule"
     if command == "lz" and "path" in options:
-        schedule, L, key = options["path"].schedule, 1, "path"
+        schedule, L, key = options["path"], 1, "path"
     if command in ("pump", "trimer", "lz") and schedule is not None:
         terms = {name: _function_bound(fn, schedule.cycles) for name, fn in schedule.params.items()}
         bound = _row_sum_bound(schedule.kind, min(L, 2), terms)
@@ -676,6 +675,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if output is not None and (output in ("", ".", "..") or "\0" in output or os.path.basename(output) != output):
         # the runner writes <output>.csv and its manifest into the output directory
         chk.append(f"key 'output' in config must be a plain file name, got {output!r}")
+    elif output is not None and any("\ud800" <= c <= "\udfff" for c in output):
+        # a lone surrogate (JSON reads an unpaired escape such as \ud800 as one) has no UTF-8 file name
+        chk.append(f"key 'output' in config must be UTF-8 text, without lone surrogates, got {output!r}")
     elif size > MAX_OUTPUT_BYTES:  # a longer stem fails at run time with "File name too long"
         chk.append(f"key 'output' in config must be at most {MAX_OUTPUT_BYTES} bytes in UTF-8, got {size}")
     if command is not None and command not in COMMANDS:

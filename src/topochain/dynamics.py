@@ -54,8 +54,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from ._kernels import apply_minus_ih, cfm4_integrate, hermitian_band, rk4_integrate, segment_steps
-from .errors import IntegrationError, InvalidParameterError
-from .models import ChainHamiltonian, Schedule, schedule_arrays
+from .errors import IntegrationError, InvalidDimensionError, InvalidParameterError
+from .models import Schedule, max_row_sum, schedule_arrays
 
 NORM_DRIFT_LIMIT = 1e-6
 RECORDS_PER_CYCLE = 200
@@ -106,11 +106,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def static_arrays(h: ChainHamiltonian, times):
-    """H(t) of a fixed chain at ``times``, laid out as ``models.schedule_arrays``."""
+def static_arrays(diag, off, times):
+    """H(t) of the fixed chain ``(diag, off)`` at ``times``, laid out as ``models.schedule_arrays``."""
     shape = np.shape(times)
-    return (np.broadcast_to(h.diagonal, shape + h.diagonal.shape),
-            np.broadcast_to(h.offdiagonal, shape + h.offdiagonal.shape))
+    return np.broadcast_to(diag, shape + np.shape(diag)), np.broadcast_to(off, shape + np.shape(off))
 
 
 def basis_state(n_sites: int, site: int) -> np.ndarray:
@@ -170,11 +169,7 @@ def _start_steps(provider, times) -> np.ndarray:
     # so the passes below that rung would be thrown away.  A non-finite R
     # leaves the ladder where it starts, and _renormalize reports the state
     steps = np.ones(times.size - 1)
-    diag, off = provider(times)
-    rows = np.abs(diag)
-    rows[..., 1:] += np.abs(off)
-    rows[..., :-1] += np.abs(off)
-    radius = rows.max()
+    radius = max_row_sum(*provider(times))
     segments = np.diff(times)
     if np.isfinite(radius):
         while steps.sum() <= MAGNUS_MAX_STEPS and not (segments / steps).max() * radius < np.pi:
@@ -284,7 +279,7 @@ def _evolve_bdf(provider, psi0, times, cfg, stats=None) -> np.ndarray:
 
     def jac(t, y):
         diag, off, _ = h_at(t)
-        return -1j * ChainHamiltonian(diag, off).to_dense()
+        return -1j * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
     sol = solve_ivp(
         rhs,
@@ -358,15 +353,19 @@ def evolve(
 
 
 def quench(
-    h: ChainHamiltonian,
+    diag,
+    off,
     flip_site: int,
     t_final: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     n_records: int = 201,
 ) -> Trajectory:
-    """Flip one qubit of an otherwise spin-down chain and watch it evolve."""
-    psi0 = basis_state(h.n_sites, flip_site)
-    return evolve(lambda times: static_arrays(h, times), psi0, 0.0, t_final, cfg, n_records)
+    """Flip one qubit of an otherwise spin-down chain, with sites ``diag[n]``
+    and bonds ``off[n-1]``, and watch it evolve."""
+    if np.ndim(diag) != 1 or np.shape(off) != (np.size(diag) - 1,):
+        raise InvalidDimensionError(f"a chain needs n sites and n - 1 bonds, got {np.shape(diag)}, {np.shape(off)}")
+    psi0 = basis_state(np.size(diag), flip_site)
+    return evolve(lambda times: static_arrays(diag, off, times), psi0, 0.0, t_final, cfg, n_records)
 
 
 def pump(

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import Mapping, NamedTuple, Tuple
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, Trajectory, evolve, pump
+from .dynamics import IntegratorConfig, evolve
 from .errors import InvalidParameterError, PhaseDomainError
 from .models import FunctionSpec, Schedule, chain_arrays, const, schedule_arrays
 from .spectra import analytic_edge_states, coupling_ratio_norm_sq
@@ -119,75 +119,57 @@ class PathClass(enum.Enum):
     NO_CROSSING = "no-crossing"
 
 
-@dataclass(frozen=True, eq=False)
-class LZPath:
-    """A path t -> (u(t), g(t)) over [0, T], sampled.  Built from function
-    terms, it keeps them as ``schedule``: the one-cell Rice-Mele chain with
-    on-site +-u and bond g.  A path only sampled (``from_schedule``) has none."""
-
-    times: np.ndarray
-    u: np.ndarray
-    g: np.ndarray
-    period: float
-    schedule: Optional[Schedule] = None
-
-    def __post_init__(self):
-        if self.times.size < 3:
-            raise InvalidParameterError("a path needs at least 3 samples")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidParameterError("path times must increase strictly")
-
-    @classmethod
-    def from_functions(cls, u: FunctionSpec, g: FunctionSpec, period: float, n_samples: int = 201) -> "LZPath":
-        schedule = Schedule("rm", period, {"u": u, "a": g, "b": const(0.0)})
-        times = np.linspace(0.0, period, int(n_samples))
-        return cls(times, u.value(times, period), g.value(times, period), period, schedule)
-
-    @classmethod
-    def arc(cls, alpha: float, period: float, n_samples: int = 201) -> "LZPath":
-        """Path A: the half circle u = alpha*cos(pi t/T - pi), g = alpha*sin(pi t/T - pi)."""
-        u = FunctionSpec("cos", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
-        g = FunctionSpec("sin", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
-        return cls.from_functions(u, g, period, n_samples)
-
-    @classmethod
-    def line(cls, alpha: float, period: float, n_samples: int = 201) -> "LZPath":
-        """Path B: u = alpha*(2t/T - 1) straight through the critical point, g = 0."""
-        u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
-        return cls.from_functions(u, const(0.0), period, n_samples)
-
-    @classmethod
-    def line_at_angle(cls, alpha: float, theta: float, period: float, n_samples: int = 201) -> "LZPath":
-        """Path C: the path-B ramp tilted so that g = tan(theta) * u."""
-        u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
-        tan = float(np.tan(theta))  # a float product overflows to inf without a warning
-        g = FunctionSpec("linear", offset=-alpha * tan, amplitude=2.0 * alpha * tan)
-        return cls.from_functions(u, g, period, n_samples)
-
-    @classmethod
-    def from_schedule(cls, schedule: Schedule, L: int, n_samples: int = 201) -> "LZPath":
-        """The (u, g) trace a Rice-Mele pump schedule induces via the
-        reduction, with g from one array call of ``edge_coupling``: continued
-        analytically through the trivial region, which the plain pump crosses
-        and where ``reduced_arrays`` raises."""
-        if schedule.kind != "rm":
-            raise InvalidParameterError("path extraction needs a Rice-Mele schedule")
-        times = np.linspace(0.0, schedule.period, int(n_samples))
-        vals = schedule.values(times)
-        return cls(times, vals["u"], edge_coupling(vals["a"], vals["b"], L), schedule.period)
+def from_functions(u: FunctionSpec, g: FunctionSpec, period: float) -> Schedule:
+    """The path t -> (u(t), g(t)) over [0, T]: the one-cell Rice-Mele
+    schedule with on-site +-u and bond g, which ``pump`` evolves at L = 1
+    and ``schedule_arrays`` samples."""
+    return Schedule("rm", period, {"u": u, "a": g, "b": const(0.0)})
 
 
-def classify_path(path: LZPath) -> PathClass:
-    """Around vs through the critical point u = g = 0 (or neither).
+def arc(alpha: float, period: float) -> Schedule:
+    """Path A: the half circle u = alpha*cos(pi t/T - pi), g = alpha*sin(pi t/T - pi)."""
+    u = FunctionSpec("cos", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
+    g = FunctionSpec("sin", amplitude=alpha, frequency_multiple=0.5, phase=-np.pi)
+    return from_functions(u, g, period)
+
+
+def line(alpha: float, period: float) -> Schedule:
+    """Path B: u = alpha*(2t/T - 1) straight through the critical point, g = 0."""
+    u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
+    return from_functions(u, const(0.0), period)
+
+
+def line_at_angle(alpha: float, theta: float, period: float) -> Schedule:
+    """Path C: the path-B ramp tilted so that g = tan(theta) * u."""
+    u = FunctionSpec("linear", offset=-alpha, amplitude=2.0 * alpha)
+    tan = float(np.tan(theta))  # a float product overflows to inf without a warning
+    g = FunctionSpec("linear", offset=-alpha * tan, amplitude=2.0 * alpha * tan)
+    return from_functions(u, g, period)
+
+
+def from_schedule(schedule: Schedule, L: int, n_samples: int = 201):
+    """(times, u, g): the trace a Rice-Mele pump schedule induces via the
+    reduction at ``n_samples`` times over one period, with g from one array
+    call of ``edge_coupling``: continued analytically through the trivial
+    region, which the plain pump crosses and where ``reduced_arrays`` raises."""
+    if schedule.kind != "rm":
+        raise InvalidParameterError("path extraction needs a Rice-Mele schedule")
+    times = np.linspace(0.0, schedule.period, int(n_samples))
+    vals = schedule.values(times)
+    return times, vals["u"], edge_coupling(vals["a"], vals["b"], L)
+
+
+def classify_path(u: np.ndarray, g: np.ndarray) -> PathClass:
+    """Around vs through the critical point u = g = 0 (or neither), from the
+    ordered samples of a path; their times do not enter.
 
     |u| at most 1e-6 of the largest path radius (0 on the zero path) counts
     as zero, and a path whose radius dips below it passes through the
-    critical point; the result depends only on the ordered samples, not
-    their times.
+    critical point.
     """
-    radius = np.hypot(path.u, path.g)
+    radius = np.hypot(u, g)
     tol = 1e-6 * float(radius.max())
-    nonzero = path.u[np.abs(path.u) > tol]
+    nonzero = u[np.abs(u) > tol]
     # the signs compared, not multiplied: a product of two |u| above 1e154 overflows
     changes_sign = nonzero.size >= 2 and (nonzero[0] > 0) != (nonzero[-1] > 0)
     if not changes_sign:
@@ -195,19 +177,6 @@ def classify_path(path: LZPath) -> PathClass:
     if radius.min() < tol:
         return PathClass.THROUGH_CRITICAL
     return PathClass.AROUND_CRITICAL
-
-
-def lz_evolve(
-    path: LZPath,
-    psi0: np.ndarray,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    n_records: int = 201,
-) -> Trajectory:
-    """Integrate the two-level Schroedinger equation along the path: one
-    period of its schedule, pumped on the one-cell chain."""
-    if path.schedule is None:
-        raise InvalidParameterError("a path only sampled has no schedule to evolve; build it from function terms")
-    return pump(path.schedule, 1, psi0, cfg, n_records)
 
 
 # ---------------------------------------------------------------------------

@@ -50,25 +50,16 @@ EJ_OVER_EC, ALPHA, BETA, KAPPA, N_TOTAL, N_DIFF = 50.0, 0.5, 0.05, 50.0, 1, 1
 EC = 1.0 / EJ_OVER_EC
 
 
-@dataclass(frozen=True)
-class FluxQubitSpec:
-    """The charge basis of the figure circuit: k, l in [-N_c, N_c]."""
+# the charge basis k, l in [-N_c, N_c] of a run that sets no charge_cutoff
+CHARGE_CUTOFF = 15
 
-    charge_cutoff: int = 15
 
-    def __post_init__(self):
-        if int(self.charge_cutoff) < 1:
-            raise InvalidParameterError("charge_cutoff must be >= 1")
-
-    @property
-    def dimension(self) -> int:
-        return (2 * int(self.charge_cutoff) + 1) ** 2
-
-    @property
-    def band_width(self) -> int:
-        """Half-bandwidth kd of the charge Hamiltonian: the alpha hop
-        (k, l) -> (k+1, l+1) moves the flattened index by 2N_c + 2."""
-        return 2 * int(self.charge_cutoff) + 2
+def _sizes(charge_cutoff: int):
+    """(N_c, kd, dim): the cutoff, the half-bandwidth 2N_c + 2 of H (the
+    alpha hop (k, l) -> (k+1, l+1) moves the flattened index by it) and
+    the dimension (2N_c + 1)^2 of the charge basis."""
+    n_c = int(charge_cutoff)
+    return n_c, 2 * n_c + 2, (2 * n_c + 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -91,25 +82,25 @@ class QubitCharacter:
     i1: float
 
 
-def _alpha_term(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
+def _alpha_term(charge_cutoff: int, f_alpha: float, f_eps: float):
     """(amp, chi, starts): the alpha-junction term is -amp*(e^{i chi} S + h.c.);
     S moves i to i + kd, and the l hop i to i + 1, where starts[i] (l < N_c)."""
-    d = 2 * int(spec.charge_cutoff) + 1
+    d = 2 * int(charge_cutoff) + 1
     c_alpha = float(np.cos(np.pi * (BETA * (N_TOTAL - KAPPA * f_alpha) + f_alpha)))
-    starts = np.arange(spec.dimension - 1) % d != d - 1
+    starts = np.arange(d * d - 1) % d != d - 1
     return ALPHA * c_alpha, np.pi * (N_DIFF - f_eps), starts
 
 
-def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray:
+def charge_band(charge_cutoff: int, f_alpha: float, f_eps: float) -> np.ndarray:
     """H in LAPACK upper Hermitian band storage: a Fortran-ordered
     complex ``(kd + 1, dim)`` array with ``band[kd + i - j, j] = H[i, j]``
     for ``j - kd <= i <= j``, 0 where no term couples i, j."""
-    n_c, kd, dim = int(spec.charge_cutoff), spec.band_width, spec.dimension
+    n_c, kd, dim = _sizes(charge_cutoff)
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     k_sq = charge**2
     coef = 4.0 * EC / (1.0 + 4.0 * ALPHA)
     kinetic = coef * ((1.0 + 2.0 * ALPHA) * (np.add.outer(k_sq, k_sq)) - 4.0 * ALPHA * np.outer(charge, charge)).ravel()
-    amp, chi, starts = _alpha_term(spec, f_alpha, f_eps)
+    amp, chi, starts = _alpha_term(n_c, f_alpha, f_eps)
     band = np.zeros((kd + 1, dim), dtype=np.complex128, order="F")
     band[kd] = kinetic + 2.0 * (1.0 + ALPHA)
     band[kd - 1, 1:] = np.where(starts, -0.5, 0.0)  # -E_J cos(phi_2): (k, l) -> (k, l+1)
@@ -119,11 +110,12 @@ def charge_band(spec: FluxQubitSpec, f_alpha: float, f_eps: float) -> np.ndarray
     return band
 
 
-def _dh_hops(spec: FluxQubitSpec, f_alpha: float, f_eps: float):
+def _dh_hops(charge_cutoff: int, f_alpha: float, f_eps: float):
     """(lower, upper): dH/df_eps[i + kd, i] and dH/df_eps[i, i + kd], i < dim - kd."""
-    amp, chi, starts = _alpha_term(spec, f_alpha, f_eps)
+    amp, chi, starts = _alpha_term(charge_cutoff, f_alpha, f_eps)
     c = 1j * np.pi * amp  # d/df_eps of -amp*(e^{i chi} S + h.c.), with dchi/df_eps = -pi
-    starts = starts[:spec.dimension - spec.band_width]
+    _, kd, dim = _sizes(charge_cutoff)
+    starts = starts[:dim - kd]
     return np.where(starts, c * np.exp(1j * chi), 0.0), np.where(starts, c * -np.exp(-1j * chi), 0.0)
 
 
@@ -137,17 +129,20 @@ def band_cholesky(band: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
+def _eigensystem(charge_cutoff: int, f_alpha: float, f_eps: float, n_levels: int, stats=None):
     """Lowest ``n_levels`` eigenpairs, ascending, by shift-invert Lanczos.  ``stats``,
     if given, receives the dimension, band width, shift, E_0 minus the shift, and
     the numbers of factorizations and shift-invert solves."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    n_levels, dim = int(n_levels), spec.dimension
+    n_c, kd, dim = _sizes(charge_cutoff)
+    if n_c < 1:
+        raise InvalidParameterError("charge_cutoff must be >= 1")
+    n_levels = int(n_levels)
     if not 1 <= n_levels <= dim - 2:
         raise InvalidParameterError(f"n_levels must be in 1..{dim - 2} at dimension {dim}, got {n_levels}")
-    band = charge_band(spec, f_alpha, f_eps)
-    kd, magnitude, rows = spec.band_width, np.abs(band), np.zeros(dim)
+    band = charge_band(n_c, f_alpha, f_eps)
+    magnitude, rows = np.abs(band), np.zeros(dim)
     # Gershgorin: each row of |H| summed in ascending j, then the diagonal taken out
     for off in range(-kd, kd + 1):  # |H[i, i + off]|, stored at column max(i, i + off)
         rows[:dim - max(off, 0)] += magnitude[kd - abs(off), max(off, 0):]
@@ -178,7 +173,7 @@ def _eigensystem(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: in
         except NumericError:
             if shift == floor:
                 raise
-            band = charge_band(spec, f_alpha, f_eps)  # the failed zpbtrf overwrote it
+            band = charge_band(n_c, f_alpha, f_eps)  # the failed zpbtrf overwrote it
     solves = 0
 
     def solve(x):
@@ -219,15 +214,15 @@ def solver_record(point_stats, mirrored: int) -> dict:
     }
 
 
-def sweep_point(spec: FluxQubitSpec, f_alpha: float, f_eps: float, n_levels: int, stats=None):
+def sweep_point(charge_cutoff: int, f_alpha: float, f_eps: float, n_levels: int, stats=None):
     """One flux-sweep sample from a single diagonalization: the lowest
     ``n_levels`` (at least 2) energies plus the ``QubitCharacter`` of the
     qubit pair.  ``stats``, if given, receives the solver record of
     ``_eigensystem``."""
-    vals, vecs = _eigensystem(spec, f_alpha, f_eps, max(int(n_levels), 2), stats)
+    vals, vecs = _eigensystem(charge_cutoff, f_alpha, f_eps, max(int(n_levels), 2), stats)
     ground, excited = vecs[:, 0], vecs[:, 1]
-    lower, upper = _dh_hops(spec, f_alpha, f_eps)
-    kd, pair, dh = spec.band_width, vecs[:, :2].T, np.zeros((2, vecs.shape[0]), dtype=np.complex128)
+    lower, upper = _dh_hops(charge_cutoff, f_alpha, f_eps)
+    kd, pair, dh = _sizes(charge_cutoff)[1], vecs[:, :2].T, np.zeros((2, vecs.shape[0]), dtype=np.complex128)
     # dH/df_eps on both states: row i sums column i - kd, then i + kd; products as
     # (ar*xr - ai*xi) + i(ar*xi + ai*xr), no fused multiply-add, so SIMD moves no bit
     for hop, rows, x in ((lower, dh[:, kd:], pair[:, :-kd]), (upper, dh[:, :-kd], pair[:, kd:])):

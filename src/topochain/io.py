@@ -20,7 +20,6 @@ import numpy as np
 import scipy
 
 from .dynamics import Trajectory
-from .effective import LZPath
 from .spectra import SpectrumTrace
 
 BLOCK_CELLS = 2048  # cells formatted and written at a time, in whole rows
@@ -114,6 +113,6 @@ def states_csv(path: Path, levels: Sequence[int], vectors: np.ndarray) -> Path:
     return write_csv(path, header, [np.arange(1, vectors.shape[0] + 1), *vectors.T])
 
 
-def lz_path_csv(path: Path, lz_path: LZPath) -> Path:
-    r = np.hypot(lz_path.u, lz_path.g)  # the levels of [[u, g], [g, -u]] are -+r; 0.0 - r is +0.0, not -0.0, at r = 0
-    return write_csv(path, ["t", "u", "g", "E_minus", "E_plus"], [lz_path.times, lz_path.u, lz_path.g, 0.0 - r, r])
+def lz_path_csv(path: Path, times: np.ndarray, u: np.ndarray, g: np.ndarray) -> Path:
+    r = np.hypot(u, g)  # the levels of [[u, g], [g, -u]] are -+r; 0.0 - r is +0.0, not -0.0, at r = 0
+    return write_csv(path, ["t", "u", "g", "E_minus", "E_plus"], [times, u, g, 0.0 - r, r])

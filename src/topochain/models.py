@@ -13,49 +13,13 @@ from typing import Mapping
 import numpy as np
 from numpy.random import Philox
 
-from .errors import InvalidDimensionError, InvalidParameterError, NumericError
+from .errors import InvalidDimensionError, InvalidParameterError
 
 MODEL_KINDS = ("ssh", "rm", "trimer")
 SCHEDULE_PARAMS = {"ssh": ("a", "b"), "rm": ("a", "b", "u"), "trimer": ("a", "b", "c", "u", "v", "w")}
 SITES_PER_CELL = {"ssh": 2, "rm": 2, "trimer": 3}
 
 FUNCTION_FORMS = ("const", "sin", "cos", "linear")
-
-
-@dataclass(frozen=True, eq=False)
-class ChainHamiltonian:
-    """Real symmetric tridiagonal matrix in the single-excitation basis."""
-
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
-
-    def __post_init__(self):
-        diag = np.atleast_1d(np.asarray(self.diagonal, dtype=np.float64))
-        off = np.atleast_1d(np.asarray(self.offdiagonal, dtype=np.float64)) if np.size(self.offdiagonal) else np.zeros(0)
-        if diag.size < 1:
-            raise InvalidDimensionError("chain needs at least one site")
-        if off.size != diag.size - 1:
-            raise InvalidDimensionError(
-                f"offdiagonal length {off.size} does not match {diag.size} sites"
-            )
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-            raise NumericError("non-finite Hamiltonian entries")
-        diag = diag.copy()
-        off = off.copy()
-        diag.flags.writeable = False
-        off.flags.writeable = False
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "offdiagonal", off)
-
-    @property
-    def n_sites(self) -> int:
-        return self.diagonal.size
-
-    def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        if self.offdiagonal.size:
-            h += np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-        return h
 
 
 def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
@@ -83,29 +47,19 @@ def chain_arrays(kind: str, size: int, p: Mapping, shape: tuple = ()):
     return diag, off
 
 
+def max_row_sum(diag, off) -> float:
+    """The largest absolute row sum of the chains ``diag[..., n]``,
+    ``off[..., n-1]`` (Gershgorin's bound on ||H||), each row summed as
+    |diag| + |left bond| + |right bond|."""
+    rows = np.abs(diag)
+    rows[..., 1:] += np.abs(off)
+    rows[..., :-1] += np.abs(off)
+    return float(rows.max())
+
+
 # ---------------------------------------------------------------------------
 # Disorder
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DisorderSpec:
-    """Gaussian disorder of standard deviation sigma (units of b) on every
-    site and bond.
-
-    Draws are reproducible and order-independent: entry i of the sites (tag
-    0) or of the bonds (tag 1) reads stream position i of a Philox
-    counter-based generator keyed by (seed, tag), and is mapped to a normal
-    deviate by the inverse CDF (uniform in (0,1) from the top 53 bits of the
-    raw draw, at most 1 - 2^-53).
-    """
-
-    sigma: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise InvalidParameterError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 # the largest |deviate| _gaussian_draws returns: ndtri of the smallest
@@ -125,16 +79,24 @@ def _gaussian_draws(seed: int, tag: int, count: int) -> np.ndarray:
     return ndtri(np.minimum(uniform, np.nextafter(1.0, 0.0)))
 
 
-def apply_disorder(h: ChainHamiltonian, spec: DisorderSpec) -> ChainHamiltonian:
-    """Return a new chain with independent Gaussian(0, sigma) noise added to
-    every site and bond; the input is untouched."""
-    diag = h.diagonal.copy()
-    off = h.offdiagonal.copy()
-    if spec.sigma > 0:
-        diag += spec.sigma * _gaussian_draws(spec.seed, 0, diag.size)
+def apply_disorder(diag, off, sigma: float, seed: int):
+    """Copies of a chain's sites and bonds with independent Gaussian noise of
+    standard deviation sigma (units of b) added to each; the inputs are untouched.
+
+    Draws are reproducible and order-independent: entry i of the sites (tag
+    0) or of the bonds (tag 1) reads stream position i of a Philox
+    counter-based generator keyed by (seed, tag), and is mapped to a normal
+    deviate by the inverse CDF (uniform in (0,1) from the top 53 bits of the
+    raw draw, at most 1 - 2^-53).
+    """
+    if not np.isfinite(sigma) or sigma < 0:
+        raise InvalidParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    diag, off = np.array(diag, dtype=np.float64), np.array(off, dtype=np.float64)
+    if sigma > 0:
+        diag += sigma * _gaussian_draws(seed, 0, diag.size)
         if off.size:
-            off += spec.sigma * _gaussian_draws(spec.seed, 1, off.size)
-    return ChainHamiltonian(diag, off)
+            off += sigma * _gaussian_draws(seed, 1, off.size)
+    return diag, off
 
 
 # ---------------------------------------------------------------------------

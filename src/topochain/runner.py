@@ -14,10 +14,10 @@ from . import __version__, io
 from ._kernels import one_blas_thread
 from .config import ExperimentConfig, parse_config
 from .dynamics import basis_state, pump, quench, transfer_fidelity
-from .effective import LZPath, classify_path, lz_evolve
+from .effective import classify_path, from_schedule
 from .errors import InvalidParameterError
-from .fluxcircuit import FluxQubitSpec, solver_record, sweep_point
-from .models import SITES_PER_CELL, ChainHamiltonian, DisorderSpec, apply_disorder, chain_arrays
+from .fluxcircuit import solver_record, sweep_point
+from .models import SITES_PER_CELL, apply_disorder, chain_arrays, schedule_arrays
 from .couplings import effective_coupling_identical, effective_coupling_matched
 from .presets import FIGURE_IDS, PRESETS
 from .spectra import (
@@ -73,7 +73,7 @@ def _run_spectrum(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: b
         files.append(_trace_csv(out_dir / f"{stem}.csv", trace, blocks))
         return files, extras
 
-    spectrum = eigendecompose(ChainHamiltonian(*_build_model(model)))
+    spectrum = eigendecompose(*_build_model(model))
     flags = edge_weight(spectrum.eigenvectors, n_edge) >= EDGE_FLAG_THRESHOLD
     files.append(io.static_spectrum_csv(out_dir / f"{stem}.csv", spectrum.eigenvalues, flags))
     if opts.get("export_states") == "edge":
@@ -102,10 +102,10 @@ def _run_pump(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool,
 
 def _run_quench(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
-    chain = ChainHamiltonian(*_build_model(opts["model"]))
+    chain = _build_model(opts["model"])
     if opts["disorder"] is not None:
-        chain = apply_disorder(chain, DisorderSpec(opts["disorder"]["sigma"], cfg.seed))
-    traj = quench(chain, opts["flip_site"], opts["t_final"], cfg.integrator, opts["n_records"])
+        chain = apply_disorder(*chain, opts["disorder"]["sigma"], cfg.seed)
+    traj = quench(*chain, opts["flip_site"], opts["t_final"], cfg.integrator, opts["n_records"])
     files = [_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks)]
     extras = {"min_sz_flip_site": float(traj.sz[:, opts["flip_site"] - 1].min())}
     return files, extras
@@ -117,17 +117,21 @@ def _run_lz(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, b
     if "path" in opts:
         # integrated before the first file is written, so a failed integration leaves no file
         psi0 = np.array([1.0, 0.0] if opts["initial_state"] == "L" else [0.0, 1.0], dtype=np.complex128)
-        traj = lz_evolve(opts["path"], psi0, cfg.integrator, opts["n_records"])
-        files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", opts["path"]))
-        extras["path_class"] = classify_path(opts["path"]).value
+        path = opts["path"]  # the one-cell Rice-Mele schedule: on-site +-u, bond g
+        traj = pump(path, 1, psi0, cfg.integrator, opts["n_records"])
+        times = np.linspace(0.0, path.period, opts["n_samples"])
+        diag, off = schedule_arrays(path, 1, times)
+        u, g = diag[:, 0], off[:, 0]
+        files.append(io.lz_path_csv(out_dir / f"{stem}_path.csv", times, u, g))
+        extras["path_class"] = classify_path(u, g).value
         files.append(_trajectory_csv(out_dir / f"{stem}.csv", traj, amplitudes, blocks))
         extras["final_population_L"] = float(np.abs(traj.final_state[0]) ** 2)
         extras["final_population_R"] = float(np.abs(traj.final_state[1]) ** 2)
     if "from_schedule" in opts:
         fs = opts["from_schedule"]
-        path = LZPath.from_schedule(fs["schedule"], fs["L"])
-        files.append(io.lz_path_csv(out_dir / f"{stem}_schedule_path.csv", path))
-        extras["schedule_path_class"] = classify_path(path).value
+        times, u, g = from_schedule(fs["schedule"], fs["L"])
+        files.append(io.lz_path_csv(out_dir / f"{stem}_schedule_path.csv", times, u, g))
+        extras["schedule_path_class"] = classify_path(u, g).value
     return files, extras
 
 
@@ -172,14 +176,14 @@ def _run_couplings(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
 
 def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: bool, blocks: dict):
     opts = cfg.options
-    spec = FluxQubitSpec(opts["charge_cutoff"])
+    n_c = opts["charge_cutoff"]
     rng = opts.get("f_alpha_sweep") or opts["f_eps_range"]
     values = np.linspace(rng["start"], rng["stop"], rng["points"])
     extras, mirrored = {}, 0
     if "f_alpha_sweep" in opts:
         point_stats = [{} for _ in values]
         header = ["f_alpha", "gap"]
-        columns = [values, np.array([sweep_point(spec, fa, 0.0, 2, st)[1].gap for fa, st in zip(values, point_stats)])]
+        columns = [values, np.array([sweep_point(n_c, fa, 0.0, 2, st)[1].gap for fa, st in zip(values, point_stats)])]
     else:
         # a range centred on an integer m has the levels, g_perp and g_par of
         # f_eps at 2m - f_eps (see fluxcircuit): the rows below the centre are
@@ -189,7 +193,7 @@ def _run_fluxqubit(cfg: ExperimentConfig, out_dir: Path, stem: str, amplitudes: 
         values[:mirrored] = 2 * centre - values[::-1][:mirrored]
         point_stats = [{} for _ in values[mirrored:]]
         levels = opts["levels"]
-        solved = [sweep_point(spec, opts["f_alpha"], fe, levels, stats=st)
+        solved = [sweep_point(n_c, opts["f_alpha"], fe, levels, stats=st)
                   for fe, st in zip(values[mirrored:], point_stats)]
         points = solved[::-1][:mirrored] + solved
         header = ["f_eps"] + [f"E_{k}" for k in range(levels)] + ["g_perp", "g_par"]

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import MIRROR_TOL, tridiag_eigh
-from .errors import InvalidParameterError, NumericError, PhaseDomainError
-from .models import SITES_PER_CELL, ChainHamiltonian, Schedule, schedule_arrays
+from .errors import InvalidDimensionError, InvalidParameterError, NumericError, PhaseDomainError
+from .models import SITES_PER_CELL, Schedule, schedule_arrays
 
 EDGE_FLAG_THRESHOLD = 0.5
 
@@ -36,12 +36,16 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(h: ChainHamiltonian) -> Spectrum:
-    """Eigensystem of a chain from LAPACK's tridiagonal solver (dstevd), in the
-    sign gauge of ``_fix_signs``."""
-    if not (np.all(np.isfinite(h.diagonal)) and np.all(np.isfinite(h.offdiagonal))):
+def eigendecompose(diag, off) -> Spectrum:
+    """Eigensystem of the chain with sites ``diag[n]`` and bonds ``off[n-1]``
+    from LAPACK's tridiagonal solver (dstevd), in the sign gauge of
+    ``_fix_signs``."""
+    diag, off = np.asarray(diag, dtype=np.float64), np.asarray(off, dtype=np.float64)
+    if diag.ndim != 1 or diag.size < 1 or off.shape != (diag.size - 1,):
+        raise InvalidDimensionError(f"a chain needs n >= 1 sites and n - 1 bonds, got {diag.shape}, {off.shape}")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise NumericError("non-finite Hamiltonian entries")
-    vals, vecs = tridiag_eigh(h.diagonal, h.offdiagonal)
+    vals, vecs = tridiag_eigh(diag, off)
     return Spectrum(vals, _fix_signs(vecs))
 
 

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 import topochain
 from topochain.errors import InvalidParameterError, PhaseDomainError
-from topochain.models import ChainHamiltonian, chain_arrays
+from topochain.models import chain_arrays
 from topochain.spectra import coupling_ratio_norm_sq
 
 
@@ -33,30 +33,36 @@ def run_at_blas_threads(cfg: dict, out: Path, threads: int) -> Path:
     return out
 
 
-def make_chain(kind: str, L: int, **params) -> ChainHamiltonian:
-    """The chain of L cells of ``kind`` (``models.chain_arrays``), e.g. make_chain("ssh", 7, a=0.1, b=1.0)."""
-    return ChainHamiltonian(*chain_arrays(kind, L, params))
+def make_chain(kind: str, L: int, **params):
+    """(diag, off) of the chain of L cells of ``kind`` (``models.chain_arrays``),
+    e.g. make_chain("ssh", 7, a=0.1, b=1.0)."""
+    return chain_arrays(kind, L, params)
 
 
-def dense_eigh(h: ChainHamiltonian):
+def dense(chain) -> np.ndarray:
+    """The dense matrix of a chain ``(diag, off)``."""
+    diag, off = chain
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def dense_eigh(chain):
     """Brute-force dense diagonalization oracle."""
-    return np.linalg.eigh(h.to_dense())
+    return np.linalg.eigh(dense(chain))
 
 
-def dense_eigvals(h: ChainHamiltonian):
-    return np.linalg.eigvalsh(h.to_dense())
+def dense_eigvals(chain):
+    return np.linalg.eigvalsh(dense(chain))
 
 
 def random_chain(rng, max_sites=12, zero_diagonal=False):
     n = int(rng.integers(1, max_sites + 1))
     diag = np.zeros(n) if zero_diagonal else rng.normal(size=n)
-    off = rng.normal(size=n - 1)
-    return ChainHamiltonian(diag, off)
+    return diag, rng.normal(size=n - 1)
 
 
-def exact_propagator_state(h: ChainHamiltonian, psi0, t):
+def exact_propagator_state(chain, psi0, t):
     """psi(t) = sum_l e^{-i E_l t} <psi_l|psi0> |psi_l> via the dense oracle."""
-    vals, vecs = dense_eigh(h)
+    vals, vecs = dense_eigh(chain)
     coeff = vecs.conj().T @ psi0
     return vecs @ (np.exp(-1j * vals * t) * coeff)
 
@@ -172,12 +178,11 @@ def path_c_frame(theta: float) -> np.ndarray:
 KRON_CIRCUIT = {"ej_over_ec": 50.0, "alpha": 0.5, "beta": 0.05, "kappa": 50.0, "n_total": 1, "n_diff": 1}
 
 
-def _kron_terms(spec, f_alpha, f_eps):
+def _kron_terms(n_c, f_alpha, f_eps):
     """(diagonal, cos_phi, identity, amp, chi, S) of H = diag - E_J(cos phi_1 +
     cos phi_2) - amp(e^{i chi} S + h.c.), with exp(i phi)|k> = |k+1> on each
     junction and S = exp(i phi_1) exp(i phi_2), at E_J = 1."""
     c = KRON_CIRCUIT
-    n_c = int(spec.charge_cutoff)
     dim = 2 * n_c + 1
     charge = np.arange(-n_c, n_c + 1, dtype=np.float64)
     raise_op = sp.diags_array(np.ones(dim - 1), offsets=-1)
@@ -193,10 +198,11 @@ def _kron_terms(spec, f_alpha, f_eps):
     return diagonal, 0.5 * (raise_op + raise_op.T), sp.eye_array(dim), amp, chi, sp.kron(raise_op, raise_op)
 
 
-def kron_hamiltonian(spec, f_alpha, f_eps):
-    """The flux qubit's charge-basis H, a scipy.sparse CSC array assembled
-    from Kronecker products of single-junction operators."""
-    diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+def kron_hamiltonian(n_c, f_alpha, f_eps):
+    """The flux qubit's charge-basis H at charge cutoff ``n_c``, a
+    scipy.sparse CSC array assembled from Kronecker products of
+    single-junction operators."""
+    diagonal, cos_phi, ident, amp, chi, both_up = _kron_terms(n_c, f_alpha, f_eps)
     h = (
         sp.diags_array(diagonal)
         - sp.kron(cos_phi, ident)
@@ -206,9 +212,9 @@ def kron_hamiltonian(spec, f_alpha, f_eps):
     return h.tocsc()
 
 
-def kron_dh(spec, f_alpha, f_eps):
+def kron_dh(n_c, f_alpha, f_eps):
     """Analytic dH/df_eps of ``kron_hamiltonian``, a CSR array."""
-    _, _, _, amp, chi, both_up = _kron_terms(spec, f_alpha, f_eps)
+    _, _, _, amp, chi, both_up = _kron_terms(n_c, f_alpha, f_eps)
     return (1j * np.pi * amp * (np.exp(1j * chi) * both_up - np.exp(-1j * chi) * both_up.T)).tocsr()
 
 

@@ -14,15 +14,12 @@ Integrator cross-agreement (criterion 13) runs the same protocols with
 BDF and the fixed-step RK4 and compares final-state overlaps.
 """
 
-import dataclasses
 import functools
 
 import mpmath
 import numpy as np
 
 from topochain import (
-    DisorderSpec,
-    FluxQubitSpec,
     IntegratorConfig,
     analytic_edge_states,
     apply_disorder,
@@ -32,7 +29,6 @@ from topochain import (
     compare_reduction,
     effective_coupling_identical,
     eigendecompose,
-    lz_evolve,
     optimized_schedule,
     pump,
     pump_schedule,
@@ -40,8 +36,8 @@ from topochain import (
     transfer_fidelity,
 )
 
-from topochain.effective import LZPath, reduced_arrays
-from topochain.fluxcircuit import _dh_hops, charge_band, sweep_point
+from topochain.effective import arc, line, reduced_arrays
+from topochain.fluxcircuit import CHARGE_CUTOFF, _dh_hops, charge_band, sweep_point
 from topochain.spectra import coupling_ratio_norm_sq
 
 from conftest import (dense_eigvals, localization_length, make_chain, path_c_frame, path_c_hamiltonian,
@@ -92,7 +88,7 @@ def _bell_run(sign: float, method: str):
 
 
 def test_criterion_01_zero_mode_existence():
-    vals = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0)).eigenvalues
+    vals = eigendecompose(*make_chain("ssh", 7, a=0.1, b=1.0)).eigenvalues
     magnitudes = np.sort(np.abs(vals))
     ok = magnitudes[1] <= 1e-6 and magnitudes[2] >= 0.85
     assert _report(1, ok, "SSH(0.1, 1, 14 sites): two mid-gap levels, bulk beyond 0.85")
@@ -103,13 +99,13 @@ def test_criterion_02_chiral_symmetry():
     worst = 0.0
     for _ in range(200):
         h = random_chain(rng, max_sites=12, zero_diagonal=True)
-        vals = eigendecompose(h).eigenvalues
+        vals = eigendecompose(*h).eigenvalues
         worst = max(worst, np.abs(vals + vals[::-1]).max())
     assert _report(2, worst <= 1e-10, f"eigenvalue multiset symmetric under E -> -E (worst {worst:.2e})")
 
 
 def test_criterion_03_edge_state_analytics():
-    spectrum = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
+    spectrum = eigendecompose(*make_chain("ssh", 7, a=0.1, b=1.0))
     idx = np.argsort(np.abs(spectrum.eigenvalues))[:2]
     sub = spectrum.eigenvectors[:, idx]
     pair = analytic_edge_states(0.1, 1.0, 7)
@@ -132,16 +128,16 @@ def test_criterion_04_soliton_robustness():
     base = make_chain("ssh", 7, a=0.1, b=1.0)
     curves = []
     for seed in range(20):
-        chain = apply_disorder(base, DisorderSpec(0.01, seed=seed))
-        traj = quench(chain, 1, 100.0, BDF, 401)
+        chain = apply_disorder(*base, 0.01, seed)
+        traj = quench(*chain, 1, 100.0, BDF, 401)
         curves.append(traj.sz[:, 0])
     # <sigma_1^z> of the 20-seed disordered ensemble stays in the soliton
     ensemble_min = float(np.mean(curves, axis=0).min())
     uniform_base = make_chain("ssh", 7, a=1.0, b=1.0)
     drop_times = []
     for seed in range(20):
-        chain = apply_disorder(uniform_base, DisorderSpec(0.01, seed=seed))
-        traj = quench(chain, 1, 10.0, BDF, 201)
+        chain = apply_disorder(*uniform_base, 0.01, seed)
+        traj = quench(*chain, 1, 10.0, BDF, 201)
         below = traj.times[traj.sz[:, 0] < 0.0]
         drop_times.append(below[0] if below.size else np.inf)
     ok = ensemble_min >= 0.9 and max(drop_times) < 10.0
@@ -220,8 +216,9 @@ def test_criterion_07_lz_reduction_accuracy():
 
 
 def test_criterion_08_path_dichotomy():
-    transfer = abs(lz_evolve(LZPath.arc(1.0, 200.0), np.array([1.0, 0.0], dtype=complex), BDF).final_state[1]) ** 2
-    persistence = abs(lz_evolve(LZPath.line(1.0, 200.0), np.array([1.0, 0.0], dtype=complex), BDF).final_state[0]) ** 2
+    # each path is the one-cell Rice-Mele schedule, pumped at L = 1
+    transfer = abs(pump(arc(1.0, 200.0), 1, np.array([1.0, 0.0], dtype=complex), BDF).final_state[1]) ** 2
+    persistence = abs(pump(line(1.0, 200.0), 1, np.array([1.0, 0.0], dtype=complex), BDF).final_state[0]) ** 2
     residual = 0.0
     for theta in (np.pi / 6, np.pi / 4, np.pi / 3):
         frame = path_c_frame(theta)
@@ -252,7 +249,7 @@ def test_criterion_09_trimer_bell_transfer():
 
 
 def test_criterion_10_trimer_edge_structure():
-    spectrum = eigendecompose(make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
+    spectrum = eigendecompose(*make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     vals = spectrum.eigenvalues
     lower = np.where((vals > -1.1) & (vals < -0.9))[0]
     upper = np.where((vals > 0.9) & (vals < 1.1))[0]
@@ -304,21 +301,21 @@ def test_criterion_11_bessel_couplings():
 
 
 def test_criterion_12_flux_qubit_structure():
-    spec = FluxQubitSpec()  # the figure parameter set, N_c = 15
-    character = sweep_point(spec, 0.2, 0.0, 2)[1]
+    n_c = CHARGE_CUTOFF  # the figure's charge basis, N_c = 15
+    character = sweep_point(n_c, 0.2, 0.0, 2)[1]
     i0, i1 = character.i0, character.i1
-    w1 = sweep_point(spec, 0.2, 0.3, 3)[0]
-    w2 = sweep_point(spec, 0.2, 2.3, 3)[0]
+    w1 = sweep_point(n_c, 0.2, 0.3, 3)[0]
+    w2 = sweep_point(n_c, 0.2, 2.3, 3)[0]
     periodic = np.abs(w1 - w2).max()
     gap15 = character.gap
-    gap10 = sweep_point(dataclasses.replace(spec, charge_cutoff=10), 0.2, 0.0, 2)[1].gap
+    gap10 = sweep_point(10, 0.2, 0.0, 2)[1].gap
     convergence = abs(gap15 - gap10) / gap15
     # the package's dH/df_eps hops against a central difference of its band:
     # only the alpha hop, the band's top row, depends on f_eps, and the hops
     # below the diagonal are the conjugates of those above
-    step, kd = 1e-6, spec.band_width
-    fd = (charge_band(spec, 0.2, step) - charge_band(spec, 0.2, -step)) / (2 * step)
-    lower, upper = _dh_hops(spec, 0.2, 0.0)
+    step, kd = 1e-6, 2 * n_c + 2
+    fd = (charge_band(n_c, 0.2, step) - charge_band(n_c, 0.2, -step)) / (2 * step)
+    lower, upper = _dh_hops(n_c, 0.2, 0.0)
     analytic = np.zeros_like(fd)
     analytic[0, kd:] = upper
     deriv_err = max(np.abs(fd - analytic).max(), np.abs(fd[0, kd:].conj() - lower).max())
@@ -343,7 +340,7 @@ def test_criterion_13_oracle_equivalence_eigensolver():
     worst = 0.0
     for _ in range(1000):
         h = random_chain(rng, max_sites=8)
-        worst = max(worst, np.abs(eigendecompose(h).eigenvalues - dense_eigvals(h)).max())
+        worst = max(worst, np.abs(eigendecompose(*h).eigenvalues - dense_eigvals(h)).max())
     assert _report(13, worst <= 1e-10, f"QL vs dense oracle on 1000 random chains (worst {worst:.2e})")
 
 

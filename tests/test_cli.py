@@ -17,11 +17,7 @@ import topochain.cli
 import topochain.config
 import topochain.dynamics
 import topochain.runner
-from topochain import (
-    ChainHamiltonian,
-    DisorderSpec,
-    apply_disorder,
-)
+from topochain import apply_disorder
 from topochain._kernels import _openblas_thread_controls
 from topochain.cli import main
 from topochain.config import UNREAD_INTEGRATOR_KEYS, _integration, parse_config
@@ -32,7 +28,7 @@ from topochain.models import FunctionSpec, schedule_arrays
 from topochain.presets import PRESETS
 from topochain.runner import _build_model
 
-from conftest import make_chain, run_at_blas_threads
+from conftest import dense, make_chain, run_at_blas_threads
 
 
 def _parse(cfg_dict):
@@ -906,14 +902,14 @@ def test_rk4_norm_bound_holds(cfg):
     if parsed.command in ("pump", "trimer"):
         diag, off = schedule_arrays(opts["schedule"], opts["L"], times * opts["schedule"].total_time)
     elif parsed.command == "quench":
-        chain = ChainHamiltonian(*_build_model(opts["model"]))
+        chain = _build_model(opts["model"])
         if opts["disorder"] is not None:
-            chain = apply_disorder(chain, DisorderSpec(opts["disorder"]["sigma"], parsed.seed))
-        diag, off = chain.diagonal[np.newaxis], chain.offdiagonal[np.newaxis]
+            chain = apply_disorder(*chain, opts["disorder"]["sigma"], parsed.seed)
+        diag, off = chain[0][np.newaxis], chain[1][np.newaxis]
     else:
         path = opts["path"]
-        diag, off = schedule_arrays(path.schedule, 1, times * path.period)
-    norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
+        diag, off = schedule_arrays(path, 1, times * path.period)
+    norm = max(np.abs(dense(h)).sum(axis=1).max() for h in zip(diag, off))
     bound = _integration(parsed.command, opts)[2]
     assert norm <= bound * (1.0 + 1e-12)
     if parsed.command == "quench" and opts["disorder"] is None:
@@ -945,8 +941,8 @@ def test_sweep_lays_out_each_point_as_its_builder(tmp_path, monkeypatch, kind, p
     topochain.runner.run(cfg, tmp_path)
     (values, diag, off), = seen
     chains = [make_chain(kind, model["L"], **{**cfg.options["model"]["params"], param: float(v)}) for v in values]
-    assert diag.tobytes() == np.stack([h.diagonal for h in chains]).tobytes()
-    assert off.tobytes() == np.stack([h.offdiagonal for h in chains]).tobytes()
+    assert diag.tobytes() == np.stack([h[0] for h in chains]).tobytes()
+    assert off.tobytes() == np.stack([h[1] for h in chains]).tobytes()
 
 
 def test_manifest_records_each_integration(tmp_path):
@@ -1083,17 +1079,18 @@ def test_overflowing_inputs_are_named_violations(tmp_path, cfg, keys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def _run_fresh(tmp_path, *cfgs):
-    """Run each config in one fresh interpreter, so numpy's RuntimeWarnings
-    would reach stderr; returns the largest exit code and the stderr."""
+def _run_fresh(tmp_path, *cfgs, out=None):
+    """Run each config (a dict, or the bytes of a config file) in one fresh
+    interpreter, so numpy's RuntimeWarnings would reach stderr, writing to
+    ``out`` (default ``tmp_path``); returns the largest exit code and the stderr."""
     paths = []
     for k, cfg in enumerate(cfgs):
         paths.append(tmp_path / f"cfg{k}.json")
-        paths[-1].write_text(json.dumps(cfg))
+        paths[-1].write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     env = dict(os.environ, PYTHONPATH=str(Path(topochain.__file__).resolve().parents[1]))
     code = ("import sys; from topochain.cli import main; "
             "sys.exit(max(main(['run', '--config', p, '--out', sys.argv[1]]) for p in sys.argv[2:]))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *map(str, paths)],
+    proc = subprocess.run([sys.executable, "-c", code, str(out or tmp_path), *map(str, paths)],
                           capture_output=True, text=True, env=env, timeout=120)
     return proc.returncode, proc.stderr
 
@@ -1125,7 +1122,7 @@ def _with_span(cfg, keys, span):
 @pytest.mark.parametrize("cfg, keys", _SPAN_CASES, ids=_SPAN_IDS)
 def test_span_floor_is_a_named_violation(tmp_path, capsys, cfg, keys):
     # a subnormal span repeats record times: it used to fail the run (exit 1)
-    # inside LZPath, scipy's t_eval check or the trace's axis check
+    # on the path's sample times, scipy's t_eval check or the trace's axis check
     cfg = _with_span(cfg, keys, 5e-324)
     assert _violations(cfg) == [f"key '{keys[-1]}' in command '{cfg['command']}'"
                                 + "".join(f".{name}" for name in keys[:-1]) + " must be >= 1e-300, got 5e-324"]
@@ -1243,10 +1240,13 @@ _FREQUENCY = "key 'frequency_multiple' in command"
         ({"schema": 1, "command": "lz", "from_schedule": {"kind": "rm", "L": 2, "T": 10.0, "params": {
             "a": {"form": "const", "offset": 1e299}, "b": {"form": "const", "offset": 1.0},
             "u": {"form": "sin", "amplitude": 1e299}}}}, ("schedule_path_class", "through-critical")),
+        (dict(_TRACE, schedule=_fast_pump(1.0), output="a\ud800"), "key 'output' in config must be UTF-8 text"),
+        (b"\xff{}", "config file is not UTF-8 text"),
     ],
     ids=["sweep-down", "sweep-flat", "sweep-below-spacing", "flux-f-alpha", "trace-frequency", "trace-frequency-T",
          "trace-T", "schedule-path-frequency", "custom-frequency", "bdf-frequency", "magnus-frequency",
-         "lz-path-frequency", "arc-T", "lz-zero-path", "lz-zero-schedule", "lz-huge-arc", "lz-huge-schedule"],
+         "lz-path-frequency", "arc-T", "lz-zero-path", "lz-zero-schedule", "lz-huge-arc", "lz-huge-schedule",
+         "output-lone-surrogate", "config-not-utf8"],
 )
 def test_inputs_that_failed_at_run_time_are_named_or_run(tmp_path, cfg, expected):
     # a fresh interpreter, so a numpy RuntimeWarning would reach stderr: a
@@ -1255,17 +1255,20 @@ def test_inputs_that_failed_at_run_time_are_named_or_run(tmp_path, cfg, expected
     # that BDF or Magnus would follow past their phase bound (BDF ran for
     # minutes), and a period that overflows the angle of a term at the
     # default frequency (the arc's is 1/2) are named violations
-    # before anything is written; the zero lz path classifies by its own
-    # rule, and paths of |u| beyond 1e154 by the signs of their ends, and run
-    code, err = _run_fresh(tmp_path, cfg)
+    # before anything is written, as are an output stem with a lone
+    # surrogate (no UTF-8 file name) and a config file that is not UTF-8;
+    # the zero lz path classifies by its own rule, and paths of |u| beyond
+    # 1e154 by the signs of their ends, and run
+    out = tmp_path / "out"
+    code, err = _run_fresh(tmp_path, cfg, out=out)
     assert "Warning" not in err and "Traceback" not in err, err
     if isinstance(expected, str):
         assert code == 2 and expected in err, err
-        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.manifest.json"))
+        assert not out.exists()
     else:
         assert code == 0, err
         key, value = expected
-        assert json.loads((tmp_path / "lz.manifest.json").read_text())["extras"][key] == value
+        assert json.loads((out / "lz.manifest.json").read_text())["extras"][key] == value
 
 
 def test_frequency_bound_admits_its_limit():
@@ -1310,7 +1313,7 @@ def test_linear_terms_are_bounded_by_their_end_values(tmp_path, capsys):
     opts = _parse(pump).options
     assert _integration("pump", opts)[2] == 152.0
     diag, off = schedule_arrays(opts["schedule"], opts["L"], np.linspace(0.0, opts["schedule"].total_time, 3001))
-    norm = max(np.abs(ChainHamiltonian(d, o).to_dense()).sum(axis=1).max() for d, o in zip(diag, off))
+    norm = max(np.abs(dense(h)).sum(axis=1).max() for h in zip(diag, off))
     assert norm == 152.0
     # a const term is its offset: an amplitude on it is a named violation,
     # with no phase-budget line for the unusable schedule
@@ -1331,7 +1334,7 @@ def test_keys_a_form_does_not_read_are_named_violations(tmp_path, capsys, form, 
     assert _violations(cfg) == [f"key '{key}' in command 'lz'.path.u has no effect on a '{form}' term, got 0.5"]
     # at its default the key changes nothing and is accepted
     term[key] = topochain.config.FUNCTION.kind[key].default
-    assert _parse(cfg).options["path"].schedule.params["u"] == FunctionSpec(form, offset=1.0)
+    assert _parse(cfg).options["path"].params["u"] == FunctionSpec(form, offset=1.0)
 
 
 @pytest.mark.parametrize(

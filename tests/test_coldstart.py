@@ -1,5 +1,5 @@
-"""What importing the package loads, and the bindings the benchmark tracer
-wraps.
+"""What importing the package loads, the bindings the benchmark tracer
+wraps, and the README's library example, each in a fresh interpreter.
 
 ``import topochain.cli`` loads numpy and scipy.linalg only: scipy.integrate
 (with scipy.optimize), scipy.special and scipy.sparse are imported by the
@@ -28,9 +28,11 @@ HEAVY = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.sparse")
 # (module, attribute) bindings the tracer still lists for a function the
 # package deleted: H(t) comes from models.schedule_arrays, which the tracer
 # does not wrap yet, fluxcircuit.sweep_point is the one flux solve, chains
-# are laid out by models.chain_arrays alone, and the Aubry-Andre-Harper
-# chain is gone.  It reports them as absent; a span keeps its other
-# bindings, and a span with none left reads 0 (perfbench/README.md)
+# are laid out by models.chain_arrays alone, the Aubry-Andre-Harper
+# chain is gone, and an LZ path is its one-cell schedule, pumped by
+# dynamics.pump, with effective.from_schedule a plain function.  It
+# reports them as absent; a span keeps its other bindings, and a span
+# with none left reads 0 (perfbench/README.md)
 RETIRED_BINDINGS = {
     ("topochain.models", "sample_schedule"),
     ("topochain.models", "build_ssh"),
@@ -40,6 +42,8 @@ RETIRED_BINDINGS = {
     ("topochain.fluxcircuit", "qubit_gap"),
     ("topochain.fluxcircuit", "build_charge_hamiltonian"),
     ("topochain.fluxcircuit", "d_hamiltonian_d_feps"),
+    ("topochain.effective", "lz_evolve"),
+    ("topochain.effective", "LZPath.from_schedule"),
 }
 
 
@@ -120,10 +124,7 @@ def _targets():
 def test_every_traced_binding_exists(name, module_name, attr):
     module = importlib.import_module(module_name)
     if (module_name, attr) in RETIRED_BINDINGS:  # gone, so the tracer lists it as absent
-        assert not hasattr(module, attr)
-    elif "." in attr:  # a classmethod, e.g. LZPath.from_schedule
-        cls_name, method = attr.split(".")
-        assert isinstance(vars(getattr(module, cls_name)).get(method), classmethod)
+        assert not hasattr(module, attr.split(".")[0])  # a classmethod goes with its class
     else:
         assert callable(getattr(module, attr, None))
 
@@ -145,9 +146,8 @@ def test_traced_bdf_run_reports_its_counts():
         "tracer.install()\n"
         "tracer.start_run('quench')\n"
         "from topochain import IntegratorConfig, quench\n"
-        "from topochain.models import ChainHamiltonian, chain_arrays\n"
-        "chain = ChainHamiltonian(*chain_arrays('ssh', 3, {'a': 0.3, 'b': 1.0}))\n"
-        "quench(chain, 1, 5.0, IntegratorConfig(method='bdf'))\n"
+        "from topochain.models import chain_arrays\n"
+        "quench(*chain_arrays('ssh', 3, {'a': 0.3, 'b': 1.0}), 1, 5.0, IntegratorConfig(method='bdf'))\n"
         "print(json.dumps([tracer.absent, dict(tracer.note_failures), tracer.counts['bdf.nfev']]))\n"
     )
     absent, failures, nfev = json.loads(_fresh(code))
@@ -155,3 +155,11 @@ def test_traced_bdf_run_reports_its_counts():
     assert absent == retired and len(retired) == len(RETIRED_BINDINGS)
     assert failures == {}
     assert nfev > 0
+
+
+def test_readme_library_use_block_runs():
+    # the "Library use" block as a reader pastes it: it prints the plain
+    # pump's T = 100 fidelity, 0.529 (criterion 5)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert abs(float(_fresh(block)) - 0.529) < 1e-3

@@ -8,10 +8,8 @@ from scipy.integrate import solve_ivp
 
 import topochain.dynamics as dynamics
 from topochain import (
-    ChainHamiltonian,
     IntegratorConfig,
     InvalidParameterError,
-    LZPath,
     basis_state,
     bell_transfer_schedule,
     evolve,
@@ -24,9 +22,10 @@ from topochain import (
 )
 from topochain._kernels import apply_minus_ih, hermitian_band
 from topochain.dynamics import static_arrays
+from topochain.effective import arc
 from topochain.models import schedule_arrays
 
-from conftest import exact_propagator_state, make_chain
+from conftest import dense, exact_propagator_state, make_chain
 
 BDF_TIGHT = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="bdf")
 BDF = IntegratorConfig(method="bdf")
@@ -34,16 +33,14 @@ RK4 = IntegratorConfig(method="rk4", max_step=0.005)
 
 
 def test_zero_hamiltonian_is_stationary():
-    h = ChainHamiltonian(np.zeros(4), np.zeros(3))
-    traj = evolve(lambda t: static_arrays(h, t), basis_state(4, 2), 0.0, 5.0, BDF_TIGHT, 6)
+    traj = evolve(lambda t: static_arrays(np.zeros(4), np.zeros(3), t), basis_state(4, 2), 0.0, 5.0, BDF_TIGHT, 6)
     assert np.abs(traj.states - traj.states[0]).max() < 1e-9
 
 
 @pytest.mark.parametrize("method", ["bdf", "rk4"])
 def test_two_site_rabi(method):
     cfg = BDF_TIGHT if method == "bdf" else RK4
-    h = ChainHamiltonian(np.zeros(2), np.array([0.4]))
-    traj = evolve(lambda t: static_arrays(h, t), basis_state(2, 1), 0.0, 15.0, cfg, 31)
+    traj = evolve(lambda t: static_arrays(np.zeros(2), np.array([0.4]), t), basis_state(2, 1), 0.0, 15.0, cfg, 31)
     expected = np.sin(0.4 * traj.times) ** 2
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - expected).max() < 1e-8
 
@@ -51,7 +48,7 @@ def test_two_site_rabi(method):
 def test_static_chain_matches_exact_propagator():
     h = make_chain("ssh", 7, a=0.4, b=1.0, omega=0.3)
     psi0 = basis_state(14, 1)
-    traj = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 100.0, BDF_TIGHT, 11)
+    traj = evolve(lambda t: static_arrays(*h, t), psi0, 0.0, 100.0, BDF_TIGHT, 11)
     exact = exact_propagator_state(h, psi0, 100.0)
     assert 1.0 - abs(np.vdot(exact, traj.final_state)) <= 1e-6
 
@@ -59,9 +56,8 @@ def test_static_chain_matches_exact_propagator():
 def test_time_reversal_returns_start(rng):
     h = make_chain("ssh", 5, a=0.3, b=1.0)
     psi0 = basis_state(10, 3)
-    fwd = evolve(lambda t: static_arrays(h, t), psi0, 0.0, 25.0, BDF_TIGHT, 3)
-    reversed_h = ChainHamiltonian(-h.diagonal, -h.offdiagonal)
-    back = evolve(lambda t: static_arrays(reversed_h, t), fwd.final_state, 0.0, 25.0, BDF_TIGHT, 3)
+    fwd = evolve(lambda t: static_arrays(*h, t), psi0, 0.0, 25.0, BDF_TIGHT, 3)
+    back = evolve(lambda t: static_arrays(-h[0], -h[1], t), fwd.final_state, 0.0, 25.0, BDF_TIGHT, 3)
     assert abs(np.vdot(psi0, back.final_state)) >= 1.0 - 1e-8
 
 
@@ -74,7 +70,7 @@ def test_excitation_number_conserved():
 
 def test_evolve_rejects_bad_inputs():
     h = make_chain("ssh", 2, a=0.1, b=1.0)
-    provider = lambda t: static_arrays(h, t)
+    provider = lambda t: static_arrays(*h, t)
     with pytest.raises(InvalidParameterError):
         evolve(provider, basis_state(4, 1) * 2.0, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -83,13 +79,13 @@ def test_evolve_rejects_bad_inputs():
 
 def test_quench_decoupled_first_site_stays_up():
     h = make_chain("ssh", 3, a=0.0, b=1.0)
-    traj = quench(h, 1, 50.0, BDF_TIGHT, 26)
+    traj = quench(*h, 1, 50.0, BDF_TIGHT, 26)
     assert np.abs(traj.sz[:, 0] - 1.0).max() < 1e-9
 
 
 def test_quench_uniform_chain_spreads_and_reflects():
     h = make_chain("ssh", 7, a=1.0, b=1.0)
-    traj = quench(h, 1, 30.0, IntegratorConfig(), 301)
+    traj = quench(*h, 1, 30.0, IntegratorConfig(), 301)
     assert traj.sz[:, 0].min() < 0.0
     assert traj.sz[:, 13].max() > -0.5
 
@@ -97,13 +93,13 @@ def test_quench_uniform_chain_spreads_and_reflects():
 def test_rk4_one_site_quench_is_a_phase():
     # H = [omega]: psi(t) = exp(-i omega t), and the kernel has no bond
     omega = 0.7
-    traj = quench(ChainHamiltonian(np.array([omega]), np.zeros(0)), 1, 20.0, RK4, 41)
+    traj = quench(np.array([omega]), np.zeros(0), 1, 20.0, RK4, 41)
     assert np.abs(traj.states[:, 0] - np.exp(-1j * omega * traj.times)).max() < 1e-10
 
 
 def test_quench_rejects_site_out_of_range():
     with pytest.raises(InvalidParameterError):
-        quench(make_chain("ssh", 2, a=0.1, b=1.0), 5, 1.0)
+        quench(*make_chain("ssh", 2, a=0.1, b=1.0), 5, 1.0)
 
 
 def test_sigma_z_values():
@@ -185,7 +181,7 @@ def test_records_shape_and_times():
     "provider, psi0, t1",
     [
         (partial(schedule_arrays, pump_schedule(40.0), 7), basis_state(14, 1), 40.0),
-        (partial(schedule_arrays, LZPath.arc(1.0, 50.0).schedule, 1), basis_state(2, 1), 50.0),
+        (partial(schedule_arrays, arc(1.0, 50.0), 1), basis_state(2, 1), 50.0),
     ],
     ids=["plain-pump", "lz-arc"],
 )
@@ -197,7 +193,7 @@ def test_bdf_matches_stock_scipy_bdf(monkeypatch, provider, psi0, t1):
         return apply_minus_ih(hermitian_band(*provider(t)), y)
 
     def jac(t, y):
-        return -1j * ChainHamiltonian(*provider(t)).to_dense()
+        return -1j * dense(provider(t))
 
     ref = solve_ivp(rhs, (0.0, t1), psi0, method="BDF", t_eval=times,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, jac=jac)
@@ -231,8 +227,8 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
     # a uniform on-site omega is a constant shift: BDF integrates in its
     # frame, so the records are the omega = 0 records times exp(-i omega t),
     # at the same cost
-    base = quench(make_chain("ssh", 7, a=0.3, b=1.0), 1, 100.0, BDF)
-    shifted = quench(make_chain("ssh", 7, a=0.3, b=1.0, omega=omega), 1, 100.0, BDF)
+    base = quench(*make_chain("ssh", 7, a=0.3, b=1.0), 1, 100.0, BDF)
+    shifted = quench(*make_chain("ssh", 7, a=0.3, b=1.0, omega=omega), 1, 100.0, BDF)
     assert shifted.integration["energy_shift"] == pytest.approx(omega, abs=1e-15)
     expected = np.exp(-1j * omega * base.times)[:, np.newaxis] * base.states
     assert np.abs(shifted.states - expected).max() <= 1e-12
@@ -241,7 +237,7 @@ def test_bdf_onsite_energy_is_only_a_phase(omega):
 
 def test_bdf_with_onsite_energy_matches_exact_propagator():
     h = make_chain("ssh", 7, a=0.3, b=1.0, omega=5.0)
-    traj = quench(h, 1, 100.0, BDF)
+    traj = quench(*h, 1, 100.0, BDF)
     exact = np.array([exact_propagator_state(h, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 2e-6
 
@@ -261,7 +257,7 @@ def test_bdf_frame_matches_stock_scipy_bdf_on_shifted_h(monkeypatch):
 
     def jac(t, y):
         diag, off = provider(t)
-        return -1j * ChainHamiltonian(diag - eps0, off).to_dense()
+        return -1j * dense((diag - eps0, off))
 
     ref = solve_ivp(rhs, (0.0, 50.0), psi0, method="BDF", t_eval=times,
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, jac=jac)

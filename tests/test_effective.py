@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from topochain import (
-    ChainHamiltonian,
     IntegratorConfig,
     InvalidParameterError,
-    LZPath,
     PathClass,
     PhaseDomainError,
     bell_transfer_schedule,
@@ -19,21 +17,22 @@ from topochain import (
     compare_reduction,
     eigendecompose,
     io,
-    lz_evolve,
     optimized_schedule,
+    pump,
     pump_schedule,
 )
 from topochain._kernels import tridiag_eigh
-from topochain.effective import edge_coupling, reduced_arrays, trimer_pair_elements
+from topochain.effective import (arc, edge_coupling, from_functions, from_schedule, line, reduced_arrays,
+                                 trimer_pair_elements)
 from topochain.config import _integration, parse_config
 from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.spectra import coupling_ratio_norm_sq
 
-from conftest import make_chain, path_c_frame, path_c_hamiltonian, trimer_edge_states
+from conftest import dense, make_chain, path_c_frame, path_c_hamiltonian, trimer_edge_states
 
 
 def _midgap_splitting(h):
-    vals = np.linalg.eigvalsh(h.to_dense())
+    vals = np.linalg.eigvalsh(dense(h))
     pair = vals[np.argsort(np.abs(vals))[:2]]
     return float(pair.max() - pair.min())
 
@@ -101,7 +100,7 @@ def test_edge_coupling_through_the_trivial_region():
     for L in (1, 2, 3, 7, 50, 200):
         samples = []
         for a, b in rng.uniform(-10, 10, (300, 2)) * 10.0 ** rng.uniform(-3, 3, (300, 1)):
-            a, b = np.float64(a), np.float64(b)  # as LZPath.from_schedule passes them
+            a, b = np.float64(a), np.float64(b)  # as from_schedule passes them
             if not abs(a) > abs(b):
                 continue
             tol = 4.0 * (L + 1.0 / (1.0 - (b / a) ** 2)) * np.finfo(float).eps
@@ -116,7 +115,7 @@ def test_edge_coupling_through_the_trivial_region():
                 assert abs(g - old) <= 2.0 * tol * abs(old)
                 checked += 1
             samples.append((a, b, g, exact, tol))
-        # the same samples as one array (as LZPath.from_schedule passes them): within
+        # the same samples as one array (as from_schedule passes them): within
         # the same bound of mpmath, and of the scalar call to twice that
         a, b, g, exact, tol = map(np.array, zip(*samples))
         with warnings.catch_warnings():
@@ -143,8 +142,8 @@ def test_edge_coupling_at_zero_bonds():
 
 def _path_levels(tmp_path, u, g):
     # the E_minus, E_plus columns io.lz_path_csv writes for a path through (u, g)
-    path = LZPath(np.arange(float(len(u))), np.asarray(u, dtype=float), np.asarray(g, dtype=float), float(len(u)))
-    rows = io.lz_path_csv(tmp_path / "lz.csv", path).read_text().splitlines()[1:]
+    times, u, g = np.arange(float(len(u))), np.asarray(u, dtype=float), np.asarray(g, dtype=float)
+    rows = io.lz_path_csv(tmp_path / "lz.csv", times, u, g).read_text().splitlines()[1:]
     return [row.split(",")[3:] for row in rows]
 
 
@@ -171,7 +170,7 @@ def test_lz_eigen_tracks_midgap_branches_in_regime():
         vals = sch.values(t)
         if abs(vals["a"]) ** 7 > 1e-4:
             continue
-        chain = eigendecompose(make_chain("rm", 7, a=vals["a"], b=vals["b"], u=vals["u"]))
+        chain = eigendecompose(*make_chain("rm", 7, a=vals["a"], b=vals["b"], u=vals["u"]))
         pair = np.sort(chain.eigenvalues[np.argsort(np.abs(chain.eigenvalues))[:2]])
         model = tridiag_eigh(diag[i], off[i])[0]
         for got, want in zip(model, pair):
@@ -181,34 +180,43 @@ def test_lz_eigen_tracks_midgap_branches_in_regime():
 # -- paths --------------------------------------------------------------------
 
 
+def _samples(path, times=None):
+    """(u, g) of an lz path, the diagonal's first site and the one bond of
+    its one-cell chain, at 201 times over its period as a run samples it."""
+    times = np.linspace(0.0, path.period, 201) if times is None else times
+    diag, off = schedule_arrays(path, 1, times)
+    return diag[:, 0], off[:, 0]
+
+
 def test_classify_reference_paths():
-    assert classify_path(LZPath.arc(1.0, 200.0)) is PathClass.AROUND_CRITICAL
-    assert classify_path(LZPath.line(1.0, 200.0)) is PathClass.THROUGH_CRITICAL
-    constant = LZPath.from_functions(const(1.0), const(0.1), 10.0)
-    assert classify_path(constant) is PathClass.NO_CROSSING
+    assert classify_path(*_samples(arc(1.0, 200.0))) is PathClass.AROUND_CRITICAL
+    assert classify_path(*_samples(line(1.0, 200.0))) is PathClass.THROUGH_CRITICAL
+    constant = from_functions(const(1.0), const(0.1), 10.0)
+    assert classify_path(*_samples(constant)) is PathClass.NO_CROSSING
 
 
 def test_classify_invariant_under_reparameterization():
-    path = LZPath.arc(1.0, 200.0)
-    squeezed = LZPath(path.times**2 / 200.0, path.u, path.g, 200.0)
-    assert classify_path(squeezed) is classify_path(path)
+    # the arc visited at squeezed times passes the same points in the same order
+    path = arc(1.0, 200.0)
+    squeezed = _samples(path, np.linspace(0.0, 200.0, 201) ** 2 / 200.0)
+    assert classify_path(*squeezed) is classify_path(*_samples(path))
 
 
 def test_classify_compares_the_signs_of_huge_ends():
     # the product of two ends of |u| above 1e154 overflowed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert classify_path(LZPath.arc(1e299, 1e-299)) is PathClass.AROUND_CRITICAL
-        assert classify_path(LZPath.line(1e299, 10.0)) is PathClass.THROUGH_CRITICAL
-        huge = LZPath.from_functions(const(1e299), const(0.1), 10.0)
-        assert classify_path(huge) is PathClass.NO_CROSSING
+        assert classify_path(*_samples(arc(1e299, 1e-299))) is PathClass.AROUND_CRITICAL
+        assert classify_path(*_samples(line(1e299, 10.0))) is PathClass.THROUGH_CRITICAL
+        huge = from_functions(const(1e299), const(0.1), 10.0)
+        assert classify_path(*_samples(huge)) is PathClass.NO_CROSSING
 
 
 def test_path_from_schedule_runs_through_critical_point():
-    path = LZPath.from_schedule(pump_schedule(100.0), 7)
-    assert classify_path(path) is PathClass.THROUGH_CRITICAL
+    times, u, g = from_schedule(pump_schedule(100.0), 7)
+    assert classify_path(u, g) is PathClass.THROUGH_CRITICAL
     # u(t) = sin(2 pi t / T), g continued analytically through a > b
-    assert np.abs(path.u - np.sin(2 * np.pi * path.times / 100.0)).max() < 1e-12
+    assert np.abs(u - np.sin(2 * np.pi * times / 100.0)).max() < 1e-12
 
 
 def test_path_c_frame_properties():
@@ -277,7 +285,7 @@ def test_trimer_exact_splitting_includes_overlap_correction():
     onsite = a  # <L+|H|L+> at zero potentials
     corrected = 2.0 * (g_naive - onsite * overlap) / (1.0 - overlap**2)
 
-    vals = np.linalg.eigvalsh(make_chain("trimer", L, a=a, b=a, c=c, u=0.0, v=0.0, w=0.0).to_dense())
+    vals = np.linalg.eigvalsh(dense(make_chain("trimer", L, a=a, b=a, c=c, u=0.0, v=0.0, w=0.0)))
     upper = vals[(vals > 0.9) & (vals < 1.1)]
     exact = upper.max() - upper.min()
     assert abs(abs(corrected) - exact) / exact <= 1e-3
@@ -293,10 +301,10 @@ def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
     # dense oracle: S^-1/2 (B^T H B) S^-1/2 with B the analytic pair, S = B^T B;
     # the blocks are rows 0-1 and 2-3 of the reduced 4-site chain
     st = trimer_edge_states(a, c, L)
-    h = make_chain("trimer", L, a=a, b=a, c=c, u=u, v=v, w=w).to_dense()
-    reduced = ChainHamiltonian(*_trimer(a, c, u, v, w, L))
-    assert reduced.offdiagonal[1] == 0.0
-    blocks, levels = reduced.to_dense(), []
+    h = dense(make_chain("trimer", L, a=a, b=a, c=c, u=u, v=v, w=w))
+    reduced = _trimer(a, c, u, v, w, L)
+    assert reduced[1][1] == 0.0
+    blocks, levels = dense(reduced), []
     for rows, upper, basis in zip(
         (slice(0, 2), slice(2, 4)), (True, False), ([st.left_plus, st.right_plus], [st.left_minus, st.right_minus])
     ):
@@ -312,7 +320,7 @@ def test_reduce_trimer_blocks_match_dense_loewdin_projection(a, c, u, v, w, L):
         e_left, e_right, g, s = pair
         levels += list(np.roots([1.0 - s * s, 2.0 * g * s - e_left - e_right, e_left * e_right - g * g]))
     # the 4-site chain's levels are both blocks' levels
-    assert np.abs(tridiag_eigh(reduced.diagonal, reduced.offdiagonal)[0] - np.sort(levels)).max() <= 1e-12
+    assert np.abs(tridiag_eigh(*reduced)[0] - np.sort(levels)).max() <= 1e-12
 
 
 def test_bell_schedule_reduces_only_near_the_cycle_ends():
@@ -368,29 +376,25 @@ def test_reduction_report_fields():
 # -- reduced dynamics -----------------------------------------------------------
 
 
+# an lz path evolves as its one-cell chain: pump at L = 1
+
+
 def test_lz_evolve_path_a_transfers():
-    traj = lz_evolve(LZPath.arc(1.0, 200.0), np.array([1.0, 0.0], dtype=complex))
+    traj = pump(arc(1.0, 200.0), 1, np.array([1.0, 0.0], dtype=complex))
     assert abs(traj.final_state[1]) ** 2 >= 0.999
 
 
 def test_lz_evolve_path_b_persists():
-    traj = lz_evolve(LZPath.line(1.0, 200.0), np.array([1.0, 0.0], dtype=complex))
+    traj = pump(line(1.0, 200.0), 1, np.array([1.0, 0.0], dtype=complex))
     assert abs(traj.final_state[0]) ** 2 >= 1.0 - 1e-9
 
 
 def test_lz_evolve_constant_coupling_rabi():
-    path = LZPath.from_functions(const(0.0), const(0.25), 20.0)
+    path = from_functions(const(0.0), const(0.25), 20.0)
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, method="bdf")
-    traj = lz_evolve(path, np.array([1.0, 0.0], dtype=complex), cfg)
+    traj = pump(path, 1, np.array([1.0, 0.0], dtype=complex), cfg)
     expected = np.sin(0.25 * traj.times) ** 2
     assert np.abs(np.abs(traj.states[:, 1]) ** 2 - expected).max() < 1e-7
-
-
-def test_lz_evolve_rejects_a_sampled_path():
-    path = LZPath.from_schedule(pump_schedule(100.0), 7)
-    assert path.schedule is None
-    with pytest.raises(InvalidParameterError):
-        lz_evolve(path, np.array([1.0, 0.0], dtype=complex))
 
 
 _ALPHA, _THETA, _T = 1.3, 0.4, 70.0
@@ -418,11 +422,10 @@ def test_lz_path_is_the_one_cell_rice_mele_schedule(name):
     spec, u_of, g_of, bound = _LZ_PATHS[name]
     path = parse_config(json.dumps({"schema": 1, "command": "lz", "path": dict(spec, T=_T)})).options["path"]
     times = np.linspace(0.0, _T, 1000)
-    diag, off = schedule_arrays(path.schedule, 1, times)
+    diag, off = schedule_arrays(path, 1, times)
     u, g = u_of(times), g_of(times)
     assert diag.tobytes() == np.stack([u, -u], axis=-1).tobytes()
     assert off.tobytes() == g[:, np.newaxis].tobytes()
-    assert path.u.tobytes() == u_of(path.times).tobytes() and path.g.tobytes() == g_of(path.times).tobytes()
     assert _integration("lz", {"path": path})[2] == bound
 
 

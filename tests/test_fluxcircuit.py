@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 import topochain
-from topochain import FluxQubitSpec, InvalidParameterError, NumericError, fluxcircuit, sweep_point
+from topochain import InvalidParameterError, NumericError, fluxcircuit, sweep_point
 from topochain._kernels import one_blas_thread, tridiag_eigh
 from topochain.config import parse_config
 from topochain.fluxcircuit import _dh_hops, band_cholesky, charge_band
@@ -28,7 +28,7 @@ from topochain.runner import run
 
 from conftest import KRON_CIRCUIT, kron_dh, kron_hamiltonian, run_at_blas_threads
 
-SMALL = FluxQubitSpec(charge_cutoff=6)
+SMALL = 6  # charge cutoff: kd = 14, dimension 13^2 = 169
 
 
 def _pack_upper(dense, kd):
@@ -46,8 +46,8 @@ def _unpack_upper(band):
     return upper + np.triu(upper, 1).conj().T
 
 
-def _levels(spec, f_alpha, f_eps, n_levels, stats=None):
-    return sweep_point(spec, f_alpha, f_eps, n_levels, stats)[0]
+def _levels(n_c, f_alpha, f_eps, n_levels, stats=None):
+    return sweep_point(n_c, f_alpha, f_eps, n_levels, stats)[0]
 
 
 def _parity_reversed(matrix):
@@ -94,10 +94,9 @@ def _hermitian_eigvals_oracle(h):
 def test_hamiltonian_dimension_and_hermiticity():
     # upper band storage holds a Hermitian matrix when its diagonal is real
     band = charge_band(SMALL, 0.2, 0.013)
-    assert band.shape == (SMALL.band_width + 1, 13 * 13)
+    assert band.shape == (14 + 1, 13 * 13)
     assert not band[-1].imag.any()
-    full = FluxQubitSpec()
-    assert full.dimension == 961
+    assert charge_band(fluxcircuit.CHARGE_CUTOFF, 0.2, 0.0).shape == (33, 961)
 
 
 def test_oracle_circuit_is_the_figure_circuit():
@@ -114,11 +113,10 @@ def test_charging_limit_spectrum():
     # a = 0.5 the -4a*k*l cross term makes (1,1) and (-1,-1) degenerate with
     # it, so the first excited charging manifold is 6-fold at (8/3)E_C
     ec, alpha, n_c = 1.0 / KRON_CIRCUIT["ej_over_ec"], KRON_CIRCUIT["alpha"], 4
-    spec = FluxQubitSpec(charge_cutoff=n_c)
-    k, l = np.divmod(np.arange(spec.dimension), 2 * n_c + 1)
+    k, l = np.divmod(np.arange((2 * n_c + 1) ** 2), 2 * n_c + 1)
     k, l = k - n_c, l - n_c
     closed = 4.0 * ec * ((1.0 + 2.0 * alpha) * (k**2 + l**2) - 4.0 * alpha * k * l) / (1.0 + 4.0 * alpha)
-    diagonal = charge_band(spec, 0.2, 0.013)[-1]
+    diagonal = charge_band(n_c, 0.2, 0.013)[-1]
     assert not diagonal.imag.any()
     assert np.abs(diagonal.real - (closed + 2.0 * (1.0 + alpha))).max() <= 1e-14
     charging = np.sort(diagonal.real - 2.0 * (1.0 + alpha))
@@ -128,12 +126,12 @@ def test_charging_limit_spectrum():
 
 
 def test_spec_validation():
+    with pytest.raises(InvalidParameterError, match="charge_cutoff must be >= 1"):
+        _levels(0, 0.2, 0.0, 1)
     with pytest.raises(InvalidParameterError):
-        FluxQubitSpec(charge_cutoff=0)
+        _levels(SMALL, 0.2, 0.0, 169 + 1)
     with pytest.raises(InvalidParameterError):
-        _levels(SMALL, 0.2, 0.0, SMALL.dimension + 1)
-    with pytest.raises(InvalidParameterError):
-        _levels(SMALL, 0.2, 0.0, SMALL.dimension - 1)
+        _levels(SMALL, 0.2, 0.0, 169 - 1)
 
 
 def test_spectrum_periodic_in_f_eps():
@@ -146,29 +144,28 @@ def test_spectrum_periodic_in_f_eps():
 def test_mirror_bias_conjugates_h(m):
     # H(2m - f_eps) = conj H(f_eps) at the circuit's fluxoid number n: the
     # levels, gap and couplings carry over, and the loop currents change sign
-    spec, f_eps = FluxQubitSpec(charge_cutoff=4), 0.013
+    n_c, f_eps = 4, 0.013
     mirror = 2 * m - f_eps
-    assert np.abs(charge_band(spec, 0.2, mirror) - charge_band(spec, 0.2, f_eps).conj()).max() <= 1e-14
-    (vals, ch), (mirror_vals, mirror_ch) = (sweep_point(spec, 0.2, fe, 3) for fe in (f_eps, mirror))
+    assert np.abs(charge_band(n_c, 0.2, mirror) - charge_band(n_c, 0.2, f_eps).conj()).max() <= 1e-14
+    (vals, ch), (mirror_vals, mirror_ch) = (sweep_point(n_c, 0.2, fe, 3) for fe in (f_eps, mirror))
     assert np.abs(vals - mirror_vals).max() <= 1e-12
     assert abs(ch.g_perp - mirror_ch.g_perp) <= 1e-10 and abs(ch.g_par - mirror_ch.g_par) <= 1e-10
     assert abs(ch.i0 + mirror_ch.i0) <= 1e-10 and abs(ch.i1 + mirror_ch.i1) <= 1e-10
 
 
 def _level_sweep(tmp_path, f_eps_range):
-    spec = {"charge_cutoff": 4}
     cfg = {"schema": 1, "command": "fluxqubit", "f_alpha": 0.2, "levels": 3, "f_eps_range": f_eps_range,
-           "spec": spec}
+           "spec": {"charge_cutoff": 4}}
     result = run(parse_config(json.dumps(cfg)), tmp_path)
     solver = json.loads(result.manifest.read_text())["solver"]
-    return result.files[0], FluxQubitSpec(**spec), solver
+    return result.files[0], cfg["spec"]["charge_cutoff"], solver
 
 
 @pytest.mark.parametrize("start, stop, points", [
     (-0.05, 0.05, 7), (-0.05, 0.05, 6), (0.95, 1.05, 5), (0.95, 1.05, 4), (-0.05, 0.05, 1),
 ], ids=["odd", "even", "centre-1-odd", "centre-1-even", "one-point"])
 def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop, points):
-    path, spec, solver = _level_sweep(tmp_path, {"start": start, "stop": stop, "points": points})
+    path, n_c, solver = _level_sweep(tmp_path, {"start": start, "stop": stop, "points": points})
     rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     half, centre = points // 2, round((start + stop) / 2)
     assert solver["points"] == points and solver["mirrored_points"] == half
@@ -181,7 +178,7 @@ def test_level_sweep_mirrors_rows_about_an_integer_centre(tmp_path, start, stop,
     assert np.abs(f_eps - np.linspace(start, stop, points)).max() <= 4 * np.spacing(max(abs(start), abs(stop)))
     assert np.array_equal(rows[:half, 1:], rows[::-1][:half, 1:])
     for row in rows:  # and a direct solve at that row's f_eps
-        vals, character = sweep_point(spec, 0.2, row[0], 3)
+        vals, character = sweep_point(n_c, 0.2, row[0], 3)
         assert np.abs(row[1:4] - vals[:3]).max() <= 1e-12
         assert np.abs(row[4:] - [character.g_perp, character.g_par]).max() <= 1e-10
 
@@ -190,11 +187,11 @@ def test_level_sweep_off_an_integer_centre_solves_every_point(tmp_path):
     # byte-identical to one direct solve per np.linspace point, at the one
     # BLAS thread a run holds
     f_eps_range = {"start": -0.05, "stop": 0.031, "points": 5}
-    path, spec, solver = _level_sweep(tmp_path / "run", f_eps_range)
+    path, n_c, solver = _level_sweep(tmp_path / "run", f_eps_range)
     assert solver["mirrored_points"] == 0 and solver["factorizations_total"] == 5
     values = np.linspace(-0.05, 0.031, 5)
     with one_blas_thread():
-        points = [sweep_point(spec, 0.2, fe, 3) for fe in values]
+        points = [sweep_point(n_c, 0.2, fe, 3) for fe in values]
     table = np.array([[*vals[:3], character.g_perp, character.g_par] for vals, character in points])
     reference = write_csv(tmp_path / "reference.csv", ["f_eps", "E_0", "E_1", "E_2", "g_perp", "g_par"],
                           [values, *table.T])
@@ -219,7 +216,7 @@ def test_couplings_at_optimal_point():
 def test_derivative_matches_finite_difference():
     # only the alpha hop, the band's top row, depends on f_eps; the hops
     # below the diagonal are the conjugates of those above
-    step, kd = 1e-6, SMALL.band_width
+    step, kd = 1e-6, 14
     for f_eps in (0.0, 0.07):
         plus, minus = charge_band(SMALL, 0.2, f_eps + step), charge_band(SMALL, 0.2, f_eps - step)
         fd = (plus - minus) / (2.0 * step)
@@ -230,8 +227,8 @@ def test_derivative_matches_finite_difference():
         assert np.abs(fd[0, kd:].conj() - lower).max() <= 1e-6
 
 
-def _currents(spec, f_alpha, f_eps):
-    character = sweep_point(spec, f_alpha, f_eps, 2)[1]
+def _currents(n_c, f_alpha, f_eps):
+    character = sweep_point(n_c, f_alpha, f_eps, 2)[1]
     return character.i0, character.i1
 
 
@@ -267,11 +264,11 @@ def test_gap_tunable_and_continuous():
 
 
 def test_small_cutoff_matches_independent_oracle():
-    spec = FluxQubitSpec(charge_cutoff=4)
-    n_levels = spec.dimension - 2  # the most the shift-invert solver returns
+    n_c = 4
+    n_levels = 9 * 9 - 2  # the most the shift-invert solver returns
     for f_eps in (0.0, 0.31):
-        h = kron_hamiltonian(spec, 0.2, f_eps).toarray()
-        mine = _levels(spec, 0.2, f_eps, n_levels)
+        h = kron_hamiltonian(n_c, 0.2, f_eps).toarray()
+        mine = _levels(n_c, 0.2, f_eps, n_levels)
         oracle = _hermitian_eigvals_oracle(h)[:n_levels]
         assert np.abs(mine - oracle).max() <= 1e-10
 
@@ -279,18 +276,18 @@ def test_small_cutoff_matches_independent_oracle():
 @pytest.mark.parametrize("f_eps", [0.0, 0.013])
 def test_sweep_point_matches_dense_lapack_at_figure_cutoff(f_eps):
     # f_eps = 0 is the parity point, where the start vector must reach both sectors
-    spec = FluxQubitSpec()
+    n_c = fluxcircuit.CHARGE_CUTOFF
     n_levels = 5
-    vals, character = sweep_point(spec, 0.2, f_eps, n_levels)
-    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(spec, 0.2, f_eps).toarray())
-    dh = kron_dh(spec, 0.2, f_eps).toarray()
+    vals, character = sweep_point(n_c, 0.2, f_eps, n_levels)
+    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(n_c, 0.2, f_eps).toarray())
+    dh = kron_dh(n_c, 0.2, f_eps).toarray()
     ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
     g_perp = abs(np.vdot(excited, dh @ ground))
     g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
     assert np.abs(vals - dense_vals[:n_levels]).max() <= 1e-12
     assert abs(character.g_perp - g_perp) <= 1e-10
     assert abs(character.g_par - g_par) <= 1e-10
-    again_vals, again = sweep_point(spec, 0.2, f_eps, n_levels)
+    again_vals, again = sweep_point(n_c, 0.2, f_eps, n_levels)
     assert np.array_equal(vals, again_vals)
     assert np.array_equal([character.g_perp, character.g_par], [again.g_perp, again.g_par])
 
@@ -307,11 +304,11 @@ def test_sweep_point_consistent_with_separate_calls():
 def test_upper_band_matches_dense_upper_triangle(cutoff):
     # kd = 2N_c + 2 is the reach of the alpha hop; off the parity point the
     # hop's phase makes the upper triangle differ from its conjugate
-    kd, spec = 2 * cutoff + 2, FluxQubitSpec(charge_cutoff=cutoff)
+    kd = 2 * cutoff + 2
     for f_eps in (0.0, 0.013):
-        band = charge_band(spec, 0.2, f_eps)
-        dense = kron_hamiltonian(spec, 0.2, f_eps).toarray()
-        assert band.shape == (kd + 1, spec.dimension) and band.dtype == np.complex128
+        band = charge_band(cutoff, 0.2, f_eps)
+        dense = kron_hamiltonian(cutoff, 0.2, f_eps).toarray()
+        assert band.shape == (kd + 1, (2 * cutoff + 1) ** 2) and band.dtype == np.complex128
         assert band.flags.f_contiguous
         for d in range(kd + 1):
             assert np.array_equal(band[kd - d, d:], np.diag(dense, d))
@@ -326,14 +323,14 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
     # between the Gershgorin shift from the sparse row sums and E_0
     from scipy.sparse.linalg import LinearOperator, eigsh
 
-    spec, n_levels = SMALL, 4
+    n_c, n_levels = SMALL, 4
     stats = {}
-    mine, character = sweep_point(spec, f_alpha, f_eps, n_levels, stats=stats)
-    h = kron_hamiltonian(spec, f_alpha, f_eps)
+    mine, character = sweep_point(n_c, f_alpha, f_eps, n_levels, stats=stats)
+    h = kron_hamiltonian(n_c, f_alpha, f_eps)
     diag = h.diagonal().real
     gershgorin = float(np.min(diag - (abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
     shift = stats["shift"]
-    band = _pack_upper(h.toarray(), spec.band_width)
+    band = _pack_upper(h.toarray(), 14)
     band[-1] -= shift
     factor = band_cholesky(band)
     solves = 0
@@ -343,12 +340,12 @@ def test_sweep_point_bit_identical_to_sparse_reference(f_alpha, f_eps):
         solves += 1
         return scipy.linalg.lapack.zpbtrs(factor, x)[0]
 
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, spec.dimension)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, h.shape[0])
     vals, vecs = eigsh(h, k=n_levels, sigma=shift, which="LM", v0=start,
                        OPinv=LinearOperator(h.shape, matvec=solve, dtype=np.complex128))
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    dh = kron_dh(spec, f_alpha, f_eps)
+    dh = kron_dh(n_c, f_alpha, f_eps)
     ground, excited = vecs[:, 0], vecs[:, 1]
     i0, i1 = np.real(np.vdot(ground, dh @ ground)), np.real(np.vdot(excited, dh @ excited))
     g_perp = float(abs(np.vdot(excited, dh @ ground)))
@@ -372,11 +369,11 @@ def test_solve_path_builds_no_sparse_matrix(monkeypatch):
 @pytest.mark.parametrize("f_eps", [0.0, -0.05, 0.031])
 @pytest.mark.parametrize("f_alpha", [0.0, 0.1, 0.3])
 def test_sweep_point_matches_dense_eigh_over_bias_grid(f_alpha, f_eps):
-    spec = FluxQubitSpec()
+    n_c = fluxcircuit.CHARGE_CUTOFF
     n_levels = 5
-    vals, character = sweep_point(spec, f_alpha, f_eps, n_levels)
-    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(spec, f_alpha, f_eps).toarray())
-    dh = kron_dh(spec, f_alpha, f_eps).toarray()
+    vals, character = sweep_point(n_c, f_alpha, f_eps, n_levels)
+    dense_vals, dense_vecs = scipy.linalg.eigh(kron_hamiltonian(n_c, f_alpha, f_eps).toarray())
+    dh = kron_dh(n_c, f_alpha, f_eps).toarray()
     ground, excited = dense_vecs[:, 0], dense_vecs[:, 1]
     g_perp = abs(np.vdot(excited, dh @ ground))
     g_par = abs(np.vdot(excited, dh @ excited).real - np.vdot(ground, dh @ ground).real) / 2.0
@@ -391,26 +388,25 @@ def test_indefinite_band_raises_numeric_error(monkeypatch):
     with pytest.raises(NumericError):
         band_cholesky(indefinite)
     # one non-finite hop reaches the Gershgorin bound, which rejects H before any solve
-    spec = FluxQubitSpec(charge_cutoff=2)
-    band = charge_band(spec, 0.2, 0.0)
-    band[spec.band_width - 1, 1] = math.nan
+    n_c = 2
+    band = charge_band(n_c, 0.2, 0.0)
+    band[5, 1] = math.nan  # the l hop, at offset 1 of kd = 6
 
     monkeypatch.setattr(topochain.fluxcircuit, "charge_band", lambda *args: band.copy(order="F"))
     with pytest.raises(NumericError, match="non-finite"):
-        _levels(spec, 0.2, 0.0, 3)
+        _levels(n_c, 0.2, 0.0, 3)
 
 
 @pytest.mark.parametrize("cutoff", [1, 2])
 def test_small_bases_match_dense_eigh_through_lanczos_breakdown(cutoff):
     # the 12 Lanczos steps of the shift estimate run out of Krylov space and
     # stop early at dimension 9, and at 25 on the f_eps = 0 parity sector
-    spec = FluxQubitSpec(charge_cutoff=cutoff)
     for f_eps in (0.0, 0.013):
-        dense = scipy.linalg.eigvalsh(kron_hamiltonian(spec, 0.2, f_eps).toarray())
-        for n_levels in (2, spec.dimension - 2):
+        dense = scipy.linalg.eigvalsh(kron_hamiltonian(cutoff, 0.2, f_eps).toarray())
+        for n_levels in (2, dense.size - 2):
             stats = {}
             with np.errstate(divide="raise", invalid="raise"):
-                vals = _levels(spec, 0.2, f_eps, n_levels, stats)
+                vals = _levels(cutoff, 0.2, f_eps, n_levels, stats)
             assert np.abs(vals - dense[:n_levels]).max() <= 1e-12
             assert stats["factorizations"] == 1 and 0.0 < stats["ground_minus_shift"]
 

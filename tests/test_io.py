@@ -7,7 +7,8 @@ import pytest
 
 from topochain import instantaneous_spectrum, io, pump_schedule
 from topochain.dynamics import Trajectory, sigma_z
-from topochain.effective import LZPath
+from topochain.effective import arc
+from topochain.models import schedule_arrays
 
 
 def _cell(value) -> str:
@@ -90,10 +91,12 @@ def test_table_writers_match_their_rows(tmp_path):
     assert io.states_csv(tmp_path / "states.csv", [2, 5], vectors).read_text() == _reference(
         ["site", "state_2", "state_5"], rows)
 
-    path = LZPath.arc(1.3, 50.0, 31)
-    rows = [[path.times[i], path.u[i], path.g[i], 0.0 - float(np.hypot(path.u[i], path.g[i])),
-             0.0 + float(np.hypot(path.u[i], path.g[i]))] for i in range(path.times.size)]
-    text = io.lz_path_csv(tmp_path / "lz.csv", path).read_text()
+    times = np.linspace(0.0, 50.0, 31)
+    diag, off = schedule_arrays(arc(1.3, 50.0), 1, times)
+    u, g = diag[:, 0], off[:, 0]
+    rows = [[times[i], u[i], g[i], 0.0 - float(np.hypot(u[i], g[i])), 0.0 + float(np.hypot(u[i], g[i]))]
+            for i in range(times.size)]
+    text = io.lz_path_csv(tmp_path / "lz.csv", times, u, g).read_text()
     assert text == _reference(["t", "u", "g", "E_minus", "E_plus"], rows)
 
 

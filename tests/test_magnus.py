@@ -13,14 +13,12 @@ import pytest
 
 import topochain.dynamics as dynamics
 from topochain import (
-    DisorderSpec,
     IntegratorConfig,
     InvalidParameterError,
     apply_disorder,
     basis_state,
     bell_transfer_schedule,
     evolve,
-    lz_evolve,
     pump,
     pump_schedule,
     quench,
@@ -28,11 +26,11 @@ from topochain import (
 )
 from topochain import _kernels as K
 from topochain.config import parse_config
-from topochain.effective import LZPath
-from topochain.models import ChainHamiltonian, FunctionSpec, Schedule, const, schedule_arrays
+from topochain.effective import from_functions, line
+from topochain.models import FunctionSpec, Schedule, const, schedule_arrays
 from topochain.presets import PRESETS
 
-from conftest import exact_propagator_state, make_chain, plain_pump_cfm4
+from conftest import dense, exact_propagator_state, make_chain, plain_pump_cfm4
 from test_acceptance import _bell_run, _bell_state
 
 MAGNUS = IntegratorConfig()
@@ -64,8 +62,8 @@ def test_plain_pump_lands_on_the_converged_fidelity():
 def test_static_disordered_quench_matches_exact_propagator(a, seed):
     # H is constant, so every step is exact to rounding (BDF at its default
     # tolerances misses these records by up to 4.9e-6)
-    chain = apply_disorder(make_chain("ssh", 7, a=a, b=1.0), DisorderSpec(0.01, seed))
-    traj = quench(chain, 1, 100.0, MAGNUS, 401)
+    chain = apply_disorder(*make_chain("ssh", 7, a=a, b=1.0), 0.01, seed)
+    traj = quench(*chain, 1, 100.0, MAGNUS, 401)
     exact = np.array([exact_propagator_state(chain, basis_state(14, 1), t) for t in traj.times])
     assert np.abs(traj.states - exact).max() <= 1e-10
     assert traj.integration["norm_drift"] <= 1e-12
@@ -98,8 +96,8 @@ def test_lz_custom_path_matches_landau_zener(ratio):
     # ratios (projected on the diabatic states instead, 1e-2 at A = 40)
     v, A = 1.0, 20.0
     g = np.sqrt(ratio * v)
-    path = LZPath.from_functions(FunctionSpec("linear", offset=-A, amplitude=2.0 * A), const(g), 2.0 * A / v)
-    traj = lz_evolve(path, _ground(-A, g), MAGNUS)
+    path = from_functions(FunctionSpec("linear", offset=-A, amplitude=2.0 * A), const(g), 2.0 * A / v)
+    traj = pump(path, 1, _ground(-A, g), MAGNUS)
     excited = 1.0 - abs(np.vdot(_ground(A, g), traj.final_state)) ** 2
     assert abs(excited - np.exp(-np.pi * ratio)) <= 3e-5
 
@@ -111,8 +109,7 @@ def test_uniform_drive_is_a_phase():
 
     def provider(times):
         times = np.asarray(times)
-        return h0.diagonal + 0.7 * np.cos(times)[..., np.newaxis], np.broadcast_to(h0.offdiagonal,
-                                                                                  times.shape + (9,))
+        return h0[0] + 0.7 * np.cos(times)[..., np.newaxis], np.broadcast_to(h0[1], times.shape + (9,))
 
     traj = evolve(provider, basis_state(10, 2), 0.0, 30.0, MAGNUS, 31)
     exact = np.array([np.exp(-0.7j * np.sin(t)) * exact_propagator_state(h0, basis_state(10, 2), t)
@@ -132,8 +129,7 @@ def test_constant_chunks_take_one_exponential(monkeypatch):
         return eigh(d, e)
 
     monkeypatch.setattr(K, "tridiag_eigh", counting)
-    provider = lambda t: (np.broadcast_to(h0.diagonal, np.shape(t) + (6,)),
-                          np.broadcast_to(h0.offdiagonal, np.shape(t) + (5,)))
+    provider = lambda t: (np.broadcast_to(h0[0], np.shape(t) + (6,)), np.broadcast_to(h0[1], np.shape(t) + (5,)))
     times = np.linspace(0.0, 10.0, 6)
     states = K.cfm4_integrate(provider, basis_state(6, 1), times, np.full(5, 7))
     assert calls == [6]
@@ -181,9 +177,9 @@ def _start_cases():
     return {
         "bell": (partial(schedule_arrays, BELL, 7), _bell_state(21, 1.0, left=True), 1000.0, 201, 3200),
         "plain-pump": (partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1), 100.0, 201, 200),
-        "lz1-a": (partial(schedule_arrays, path.schedule, 1), np.array([1.0, 0.0], dtype=np.complex128),
-                  path.schedule.total_time, n_records, 200),
-        "quench": (lambda t: dynamics.static_arrays(chain, t), basis_state(14, 1), 100.0, 401, 400),
+        "lz1-a": (partial(schedule_arrays, path, 1), np.array([1.0, 0.0], dtype=np.complex128),
+                  path.total_time, n_records, 200),
+        "quench": (lambda t: dynamics.static_arrays(*chain, t), basis_state(14, 1), 100.0, 401, 400),
     }
 
 
@@ -203,7 +199,7 @@ def test_first_pass_is_the_first_rung_inside_the_convergence_radius(monkeypatch,
     with pytest.raises(_FirstPass):
         evolve(provider, psi0, 0.0, t1, MAGNUS, n_records)
     times = np.linspace(0.0, t1, n_records)
-    radius = max(np.abs(ChainHamiltonian(*provider(t)).to_dense()).sum(axis=1).max() for t in times)
+    radius = max(np.abs(dense(provider(t))).sum(axis=1).max() for t in times)
     steps = first[0]
     assert np.all(steps == steps[0]) and steps[0] == 2.0 ** round(np.log2(steps[0]))
     assert (np.diff(times) / steps).max() * radius < np.pi
@@ -215,7 +211,7 @@ def test_first_pass_is_the_first_rung_inside_the_convergence_radius(monkeypatch,
 def test_lz1_path_a_keeps_its_step_count():
     # path A starts inside the radius: its ladder and its bits are as before
     path, n_records = _lz1_path_a()
-    traj = lz_evolve(path, np.array([1.0, 0.0], dtype=np.complex128), MAGNUS, n_records)
+    traj = pump(path, 1, np.array([1.0, 0.0], dtype=np.complex128), MAGNUS, n_records)
     assert traj.integration["steps"] == 3200 and traj.integration["steps_total"] == 6200
 
 
@@ -325,12 +321,12 @@ def test_three_bell_cycles_mirror():
 
 def test_plain_pump_and_lz1_paths_mirror():
     path_a, n_records = _lz1_path_a()
-    path_b = LZPath.line(1.0, path_a.period)
+    path_b = line(1.0, path_a.period)
     runs = [(partial(schedule_arrays, pump_schedule(100.0), 7), basis_state(14, 1),
              pump(pump_schedule(100.0), 7, basis_state(14, 1), MAGNUS, 201))]
     for path in (path_a, path_b):
         psi0 = np.array([1.0, 0.0], dtype=np.complex128)
-        runs.append((partial(schedule_arrays, path.schedule, 1), psi0, lz_evolve(path, psi0, MAGNUS, n_records)))
+        runs.append((partial(schedule_arrays, path, 1), psi0, pump(path, 1, psi0, MAGNUS, n_records)))
     for provider, psi0, traj in runs:
         assert traj.integration["mirrored"] is True
         direct = _direct(provider, psi0, traj.times, _segment_steps(traj.integration, traj.times))
@@ -349,13 +345,13 @@ def _record_zero_bond():
 def _direct_cases():
     # (provider, psi0, record times, steps) of runs that must not mirror
     bell2 = bell_transfer_schedule(1000.0, cycles=2)
-    quench_chain = apply_disorder(make_chain("ssh", 7, a=0.1, b=1.0), DisorderSpec(0.01, 11))
+    quench_chain = apply_disorder(*make_chain("ssh", 7, a=0.1, b=1.0), 0.01, 11)
     return {
         # constant H, and R H R != H
-        "disordered-quench": (lambda t: dynamics.static_arrays(quench_chain, t), basis_state(14, 1),
+        "disordered-quench": (lambda t: dynamics.static_arrays(*quench_chain, t), basis_state(14, 1),
                               np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
         # constant H with R H R = H: one eigensolve either way
-        "clean-quench": (lambda t: dynamics.static_arrays(make_chain("ssh", 7, a=0.1, b=1.0), t), basis_state(14, 1),
+        "clean-quench": (lambda t: dynamics.static_arrays(*make_chain("ssh", 7, a=0.1, b=1.0), t), basis_state(14, 1),
                          np.linspace(0.0, 100.0, 401), np.full(400, 2.0)),
         # u(2T - t) = u(t), which is not w(t)
         "bell-2-cycles": (partial(schedule_arrays, bell2, 7), _bell_state(21, 1.0, left=True),
@@ -382,8 +378,8 @@ def test_runs_without_the_symmetry_stay_on_the_direct_loop(case):
 
 
 def test_disordered_quench_records_no_mirror():
-    chain = apply_disorder(make_chain("ssh", 7, a=0.1, b=1.0), DisorderSpec(0.01, 11))
-    assert quench(chain, 1, 100.0, MAGNUS, 401).integration["mirrored"] is False
+    chain = apply_disorder(*make_chain("ssh", 7, a=0.1, b=1.0), 0.01, 11)
+    assert quench(*chain, 1, 100.0, MAGNUS, 401).integration["mirrored"] is False
 
 
 def test_the_check_reads_the_gauss_nodes():

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from topochain import (
-    ChainHamiltonian,
-    DisorderSpec,
     FunctionSpec,
     InvalidDimensionError,
     InvalidParameterError,
@@ -13,8 +11,10 @@ from topochain import (
     Schedule,
     apply_disorder,
     bell_transfer_schedule,
+    eigendecompose,
     optimized_schedule,
     pump_schedule,
+    quench,
 )
 
 from topochain import models
@@ -24,17 +24,17 @@ from conftest import dense_eigvals, make_chain
 
 
 def test_ssh_two_sites_has_no_b_bond():
-    h = make_chain("ssh", 1, a=0.5, b=1.0)
-    assert np.array_equal(h.diagonal, [0.0, 0.0])
-    assert np.array_equal(h.offdiagonal, [0.5])
+    diag, off = make_chain("ssh", 1, a=0.5, b=1.0)
+    assert np.array_equal(diag, [0.0, 0.0])
+    assert np.array_equal(off, [0.5])
 
 
 def test_ssh_14_site_layout():
-    h = make_chain("ssh", 7, a=0.1, b=1.0)
-    assert h.n_sites == 14
-    assert np.array_equal(h.offdiagonal[0::2], np.full(7, 0.1))
-    assert np.array_equal(h.offdiagonal[1::2], np.full(6, 1.0))
-    assert h.offdiagonal[0] == 0.1 and h.offdiagonal[-1] == 0.1
+    diag, off = make_chain("ssh", 7, a=0.1, b=1.0)
+    assert diag.size == 14
+    assert np.array_equal(off[0::2], np.full(7, 0.1))
+    assert np.array_equal(off[1::2], np.full(6, 1.0))
+    assert off[0] == 0.1 and off[-1] == 0.1
 
 
 def test_ssh_four_site_eigenvalues_match_quartic_roots():
@@ -49,16 +49,16 @@ def test_ssh_four_site_eigenvalues_match_quartic_roots():
 
 def test_ssh_rejects_zero_cells():
     with pytest.raises(InvalidDimensionError):
-        ChainHamiltonian(np.zeros(0), np.zeros(0))
+        eigendecompose(np.zeros(0), np.zeros(0))
     with pytest.raises(InvalidDimensionError):
         schedule_arrays(Schedule("ssh", 1.0, {"a": models.const(0.1), "b": models.const(1.0)}), 0, 0.0)
 
 
 def test_rice_mele_staggers_and_isolates_first_site_at_a0():
-    h = make_chain("rm", 7, a=0.0, b=1.0, u=1.0)
-    assert np.array_equal(h.diagonal[0::2], np.ones(7))
-    assert np.array_equal(h.diagonal[1::2], -np.ones(7))
-    assert h.offdiagonal[0] == 0.0  # site 1 decoupled
+    diag, off = make_chain("rm", 7, a=0.0, b=1.0, u=1.0)
+    assert np.array_equal(diag[0::2], np.ones(7))
+    assert np.array_equal(diag[1::2], -np.ones(7))
+    assert off[0] == 0.0  # site 1 decoupled
 
 
 def test_rice_mele_dimer_eigenvalues():
@@ -72,13 +72,13 @@ def test_rice_mele_reduces_to_ssh_at_zero_potential(rng):
         L = int(rng.integers(1, 9))
         a, b = rng.normal(size=2)
         rm, ssh = make_chain("rm", L, a=a, b=b, u=0.0), make_chain("ssh", L, a=a, b=b)
-        assert np.array_equal(rm.diagonal, ssh.diagonal) and np.array_equal(rm.offdiagonal, ssh.offdiagonal)
+        assert np.array_equal(rm[0], ssh[0]) and np.array_equal(rm[1], ssh[1])
 
 
 def test_trimer_layout_and_reductions(rng):
-    h = make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0)
-    assert h.n_sites == 24
-    assert np.array_equal(h.offdiagonal[2::3], np.full(7, 2.0))  # final c bond absent
+    diag, off = make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0)
+    assert diag.size == 24
+    assert np.array_equal(off[2::3], np.full(7, 2.0))  # final c bond absent
     # decoupled-site limit
     h0 = make_chain("trimer", 1, a=0.0, b=0.0, c=5.0, u=1.0, v=2.0, w=3.0)
     assert np.allclose(dense_eigvals(h0), [1.0, 2.0, 3.0])
@@ -86,10 +86,9 @@ def test_trimer_layout_and_reductions(rng):
     for _ in range(10):
         L = int(rng.integers(1, 6))
         a, b, c = rng.normal(size=3)
-        ht = make_chain("trimer", L, a=a, b=b, c=c, u=0.0, v=0.0, w=0.0)
-        assert np.array_equal(ht.diagonal, np.zeros(3 * L))
-        off = np.resize([a, b, c], 3 * L - 1)
-        assert np.array_equal(ht.offdiagonal, off)
+        diag, off = make_chain("trimer", L, a=a, b=b, c=c, u=0.0, v=0.0, w=0.0)
+        assert np.array_equal(diag, np.zeros(3 * L))
+        assert np.array_equal(off, np.resize([a, b, c], 3 * L - 1))
 
 
 def test_trimer_small_spectra_symmetric():
@@ -103,66 +102,64 @@ def test_trimer_small_spectra_symmetric():
     assert np.abs(vals9).min() < 1e-12
 
 
-def test_builders_are_strictly_tridiagonal(rng):
-    for build in (
-        lambda: make_chain("ssh", 5, a=0.3, b=1.1, omega=0.2),
-        lambda: make_chain("rm", 5, a=0.3, b=1.1, u=0.7),
-        lambda: make_chain("trimer", 4, a=0.3, b=0.3, c=1.1, u=0.1, v=0.2, w=0.3),
+def test_builders_are_strictly_tridiagonal():
+    # a chain is its n sites and n - 1 bonds: the layout has no room for a
+    # longer-range term
+    for (diag, off), n in (
+        (make_chain("ssh", 5, a=0.3, b=1.1, omega=0.2), 10),
+        (make_chain("rm", 5, a=0.3, b=1.1, u=0.7), 10),
+        (make_chain("trimer", 4, a=0.3, b=0.3, c=1.1, u=0.1, v=0.2, w=0.3), 12),
     ):
-        h = build()
-        dense = h.to_dense()
-        beyond = dense - np.diag(np.diag(dense)) - np.diag(np.diag(dense, 1), 1) - np.diag(np.diag(dense, -1), -1)
-        assert np.all(beyond == 0.0)
-        assert np.array_equal(dense, dense.T)
+        assert diag.shape == (n,) and off.shape == (n - 1,)
+        assert diag.dtype == off.dtype == np.float64
 
 
 def test_chain_rejects_bad_shapes_and_values():
-    with pytest.raises(InvalidDimensionError):
-        ChainHamiltonian(np.zeros(3), np.zeros(3))
+    # the eigensolver's and the quench's doors check the chain they are given
+    for door in (eigendecompose, lambda diag, off: quench(diag, off, 1, 1.0)):
+        with pytest.raises(InvalidDimensionError):
+            door(np.zeros(3), np.zeros(3))
+        with pytest.raises(InvalidDimensionError):
+            door(np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(NumericError):
-        ChainHamiltonian(np.array([0.0, np.inf]), np.array([1.0]))
-
-
-def test_chain_is_immutable():
-    h = make_chain("ssh", 2, a=0.1, b=1.0)
-    with pytest.raises(ValueError):
-        h.diagonal[0] = 1.0
+        eigendecompose(np.array([0.0, np.inf]), np.array([1.0]))
 
 
 # -- disorder ---------------------------------------------------------------
 
 
 def test_disorder_zero_sigma_is_identity():
-    h = make_chain("ssh", 7, a=0.1, b=1.0)
-    out = apply_disorder(h, DisorderSpec(0.0, seed=3))
-    assert np.array_equal(out.diagonal, h.diagonal)
-    assert np.array_equal(out.offdiagonal, h.offdiagonal)
+    diag, off = make_chain("ssh", 7, a=0.1, b=1.0)
+    out_diag, out_off = apply_disorder(diag, off, 0.0, 3)
+    assert np.array_equal(out_diag, diag)
+    assert np.array_equal(out_off, off)
 
 
 def test_disorder_deterministic_and_input_untouched():
-    h = make_chain("ssh", 7, a=0.1, b=1.0)
-    s = DisorderSpec(0.01, seed=42)
-    one = apply_disorder(h, s)
-    two = apply_disorder(h, s)
-    assert np.array_equal(one.diagonal, two.diagonal)
-    assert np.array_equal(one.offdiagonal, two.offdiagonal)
-    assert np.array_equal(h.diagonal, np.zeros(14))
-    other = apply_disorder(h, DisorderSpec(0.01, seed=43))
-    assert not np.array_equal(one.diagonal, other.diagonal)
+    diag, off = make_chain("ssh", 7, a=0.1, b=1.0)
+    one = apply_disorder(diag, off, 0.01, 42)
+    two = apply_disorder(diag, off, 0.01, 42)
+    assert np.array_equal(one[0], two[0])
+    assert np.array_equal(one[1], two[1])
+    assert np.array_equal(diag, np.zeros(14)) and np.array_equal(off, make_chain("ssh", 7, a=0.1, b=1.0)[1])
+    other = apply_disorder(diag, off, 0.01, 43)
+    assert not np.array_equal(one[0], other[0])
 
 
 def test_disorder_rejects_negative_sigma():
-    with pytest.raises(InvalidParameterError):
-        DisorderSpec(-0.1, seed=0)
+    diag, off = make_chain("ssh", 2, a=0.1, b=1.0)
+    for sigma in (-0.1, np.inf, np.nan):
+        with pytest.raises(InvalidParameterError):
+            apply_disorder(diag, off, sigma, 0)
 
 
 def test_disorder_sample_statistics():
     # >= 1e5 draws across both targets of one large chain
     n_cells = 30000
-    h = make_chain("ssh", n_cells, a=0.1, b=1.0)
+    diag, off = make_chain("ssh", n_cells, a=0.1, b=1.0)
     sigma = 0.01
-    out = apply_disorder(h, DisorderSpec(sigma, seed=7))
-    noise = np.concatenate([out.diagonal - h.diagonal, out.offdiagonal - h.offdiagonal])
+    out_diag, out_off = apply_disorder(diag, off, sigma, 7)
+    noise = np.concatenate([out_diag - diag, out_off - off])
     n = noise.size
     assert n >= 1e5
     assert abs(noise.mean()) <= 5 * sigma / np.sqrt(n)
@@ -214,13 +211,13 @@ def test_bell_schedule_start_values():
 def test_sample_schedule_dispatch_and_periodicity():
     for sch, L in ((pump_schedule(100.0, cycles=2), 7), (optimized_schedule(100.0, cycles=2), 7)):
         t = 13.7
-        h1 = ChainHamiltonian(*schedule_arrays(sch, L, t))
-        h2 = ChainHamiltonian(*schedule_arrays(sch, L, t + sch.period))
-        assert np.allclose(h1.diagonal, h2.diagonal, rtol=0, atol=1e-12)
-        assert np.allclose(h1.offdiagonal, h2.offdiagonal, rtol=0, atol=1e-12)
-    h, ssh = ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 0.0)), make_chain("ssh", 7, a=0.0, b=1.0)
-    assert np.allclose(h.diagonal, ssh.diagonal, rtol=0, atol=1e-12)
-    assert np.allclose(h.offdiagonal, ssh.offdiagonal, rtol=0, atol=1e-12)
+        h1 = schedule_arrays(sch, L, t)
+        h2 = schedule_arrays(sch, L, t + sch.period)
+        assert np.allclose(h1[0], h2[0], rtol=0, atol=1e-12)
+        assert np.allclose(h1[1], h2[1], rtol=0, atol=1e-12)
+    h, ssh = schedule_arrays(pump_schedule(100.0), 7, 0.0), make_chain("ssh", 7, a=0.0, b=1.0)
+    assert np.allclose(h[0], ssh[0], rtol=0, atol=1e-12)
+    assert np.allclose(h[1], ssh[1], rtol=0, atol=1e-12)
 
 
 _SSH_SCHEDULE = Schedule(
@@ -244,12 +241,12 @@ def test_schedule_arrays_match_per_time_sampling_bitwise(schedule, L):
     diag, off = schedule_arrays(schedule, L, times)
     assert diag.shape == (times.size, SITES_PER_CELL[schedule.kind] * L)
     for k, t in enumerate(times):
-        h = ChainHamiltonian(*schedule_arrays(schedule, L, t))
+        h = schedule_arrays(schedule, L, t)
         scalars = make_chain(schedule.kind, L, **{x: schedule.params[x].value(float(t), schedule.period)
                                                   for x in names})
         for ref in (h, scalars):
-            assert diag[k].tobytes() == ref.diagonal.tobytes()
-            assert off[k].tobytes() == ref.offdiagonal.tobytes()
+            assert diag[k].tobytes() == ref[0].tobytes()
+            assert off[k].tobytes() == ref[1].tobytes()
 
 
 def test_schedule_validates_parameter_set():

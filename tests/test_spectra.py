@@ -21,20 +21,20 @@ from topochain import spectra
 from topochain.config import parse_config
 from topochain.presets import PRESETS
 from topochain._kernels import MIRROR_TOL, tridiag_eigh
-from topochain.models import (SITES_PER_CELL, ChainHamiltonian, FunctionSpec, Schedule, chain_arrays, const,
+from topochain.models import (SITES_PER_CELL, FunctionSpec, Schedule, chain_arrays, const,
                               schedule_arrays)
 from topochain.spectra import EDGE_FLAG_THRESHOLD, _fix_signs, coupling_ratio_norm_sq, trace_from_hamiltonians
 
-from conftest import dense_eigvals, localization_length, make_chain, random_chain, trimer_edge_states
+from conftest import dense, dense_eigvals, localization_length, make_chain, random_chain, trimer_edge_states
 
 
 def test_two_site_spectrum():
-    s = eigendecompose(ChainHamiltonian(np.zeros(2), np.array([0.5])))
+    s = eigendecompose(np.zeros(2), np.array([0.5]))
     assert np.allclose(s.eigenvalues, [-0.5, 0.5], atol=1e-15)
 
 
 def test_14_site_ssh_midgap_pair():
-    s = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
+    s = eigendecompose(*make_chain("ssh", 7, a=0.1, b=1.0))
     magnitudes = np.sort(np.abs(s.eigenvalues))
     assert magnitudes[1] < 1e-6
     assert magnitudes[2] > 0.85
@@ -42,7 +42,7 @@ def test_14_site_ssh_midgap_pair():
 
 def test_four_site_eigenvalues_to_quartic_roots():
     a, b = 0.1, 1.0
-    s = eigendecompose(make_chain("ssh", 2, a=a, b=b))
+    s = eigendecompose(*make_chain("ssh", 2, a=a, b=b))
     e_sq = np.roots([1.0, -(2 * a * a + b * b), a**4])
     expected = np.sort(np.concatenate([-np.sqrt(e_sq), np.sqrt(e_sq)]))
     assert np.abs(s.eigenvalues - expected).max() < 1e-6
@@ -51,28 +51,28 @@ def test_four_site_eigenvalues_to_quartic_roots():
 def test_eigendecompose_contracts(rng):
     for _ in range(60):
         h = random_chain(rng, max_sites=10)
-        s = eigendecompose(h)
+        s = eigendecompose(*h)
         assert np.all(np.diff(s.eigenvalues) >= -1e-14)
         norms = np.linalg.norm(s.eigenvectors, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
         scale = np.maximum(1.0, np.abs(s.eigenvalues))
-        resid = np.abs(h.to_dense() @ s.eigenvectors - s.eigenvectors * s.eigenvalues)
+        resid = np.abs(dense(h) @ s.eigenvectors - s.eigenvectors * s.eigenvalues)
         assert (resid.max(axis=0) <= 1e-10 * scale).all()
         gram = s.eigenvectors.T @ s.eigenvectors
-        assert np.abs(gram - np.eye(h.n_sites)).max() <= 1e-10
+        assert np.abs(gram - np.eye(h[0].size)).max() <= 1e-10
 
 
 def test_eigendecompose_matches_dense_oracle(rng):
     for _ in range(200):
         h = random_chain(rng, max_sites=8)
-        vals = eigendecompose(h).eigenvalues
+        vals = eigendecompose(*h).eigenvalues
         assert np.abs(vals - dense_eigvals(h)).max() <= 1e-10
 
 
 def test_sign_convention_deterministic(rng):
     h = random_chain(rng, max_sites=9)
-    a = eigendecompose(h).eigenvectors
-    b = eigendecompose(h).eigenvectors
+    a = eigendecompose(*h).eigenvectors
+    b = eigendecompose(*h).eigenvectors
     assert np.array_equal(a, b)
     lead = np.argmax(np.abs(a), axis=0)
     assert np.all(a[lead, np.arange(a.shape[1])] > 0)
@@ -83,28 +83,26 @@ def test_sign_gauge_matches_dense_solver_on_mirror_symmetric_chains():
     # magnitude; the gauge must not let the solver's rounding pick between them.
     for h in (
         make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0),
-        ChainHamiltonian(*schedule_arrays(pump_schedule(100.0), 7, 25.0)),
+        schedule_arrays(pump_schedule(100.0), 7, 25.0),
         make_chain("rm", 7, a=0.3, b=1.0, u=0.0),
     ):
-        _, dense = np.linalg.eigh(h.to_dense())
-        assert np.abs(eigendecompose(h).eigenvectors - _fix_signs(dense)).max() <= 1e-10
+        _, vectors = np.linalg.eigh(dense(h))
+        assert np.abs(eigendecompose(*h).eigenvectors - _fix_signs(vectors)).max() <= 1e-10
 
 
 def test_chiral_symmetry_of_zero_diagonal_chains(rng):
     for _ in range(60):
         h = random_chain(rng, max_sites=12, zero_diagonal=True)
-        vals = eigendecompose(h).eigenvalues
+        vals = eigendecompose(*h).eigenvalues
         assert np.abs(vals + vals[::-1]).max() <= 1e-10
 
 
 def test_eigendecompose_rejects_nonfinite():
-    h = make_chain("ssh", 2, a=0.1, b=1.0)
-    bad = ChainHamiltonian.__new__(ChainHamiltonian)
-    object.__setattr__(bad, "diagonal", np.array([0.0, np.nan]))
-    object.__setattr__(bad, "offdiagonal", np.array([1.0]))
-    with pytest.raises(NumericError):
-        eigendecompose(bad)
-    assert eigendecompose(h)  # untouched path still fine
+    diag, off = make_chain("ssh", 2, a=0.1, b=1.0)
+    for bad in ((np.array([0.0, np.nan, 0.0, 0.0]), off), (diag, np.array([0.1, np.inf, 0.1]))):
+        with pytest.raises(NumericError):
+            eigendecompose(*bad)
+    assert eigendecompose(diag, off)  # untouched path still fine
 
 
 # -- analytic edge states ----------------------------------------------------
@@ -128,7 +126,7 @@ def test_edge_states_decay_and_support():
 
 
 def test_edge_states_match_degenerate_subspace():
-    s = eigendecompose(make_chain("ssh", 7, a=0.1, b=1.0))
+    s = eigendecompose(*make_chain("ssh", 7, a=0.1, b=1.0))
     idx = np.argsort(np.abs(s.eigenvalues))[:2]
     sub = s.eigenvectors[:, idx]
     pair = analytic_edge_states(0.1, 1.0, 7)
@@ -184,7 +182,7 @@ def test_trimer_edge_states_orthonormal_deep_in_phase():
 
 
 def test_trimer_hybrids_match_in_gap_subspaces():
-    s = eigendecompose(make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
+    s = eigendecompose(*make_chain("trimer", 8, a=1.0, b=1.0, c=2.0, u=0.0, v=0.0, w=0.0))
     st = trimer_edge_states(1.0, 2.0, 8)
     lower = s.eigenvectors[:, (s.eigenvalues > -1.1) & (s.eigenvalues < -0.9)]
     upper = s.eigenvectors[:, (s.eigenvalues > 0.9) & (s.eigenvalues < 1.1)]
@@ -277,17 +275,17 @@ def test_trace_from_hamiltonians_rejects_mixed_sizes():
     # bonds of a 6-site chain against diagonals of a 4-site one
     h4, h6 = make_chain("ssh", 2, a=0.1, b=1.0), make_chain("ssh", 3, a=0.1, b=1.0)
     with pytest.raises(InvalidParameterError):
-        trace_from_hamiltonians([0.0, 1.0], np.stack([h4.diagonal] * 2), np.stack([h6.offdiagonal] * 2), 2)
+        trace_from_hamiltonians([0.0, 1.0], np.stack([h4[0]] * 2), np.stack([h6[1]] * 2), 2)
 
 
 def _per_time_trace(chains, n_edge_sites):
     # the reference: one eigendecompose per chain, one edge_weight per level
     energies, flags = [], []
-    for h in chains:
-        s = eigendecompose(h)
+    for diag, off in chains:
+        s = eigendecompose(diag, off)
         energies.append(s.eigenvalues)
         flags.append([edge_weight(s.eigenvectors[:, j], n_edge_sites) >= EDGE_FLAG_THRESHOLD
-                      for j in range(h.n_sites)])
+                      for j in range(diag.size)])
     return np.array(energies), np.array(flags)
 
 
@@ -320,7 +318,7 @@ def test_batched_trace_matches_per_time_eigendecompose(stack, solved):
     # basis dstevd picks in the degenerate subspace
     times, diag, off, n_edge = stack()
     trace = trace_from_hamiltonians(times, diag, off, n_edge)
-    energies, flags = _per_time_trace([ChainHamiltonian(d, o) for d, o in zip(diag, off)], n_edge)
+    energies, flags = _per_time_trace(zip(diag, off), n_edge)
     assert trace.solved == solved
     assert np.array_equal(trace.energies[:solved], energies[:solved])
     assert np.array_equal(trace.edge_flags[:solved], flags[:solved])
@@ -418,8 +416,8 @@ def test_mirrored_trace_calls_the_eigensolver_for_its_first_half(monkeypatch):
 def test_batched_trimer_sweep_matches_per_chain_eigendecompose():
     values = np.linspace(0.0, 2.0, 41)
     chains = [make_chain("trimer", 8, a=a, b=a, c=2.0, u=0.0, v=0.0, w=0.0) for a in values]
-    trace = trace_from_hamiltonians(values, np.stack([h.diagonal for h in chains]),
-                                    np.stack([h.offdiagonal for h in chains]), 3, axis_name="a")
+    trace = trace_from_hamiltonians(values, np.stack([h[0] for h in chains]),
+                                    np.stack([h[1] for h in chains]), 3, axis_name="a")
     energies, flags = _per_time_trace(chains, 3)
     assert np.array_equal(trace.energies, energies)
     assert np.array_equal(trace.edge_flags, flags)
